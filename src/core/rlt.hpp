@@ -47,5 +47,4 @@
 #include "registers/thread_alg4.hpp"
 #include "sim/adversary.hpp"
 #include "sim/scheduler.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"

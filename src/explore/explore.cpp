@@ -1,21 +1,15 @@
 #include "explore/explore.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <iostream>
 #include <memory>
 #include <sstream>
 
 #include "explore/policy.hpp"
 #include "explore/shrink.hpp"
 #include "obs/forensics.hpp"
-#include "obs/hooks.hpp"
-#include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "sim/schedule_policy.hpp"
 #include "sweep/fnv.hpp"
-#include "sweep/pool.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -26,7 +20,8 @@ using sweep::fnv_mix_str;
 using sweep::fnv_mix_u64;
 using sweep::kFnvOffset;
 
-/// Per shard — sharding raises the searchable ceiling N-fold.
+/// Materialization cap of enumerate_explore_shard; per shard, so
+/// sharding raises it N-fold.  run_explore streams and needs no cap.
 constexpr std::uint64_t kMaxInstances = 1'000'000;
 /// Short local spellings of the public rank constants (explore.hpp).
 constexpr int kRankViolation = kFoundRankViolation;
@@ -333,83 +328,65 @@ std::string config_key(const ExploreOptions& o) {
   return os.str();
 }
 
-ExploreEnumeration enumerate_explore_shard(const ExploreOptions& o) {
+namespace {
+
+/// This shard's instances in enumeration order: per seed, process count
+/// × (family × round budget | algorithm).
+sweep::Cursor<ExploreInstance> explore_cursor(const ExploreOptions& o) {
   RLT_CHECK_MSG(o.seed_begin < o.seed_end, "instance-seed range is empty");
   RLT_CHECK_MSG(o.search_budget >= 1, "search budget must be positive");
   RLT_CHECK_MSG(!o.process_counts.empty(), "process-count list is empty");
-  RLT_CHECK_MSG(o.shard.count > 0 && o.shard.index < o.shard.count,
-                "shard index/count out of range");
   if (o.objective == Objective::kRounds) {
     RLT_CHECK_MSG(!o.families.empty(), "family list is empty");
     RLT_CHECK_MSG(!o.round_budgets.empty(), "round-budget list is empty");
   } else {
     RLT_CHECK_MSG(!o.algorithms.empty(), "algorithm list is empty");
   }
-  const std::uint64_t seeds = o.seed_end - o.seed_begin;
-  const std::uint64_t configs =
-      (o.objective == Objective::kRounds
-           ? o.families.size() * o.round_budgets.size()
-           : o.algorithms.size()) *
-      o.process_counts.size();
-  RLT_CHECK_MSG(configs == 0 || seeds <= UINT64_MAX / configs,
-                "exploration cross-product overflows");
-  ExploreEnumeration en;
-  en.total = configs * seeds;
-  RLT_CHECK_MSG(o.shard.share(en.total) <= kMaxInstances,
-                "exploration cross-product exceeds the per-shard instance "
-                "limit; narrow the seed range or axes, or use more shards");
-  en.global_indices.reserve(o.shard.share(en.total));
-  en.instances.reserve(o.shard.share(en.total));
-  std::uint64_t gi = 0;
-  const auto emit = [&](const ExploreInstance& e) {
-    if (o.shard.owns(gi)) {
-      en.global_indices.push_back(gi);
-      en.instances.push_back(e);
-    }
-    ++gi;
-  };
-  for (std::uint64_t seed = o.seed_begin; seed < o.seed_end; ++seed) {
-    for (const int procs : o.process_counts) {
-      if (o.objective == Objective::kRounds) {
-        for (const term::Family f : o.families) {
-          for (const int rounds : o.round_budgets) {
-            ExploreInstance e;
-            e.objective = o.objective;
-            e.strategy = o.strategy;
-            e.family = f;
-            e.processes = procs;
-            e.max_rounds = rounds;
-            e.max_actions = o.max_actions_per_run;
-            e.seed = seed;
-            e.search_budget = o.search_budget;
-            e.shrink_budget = o.shrink_budget;
-            emit(e);
-          }
+  ExploreInstance base;
+  base.objective = o.objective;
+  base.strategy = o.strategy;
+  base.max_actions = o.max_actions_per_run;
+  base.search_budget = o.search_budget;
+  base.shrink_budget = o.shrink_budget;
+  std::vector<ExploreInstance> configs;
+  for (const int procs : o.process_counts) {
+    base.processes = procs;
+    if (o.objective == Objective::kRounds) {
+      for (const term::Family f : o.families) {
+        for (const int rounds : o.round_budgets) {
+          ExploreInstance e = base;
+          e.family = f;
+          e.max_rounds = rounds;
+          configs.push_back(e);
         }
-      } else {
-        for (const sweep::Algorithm a : o.algorithms) {
-          ExploreInstance e;
-          e.objective = o.objective;
-          e.strategy = o.strategy;
-          e.algorithm = a;
-          e.semantics = sim::Semantics::kLinearizable;
-          e.processes = procs;
-          e.writes_per_process = o.writes_per_process;
-          e.max_actions = o.max_actions_per_run;
-          e.seed = seed;
-          e.search_budget = o.search_budget;
-          e.shrink_budget = o.shrink_budget;
-          e.abd_read_write_back =
-              a == sweep::Algorithm::kAbd ? o.abd_read_write_back : true;
-          e.fault_menu = a == sweep::Algorithm::kAbd && o.fault_menu;
-          e.online = o.online;
-          emit(e);
-        }
+      }
+    } else {
+      for (const sweep::Algorithm a : o.algorithms) {
+        ExploreInstance e = base;
+        e.algorithm = a;
+        e.semantics = sim::Semantics::kLinearizable;
+        e.writes_per_process = o.writes_per_process;
+        e.abd_read_write_back =
+            a == sweep::Algorithm::kAbd ? o.abd_read_write_back : true;
+        e.fault_menu = a == sweep::Algorithm::kAbd && o.fault_menu;
+        e.online = o.online;
+        configs.push_back(e);
       }
     }
   }
-  RLT_CHECK_MSG(gi == en.total, "enumeration count disagrees with the "
-                                "computed cross-product size");
+  return sweep::Cursor<ExploreInstance>(std::move(configs), o.seed_begin,
+                                        o.seed_end, o.shard);
+}
+
+}  // namespace
+
+ExploreEnumeration enumerate_explore_shard(const ExploreOptions& o) {
+  ExploreEnumeration en;
+  en.total = sweep::materialize(
+      explore_cursor(o), kMaxInstances,
+      "exploration cross-product exceeds the per-shard instance limit; "
+      "narrow the seed range or axes, or use more shards",
+      en.global_indices, en.instances);
   return en;
 }
 
@@ -480,114 +457,125 @@ ExploreSummary ExploreFold::finish() { return std::move(sum_); }
 
 namespace {
 
-/// Progress outcome class of one instance (the four class slots of the
-/// progress protocol: done / found / other / err).  "found" = the
-/// search located what it hunts (a violation/blocked schedule, or a
-/// budget-defeating survival for the rounds objective).
-int progress_class(const ExploreInstance& e,
-                   const ExploreOutcome& r) noexcept {
-  if (r.error) return 3;
-  const bool found = e.objective == Objective::kViolation
-                         ? r.found_rank >= kRankBlocked
-                         : r.detail == "capped";
-  return found ? 1 : 0;
-}
+/// The exploration lab as an engine mode (sweep/engine.hpp documents the
+/// trait).
+struct ExploreMode {
+  using Item = ExploreInstance;
+  using Result = ExploreOutcome;
+  static constexpr std::string_view kKind = "explore";
+  // "clean", not "done": the progress protocol's state counter already
+  // uses the "done" key, and every key in a line must be unique.
+  static constexpr std::array<std::string_view, 4> kClasses{"clean", "found",
+                                                            "other", "err"};
 
-}  // namespace
+  const ExploreOptions& o;
+  ExploreFold folded;
 
-ExploreSummary run_explore(const ExploreOptions& o,
-                           std::uint64_t progress_every,
-                           sweep::RecordSink* sink, const obs::Hooks* hooks) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const ExploreEnumeration en = enumerate_explore_shard(o);
-  const std::vector<ExploreInstance>& instances = en.instances;
-  std::vector<ExploreOutcome> outcomes(instances.size());
-
-  const bool tracing = hooks != nullptr && hooks->trace != nullptr;
-  if (tracing) obs::set_enabled(true);
-  std::vector<obs::CounterDelta> deltas(tracing ? instances.size() : 0);
-  std::unique_ptr<obs::ProgressMeter> meter;
-  if (hooks != nullptr && hooks->progress_on()) {
-    obs::ProgressOptions po;
-    po.total = instances.size();
-    po.mode = "explore";
-    // "clean", not "done": the protocol's state counter already uses
-    // the "done" key, and every key in a line must be unique.
-    po.classes = {"clean", "found", "other", "err"};
-    po.fd = hooks->progress_fd;
-    po.heartbeat_ms = hooks->heartbeat_ms;
-    meter = std::make_unique<obs::ProgressMeter>(po);
+  [[nodiscard]] sweep::Cursor<ExploreInstance> cursor() const {
+    return explore_cursor(o);
   }
 
-  std::uint64_t steal_count = 0;
-  {
-    sweep::WorkStealingPool pool(o.threads);
-    std::atomic<std::uint64_t> completed{0};
-    const std::size_t batch =
-        static_cast<std::size_t>(std::max(1, o.batch_size));
-    obs::ProgressMeter* const meter_p = meter.get();
-    for (std::size_t begin = 0; begin < instances.size(); begin += batch) {
-      const std::size_t end = std::min(begin + batch, instances.size());
-      pool.submit([&instances, &outcomes, &completed, &deltas, progress_every,
-                   begin, end, tracing, meter_p] {
-        const bool timing = obs::enabled();
-        const auto bt0 = std::chrono::steady_clock::now();
-        for (std::size_t i = begin; i < end; ++i) {
-          obs::CounterDelta before;
-          if (tracing) before = obs::thread_counters();
-          outcomes[i] = run_explore_instance(instances[i]);
-          if (obs::enabled()) {
-            obs::count(obs::Counter::kExploreRuns, outcomes[i].runs);
-            obs::count(obs::Counter::kExploreShrinkProbes,
-                       outcomes[i].shrink_probes);
-            obs::count(obs::Counter::kExploreSteps, outcomes[i].total_steps);
-          }
-          if (tracing) {
-            obs::CounterDelta after = obs::thread_counters();
-            after -= before;
-            deltas[i] = after;
-          }
-          if (meter_p != nullptr) {
-            meter_p->tick(progress_class(instances[i], outcomes[i]));
-          }
-          const std::uint64_t done =
-              completed.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (progress_every > 0 && done % progress_every == 0) {
-            std::cerr << "[explore] " << done << " instances done\n";
-          }
-        }
-        if (timing) {
-          obs::count(obs::Counter::kPoolTasks);
-          obs::hist(obs::Hist::kPoolTaskNs,
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - bt0)
-                            .count()));
-        }
-      });
+  static ExploreOutcome run(const ExploreInstance& e) {
+    ExploreOutcome r = run_explore_instance(e);
+    if (obs::enabled()) {
+      obs::count(obs::Counter::kExploreRuns, r.runs);
+      obs::count(obs::Counter::kExploreShrinkProbes, r.shrink_probes);
+      obs::count(obs::Counter::kExploreSteps, r.total_steps);
     }
-    pool.wait_idle();
-    steal_count = pool.steals();
+    return r;
   }
-  obs::count(obs::Counter::kPoolSteals, steal_count);
-  obs::gauge_max(obs::Gauge::kPoolThreads,
-                 static_cast<std::uint64_t>(std::max(1, o.threads)));
-  if (meter) meter->finish();
 
-  // Deterministic fold: enumeration order, no wall-clock fields.  The
-  // fold inputs are exactly the persisted record fields, so a merge that
-  // re-folds shard-store records reproduces this summary bit for bit.
-  if (sink != nullptr && o.shard.active()) {
-    sink->append(sweep::shard_header_record("explore", o.shard, config_key(o),
-                                            en.total, instances.size()));
+  /// clean / found / other / err.  "found" = the search located what it
+  /// hunts (a violation/blocked schedule, or a budget-defeating survival
+  /// for the rounds objective).
+  static int progress_class(const ExploreInstance& e, const ExploreOutcome& r) {
+    if (r.error) return 3;
+    const bool found = e.objective == Objective::kViolation
+                           ? r.found_rank >= kRankBlocked
+                           : r.detail == "capped";
+    return found ? 1 : 0;
   }
-  ExploreFold fold;
-  std::uint64_t wall_ns_total = 0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const ExploreInstance& e = instances[i];
-    const ExploreOutcome& r = outcomes[i];
-    const std::string key = e.key();
-    wall_ns_total += r.wall_ns;
+
+  static void record(const ExploreInstance& e, const ExploreOutcome& r,
+                     sweep::Record& rec) {
+    const char* found = "none";
+    if (e.objective == Objective::kViolation) {
+      found = r.found_rank >= kRankViolation ? "violation"
+              : r.found_rank == kRankBlocked ? "blocked"
+                                             : "none";
+    } else {
+      // The best run's own verdict ("decided" / "capped" / "budget"),
+      // not a score threshold — see the shrink gate in
+      // run_explore_instance.
+      found = r.detail.c_str();
+    }
+    rec.str("objective", to_string(e.objective))
+        .str("strategy", to_string(e.strategy))
+        .str("target", e.objective == Objective::kRounds
+                           ? term::to_string(e.family)
+                           : sweep::to_string(e.algorithm))
+        .u64("processes", static_cast<std::uint64_t>(e.processes))
+        .u64("rounds", static_cast<std::uint64_t>(e.max_rounds))
+        .u64("writes", static_cast<std::uint64_t>(e.writes_per_process))
+        .u64("max_actions", e.max_actions)
+        .u64("seed", e.seed)
+        .u64("budget", static_cast<std::uint64_t>(e.search_budget))
+        .boolean("write_back", e.abd_read_write_back)
+        .boolean("fault_menu", e.fault_menu)
+        .u64("runs", r.runs)
+        .u64("steps", r.total_steps)
+        .u64("best_score", r.best_score)
+        .str("found", r.error ? "error" : found)
+        .hex("fingerprint", r.fingerprint)
+        .hex("trace_fnv", r.trace_fnv)
+        .u64("trace_len", r.best_trace.size())
+        .u64("unshrunk_len", r.unshrunk_len)
+        .boolean("shrunk", r.shrunk)
+        .boolean("locally_minimal", r.locally_minimal)
+        .u64("shrink_probes", r.shrink_probes)
+        .u64("fallback_seed", r.fallback_seed)
+        .str("trace", encode_trace(r.best_trace))
+        .str("detail", r.detail);
+  }
+
+  static void span(const ExploreInstance&, const ExploreOutcome& r, bool times,
+                   sweep::Record& span) {
+    span.u64("runs", r.runs)
+        .u64("best_score", r.best_score)
+        .u64("shrink_probes", r.shrink_probes)
+        .u64("steps", r.total_steps);
+    if (times) span.u64("wall_ns", r.wall_ns);
+  }
+
+  /// Witness forensics: replay the shrunk best trace of a found violation
+  /// or blocked schedule with capture on, so it ships with its
+  /// explanation (certificate / quorum ledger / timeline).  The replay is
+  /// deterministic, so the artifact is byte-identical across threads,
+  /// batches, and shards.
+  static void artifact(const ExploreInstance& e, ExploreOutcome& r,
+                       const std::string& key, std::uint64_t gi,
+                       const std::string& dir) {
+    if (e.objective != Objective::kViolation || r.error ||
+        r.found_rank < kRankBlocked) {
+      return;
+    }
+    ExploreInstance fe = e;
+    fe.forensics = true;
+    const ReplayReport rep = replay_trace(fe, r.best_trace, r.fallback_seed);
+    std::string body = rep.forensics;
+    if (body.empty()) {
+      sweep::Record stub;
+      stub.u64("forensics", 1)
+          .str("key", key)
+          .str("verdict", rep.verdict)
+          .str("detail", "replay captured no forensics");
+      body = stub.json() + "\n";
+    }
+    obs::write_artifact(dir, "explore-" + std::to_string(gi) + ".json", body);
+  }
+
+  void fold(const std::string& key, const ExploreInstance&,
+            const ExploreOutcome& r) {
     ExploreFold::Item item;
     item.best_score = r.best_score;
     item.found_rank = r.found_rank;
@@ -600,121 +588,19 @@ ExploreSummary run_explore(const ExploreOptions& o,
     item.shrink_probes = r.shrink_probes;
     item.error = r.error;
     item.detail = r.detail;
-    fold.add(key, item);
-    if (sink != nullptr) {
-      const char* found = "none";
-      if (e.objective == Objective::kViolation) {
-        found = r.found_rank >= kRankViolation ? "violation"
-                : r.found_rank == kRankBlocked ? "blocked"
-                                               : "none";
-      } else {
-        // The best run's own verdict ("decided" / "capped" / "budget"),
-        // not a score threshold — see the shrink-gate comment above.
-        found = r.detail.c_str();
-      }
-      sweep::Record rec;
-      rec.u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "explore")
-          .str("objective", to_string(e.objective))
-          .str("strategy", to_string(e.strategy))
-          .str("target", e.objective == Objective::kRounds
-                             ? term::to_string(e.family)
-                             : sweep::to_string(e.algorithm))
-          .u64("processes", static_cast<std::uint64_t>(e.processes))
-          .u64("rounds", static_cast<std::uint64_t>(e.max_rounds))
-          .u64("writes", static_cast<std::uint64_t>(e.writes_per_process))
-          .u64("max_actions", e.max_actions)
-          .u64("seed", e.seed)
-          .u64("budget", static_cast<std::uint64_t>(e.search_budget))
-          .boolean("write_back", e.abd_read_write_back)
-          .boolean("fault_menu", e.fault_menu)
-          .u64("runs", r.runs)
-          .u64("steps", r.total_steps)
-          .u64("best_score", r.best_score)
-          .str("found", r.error ? "error" : found)
-          .hex("fingerprint", r.fingerprint)
-          .hex("trace_fnv", r.trace_fnv)
-          .u64("trace_len", r.best_trace.size())
-          .u64("unshrunk_len", r.unshrunk_len)
-          .boolean("shrunk", r.shrunk)
-          .boolean("locally_minimal", r.locally_minimal)
-          .u64("shrink_probes", r.shrink_probes)
-          .u64("fallback_seed", r.fallback_seed)
-          .str("trace", encode_trace(r.best_trace))
-          .str("detail", r.detail);
-      sink->append(rec);
-    }
-    if (tracing) {
-      // Enumeration-order span, byte-stable across threads/batch; wall
-      // clock only under trace_times.
-      sweep::Record span;
-      span.str("obs", "span")
-          .u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "explore")
-          .u64("runs", r.runs)
-          .u64("best_score", r.best_score)
-          .u64("shrink_probes", r.shrink_probes)
-          .u64("steps", r.total_steps);
-      if (hooks->trace_times) span.u64("wall_ns", r.wall_ns);
-      obs::append_stable_deltas(deltas[i], span);
-      hooks->trace->append(span);
-    }
-    if (hooks != nullptr && hooks->forensics_on() &&
-        e.objective == Objective::kViolation && !r.error &&
-        r.found_rank >= kRankBlocked) {
-      // Witness forensics: replay the shrunk best trace with capture on
-      // so it ships with its explanation (certificate / quorum ledger /
-      // timeline).  The replay is deterministic and runs in the fold
-      // (enumeration order), so the artifact is byte-identical across
-      // threads, batches, and shards — which tile by gi.
-      ExploreInstance fe = e;
-      fe.forensics = true;
-      const ReplayReport rep =
-          replay_trace(fe, r.best_trace, r.fallback_seed);
-      std::string body = rep.forensics;
-      if (body.empty()) {
-        sweep::Record stub;
-        stub.u64("forensics", 1)
-            .str("key", key)
-            .str("verdict", rep.verdict)
-            .str("detail", "replay captured no forensics");
-        body = stub.json() + "\n";
-      }
-      obs::write_artifact(hooks->forensics_dir,
-                          "explore-" + std::to_string(en.global_indices[i]) +
-                              ".json",
-                          body);
-    }
+    folded.add(key, item);
   }
-  if (tracing && hooks->trace_times) {
-    sweep::Record close;
-    // "stable":false: wall-clock record, skippable mechanically.
-    close.str("obs", "span")
-        .str("span", "sweep")
-        .str("mode", "explore")
-        .boolean("stable", false)
-        .u64("scenarios", instances.size())
-        .u64("elapsed_ns",
-             static_cast<std::uint64_t>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count()));
-    hooks->trace->append(close);
-  }
-  ExploreSummary sum = fold.finish();
-  if (sink != nullptr && o.shard.active()) {
-    sink->append(
-        sweep::shard_trailer_record(o.shard, instances.size(), sum.digest));
-  }
-  sum.wall_ns_total = wall_ns_total;
-  sum.steals = steal_count;
-  sum.elapsed_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  return sum;
+
+  ExploreSummary finish(sweep::RecordSink*) { return folded.finish(); }
+};
+
+}  // namespace
+
+ExploreSummary run_explore(const ExploreOptions& o,
+                           std::uint64_t progress_every,
+                           sweep::RecordSink* sink, const obs::Hooks* hooks) {
+  ExploreMode mode{o, {}};
+  return sweep::run_engine(mode, progress_every, sink, hooks);
 }
 
 // ---- persisted-record parsing (the --replay path) -----------------------

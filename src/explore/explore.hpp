@@ -22,8 +22,8 @@
 // best schedule is captured as a replayable ScheduleTrace; traces whose
 // runs exhibit the objective (a violation, a blocked run, a round-cap
 // survival) are reduced by the delta-debugging shrinker before they are
-// persisted.  Instances run in parallel on the sweep engine's
-// work-stealing pool; the summary (and the per-instance store records)
+// persisted.  Instances run in parallel on the shared streaming engine
+// (sweep/engine.hpp); the summary (and the per-instance store records)
 // folds in enumeration order, so — like every aggregate in this repo —
 // its digest is a pure function of the options, independent of thread
 // count and batch size.
@@ -35,14 +35,11 @@
 #include <vector>
 
 #include "explore/trace.hpp"
+#include "sweep/engine.hpp"
 #include "sweep/scenario.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/store.hpp"
 #include "term/term_scenario.hpp"
-
-namespace rlt::obs {
-struct Hooks;
-}  // namespace rlt::obs
 
 namespace rlt::explore {
 
@@ -162,9 +159,10 @@ struct ExploreOptions {
   /// Streaming cross-check on every kViolation probe (--online).
   bool online = false;
   /// Write a forensics artifact per found witness (--forensics DIR via
-  /// obs::Hooks::forensics_dir): the fold replays each shrunk violation-
-  /// objective witness with Scenario::forensics on, so the shrunk trace
-  /// ships with its explanation.  Execution knob, not config.
+  /// obs::Hooks::forensics_dir): the engine replays each shrunk
+  /// violation-objective witness with Scenario::forensics on, so the
+  /// shrunk trace ships with its explanation.  Execution knob, not
+  /// config.
   bool forensics = false;
   /// Shared:
   std::vector<int> process_counts = {4};
@@ -194,9 +192,9 @@ struct ExploreEnumeration {
   std::vector<ExploreInstance> instances;
 };
 
-/// Materializes this shard's slice of the instance list (seeds
-/// outermost, like the sweeps; round robin spreads every config across
-/// shards).
+/// Materializes this shard's slice of the instance list by draining the
+/// cursor run_explore streams (seeds outermost, like the sweeps; round
+/// robin spreads every config across shards).  Capped per shard.
 [[nodiscard]] ExploreEnumeration enumerate_explore_shard(
     const ExploreOptions& o);
 
@@ -217,10 +215,7 @@ struct ExploreSummary {
   std::string best_key;           ///< First instance attaining it.
   /// Stable digest over every instance outcome in enumeration order.
   std::uint64_t digest = 0;
-  /// Measured, NOT digest material:
-  std::uint64_t wall_ns_total = 0;
-  std::uint64_t elapsed_ns = 0;
-  std::uint64_t steals = 0;
+  sweep::EngineStats engine;  ///< Measured, NOT digest material.
   std::vector<std::string> failures;
   std::uint64_t failures_truncated = 0;
 
@@ -258,7 +253,7 @@ class ExploreFold {
 
   void add(const std::string& key, const Item& it);
 
-  /// The folded summary (timing fields zero).
+  /// The folded summary (`engine` stats zero).
   [[nodiscard]] ExploreSummary finish();
 
  private:
@@ -269,7 +264,8 @@ class ExploreFold {
 /// Runs the search on `o.threads` pool workers.  When `sink` is
 /// non-null, one canonical record per instance — including the encoded
 /// best trace, replayable via replay_trace / sweep_main --replay — is
-/// appended in enumeration order after the pool drains.  `hooks`
+/// appended in enumeration order, exactly once, one call at a time —
+/// possibly while later instances are still running.  `hooks`
 /// (obs/hooks.hpp) attaches the observability fabric — trace spans
 /// and/or live progress; never digest material (see sweep::run_sweep).
 [[nodiscard]] ExploreSummary run_explore(const ExploreOptions& o,

@@ -13,9 +13,10 @@ class RecordSink;
 namespace rlt::obs {
 
 struct Hooks {
-  /// Per-scenario trace spans, appended in enumeration order during the
-  /// deterministic fold — like the store, the trace's bytes are a pure
-  /// function of the sweep options (asserted across `--threads` /
+  /// Per-scenario trace spans, appended like store records: enumeration
+  /// order, exactly once, one call at a time, possibly while later
+  /// scenarios are still running.  Like the store, the trace's bytes are
+  /// a pure function of the sweep options (asserted across `--threads` /
   /// `--batch` by tests).  Setting this enables the metrics registry
   /// for the run (spans carry per-scenario stable-counter deltas).
   sweep::RecordSink* trace = nullptr;
@@ -34,9 +35,9 @@ struct Hooks {
 
   /// Directory for per-scenario forensics artifacts (obs/forensics.hpp);
   /// empty disables them.  One canonical-JSON file per non-ok scenario,
-  /// written during the deterministic fold and named by global index, so
-  /// the directory contents are byte-identical across --threads/--batch
-  /// and shards of the same sweep tile the unsharded directory.
+  /// written by the worker that ran it and named by global index, so the
+  /// directory contents are byte-identical across --threads/--batch and
+  /// shards of the same sweep tile the unsharded directory.
   std::string forensics_dir;
 
   [[nodiscard]] bool progress_on() const noexcept {

@@ -89,7 +89,7 @@ thread_local Shard* t_shard = nullptr;
 
 namespace {
 // The registry owns the shards so their data survives thread exit (the
-// pool's workers die at the barrier; the fold reads their shards after).
+// pool's workers die when a sweep returns; dumps read their shards after).
 std::mutex g_mutex;
 std::vector<std::unique_ptr<Shard>>& shard_list() {
   static std::vector<std::unique_ptr<Shard>> shards;

@@ -1,0 +1,402 @@
+// The one engine loop behind run_sweep, run_term_sweep and run_explore.
+//
+// A sweep is a stream.  A Cursor yields this shard's scenarios in global-
+// index (gi) order; the calling thread hands them to a WorkStealingPool a
+// batch at a time; each worker runs its scenarios and renders their keys,
+// store records and trace spans; and the calling thread folds the results
+// back in enumeration order through a bounded reorder window.  Nothing
+// ever holds every scenario or every result, so memory is O(window), not
+// O(scenarios), and the ordered fold and the sink appends overlap the
+// pool.
+//
+// The determinism contract lives here, once: a scenario's outputs are a
+// pure function of the scenario, and every sink sees them in enumeration
+// order, exactly once, one call at a time — possibly while later
+// scenarios are still running.  So stores, digests, stable summaries,
+// trace spans and forensics artifacts are byte-identical across
+// --threads, --batch and shards.
+//
+// A sweep mode plugs in through a small trait (SafetyMode in sweep.cpp is
+// the reference shape):
+//
+//   Item, Result              one scenario and what running it produced
+//                             (Item has `seed` and key(); Result has
+//                             `wall_ns`)
+//   kKind                     "safety" / "term" / "explore": the store and
+//                             span "mode", the shard kind, progress mode
+//   kClasses                  the four progress outcome-class labels
+//   o                         the options: threads, batch_size, shard, and
+//                             config_key(o) (found by argument lookup)
+//   cursor()                  the shard's scenarios in gi order
+//   run(item)                 runs one scenario; inside the per-scenario
+//                             counter bracket, so mode counters belong here
+//   progress_class(item, r)   outcome class 0..3
+//   record(item, r, rec)      store-record fields after gi/key/mode
+//   span(item, r, times, sp)  trace-span fields after obs/gi/key/mode
+//   artifact(item, r, key, gi, dir)  writes forensics (may do nothing)
+//   fold(key, item, r)        the deterministic aggregate, gi order
+//   finish(sink)              the summary (its `engine` stats zero)
+//
+// run/progress_class/record/span/artifact run on pool workers
+// concurrently and must not touch mutable mode state; fold and finish run
+// on the calling thread only.
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <exception>
+#include <iostream>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
+#include "obs/progress.hpp"
+#include "sweep/pool.hpp"
+#include "sweep/shard.hpp"
+#include "sweep/store.hpp"
+#include "util/assert.hpp"
+
+namespace rlt::sweep {
+
+/// What the engine measured about one run — NOT digest material.  Every
+/// summary carries one, filled the same way in all three modes.
+struct EngineStats {
+  std::uint64_t wall_ns_total = 0;  ///< Sum over scenarios (cpu-ish time).
+  std::uint64_t wall_ns_max = 0;    ///< Slowest single scenario.
+  std::uint64_t elapsed_ns = 0;     ///< End-to-end engine wall clock.
+  std::uint64_t steals = 0;         ///< Pool steal count (scheduling info).
+};
+
+/// One owned scenario and its position in the full cross-product.
+template <class Item>
+struct Indexed {
+  std::uint64_t gi = 0;
+  Item item;
+};
+
+/// A shard's scenarios in global-index order, generated on demand.  Every
+/// sweep mode enumerates seeds outermost, so gi = (seed - seed_begin) ×
+/// |configs| + c, where `configs` lists one seed's scenarios (the product
+/// of every other axis, seed unset) in enumeration order.  That makes this
+/// the single definition of enumeration order; round-robin sharding then
+/// spreads every config across all shards, and memory is O(|configs|)
+/// whatever the seed range.
+template <class Item>
+class Cursor {
+ public:
+  Cursor(std::vector<Item> configs, std::uint64_t seed_begin,
+         std::uint64_t seed_end, const ShardSpec& shard)
+      : configs_(std::move(configs)),
+        seed_begin_(seed_begin),
+        shard_(shard),
+        next_gi_(shard.index) {
+    RLT_CHECK_MSG(shard.count > 0 && shard.index < shard.count,
+                  "shard index/count out of range");
+    const std::uint64_t seeds = seed_end - seed_begin;
+    RLT_CHECK_MSG(configs_.empty() || seeds <= UINT64_MAX / configs_.size(),
+                  "sweep cross-product overflows");
+    total_ = configs_.size() * seeds;
+  }
+
+  /// Full cross-product size (all shards).
+  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
+  /// This shard's share: how many scenarios next() yields.
+  [[nodiscard]] std::uint64_t owned() const noexcept {
+    return shard_.share(total_);
+  }
+
+  /// The next owned scenario, or nullopt past the end.
+  [[nodiscard]] std::optional<Indexed<Item>> next() {
+    if (next_gi_ >= total_) return std::nullopt;
+    const std::uint64_t gi = next_gi_;
+    next_gi_ += shard_.count;
+    Indexed<Item> out{gi, configs_[gi % configs_.size()]};
+    out.item.seed = seed_begin_ + gi / configs_.size();
+    return out;
+  }
+
+ private:
+  std::vector<Item> configs_;
+  std::uint64_t seed_begin_;
+  std::uint64_t total_ = 0;
+  ShardSpec shard_;
+  std::uint64_t next_gi_;
+};
+
+/// Drains a cursor into parallel gi / item vectors: the materializing
+/// enumerate_* wrappers.  `cap` bounds only this materialization (the
+/// engine streams) and applies per shard, so sharding raises it N-fold;
+/// returns the full cross-product size.
+template <class Item>
+std::uint64_t materialize(Cursor<Item> c, std::uint64_t cap,
+                          const char* too_big,
+                          std::vector<std::uint64_t>& gis,
+                          std::vector<Item>& items) {
+  RLT_CHECK_MSG(c.owned() <= cap, too_big);
+  gis.reserve(c.owned());
+  items.reserve(c.owned());
+  while (std::optional<Indexed<Item>> s = c.next()) {
+    gis.push_back(s->gi);
+    items.push_back(std::move(s->item));
+  }
+  return c.total();
+}
+
+/// Reorder-window bounds, in scenarios.  The floor lets the other workers
+/// run ahead of a slow scenario at the head: wsl-deep's slowest lasts as
+/// long as ~200 of its mean scenarios, ~600 across three other workers.
+/// It is no larger because results held in the window cost peak RSS
+/// beyond their own size where scenarios are heavy (a 2,048 floor cost
+/// wsl-deep ~4 MB).  The cap keeps memory bounded whatever --batch says:
+/// a batch larger than the window is split.
+inline constexpr std::size_t kWindowFloor = 1024;
+inline constexpr std::size_t kWindowCap = 8192;
+
+/// How far scenario hand-out may run ahead of the oldest unfolded one:
+/// four batches per worker, within the floor and cap.
+[[nodiscard]] inline std::size_t window_size(int threads, int batch) noexcept {
+  const std::size_t want = 4 * static_cast<std::size_t>(std::max(1, threads)) *
+                           static_cast<std::size_t>(std::max(1, batch));
+  return std::clamp(want, kWindowFloor, kWindowCap);
+}
+
+namespace detail {
+
+/// Everything the in-order fold needs about one finished scenario.
+template <class Mode>
+struct Slot {
+  std::uint64_t gi = 0;
+  typename Mode::Item item;
+  typename Mode::Result result;
+  std::string key;
+  Record record;  ///< Store record; empty without a sink.
+  Record span;    ///< Trace span; empty without a trace hook.
+};
+
+inline std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
+}  // namespace detail
+
+/// Runs one sweep mode end to end (see the file comment) and returns its
+/// summary with the `engine` stats filled in.  Rethrows on the calling
+/// thread — after every worker has stopped — anything a worker or a sink
+/// threw.
+template <class Mode>
+auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
+                const obs::Hooks* hooks) {
+  using Slot = detail::Slot<Mode>;
+  using Item = typename Mode::Item;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto& o = mode.o;
+  Cursor<Item> cursor = mode.cursor();
+  const std::uint64_t owned = cursor.owned();
+
+  // Tracing needs the registry live: spans carry counter deltas captured
+  // on the worker around each scenario.
+  const bool tracing = hooks != nullptr && hooks->trace != nullptr;
+  if (tracing) obs::set_enabled(true);
+  const bool times = tracing && hooks->trace_times;
+  const bool forensics = hooks != nullptr && hooks->forensics_on();
+  std::unique_ptr<obs::ProgressMeter> meter;
+  if (hooks != nullptr && hooks->progress_on()) {
+    obs::ProgressOptions po;
+    po.total = owned;
+    po.mode = Mode::kKind;
+    po.classes = Mode::kClasses;
+    po.fd = hooks->progress_fd;
+    po.heartbeat_ms = hooks->heartbeat_ms;
+    meter = std::make_unique<obs::ProgressMeter>(po);
+  }
+  if (sink != nullptr && o.shard.active()) {
+    sink->append(shard_header_record(std::string(Mode::kKind), o.shard,
+                                     config_key(o), cursor.total(), owned));
+  }
+
+  // Worker side: run one scenario, then render what the fold needs.
+  std::atomic<std::uint64_t> completed{0};
+  const auto run_one = [&](Indexed<Item>& in) {
+    Slot s;
+    s.gi = in.gi;
+    s.item = std::move(in.item);
+    // A scenario runs wholly on this thread, so the thread-local counter
+    // slice before/after brackets exactly its work.
+    const obs::CounterDelta before =
+        tracing ? obs::thread_counters() : obs::CounterDelta{};
+    s.result = mode.run(s.item);
+    obs::CounterDelta delta =
+        tracing ? obs::thread_counters() : obs::CounterDelta{};
+    delta -= before;
+    if (meter) meter->tick(mode.progress_class(s.item, s.result));
+    const std::uint64_t done =
+        completed.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (progress_every > 0 && done % progress_every == 0) {
+      std::cerr << "[" << Mode::kKind << "] " << done << " scenarios done\n";
+    }
+    // Rendering stays outside the bracket: span deltas are the
+    // scenario's own work only.
+    s.key = s.item.key();
+    if (sink != nullptr) {
+      s.record.u64("gi", s.gi).str("key", s.key).str("mode", Mode::kKind);
+      mode.record(s.item, s.result, s.record);
+    }
+    if (tracing) {
+      // Wall-clock fields only under trace_times (they break
+      // byte-identity).
+      s.span.str("obs", "span")
+          .u64("gi", s.gi)
+          .str("key", s.key)
+          .str("mode", Mode::kKind);
+      mode.span(s.item, s.result, times, s.span);
+      obs::append_stable_deltas(delta, s.span);
+    }
+    // Artifacts are named by gi, so the directory is byte-identical
+    // whichever worker writes which file, and the gi-disjoint shards of
+    // one sweep tile the unsharded directory.
+    if (forensics) {
+      mode.artifact(s.item, s.result, s.key, s.gi, hooks->forensics_dir);
+    }
+    return s;
+  };
+
+  // Calling-thread side: the deterministic fold, in enumeration order.
+  EngineStats stats;
+  const auto consume = [&](Slot& s) {
+    stats.wall_ns_total += s.result.wall_ns;
+    stats.wall_ns_max = std::max(stats.wall_ns_max, s.result.wall_ns);
+    mode.fold(s.key, s.item, s.result);
+    if (sink != nullptr) sink->append(s.record);
+    if (tracing) hooks->trace->append(s.span);
+  };
+
+  // Shared with the workers, guarded by `mu`: finished scenarios wait in
+  // `ring` (position p at p % window) until the fold reaches them.  The
+  // calling thread hands out whole batches while the window has room —
+  // never more than `window` positions ahead of the fold — so a slow
+  // fold never starves the workers of queued work, and a slow scenario
+  // at the head never stops the others short of a full window.
+  const int threads = std::max(1, o.threads);
+  const std::uint64_t window = std::min<std::uint64_t>(
+      window_size(threads, o.batch_size), std::max<std::uint64_t>(owned, 1));
+  const std::uint64_t batch = std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(std::max(1, o.batch_size)), window);
+  std::vector<std::optional<Slot>> ring(window);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::exception_ptr failure;
+  std::uint64_t head = 0;  // next position to fold; written under `mu`
+  std::atomic<bool> stop{false};
+
+  // One pool task: the batch of positions [first, first + claimed.size()).
+  const auto run_batch = [&](std::vector<Indexed<Item>>& claimed,
+                             std::uint64_t first) {
+    const bool timing = obs::enabled();
+    const auto t_task = std::chrono::steady_clock::now();
+    std::vector<Slot> done;
+    done.reserve(claimed.size());
+    std::exception_ptr error;
+    try {
+      for (Indexed<Item>& in : claimed) {
+        if (stop.load(std::memory_order_relaxed)) break;
+        done.push_back(run_one(in));
+      }
+    } catch (...) {
+      error = std::current_exception();
+      stop.store(true);
+    }
+    if (timing) {
+      obs::count(obs::Counter::kPoolTasks);
+      obs::hist(obs::Hist::kPoolTaskNs, detail::ns_since(t_task));
+    }
+    bool wake = false;
+    {
+      const std::lock_guard<std::mutex> guard(mu);
+      for (std::size_t k = 0; k < done.size(); ++k) {
+        ring[(first + k) % window] = std::move(done[k]);
+      }
+      if (error && !failure) failure = error;
+      // The fold waits only ever for the head.
+      wake = failure || (first <= head && head < first + done.size());
+    }
+    if (wake) cv.notify_one();
+  };
+
+  {
+    WorkStealingPool pool(threads);
+    try {
+      std::uint64_t next = 0;  // next position to hand out
+      while (head < owned) {
+        const std::uint64_t n = std::min(batch, owned - next);
+        if (n > 0 && next + n - head <= window) {
+          std::vector<Indexed<Item>> claimed;
+          claimed.reserve(n);
+          for (std::uint64_t k = 0; k < n; ++k) {
+            std::optional<Indexed<Item>> s = cursor.next();
+            RLT_CHECK(s.has_value());
+            claimed.push_back(std::move(*s));
+          }
+          pool.submit([&run_batch, claimed = std::move(claimed),
+                       first = next]() mutable { run_batch(claimed, first); });
+          next += n;
+          continue;
+        }
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] {
+          return failure || ring[head % window].has_value();
+        });
+        if (failure) std::rethrow_exception(failure);
+        Slot s = std::move(*ring[head % window]);
+        ring[head % window].reset();
+        ++head;
+        lock.unlock();
+        consume(s);
+      }
+      stats.steals = pool.steals();
+    } catch (...) {
+      // ~pool drains the in-flight tasks, which see `stop` and skip
+      // their remaining scenarios, and joins every worker before the
+      // exception leaves this scope.
+      stop.store(true);
+      throw;
+    }
+  }
+  obs::count(obs::Counter::kPoolSteals, stats.steals);
+  obs::gauge_max(obs::Gauge::kPoolThreads,
+                 static_cast<std::uint64_t>(threads));
+  if (meter) meter->finish();
+  if (times) {
+    // Closing span: end-to-end engine wall clock.  "stable":false marks
+    // it as wall-clock material that byte-stable tooling skips.
+    Record close;
+    close.str("obs", "span")
+        .str("span", "sweep")
+        .str("mode", Mode::kKind)
+        .boolean("stable", false)
+        .u64("scenarios", owned)
+        .u64("elapsed_ns", detail::ns_since(t0));
+    hooks->trace->append(close);
+  }
+  auto sum = mode.finish(sink);
+  if (sink != nullptr && o.shard.active()) {
+    sink->append(shard_trailer_record(o.shard, owned, sum.digest));
+  }
+  stats.elapsed_ns = detail::ns_since(t0);
+  sum.engine = stats;
+  return sum;
+}
+
+}  // namespace rlt::sweep

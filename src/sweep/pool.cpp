@@ -78,13 +78,13 @@ std::uint64_t WorkStealingPool::steals() const noexcept {
 
 bool WorkStealingPool::try_pop(std::size_t self,
                                std::function<void()>& task) {
-  // Own queue first, newest task (LIFO)...
+  // Own queue first, oldest task (FIFO)...
   {
     Worker& w = *workers_[self];
     std::lock_guard<std::mutex> lock(w.mutex);
     if (!w.queue.empty()) {
-      task = std::move(w.queue.back());
-      w.queue.pop_back();
+      task = std::move(w.queue.front());
+      w.queue.pop_front();
       return true;
     }
   }

@@ -1,16 +1,16 @@
 // A small work-stealing thread pool for embarrassingly parallel sweeps.
 //
-// Each worker owns a deque: it pushes and pops at the back (LIFO, cache
-// friendly for tasks submitted by that worker), and steals from the
-// front of a victim's deque when its own is empty (FIFO: the victim's
-// oldest, i.e. smallest-index, queued task — the one the victim would
-// reach last).  External submissions are dealt round-robin across
-// workers so every worker starts with a share.
+// Each worker owns a queue and runs its tasks oldest first (FIFO), and
+// steals the oldest task of a victim's queue when its own is empty.
+// Submissions are dealt round-robin across workers, so tasks run in
+// roughly submission order — the order the sweep engine folds in, which
+// keeps its reorder window moving.
 //
 // Determinism note: the pool schedules nondeterministically, but the
-// sweep engine writes results into a pre-sized array indexed by task id
-// and aggregates in id order, so sweep digests are independent of the
-// interleaving and of the thread count.
+// sweep engine (engine.hpp) feeds it lazily from a gi-ordered cursor and
+// folds every result in enumeration order through a reorder window, so
+// sweep digests are independent of the interleaving and of the thread
+// count.
 #pragma once
 
 #include <atomic>

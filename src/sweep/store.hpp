@@ -1,10 +1,11 @@
 // The persisted per-scenario result store.
 //
-// A sweep (safety or termination) can stream one flat record per scenario
-// into a `RecordSink`.  Records are appended in scenario-enumeration
-// order during the deterministic fold — after the pool barrier — so a
-// store's bytes are a pure function of the sweep options: byte-identical
-// across runs, thread counts, and batch sizes.  That property is what
+// A sweep (safety, termination or exploration) can stream one flat record
+// per scenario into a `RecordSink`.  Records are appended in scenario-
+// enumeration order by the deterministic fold, which runs while later
+// scenarios are still in flight (sweep/engine.hpp) — so a store's bytes
+// are a pure function of the sweep options: byte-identical across runs,
+// thread counts, and batch sizes.  That property is what
 // makes two stores diffable across commits (`tools/sweep_diff.py`):
 // a changed line means scenario behaviour changed, not scheduling.
 //
@@ -43,7 +44,9 @@ class Record {
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Where per-scenario records go.  `append` is called in enumeration
-/// order, exactly once per scenario, after all scenarios completed.
+/// order, exactly once per scenario, one call at a time — possibly while
+/// later scenarios are still running.  An exception from `append` stops
+/// the sweep and is rethrown by the run_* call.
 class RecordSink {
  public:
   virtual ~RecordSink() = default;

@@ -1,32 +1,17 @@
 #include "sweep/sweep.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <iostream>
-#include <memory>
 #include <sstream>
 
 #include "obs/forensics.hpp"
-#include "obs/hooks.hpp"
-#include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "sweep/fnv.hpp"
-#include "sweep/pool.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::sweep {
 namespace {
 
-/// Enumeration materializes this shard's share of the cross-product;
-/// refuse shares that would exhaust memory before a single scenario
-/// runs.  The cap is per shard — sharding raises the sweepable ceiling
-/// N-fold, which is the point of the fabric.
+/// Materialization cap of enumerate_shard; per shard, so sharding raises
+/// it N-fold.  run_sweep streams and needs no cap.
 constexpr std::uint64_t kMaxScenarios = 10'000'000;
-
-}  // namespace
-
-namespace {
 
 /// Expands the fault axis for one family: kNone contributes one
 /// fault-free plan, each applicable faulty kind one plan per fault seed,
@@ -51,6 +36,122 @@ std::vector<FaultPlan> plans_for(const SweepOptions& o, Algorithm alg) {
   if (plans.empty()) plans.push_back(FaultPlan{});
   return plans;
 }
+
+/// This shard's scenarios in enumeration order: per seed, algorithm ×
+/// semantics × adversary × process count × fault plan.
+Cursor<Scenario> scenario_cursor(const SweepOptions& o) {
+  RLT_CHECK_MSG(o.seed_begin <= o.seed_end, "seed range is reversed");
+  RLT_CHECK_MSG(!o.faults.empty(), "fault-kind list is empty");
+  RLT_CHECK_MSG(!o.crash_seeds.empty(), "crash-seed list is empty");
+  std::vector<Scenario> configs;
+  for (const Algorithm alg : o.algorithms) {
+    const std::vector<FaultPlan> plans = plans_for(o, alg);
+    // Non-modeled algorithms ignore the semantics axis; emit them once.
+    const std::size_t sem_count =
+        alg == Algorithm::kModeled ? o.semantics.size() : 1;
+    for (std::size_t si = 0; si < sem_count; ++si) {
+      for (const AdversaryKind adv : o.adversaries) {
+        for (const int procs : o.process_counts) {
+          for (const FaultPlan& plan : plans) {
+            Scenario s;
+            s.algorithm = alg;
+            s.semantics = alg == Algorithm::kModeled ? o.semantics[si]
+                                                     : sim::Semantics::kAtomic;
+            s.adversary = adv;
+            s.processes = procs;
+            s.writes_per_process = o.writes_per_process;
+            s.max_actions = o.max_actions_per_scenario;
+            s.faults = plan;
+            s.online_check = o.online;
+            s.forensics = o.forensics;
+            configs.push_back(s);
+          }
+        }
+      }
+    }
+  }
+  return Cursor<Scenario>(std::move(configs), o.seed_begin, o.seed_end,
+                          o.shard);
+}
+
+/// The safety sweep as an engine mode (engine.hpp documents the trait).
+struct SafetyMode {
+  using Item = Scenario;
+  using Result = ScenarioResult;
+  static constexpr std::string_view kKind = "safety";
+  static constexpr std::array<std::string_view, 4> kClasses{"ok", "viol",
+                                                            "blocked", "err"};
+
+  const SweepOptions& o;
+  SweepFold folded;
+
+  [[nodiscard]] Cursor<Scenario> cursor() const { return scenario_cursor(o); }
+
+  static ScenarioResult run(const Scenario& s) { return run_scenario(s); }
+
+  /// The verdict's slot in kClasses.
+  static int progress_class(const Scenario&, const ScenarioResult& r) {
+    switch (r.verdict) {
+      case Verdict::kOk: return 0;
+      case Verdict::kViolation: return 1;
+      case Verdict::kBlocked: return 2;
+      case Verdict::kError: return 3;
+    }
+    return 3;
+  }
+
+  /// Canonical per-scenario record: exactly the digest material (plus
+  /// the failure detail and message accounting) in a fixed field order,
+  /// so the store is byte-identical whenever the digest is — and
+  /// mergeable whatever the shard count was.
+  static void record(const Scenario&, const ScenarioResult& r, Record& rec) {
+    rec.str("verdict", to_string(r.verdict))
+        .u64("steps", r.steps)
+        .u64("ops", r.ops)
+        .hex("history_hash", r.history_hash)
+        .u64("delivered", r.net_delivered)
+        .u64("dropped", r.net_dropped)
+        .u64("duplicated", r.net_duplicated)
+        .u64("msgs", r.net_msgs)
+        .u64("bytes", r.net_bytes)
+        .u64("rts", r.net_round_trips)
+        .str("detail", r.detail);
+  }
+
+  static void span(const Scenario&, const ScenarioResult& r, bool times,
+                   Record& span) {
+    span.str("verdict", to_string(r.verdict))
+        .u64("steps", r.steps)
+        .u64("ops", r.ops);
+    if (times) span.u64("wall_ns", r.wall_ns).u64("check_ns", r.check_ns);
+  }
+
+  /// One canonical-JSON artifact per non-ok scenario.  Runners that could
+  /// not capture forensics (kError unwound before the history existed)
+  /// still get an honest stub.
+  static void artifact(const Scenario&, ScenarioResult& r,
+                       const std::string& key, std::uint64_t gi,
+                       const std::string& dir) {
+    if (r.verdict == Verdict::kOk) return;
+    std::string body = std::move(r.forensics);
+    if (body.empty()) {
+      Record stub;
+      stub.u64("forensics", 1)
+          .str("key", key)
+          .str("verdict", to_string(r.verdict))
+          .str("detail", r.detail);
+      body = stub.json() + "\n";
+    }
+    obs::write_artifact(dir, "scenario-" + std::to_string(gi) + ".json",
+                        body);
+  }
+
+  void fold(const std::string& key, const Scenario&, const ScenarioResult& r) {
+    folded.add(key, r.verdict, r.steps, r.ops, r.history_hash, r.detail);
+  }
+
+  SweepSummary finish(RecordSink*) { return folded.finish(); }
+};
 
 }  // namespace
 
@@ -87,70 +188,12 @@ std::string config_key(const SweepOptions& o) {
 }
 
 Enumeration enumerate_shard(const SweepOptions& o) {
-  RLT_CHECK_MSG(o.seed_begin <= o.seed_end, "seed range is reversed");
-  RLT_CHECK_MSG(!o.faults.empty(), "fault-kind list is empty");
-  RLT_CHECK_MSG(!o.crash_seeds.empty(), "crash-seed list is empty");
-  RLT_CHECK_MSG(o.shard.count > 0 && o.shard.index < o.shard.count,
-                "shard index/count out of range");
-  // Per-algorithm plan lists, built once (seeds are the outer loop).
-  std::vector<std::vector<FaultPlan>> plans_by_alg;
-  plans_by_alg.reserve(o.algorithms.size());
-  std::uint64_t configs = 0;
-  for (const Algorithm alg : o.algorithms) {
-    plans_by_alg.push_back(plans_for(o, alg));
-    const std::uint64_t sems =
-        alg == Algorithm::kModeled ? o.semantics.size() : 1;
-    configs += sems * plans_by_alg.back().size();
-  }
-  configs *= o.adversaries.size() * o.process_counts.size();
-  const std::uint64_t seeds = o.seed_end - o.seed_begin;
-  RLT_CHECK_MSG(configs == 0 || seeds <= UINT64_MAX / configs,
-                "sweep cross-product overflows");
   Enumeration en;
-  en.total = configs * seeds;
-  RLT_CHECK_MSG(o.shard.share(en.total) <= kMaxScenarios,
-                "sweep cross-product exceeds the per-shard scenario limit; "
-                "narrow the seed range or axes, or use more shards");
-  en.global_indices.reserve(o.shard.share(en.total));
-  en.scenarios.reserve(o.shard.share(en.total));
-  std::uint64_t gi = 0;
-  for (std::uint64_t seed = o.seed_begin; seed < o.seed_end; ++seed) {
-    for (std::size_t ai = 0; ai < o.algorithms.size(); ++ai) {
-      const Algorithm alg = o.algorithms[ai];
-      // Non-modeled algorithms ignore the semantics axis; emit them once.
-      const std::size_t sem_count =
-          alg == Algorithm::kModeled ? o.semantics.size() : 1;
-      const std::vector<FaultPlan>& plans = plans_by_alg[ai];
-      for (std::size_t si = 0; si < sem_count; ++si) {
-        for (const AdversaryKind adv : o.adversaries) {
-          for (const int procs : o.process_counts) {
-            for (const FaultPlan& plan : plans) {
-              if (o.shard.owns(gi)) {
-                Scenario s;
-                s.algorithm = alg;
-                s.semantics = alg == Algorithm::kModeled
-                                  ? o.semantics[si]
-                                  : sim::Semantics::kAtomic;
-                s.adversary = adv;
-                s.processes = procs;
-                s.seed = seed;
-                s.writes_per_process = o.writes_per_process;
-                s.max_actions = o.max_actions_per_scenario;
-                s.faults = plan;
-                s.online_check = o.online;
-                s.forensics = o.forensics;
-                en.global_indices.push_back(gi);
-                en.scenarios.push_back(s);
-              }
-              ++gi;
-            }
-          }
-        }
-      }
-    }
-  }
-  RLT_CHECK_MSG(gi == en.total, "enumeration count disagrees with the "
-                                "computed cross-product size");
+  en.total = materialize(scenario_cursor(o), kMaxScenarios,
+                         "sweep cross-product exceeds the per-shard scenario "
+                         "limit; narrow the seed range or axes, or use more "
+                         "shards",
+                         en.global_indices, en.scenarios);
   return en;
 }
 
@@ -209,205 +252,10 @@ void SweepFold::add(const std::string& key, Verdict verdict,
 
 SweepSummary SweepFold::finish() { return std::move(sum_); }
 
-namespace {
-
-/// Progress outcome class of a safety verdict (the four class slots of
-/// the progress protocol: ok / viol / blocked / err).
-int progress_class(Verdict v) noexcept {
-  switch (v) {
-    case Verdict::kOk: return 0;
-    case Verdict::kViolation: return 1;
-    case Verdict::kBlocked: return 2;
-    case Verdict::kError: return 3;
-  }
-  return 3;
-}
-
-}  // namespace
-
 SweepSummary run_sweep(const SweepOptions& o, std::uint64_t progress_every,
                        RecordSink* sink, const obs::Hooks* hooks) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const Enumeration en = enumerate_shard(o);
-  const std::vector<Scenario>& scenarios = en.scenarios;
-  std::vector<ScenarioResult> results(scenarios.size());
-
-  // Tracing needs the registry live: per-scenario spans carry counter
-  // deltas captured on the worker thread around each scenario.
-  const bool tracing = hooks != nullptr && hooks->trace != nullptr;
-  if (tracing) obs::set_enabled(true);
-  std::vector<obs::CounterDelta> deltas(tracing ? scenarios.size() : 0);
-  std::unique_ptr<obs::ProgressMeter> meter;
-  if (hooks != nullptr && hooks->progress_on()) {
-    obs::ProgressOptions po;
-    po.total = scenarios.size();
-    po.mode = "safety";
-    po.classes = {"ok", "viol", "blocked", "err"};
-    po.fd = hooks->progress_fd;
-    po.heartbeat_ms = hooks->heartbeat_ms;
-    meter = std::make_unique<obs::ProgressMeter>(po);
-  }
-
-  std::uint64_t steal_count = 0;
-  {
-    WorkStealingPool pool(o.threads);
-    std::atomic<std::uint64_t> completed{0};
-    const std::size_t batch =
-        static_cast<std::size_t>(std::max(1, o.batch_size));
-    obs::ProgressMeter* const meter_p = meter.get();
-    for (std::size_t begin = 0; begin < scenarios.size(); begin += batch) {
-      const std::size_t end = std::min(begin + batch, scenarios.size());
-      pool.submit([&scenarios, &results, &completed, &deltas, progress_every,
-                   begin, end, tracing, meter_p] {
-        const bool timing = obs::enabled();
-        const auto bt0 = std::chrono::steady_clock::now();
-        for (std::size_t i = begin; i < end; ++i) {
-          // A scenario runs wholly on this thread, so the thread-local
-          // counter slice before/after brackets exactly its work.
-          obs::CounterDelta before;
-          if (tracing) before = obs::thread_counters();
-          results[i] = run_scenario(scenarios[i]);
-          if (tracing) {
-            obs::CounterDelta after = obs::thread_counters();
-            after -= before;
-            deltas[i] = after;
-          }
-          if (meter_p != nullptr) {
-            meter_p->tick(progress_class(results[i].verdict));
-          }
-          const std::uint64_t done =
-              completed.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (progress_every > 0 && done % progress_every == 0) {
-            std::cerr << "[sweep] " << done << " scenarios done\n";
-          }
-        }
-        if (timing) {
-          obs::count(obs::Counter::kPoolTasks);
-          obs::hist(obs::Hist::kPoolTaskNs,
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - bt0)
-                            .count()));
-        }
-      });
-    }
-    pool.wait_idle();
-    steal_count = pool.steals();
-  }
-  obs::count(obs::Counter::kPoolSteals, steal_count);
-  obs::gauge_max(obs::Gauge::kPoolThreads,
-                 static_cast<std::uint64_t>(std::max(1, o.threads)));
-  if (meter) meter->finish();
-
-  // Deterministic fold: enumeration order, no wall-clock fields.  The
-  // fold inputs are exactly the persisted record fields, so a merge that
-  // re-folds shard-store records reproduces this summary bit for bit.
-  if (sink != nullptr && o.shard.active()) {
-    sink->append(shard_header_record("safety", o.shard, config_key(o),
-                                     en.total, scenarios.size()));
-  }
-  SweepFold fold;
-  std::uint64_t wall_ns_total = 0;
-  std::uint64_t wall_ns_max = 0;
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const ScenarioResult& r = results[i];
-    wall_ns_total += r.wall_ns;
-    if (r.wall_ns > wall_ns_max) wall_ns_max = r.wall_ns;
-    const std::string key = scenarios[i].key();
-    fold.add(key, r.verdict, r.steps, r.ops, r.history_hash, r.detail);
-    if (sink != nullptr) {
-      // Canonical per-scenario record: the global enumeration index,
-      // then exactly the digest material (plus the failure detail), in a
-      // fixed field order, so the store is byte-identical whenever the
-      // digest is — and mergeable whatever the shard count was.
-      Record rec;
-      rec.u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "safety")
-          .str("verdict", to_string(r.verdict))
-          .u64("steps", r.steps)
-          .u64("ops", r.ops)
-          .hex("history_hash", r.history_hash)
-          .u64("delivered", r.net_delivered)
-          .u64("dropped", r.net_dropped)
-          .u64("duplicated", r.net_duplicated)
-          .u64("msgs", r.net_msgs)
-          .u64("bytes", r.net_bytes)
-          .u64("rts", r.net_round_trips)
-          .str("detail", r.detail);
-      sink->append(rec);
-    }
-    if (tracing) {
-      // One span per scenario, emitted in enumeration order after the
-      // pool barrier — byte-stable across threads/batch.  Wall-clock
-      // fields only under trace_times (they break byte-identity).
-      Record span;
-      span.str("obs", "span")
-          .u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "safety")
-          .str("verdict", to_string(r.verdict))
-          .u64("steps", r.steps)
-          .u64("ops", r.ops);
-      if (hooks->trace_times) {
-        span.u64("wall_ns", r.wall_ns).u64("check_ns", r.check_ns);
-      }
-      obs::append_stable_deltas(deltas[i], span);
-      hooks->trace->append(span);
-    }
-    if (hooks != nullptr && hooks->forensics_on() &&
-        r.verdict != Verdict::kOk) {
-      // One canonical-JSON artifact per non-ok scenario, written during
-      // the deterministic fold and named by global index — so the
-      // directory is byte-identical across --threads/--batch, and the
-      // gi-disjoint shards of one sweep tile the unsharded directory.
-      // Runners that could not capture forensics (kError unwound before
-      // the history existed) still get an honest stub.
-      std::string body = r.forensics;
-      if (body.empty()) {
-        Record stub;
-        stub.u64("forensics", 1)
-            .str("key", key)
-            .str("verdict", to_string(r.verdict))
-            .str("detail", r.detail);
-        body = stub.json() + "\n";
-      }
-      obs::write_artifact(
-          hooks->forensics_dir,
-          "scenario-" + std::to_string(en.global_indices[i]) + ".json", body);
-    }
-  }
-  if (tracing && hooks->trace_times) {
-    // Closing span: end-to-end engine wall clock (opt-in, like every
-    // wall-clock trace field).
-    // "stable":false marks this record as wall-clock material, never
-    // byte-stable across runs — sweep_diff.py-style tooling skips it
-    // mechanically instead of special-casing the span name.
-    Record close;
-    close.str("obs", "span")
-        .str("span", "sweep")
-        .str("mode", "safety")
-        .boolean("stable", false)
-        .u64("scenarios", scenarios.size())
-        .u64("elapsed_ns",
-             static_cast<std::uint64_t>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count()));
-    hooks->trace->append(close);
-  }
-  SweepSummary sum = fold.finish();
-  if (sink != nullptr && o.shard.active()) {
-    sink->append(shard_trailer_record(o.shard, scenarios.size(), sum.digest));
-  }
-  sum.wall_ns_total = wall_ns_total;
-  sum.wall_ns_max = wall_ns_max;
-  sum.steals = steal_count;
-  sum.elapsed_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  return sum;
+  SafetyMode mode{o, {}};
+  return run_engine(mode, progress_every, sink, hooks);
 }
 
 }  // namespace rlt::sweep

@@ -3,14 +3,14 @@
 //   register semantics × algorithm × adversary × process count ×
 //   crash-fault plan × seed
 //
-// through `run_scenario` on a work-stealing thread pool, validate every
-// recorded history, and fold the results into a *stable digest*: a
-// 64-bit fingerprint that is a pure function of the sweep options —
-// independent of thread count, scheduling, and machine — because every
-// per-scenario fingerprint is deterministic and the fold happens in
-// scenario-index order.  Two runs with the same options must print the
-// same digest; a digest change means behaviour changed somewhere in the
-// simulator, a register algorithm, or a checker.
+// through `run_scenario` on the shared streaming engine (engine.hpp),
+// validate every recorded history, and fold the results into a *stable
+// digest*: a 64-bit fingerprint that is a pure function of the sweep
+// options — independent of thread count, scheduling, and machine —
+// because every per-scenario fingerprint is deterministic and the fold
+// happens in scenario-index order.  Two runs with the same options must
+// print the same digest; a digest change means behaviour changed
+// somewhere in the simulator, a register algorithm, or a checker.
 //
 // This is the repo's scenario-diversity workhorse: later PRs point it at
 // bigger cross-products (sharded across machines, batched seeds) and
@@ -21,13 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "sweep/engine.hpp"
 #include "sweep/scenario.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/store.hpp"
-
-namespace rlt::obs {
-struct Hooks;
-}  // namespace rlt::obs
 
 namespace rlt::sweep {
 
@@ -61,9 +58,10 @@ struct SweepOptions {
   int threads = 1;
   /// Scenarios per pool task.  Batching amortizes submit/wakeup overhead
   /// (one lock + condition-variable signal per task) across a run of
-  /// consecutive scenario indices; results are still written per scenario
-  /// and folded in index order, so the digest is independent of this
-  /// knob.  1 = one task per scenario (the PR 1 behaviour).
+  /// consecutive scenario indices; results are still folded per scenario
+  /// in index order, so the digest is independent of this knob.  1 = one
+  /// task per scenario; a batch larger than the engine's reorder window
+  /// is split.
   int batch_size = 16;
   /// Streaming cross-check: every checkable history is also replayed
   /// through the online checker, and any batch/online split reports as
@@ -102,12 +100,12 @@ struct Enumeration {
   std::vector<Scenario> scenarios;
 };
 
-/// Materializes this shard's slice of the cross-product, seeds outermost
-/// so that consecutive task ids cover different configs (better tail
-/// behaviour under stealing) and round-robin sharding spreads every
-/// config across all shards.  Order is deterministic; the digest folds
-/// in this order.  Memory scales with the owned share, so the scenario
-/// cap is per shard: sharding raises the sweepable ceiling N-fold.
+/// Materializes this shard's slice of the cross-product by draining the
+/// cursor run_sweep streams (seeds outermost, so consecutive scenarios
+/// cover different configs and round-robin sharding spreads every config
+/// across all shards).  Order is deterministic; the digest folds in this
+/// order.  Memory scales with the owned share, so materialization is
+/// capped per shard; run_sweep itself streams and has no cap.
 [[nodiscard]] Enumeration enumerate_shard(const SweepOptions& o);
 
 /// The owned scenarios alone (enumerate_shard without the bookkeeping);
@@ -129,11 +127,7 @@ struct SweepSummary {
   /// Stable digest over (key, verdict, steps, ops, history_hash) of every
   /// scenario in enumeration order.  Excludes all wall-clock fields.
   std::uint64_t digest = 0;
-  /// Measured, NOT digest material:
-  std::uint64_t wall_ns_total = 0;  ///< Sum over scenarios (cpu-ish time).
-  std::uint64_t wall_ns_max = 0;    ///< Slowest single scenario.
-  std::uint64_t elapsed_ns = 0;     ///< End-to-end sweep wall clock.
-  std::uint64_t steals = 0;         ///< Pool steal count (scheduling info).
+  EngineStats engine;  ///< Measured, NOT digest material.
   /// key + detail for the first few non-ok scenarios, enumeration order.
   std::vector<std::string> failures;
   /// Non-ok scenarios beyond the reporting cap.  stable_text() renders
@@ -166,8 +160,8 @@ class SweepFold {
            std::uint64_t ops, std::uint64_t history_hash,
            const std::string& detail);
 
-  /// The folded summary; wall-clock fields are zero (callers that
-  /// measured time fill them in afterwards).
+  /// The folded summary; its `engine` stats are zero (the engine fills
+  /// them in).
   [[nodiscard]] SweepSummary finish();
 
  private:
@@ -177,8 +171,10 @@ class SweepFold {
 /// Runs the sweep on `o.threads` pool workers.  `progress_every` > 0
 /// prints a line to stderr every that-many completed scenarios.  When
 /// `sink` is non-null, one canonical record per scenario is appended in
-/// enumeration order after the pool drains — so the store's bytes, like
-/// the digest, are independent of thread count and batch size.
+/// enumeration order, exactly once, one call at a time — possibly while
+/// later scenarios are still running — so the store's bytes, like the
+/// digest, are independent of thread count and batch size.  Memory is
+/// bounded by the engine's reorder window, not by the scenario count.
 ///
 /// `hooks` (obs/hooks.hpp) attaches the observability fabric: a trace
 /// sink receiving one span record per scenario (enumeration order,

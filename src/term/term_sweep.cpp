@@ -1,25 +1,47 @@
 #include "term/term_sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <iomanip>
-#include <iostream>
-#include <memory>
 #include <sstream>
 
-#include "obs/hooks.hpp"
-#include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "sweep/fnv.hpp"
-#include "sweep/pool.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::term {
 namespace {
 
-/// Per shard — sharding raises the sweepable ceiling N-fold.
+/// Materialization cap of enumerate_term_shard; per shard, so sharding
+/// raises it N-fold.  run_term_sweep streams and needs no cap.
 constexpr std::uint64_t kMaxScenarios = 10'000'000;
+
+/// This shard's scenarios in enumeration order: per seed, family ×
+/// adversary (valid pairs only) × process count × round budget.
+sweep::Cursor<TermScenario> term_cursor(const TermSweepOptions& o) {
+  RLT_CHECK_MSG(o.seed_begin <= o.seed_end, "seed range is reversed");
+  RLT_CHECK_MSG(!o.families.empty(), "family list is empty");
+  RLT_CHECK_MSG(!o.adversaries.empty(), "adversary list is empty");
+  RLT_CHECK_MSG(!o.process_counts.empty(), "process-count list is empty");
+  RLT_CHECK_MSG(!o.round_budgets.empty(), "round-budget list is empty");
+  std::vector<TermScenario> configs;
+  for (const Family f : o.families) {
+    for (const TermAdversary a : o.adversaries) {
+      if (!combination_valid(f, a)) continue;
+      for (const int procs : o.process_counts) {
+        for (const int rounds : o.round_budgets) {
+          TermScenario s;
+          s.family = f;
+          s.adversary = a;
+          s.processes = procs;
+          s.max_rounds = rounds;
+          s.max_actions = o.max_actions_per_scenario;
+          configs.push_back(s);
+        }
+      }
+    }
+  }
+  return sweep::Cursor<TermScenario>(std::move(configs), o.seed_begin,
+                                     o.seed_end, o.shard);
+}
 
 /// Renders `num/den` as a fixed-point decimal with `digits` fractional
 /// places using integer arithmetic only — the stable_text bytes must not
@@ -61,58 +83,12 @@ std::string config_key(const TermSweepOptions& o) {
 }
 
 TermEnumeration enumerate_term_shard(const TermSweepOptions& o) {
-  RLT_CHECK_MSG(o.seed_begin <= o.seed_end, "seed range is reversed");
-  RLT_CHECK_MSG(!o.families.empty(), "family list is empty");
-  RLT_CHECK_MSG(!o.adversaries.empty(), "adversary list is empty");
-  RLT_CHECK_MSG(!o.process_counts.empty(), "process-count list is empty");
-  RLT_CHECK_MSG(!o.round_budgets.empty(), "round-budget list is empty");
-  RLT_CHECK_MSG(o.shard.count > 0 && o.shard.index < o.shard.count,
-                "shard index/count out of range");
-  std::uint64_t pairs = 0;
-  for (const Family f : o.families) {
-    for (const TermAdversary a : o.adversaries) {
-      if (combination_valid(f, a)) ++pairs;
-    }
-  }
-  const std::uint64_t configs =
-      pairs * o.process_counts.size() * o.round_budgets.size();
-  const std::uint64_t seeds = o.seed_end - o.seed_begin;
-  RLT_CHECK_MSG(configs == 0 || seeds <= UINT64_MAX / configs,
-                "termination sweep cross-product overflows");
   TermEnumeration en;
-  en.total = configs * seeds;
-  RLT_CHECK_MSG(o.shard.share(en.total) <= kMaxScenarios,
-                "termination sweep cross-product exceeds the per-shard "
-                "scenario limit; narrow the seed range or axes, or use "
-                "more shards");
-  en.global_indices.reserve(o.shard.share(en.total));
-  en.scenarios.reserve(o.shard.share(en.total));
-  std::uint64_t gi = 0;
-  for (std::uint64_t seed = o.seed_begin; seed < o.seed_end; ++seed) {
-    for (const Family f : o.families) {
-      for (const TermAdversary a : o.adversaries) {
-        if (!combination_valid(f, a)) continue;
-        for (const int procs : o.process_counts) {
-          for (const int rounds : o.round_budgets) {
-            if (o.shard.owns(gi)) {
-              TermScenario s;
-              s.family = f;
-              s.adversary = a;
-              s.processes = procs;
-              s.seed = seed;
-              s.max_rounds = rounds;
-              s.max_actions = o.max_actions_per_scenario;
-              en.global_indices.push_back(gi);
-              en.scenarios.push_back(s);
-            }
-            ++gi;
-          }
-        }
-      }
-    }
-  }
-  RLT_CHECK_MSG(gi == en.total, "enumeration count disagrees with the "
-                                "computed cross-product size");
+  en.total = sweep::materialize(
+      term_cursor(o), kMaxScenarios,
+      "termination sweep cross-product exceeds the per-shard scenario "
+      "limit; narrow the seed range or axes, or use more shards",
+      en.global_indices, en.scenarios);
   return en;
 }
 
@@ -261,171 +237,84 @@ TermSummary TermFold::finish(sweep::RecordSink* sink) {
 
 namespace {
 
-/// Progress outcome class of a termination record (the four class slots
-/// of the progress protocol: term / capped / other / err).
-int progress_class(const TermRecord& r) noexcept {
-  if (r.error || !r.safety_ok) return 3;
-  if (r.terminated) return 0;
-  if (r.capped) return 1;
-  return 2;
-}
+/// The termination sweep as an engine mode (sweep/engine.hpp documents
+/// the trait).
+struct TermMode {
+  using Item = TermScenario;
+  using Result = TermRecord;
+  static constexpr std::string_view kKind = "term";
+  static constexpr std::array<std::string_view, 4> kClasses{"term", "capped",
+                                                            "other", "err"};
+
+  const TermSweepOptions& o;
+  TermFold folded;
+
+  [[nodiscard]] sweep::Cursor<TermScenario> cursor() const {
+    return term_cursor(o);
+  }
+
+  static TermRecord run(const TermScenario& s) {
+    TermRecord r = run_term_scenario(s);
+    if (obs::enabled()) {
+      obs::count(obs::Counter::kTermCoinFlips, r.coin_flips);
+      if (r.capped) obs::count(obs::Counter::kTermCapped);
+    }
+    return r;
+  }
+
+  /// term / capped / other / err.
+  static int progress_class(const TermScenario&, const TermRecord& r) {
+    if (r.error || !r.safety_ok) return 3;
+    if (r.terminated) return 0;
+    if (r.capped) return 1;
+    return 2;
+  }
+
+  static void record(const TermScenario&, const TermRecord& r,
+                     sweep::Record& rec) {
+    rec.boolean("terminated", r.terminated)
+        .boolean("capped", r.capped)
+        .boolean("safety_ok", r.safety_ok)
+        .boolean("error", r.error)
+        .u64("rounds", static_cast<std::uint64_t>(r.rounds))
+        .u64("stalled", static_cast<std::uint64_t>(r.stalled))
+        .u64("coin_flips", r.coin_flips)
+        .u64("steps", r.steps)
+        .hex("outcome_hash", r.outcome_hash)
+        .str("detail", r.detail);
+  }
+
+  static void span(const TermScenario&, const TermRecord& r, bool times,
+                   sweep::Record& span) {
+    span.boolean("terminated", r.terminated)
+        .boolean("capped", r.capped)
+        .u64("rounds", static_cast<std::uint64_t>(r.rounds))
+        .u64("steps", r.steps);
+    if (times) span.u64("wall_ns", r.wall_ns);
+  }
+
+  static void artifact(const TermScenario&, TermRecord&, const std::string&,
+                       std::uint64_t, const std::string&) {}
+
+  void fold(const std::string& key, const TermScenario& s,
+            const TermRecord& r) {
+    folded.add(key, s.family, r);
+  }
+
+  /// In a sharded store the per-family histogram records are this
+  /// shard's PARTIALS (useful for eyeballing a slice; the merge
+  /// recomputes the global ones from the scenario records and drops
+  /// these).
+  TermSummary finish(sweep::RecordSink* sink) { return folded.finish(sink); }
+};
 
 }  // namespace
 
 TermSummary run_term_sweep(const TermSweepOptions& o,
                            std::uint64_t progress_every,
                            sweep::RecordSink* sink, const obs::Hooks* hooks) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const TermEnumeration en = enumerate_term_shard(o);
-  const std::vector<TermScenario>& scenarios = en.scenarios;
-  std::vector<TermRecord> records(scenarios.size());
-
-  const bool tracing = hooks != nullptr && hooks->trace != nullptr;
-  if (tracing) obs::set_enabled(true);
-  std::vector<obs::CounterDelta> deltas(tracing ? scenarios.size() : 0);
-  std::unique_ptr<obs::ProgressMeter> meter;
-  if (hooks != nullptr && hooks->progress_on()) {
-    obs::ProgressOptions po;
-    po.total = scenarios.size();
-    po.mode = "term";
-    po.classes = {"term", "capped", "other", "err"};
-    po.fd = hooks->progress_fd;
-    po.heartbeat_ms = hooks->heartbeat_ms;
-    meter = std::make_unique<obs::ProgressMeter>(po);
-  }
-
-  std::uint64_t steal_count = 0;
-  {
-    sweep::WorkStealingPool pool(o.threads);
-    std::atomic<std::uint64_t> completed{0};
-    const std::size_t batch =
-        static_cast<std::size_t>(std::max(1, o.batch_size));
-    obs::ProgressMeter* const meter_p = meter.get();
-    for (std::size_t begin = 0; begin < scenarios.size(); begin += batch) {
-      const std::size_t end = std::min(begin + batch, scenarios.size());
-      pool.submit([&scenarios, &records, &completed, &deltas, progress_every,
-                   begin, end, tracing, meter_p] {
-        const bool timing = obs::enabled();
-        const auto bt0 = std::chrono::steady_clock::now();
-        for (std::size_t i = begin; i < end; ++i) {
-          obs::CounterDelta before;
-          if (tracing) before = obs::thread_counters();
-          records[i] = run_term_scenario(scenarios[i]);
-          if (obs::enabled()) {
-            obs::count(obs::Counter::kTermCoinFlips, records[i].coin_flips);
-            if (records[i].capped) obs::count(obs::Counter::kTermCapped);
-          }
-          if (tracing) {
-            obs::CounterDelta after = obs::thread_counters();
-            after -= before;
-            deltas[i] = after;
-          }
-          if (meter_p != nullptr) meter_p->tick(progress_class(records[i]));
-          const std::uint64_t done =
-              completed.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (progress_every > 0 && done % progress_every == 0) {
-            std::cerr << "[term-sweep] " << done << " scenarios done\n";
-          }
-        }
-        if (timing) {
-          obs::count(obs::Counter::kPoolTasks);
-          obs::hist(obs::Hist::kPoolTaskNs,
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - bt0)
-                            .count()));
-        }
-      });
-    }
-    pool.wait_idle();
-    steal_count = pool.steals();
-  }
-  obs::count(obs::Counter::kPoolSteals, steal_count);
-  obs::gauge_max(obs::Gauge::kPoolThreads,
-                 static_cast<std::uint64_t>(std::max(1, o.threads)));
-  if (meter) meter->finish();
-
-  // Deterministic fold: enumeration order, no wall-clock fields.  The
-  // fold inputs are exactly the persisted record fields, so a merge that
-  // re-folds shard-store records reproduces this summary bit for bit.
-  if (sink != nullptr && o.shard.active()) {
-    sink->append(sweep::shard_header_record("term", o.shard, config_key(o),
-                                            en.total, scenarios.size()));
-  }
-  TermFold fold;
-  std::uint64_t wall_ns_total = 0;
-  std::uint64_t wall_ns_max = 0;
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const TermRecord& r = records[i];
-    wall_ns_total += r.wall_ns;
-    if (r.wall_ns > wall_ns_max) wall_ns_max = r.wall_ns;
-    const std::string key = scenarios[i].key();
-    fold.add(key, scenarios[i].family, r);
-    if (sink != nullptr) {
-      sweep::Record rec;
-      rec.u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "term")
-          .boolean("terminated", r.terminated)
-          .boolean("capped", r.capped)
-          .boolean("safety_ok", r.safety_ok)
-          .boolean("error", r.error)
-          .u64("rounds", static_cast<std::uint64_t>(r.rounds))
-          .u64("stalled", static_cast<std::uint64_t>(r.stalled))
-          .u64("coin_flips", r.coin_flips)
-          .u64("steps", r.steps)
-          .hex("outcome_hash", r.outcome_hash)
-          .str("detail", r.detail);
-      sink->append(rec);
-    }
-    if (tracing) {
-      // Enumeration-order span, byte-stable across threads/batch; wall
-      // clock only under trace_times.
-      sweep::Record span;
-      span.str("obs", "span")
-          .u64("gi", en.global_indices[i])
-          .str("key", key)
-          .str("mode", "term")
-          .boolean("terminated", r.terminated)
-          .boolean("capped", r.capped)
-          .u64("rounds", static_cast<std::uint64_t>(r.rounds))
-          .u64("steps", r.steps);
-      if (hooks->trace_times) span.u64("wall_ns", r.wall_ns);
-      obs::append_stable_deltas(deltas[i], span);
-      hooks->trace->append(span);
-    }
-  }
-  if (tracing && hooks->trace_times) {
-    sweep::Record close;
-    // "stable":false: wall-clock record, skippable mechanically.
-    close.str("obs", "span")
-        .str("span", "sweep")
-        .str("mode", "term")
-        .boolean("stable", false)
-        .u64("scenarios", scenarios.size())
-        .u64("elapsed_ns",
-             static_cast<std::uint64_t>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count()));
-    hooks->trace->append(close);
-  }
-  // In a sharded store the per-family histogram records are this shard's
-  // PARTIALS (useful for eyeballing a slice; the merge recomputes the
-  // global ones from the scenario records and drops these).
-  TermSummary sum = fold.finish(sink);
-  if (sink != nullptr && o.shard.active()) {
-    sink->append(
-        sweep::shard_trailer_record(o.shard, scenarios.size(), sum.digest));
-  }
-  sum.wall_ns_total = wall_ns_total;
-  sum.wall_ns_max = wall_ns_max;
-  sum.steals = steal_count;
-  sum.elapsed_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  return sum;
+  TermMode mode{o, {}};
+  return sweep::run_engine(mode, progress_every, sink, hooks);
 }
 
 }  // namespace rlt::term

@@ -2,9 +2,9 @@
 //
 //   algorithm family × adversary × process count × round budget × seed
 //
-// through `run_term_scenario` on the same work-stealing pool the safety
-// sweep uses, and fold the per-scenario TermRecords into a *stable
-// aggregate*: termination rate, round statistics, a survival tail
+// through `run_term_scenario` on the streaming engine the safety sweep
+// uses (sweep/engine.hpp), and fold the per-scenario TermRecords into a
+// *stable aggregate*: termination rate, round statistics, a survival tail
 // P(round > k), and a 64-bit digest that — like the safety digest — is a
 // pure function of the sweep options, independent of thread count,
 // batch size, and machine.  Optionally streams one canonical record per
@@ -16,13 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "sweep/engine.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/store.hpp"
 #include "term/term_scenario.hpp"
-
-namespace rlt::obs {
-struct Hooks;
-}  // namespace rlt::obs
 
 namespace rlt::term {
 
@@ -61,10 +58,10 @@ struct TermEnumeration {
   std::vector<TermScenario> scenarios;
 };
 
-/// Materializes this shard's slice of the cross-product, seeds outermost
-/// (consecutive task ids cover different configs; round robin spreads
+/// Materializes this shard's slice of the cross-product by draining the
+/// cursor run_term_sweep streams (seeds outermost; round robin spreads
 /// every config across shards).  Deterministic order; the digest and the
-/// result store fold in this order.
+/// result store fold in this order.  Capped per shard.
 [[nodiscard]] TermEnumeration enumerate_term_shard(const TermSweepOptions& o);
 
 /// The owned scenarios alone; the full cross-product under the default
@@ -113,11 +110,7 @@ struct TermSummary {
   std::vector<FamilyRoundHist> hists;
   /// Stable digest over every record in enumeration order.
   std::uint64_t digest = 0;
-  /// Measured, NOT digest material:
-  std::uint64_t wall_ns_total = 0;
-  std::uint64_t wall_ns_max = 0;
-  std::uint64_t elapsed_ns = 0;
-  std::uint64_t steals = 0;
+  sweep::EngineStats engine;  ///< Measured, NOT digest material.
   /// key + detail of the first few error / safety-violation scenarios
   /// (capped runs are an expected outcome class and are not listed).
   std::vector<std::string> failures;
@@ -145,7 +138,7 @@ class TermFold {
 
   void add(const std::string& key, Family family, const TermRecord& r);
 
-  /// The folded summary (timing fields zero).  Materializes the
+  /// The folded summary (`engine` stats zero).  Materializes the
   /// per-family histograms in Family enum order and computes the
   /// survival tail from them; when `sink` is non-null, also appends one
   /// canonical "term-hist/<family>" record per family present.
@@ -161,8 +154,9 @@ class TermFold {
 /// Runs the sweep on `o.threads` pool workers.  `progress_every` > 0
 /// prints a line to stderr every that-many completed scenarios.  When
 /// `sink` is non-null, one canonical record per scenario is appended in
-/// enumeration order after the pool drains (byte-stable across thread
-/// counts and batch sizes).  `hooks` (obs/hooks.hpp) attaches the
+/// enumeration order, exactly once, one call at a time — possibly while
+/// later scenarios are still running (byte-stable across thread counts
+/// and batch sizes).  `hooks` (obs/hooks.hpp) attaches the
 /// observability fabric — trace spans and/or live progress; never
 /// digest material (see sweep::run_sweep for the contract).
 [[nodiscard]] TermSummary run_term_sweep(const TermSweepOptions& o,

@@ -1,10 +1,8 @@
-// Coverage of the smaller public surfaces: logging, the coroutine
-// generator, game value encodings, model introspection/describe output,
-// consensus state helpers, and miscellaneous utility paths that the
-// larger suites exercise only implicitly.
+// Coverage of the smaller public surfaces: the coroutine generator, game
+// value encodings, model introspection/describe output, consensus state
+// helpers, and miscellaneous utility paths that the larger suites
+// exercise only implicitly.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "checker/spec.hpp"
 #include "consensus/rand_consensus.hpp"
@@ -14,28 +12,9 @@
 #include "sim/regmodel.hpp"
 #include "sim/scheduler.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace rlt {
 namespace {
-
-// ---------- logging ----------
-
-TEST(Logging, RespectsThreshold) {
-  std::ostringstream sink;
-  util::set_log_stream(sink);
-  util::set_log_level(util::LogLevel::kWarn);
-  util::log_info() << "hidden " << 1;
-  util::log_warn() << "visible " << 2;
-  util::log_error() << "also visible";
-  util::set_log_stream(std::cerr);
-  util::set_log_level(util::LogLevel::kInfo);
-  const std::string out = sink.str();
-  EXPECT_EQ(out.find("hidden"), std::string::npos);
-  EXPECT_NE(out.find("visible 2"), std::string::npos);
-  EXPECT_NE(out.find("WARN"), std::string::npos);
-  EXPECT_NE(out.find("ERROR"), std::string::npos);
-}
 
 // ---------- generator ----------
 

@@ -1,0 +1,239 @@
+// Tests for the streaming engine loop shared by the three sweep modes
+// (src/sweep/engine.hpp).  Every test runs once per mode — through the
+// public run_sweep / run_term_sweep / run_explore entry points — and
+// checks one property of the loop itself: records reach the sink while
+// later scenarios have not run yet, a batch larger than the reorder
+// window changes no byte, a throwing sink surfaces on the calling thread
+// with every worker stopped, and every mode fills the same engine stats.
+#include <fcntl.h>
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdint>
+#include <ostream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+
+#include "explore/explore.hpp"
+#include "obs/hooks.hpp"
+#include "sweep/engine.hpp"
+#include "sweep/store.hpp"
+#include "sweep/sweep.hpp"
+#include "term/term_sweep.hpp"
+
+namespace rlt::sweep {
+namespace {
+
+enum class Kind { kSafety, kTerm, kExplore };
+
+/// One small, cheap sweep of `kind` with `scenarios` scenarios (one
+/// config per seed), run through the mode's public entry point.
+struct Outcome {
+  std::string stable;
+  EngineStats engine;
+};
+
+Outcome run_kind(Kind kind, std::uint64_t scenarios, int threads,
+                 int batch, RecordSink* sink,
+                 const obs::Hooks* hooks = nullptr) {
+  switch (kind) {
+    case Kind::kSafety: {
+      SweepOptions o;
+      o.algorithms = {Algorithm::kModeled};
+      o.semantics = {sim::Semantics::kAtomic};
+      o.adversaries = {AdversaryKind::kRoundRobin};
+      o.process_counts = {2};
+      o.seed_end = scenarios;
+      o.threads = threads;
+      o.batch_size = batch;
+      const SweepSummary s = run_sweep(o, 0, sink, hooks);
+      return {s.stable_text(), s.engine};
+    }
+    case Kind::kTerm: {
+      term::TermSweepOptions o;
+      o.families = {term::Family::kSharedCoin};
+      o.adversaries = {term::TermAdversary::kRandom};
+      o.process_counts = {2};
+      o.round_budgets = {4};
+      o.seed_end = scenarios;
+      o.threads = threads;
+      o.batch_size = batch;
+      const term::TermSummary s = term::run_term_sweep(o, 0, sink, hooks);
+      return {s.stable_text(), s.engine};
+    }
+    case Kind::kExplore: {
+      explore::ExploreOptions o;
+      o.objective = explore::Objective::kViolation;
+      o.algorithms = {Algorithm::kModeled};
+      o.process_counts = {2};
+      o.writes_per_process = 1;
+      o.search_budget = 1;
+      o.shrink_budget = 0;
+      o.seed_end = scenarios;
+      o.threads = threads;
+      o.batch_size = batch;
+      const explore::ExploreSummary s =
+          explore::run_explore(o, 0, sink, hooks);
+      return {s.stable_text(), s.engine};
+    }
+  }
+  return {};
+}
+
+std::string kind_name(const ::testing::TestParamInfo<Kind>& info) {
+  switch (info.param) {
+    case Kind::kSafety: return "safety";
+    case Kind::kTerm: return "term";
+    case Kind::kExplore: return "explore";
+  }
+  return "unknown";
+}
+
+void PrintTo(Kind kind, std::ostream* os) {
+  *os << kind_name(::testing::TestParamInfo<Kind>(kind, 0));
+}
+
+class Engine : public ::testing::TestWithParam<Kind> {};
+
+INSTANTIATE_TEST_SUITE_P(AllModes, Engine,
+                         ::testing::Values(Kind::kSafety, Kind::kTerm,
+                                           Kind::kExplore),
+                         kind_name);
+
+/// Holds the engine's fold at its first record until the progress stream
+/// (obs/progress.hpp, one line per 500 ms period) has reported, and keeps
+/// the "done" count of the last line read: how many scenarios had
+/// finished while the first record sat in the sink.
+class StallingSink final : public RecordSink {
+ public:
+  explicit StallingSink(int progress_fd) : fd_(progress_fd) {}
+
+  void append(const Record&) override {
+    if (appends_++ > 0) return;
+    std::string text;
+    char buf[4096];
+    const auto start = std::chrono::steady_clock::now();
+    // At least one full meter period, then until a line has arrived.
+    while (std::chrono::steady_clock::now() - start <
+               std::chrono::milliseconds(700) ||
+           (text.find('\n') == std::string::npos &&
+            std::chrono::steady_clock::now() - start <
+                std::chrono::seconds(30))) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      ssize_t n;
+      while ((n = read(fd_, buf, sizeof buf)) > 0) {
+        text.append(buf, static_cast<std::size_t>(n));
+      }
+    }
+    const std::size_t end = text.rfind('\n');
+    ASSERT_NE(end, std::string::npos) << "no progress line arrived";
+    const std::size_t at = text.rfind("\"done\":", end);
+    ASSERT_NE(at, std::string::npos) << text;
+    done_at_first_append_ = std::stoull(text.substr(at + 7));
+  }
+
+  [[nodiscard]] std::uint64_t done_at_first_append() const {
+    return done_at_first_append_;
+  }
+
+ private:
+  int fd_;
+  std::uint64_t appends_ = 0;
+  std::uint64_t done_at_first_append_ = 0;
+};
+
+TEST_P(Engine, FirstRecordReachesTheSinkBeforeLaterScenariosRun) {
+  // Much larger than the reorder window: while the fold is held at the
+  // first record, workers may finish at most one window of scenarios.
+  constexpr int kThreads = 2;
+  constexpr int kBatch = 4;
+  const std::uint64_t window = window_size(kThreads, kBatch);
+  const std::uint64_t scenarios = 3 * window;
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  ASSERT_EQ(fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+  StallingSink sink(fds[0]);
+  obs::Hooks hooks;
+  hooks.progress_fd = fds[1];
+  const Outcome run =
+      run_kind(GetParam(), scenarios, kThreads, kBatch, &sink, &hooks);
+  close(fds[0]);
+  close(fds[1]);
+  const std::string count =
+      GetParam() == Kind::kExplore ? "instances " : "scenarios ";
+  EXPECT_NE(run.stable.find(count + std::to_string(scenarios) + "\n"),
+            std::string::npos)
+      << run.stable;
+  EXPECT_GT(sink.done_at_first_append(), 0u);
+  EXPECT_LE(sink.done_at_first_append(), window);
+}
+
+TEST_P(Engine, BatchLargerThanTheWindowKeepsEveryByte) {
+  constexpr std::uint64_t kScenarios = 10'000;
+  StringSink small;
+  const Outcome a = run_kind(GetParam(), kScenarios, 4, 16, &small);
+  StringSink huge;
+  const Outcome b = run_kind(GetParam(), kScenarios, 4, 100'000, &huge);
+  EXPECT_GT(100'000u, window_size(4, 100'000));
+  EXPECT_FALSE(small.text().empty());
+  EXPECT_EQ(small.text(), huge.text());
+  EXPECT_EQ(a.stable, b.stable);
+}
+
+/// Throws on its `fail_at`-th append (1-based).
+class ThrowingSink final : public RecordSink {
+ public:
+  explicit ThrowingSink(std::uint64_t fail_at) : fail_at_(fail_at) {}
+  void append(const Record&) override {
+    if (++appends_ == fail_at_) throw std::runtime_error("sink full");
+  }
+  [[nodiscard]] std::uint64_t appends() const { return appends_; }
+
+ private:
+  std::uint64_t fail_at_;
+  std::uint64_t appends_ = 0;
+};
+
+TEST_P(Engine, ThrowingSinkRethrowsOnTheCallerWithWorkersStopped) {
+  ThrowingSink sink(100);
+  EXPECT_THROW((void)run_kind(GetParam(), 5'000, 4, 8, &sink),
+               std::runtime_error);
+  // The fold stopped at the throw: no append after it, and the run
+  // returned instead of hanging or terminating.
+  EXPECT_EQ(sink.appends(), 100u);
+  // Every worker was joined: the engine is reusable at once.
+  StringSink ok;
+  const Outcome again = run_kind(GetParam(), 200, 4, 8, &ok);
+  EXPECT_FALSE(ok.text().empty());
+  EXPECT_FALSE(again.stable.empty());
+}
+
+TEST_P(Engine, EveryModeReportsTheSameEngineStats) {
+  const Outcome run = run_kind(GetParam(), 64, 2, 4, nullptr);
+  EXPECT_GT(run.engine.wall_ns_max, 0u);
+  EXPECT_LE(run.engine.wall_ns_max, run.engine.wall_ns_total);
+  EXPECT_GT(run.engine.elapsed_ns, 0u);
+}
+
+TEST(Cursor, YieldsTheShardsScenariosInGlobalIndexOrder) {
+  struct Item {
+    int config = 0;
+    std::uint64_t seed = 0;
+  };
+  const ShardSpec shard{1, 3};
+  Cursor<Item> c({Item{10}, Item{20}}, 5, 9, shard);
+  EXPECT_EQ(c.total(), 8u);
+  EXPECT_EQ(c.owned(), 3u);
+  std::vector<std::uint64_t> gis;
+  for (auto s = c.next(); s.has_value(); s = c.next()) {
+    gis.push_back(s->gi);
+    EXPECT_EQ(s->item.config, s->gi % 2 == 0 ? 10 : 20);
+    EXPECT_EQ(s->item.seed, 5 + s->gi / 2);
+  }
+  EXPECT_EQ(gis, (std::vector<std::uint64_t>{1, 4, 7}));
+}
+
+}  // namespace
+}  // namespace rlt::sweep

@@ -1,7 +1,7 @@
 // sweep_main — CLI driver for the parallel scenario-sweep engine.
 //
-// Three modes share the pool, the digest discipline, and the result
-// store:
+// Three modes share the streaming engine (src/sweep/engine.hpp), the
+// digest discipline, and the result store:
 //
 //  * Safety (default): the cross-product of register semantics ×
 //    algorithm × adversary × process count × fault plan × seed, every
@@ -50,6 +50,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -483,6 +484,17 @@ int run_replay(const std::string& path) {
   }
   std::cout << "replayed " << replayed << ", reproduced " << matched << "\n";
   return matched == replayed ? 0 : 1;
+}
+
+/// Peak resident set of this process in MiB (VmHWM from
+/// /proc/self/status), or -1 where that file is unavailable.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024;
+  }
+  return -1;
 }
 
 void parse_seeds(const std::string& v, SweepOptions& o) {
@@ -947,20 +959,14 @@ int main(int argc, char** argv) {
             ? &hooks
             : nullptr;
     std::string stable;
-    std::uint64_t elapsed_ns = 0;
-    std::uint64_t wall_ns_total = 0;
-    std::uint64_t wall_ns_max = 0;
-    std::uint64_t steals = 0;
+    rlt::sweep::EngineStats engine;
     bool failed = false;
     if (explore_mode) {
       const rlt::explore::ExploreSummary sum =
           rlt::explore::run_explore(eopts, progress_every, sink.get(),
                                     hooks_p);
       stable = sum.stable_text();
-      elapsed_ns = sum.elapsed_ns;
-      wall_ns_total = sum.wall_ns_total;
-      wall_ns_max = 0;
-      steals = sum.steals;
+      engine = sum.engine;
       // Finding a violation is the search succeeding at its job; only
       // machinery errors fail an exploration.
       failed = sum.errors != 0;
@@ -969,10 +975,7 @@ int main(int argc, char** argv) {
           rlt::term::run_term_sweep(topts, progress_every, sink.get(),
                                     hooks_p);
       stable = sum.stable_text();
-      elapsed_ns = sum.elapsed_ns;
-      wall_ns_total = sum.wall_ns_total;
-      wall_ns_max = sum.wall_ns_max;
-      steals = sum.steals;
+      engine = sum.engine;
       // Capped runs are Theorem 6 doing its job; only broken safety or
       // machinery failures fail a termination sweep.
       failed = sum.safety_violations != 0 || sum.errors != 0;
@@ -980,10 +983,7 @@ int main(int argc, char** argv) {
       const SweepSummary sum =
           rlt::sweep::run_sweep(opts, progress_every, sink.get(), hooks_p);
       stable = sum.stable_text();
-      elapsed_ns = sum.elapsed_ns;
-      wall_ns_total = sum.wall_ns_total;
-      wall_ns_max = sum.wall_ns_max;
-      steals = sum.steals;
+      engine = sum.engine;
       // Blocked runs are the fault axes doing their job (their histories
       // were still checked clean up to the block); only violations and
       // errors fail the sweep.
@@ -1008,11 +1008,14 @@ int main(int argc, char** argv) {
     // timing, which naturally varies.
     std::cout << stable;
     std::cout << "--- timing (not digest material) ---\n"
-              << "elapsed_ms " << elapsed_ns / 1'000'000 << "\n"
-              << "scenario_ms_total " << wall_ns_total / 1'000'000 << "\n"
-              << "scenario_ms_max " << wall_ns_max / 1'000'000 << "\n"
+              << "elapsed_ms " << engine.elapsed_ns / 1'000'000 << "\n"
+              << "scenario_ms_total " << engine.wall_ns_total / 1'000'000
+              << "\n"
+              << "scenario_ms_max " << engine.wall_ns_max / 1'000'000 << "\n"
               << "threads " << opts.threads << "\n"
-              << "steals " << steals << "\n";
+              << "steals " << engine.steals << "\n"
+              << "peak_rss_mb " << std::fixed << std::setprecision(1)
+              << peak_rss_mb() << "\n";
     return failed ? 1 : 0;
   } catch (const std::exception& e) {
     // Oversized cross-products, unwritable stores, and thread-spawn
