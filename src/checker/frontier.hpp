@@ -1,0 +1,85 @@
+// One register's checking frontier: the live window of operations not yet
+// retired, plus the set of values the register may hold before it.
+//
+// Two clients keep one frontier per register.  The simulator's interval
+// register models (sim/regmodel.hpp) probe it to build response menus;
+// the streaming checker (stream_checker.hpp) probes it at read responses.
+// Every probe starts from `problem()`: a solver problem (lin_solver.hpp)
+// over the window, starting from the pre-window values.  Callers then set
+// the write-order mode, a completion overlay or pruning as they need.
+//
+// The collapse, and why it is sound.  When the register has no open
+// operation, every operation in the window real-time-precedes every
+// operation invoked on the register later.  Any linearization of the
+// whole history is then a linearization of the window followed by one of
+// the later operations, and any such pair composes: nothing later can be
+// ordered before a window op.  The only state the two parts share is the
+// register value at the seam.  So the window can be replaced by the set
+// of values it may leave behind, and no later verdict or response menu
+// changes: `collapse(values)` retires the window and makes `values` the
+// next window's pre-window values.  Live state is then bounded by the
+// ops between two quiescent points, not by the length of the run.  This
+// is what keeps Theorem 6's infinite run checkable.
+//
+// Which values to collapse to is the caller's decision.  Linearizable
+// registers and the streaming checker keep every possibility open with
+// `feasible_final_values(problem())`: the write order inside the window
+// may still be undecided.  A write strongly-linearizable register has
+// committed its whole write order by quiescence, so its last committed
+// value is the only one it may leave behind.
+#pragma once
+
+#include <cstddef>
+#include <vector>
+
+#include "checker/lin_solver.hpp"
+
+namespace rlt::checker {
+
+class Frontier {
+ public:
+  /// The solver's per-call limit (one bit per op).  A window at this size
+  /// cannot take another op and still be solved.
+  static constexpr std::size_t kMaxOps = 64;
+
+  /// An empty window whose pre-window value is `initial`.
+  explicit Frontier(Value initial = 0) : initial_values_{initial} {}
+
+  /// Adds an invocation and returns its window id.  `caller_id` is the
+  /// caller's own id for the op; `value` is the written value for writes
+  /// and ignored for reads.
+  int invoke(int caller_id, history::ProcessId process, OpKind kind,
+             Value value, Time now);
+
+  /// Completes open window op `window_id` at `now` (reads: returning
+  /// `result`).
+  void respond(int window_id, Value result, Time now);
+
+  [[nodiscard]] const History& window() const noexcept { return window_; }
+  [[nodiscard]] int window_id_of(int caller_id) const;
+  [[nodiscard]] int caller_id_of(int window_id) const;
+
+  /// Window ops invoked but not yet responded.
+  [[nodiscard]] int open() const noexcept { return open_; }
+
+  /// The values the register may hold before the window (one value until
+  /// a collapse keeps several open).
+  [[nodiscard]] const std::vector<Value>& initial_values() const noexcept {
+    return initial_values_;
+  }
+
+  /// A free-order problem over the window from the pre-window values.
+  [[nodiscard]] LinProblem problem() const;
+
+  /// Retires the window (see the file comment); requires no open op.
+  /// `values` must not be empty.
+  void collapse(std::vector<Value> values);
+
+ private:
+  History window_;
+  std::vector<int> caller_ids_;  ///< window id -> caller id
+  std::vector<Value> initial_values_;
+  int open_ = 0;
+};
+
+}  // namespace rlt::checker

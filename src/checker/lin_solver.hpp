@@ -21,9 +21,8 @@
 // Complexity: worst-case exponential (register linearizability with
 // duplicate values is NP-hard in general), tamed by memoizing failed
 // (placed-set, register-value) states.  The solver supports at most 64
-// operations per call; callers keep windows small (see
-// `feasible_final_values`, used by the simulator to collapse quiescent
-// history).
+// operations per call; on-line callers keep windows small by collapsing
+// them at quiescence (frontier.hpp).
 //
 // Fast path: the context build precomputes per-op predecessor bitmasks,
 // so the availability rule above costs one AND per candidate per DFS

@@ -1,67 +1,20 @@
 #include "checker/stream_checker.hpp"
 
 #include <sstream>
-#include <utility>
 
 #include "util/assert.hpp"
 
 namespace rlt::checker {
 
 using history::Event;
-using history::kNoTime;
 using history::OpRecord;
 using history::ProcessId;
 using history::RegisterId;
 
-StreamingChecker::StreamingChecker(StreamCheckerOptions options)
-    : options_(options) {
-  if (options_.max_live_ops > 64) options_.max_live_ops = 64;
-  if (options_.max_live_ops == 0) options_.max_live_ops = 1;
-}
-
 void StreamingChecker::set_initial(RegisterId reg, Value v) {
-  RLT_CHECK_MSG(lanes_.find(reg) == lanes_.end(),
-                "set_initial after events on register " << reg);
-  initial_config_[reg] = v;
-}
-
-StreamingChecker::Lane& StreamingChecker::lane_for(RegisterId reg) {
-  const auto it = lanes_.find(reg);
-  if (it != lanes_.end()) return it->second;
-  Lane& lane = lanes_[reg];
-  const auto cfg = initial_config_.find(reg);
-  lane.initials = {cfg != initial_config_.end() ? cfg->second : Value{0}};
-  return lane;
-}
-
-bool StreamingChecker::window_feasible(const Lane& lane) {
-  LinProblem p;
-  p.history = &lane.window;
-  p.initial_values = lane.initials;
-  p.prune = options_.prune;
-  ++solver_calls_;
-  return feasible(p);
-}
-
-void StreamingChecker::collapse(Lane& lane) {
-  LinProblem p;
-  p.history = &lane.window;
-  p.initial_values = lane.initials;
-  p.prune = options_.prune;
-  std::set<Value> finals = feasible_final_values(p);
-  // The per-event invariant (reads checked at response, invocations and
-  // write responses cannot flip feasibility) makes an empty set
-  // impossible here; treat it as the violation it would denote anyway
-  // rather than poisoning the next window with an empty initial set.
-  if (finals.empty()) {
-    violation_event_ = static_cast<std::int64_t>(events_) - 1;
-    return;
-  }
-  ++collapses_;
-  retired_ops_ += lane.window.size();
-  live_ops_ -= lane.window.size();
-  lane.window = History();
-  lane.initials.assign(finals.begin(), finals.end());
+  const bool fresh = frontiers_.emplace(reg, Frontier(v)).second;
+  RLT_CHECK_MSG(fresh, "set_initial twice or after events on register "
+                           << reg);
 }
 
 void StreamingChecker::fail_limit(const std::string& what) {
@@ -83,24 +36,16 @@ int StreamingChecker::on_invoke(ProcessId process, RegisterId reg, OpKind kind,
   last_time_ = now;
   saw_event_ = true;
 
-  Lane& lane = lane_for(reg);
-  if (lane.window.size() >= options_.max_live_ops) {
+  Frontier& f = frontiers_[reg];  // initial value 0 unless set_initial
+  if (f.window().size() >= Frontier::kMaxOps) {
     std::ostringstream os;
     os << "register " << reg << " live window would exceed "
-       << options_.max_live_ops << " ops (no quiescent point to retire at)";
+       << Frontier::kMaxOps << " ops (no quiescent point to retire at)";
     fail_limit(os.str());
     return id;
   }
-  OpRecord op;
-  op.process = process;
-  op.reg = reg;
-  op.kind = kind;
-  op.value = kind == OpKind::kWrite ? value : Value{0};
-  op.invoke = now;
-  op.response = kNoTime;
-  const int window_id = lane.window.add(op);
-  open_ops_[id] = OpenRef{reg, window_id};
-  ++lane.open;
+  f.invoke(id, process, kind, value, now);
+  open_ops_[id] = reg;
   ++live_ops_;
   if (live_ops_ > peak_live_ops_) peak_live_ops_ = live_ops_;
   // Invocations never flip feasibility: a pending read is never placed,
@@ -127,22 +72,41 @@ void StreamingChecker::on_response(int id, Value result, Time now) {
   }
   last_time_ = now;
 
-  const OpenRef ref = ref_it->second;
+  Frontier& f = frontiers_.at(ref_it->second);
   open_ops_.erase(ref_it);
-  Lane& lane = lanes_.at(ref.reg);
-  lane.window.complete_op(ref.window_id, result, now);
-  --lane.open;
+  const int wid = f.window_id_of(id);
+  f.respond(wid, result, now);
+  const auto probe = [&] {
+    LinProblem p = f.problem();
+    p.prune = options_.prune;
+    return p;
+  };
 
   // Only a read response can make a feasible window infeasible: the
   // response is the latest event in the window, so a newly completed
   // write appends to any existing witness unchanged.
-  if (lane.window.op(ref.window_id).is_read() && !window_feasible(lane)) {
+  if (f.window().op(wid).is_read()) {
+    ++solver_calls_;
+    if (!feasible(probe())) {
+      violation_event_ = static_cast<std::int64_t>(events_) - 1;
+      return;
+    }
+  }
+  if (f.open() != 0) return;
+  // Quiescent point: retire the window behind the frontier.
+  const std::set<Value> finals = feasible_final_values(probe());
+  // The per-event invariant (reads checked at response, invocations and
+  // write responses cannot flip feasibility) makes an empty set
+  // impossible here; treat it as the violation it would denote anyway
+  // rather than poisoning the next window with an empty initial set.
+  if (finals.empty()) {
     violation_event_ = static_cast<std::int64_t>(events_) - 1;
     return;
   }
-  // Quiescent point: every window op precedes every future op on this
-  // register — retire the window behind the frontier.
-  if (lane.open == 0) collapse(lane);
+  ++collapses_;
+  retired_ops_ += f.window().size();
+  live_ops_ -= f.window().size();
+  f.collapse({finals.begin(), finals.end()});
 }
 
 StreamingChecker check_stream(const History& h, StreamCheckerOptions options) {

@@ -5,25 +5,17 @@
 // unbounded executions, and the ROADMAP's line-rate goal needs a checker
 // that keeps up with a *stream* of events.  `StreamingChecker` accepts
 // invocation/response events one at a time (strictly increasing times)
-// and maintains, per register, an incremental frontier:
+// and keeps one `Frontier` (frontier.hpp) per register: a live window of
+// operations not yet retired, plus the values the register may hold
+// before it.
 //
-//  * a live *window* of operations not yet provably linearized — a plain
-//    `History` restricted to that register, fed to the backtracking
-//    solver (`lin_solver.hpp`) with the window's allowed initial values;
-//  * a set of allowed *initial values* summarizing everything behind the
-//    frontier: exactly the feasible final register values of the retired
-//    prefix (`feasible_final_values`).
-//
-// Retirement happens at per-register quiescent points: the moment a
-// register has no open operation, every window op real-time-precedes
-// every future op on that register, so any linearization of the suffix
-// can be appended to any linearization of the window.  The window is
-// collapsed to its feasible-final-value set and its operations retire
-// from the bitmask universe — live state stays bounded by the register's
-// maximum overlap degree, independent of stream length.  This is the
-// same collapse the simulator's `WindowedModel` performs, generalized to
-// arbitrary recorded streams and multiple registers (correct for the
-// whole history by the locality theorem: each register is checked
+// At each per-register quiescent point the window collapses to its
+// feasible final values (`feasible_final_values`); frontier.hpp states
+// why that is sound.  Live state stays bounded by the ops between two
+// quiescent points, independent of stream length.  The simulator's
+// interval register models keep the same frontier; here it runs over
+// arbitrary recorded streams and several registers, which is correct for
+// the whole history by the locality theorem (each register is checked
 // independently).
 //
 // The solver runs only at *read responses*.  Invocations add an op the
@@ -41,18 +33,17 @@
 // pending (crashed / stalled) operations.  After a violation the checker
 // latches: counters keep counting, state stops evolving.
 //
-// Limits are reported through `error()`, separate from verdicts: windows
-// outgrow `max_live_ops` (or the solver's 64-op ceiling) only when a
-// register never quiesces, in which case the stream is *unvalidated*,
-// not wrong.
+// Limits are reported through `error()`, separate from verdicts: a
+// window outgrows the solver's 64-op ceiling (`Frontier::kMaxOps`) only
+// when a register never quiesces, in which case the stream is
+// *unvalidated*, not wrong.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
-#include "checker/lin_solver.hpp"
+#include "checker/frontier.hpp"
 
 namespace rlt::checker {
 
@@ -60,17 +51,15 @@ struct StreamCheckerOptions {
   /// Dominance pruning in the underlying solver (see lin_solver.hpp).
   /// Off only for A/B comparisons; verdict-preserving either way.
   bool prune = true;
-  /// Hard cap on any one register's live window, clamped to the solver's
-  /// 64-op ceiling.  Exceeding it latches an error (not a violation).
-  std::size_t max_live_ops = 64;
 };
 
 class StreamingChecker {
  public:
-  explicit StreamingChecker(StreamCheckerOptions options = {});
+  explicit StreamingChecker(StreamCheckerOptions options = {})
+      : options_(options) {}
 
   /// Register initial value (Definition 2, property 3); defaults to 0.
-  /// Must be called before the register's first event.
+  /// At most once per register, before the register's first event.
   void set_initial(history::RegisterId reg, Value v);
 
   /// Feeds an invocation event; returns the operation's stream id (pass
@@ -115,27 +104,13 @@ class StreamingChecker {
   [[nodiscard]] std::uint64_t collapses() const noexcept { return collapses_; }
 
  private:
-  /// Per-register incremental frontier.
-  struct Lane {
-    History window;                 ///< Ops not yet retired (base reg ids).
-    std::vector<Value> initials;    ///< Allowed pre-window values.
-    int open = 0;                   ///< Invoked-but-unresponded window ops.
-  };
-  struct OpenRef {
-    history::RegisterId reg = -1;
-    int window_id = -1;  ///< Op id within the lane's window history.
-  };
-
   [[nodiscard]] bool frozen() const noexcept { return !ok(); }
-  Lane& lane_for(history::RegisterId reg);
-  [[nodiscard]] bool window_feasible(const Lane& lane);
-  void collapse(Lane& lane);
   void fail_limit(const std::string& what);
 
   StreamCheckerOptions options_;
-  std::map<history::RegisterId, Value> initial_config_;
-  std::map<history::RegisterId, Lane> lanes_;
-  std::map<int, OpenRef> open_ops_;  ///< Stream id -> live window op.
+  /// Per register; caller ids are stream ids.
+  std::map<history::RegisterId, Frontier> frontiers_;
+  std::map<int, history::RegisterId> open_ops_;  ///< Stream id -> register.
   int next_id_ = 0;
   Time last_time_ = 0;
   bool saw_event_ = false;

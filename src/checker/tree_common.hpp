@@ -1,6 +1,8 @@
 // Internal helpers shared by the write strong-linearizability and strong
 // linearizability tree checkers: stable operation identities across runs
 // that share a prefix, and event signatures for prefix-tree construction.
+// The simulator's WSL register model (sim/wsl_model.cpp) also uses the
+// ordered-selection enumerator, for its commitment menus.
 //
 // Not part of the public API.
 #pragma once
@@ -155,11 +157,11 @@ inline std::vector<std::vector<int>> prefix_tree_nodes(
 /// returns true and propagates the result.  `fn` is also called on every
 /// proper prefix of longer selections.  Statically dispatched (`Fn` is a
 /// template parameter, not std::function): this runs inside the factorial
-/// part of the tree search.
-template <typename Fn>
-bool for_each_ordered_selection(const std::vector<OpKey>& candidates,
+/// part of the tree search and of the WSL model's commitment menus.
+template <typename T, typename Fn>
+bool for_each_ordered_selection(const std::vector<T>& candidates,
                                 const Fn& fn) {
-  std::vector<OpKey> current;
+  std::vector<T> current;
   current.reserve(candidates.size());
   std::uint64_t used = 0;
   const auto rec = [&](const auto& self) -> bool {

@@ -23,7 +23,8 @@
 // f(G) to its last "forced" write (a completed write, or a write whose
 // value a completed read returned) yields a monotone family reachable by
 // lazy decisions; conversely exhausting all lazy paths proves no f exists.
-// (See DESIGN.md §5 and the module tests for the full argument.)
+// (That is the whole argument; tests/checker_test.cpp and
+// tests/property_test.cpp exercise the checker.)
 #pragma once
 
 #include <string>

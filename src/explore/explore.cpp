@@ -605,68 +605,12 @@ ExploreSummary run_explore(const ExploreOptions& o,
 
 // ---- persisted-record parsing (the --replay path) -----------------------
 
-namespace {
-
-std::optional<std::string> field_str(const std::string& line,
-                                     const std::string& name) {
-  const std::string needle = "\"" + name + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t begin = at + needle.size();
-  std::string out;
-  for (std::size_t i = begin; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '"') return out;
-    if (c == '\\') return std::nullopt;  // no escapes in replayable fields
-    out += c;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> field_u64(const std::string& line,
-                                       const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t i = at + needle.size();
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') return std::nullopt;
-  std::uint64_t v = 0;
-  for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
-    v = v * 10 + static_cast<std::uint64_t>(line[i] - '0');
-  }
-  return v;
-}
-
-std::optional<bool> field_bool(const std::string& line,
-                               const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  if (line.compare(at + needle.size(), 4, "true") == 0) return true;
-  if (line.compare(at + needle.size(), 5, "false") == 0) return false;
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> field_hex(const std::string& line,
-                                       const std::string& name) {
-  const std::optional<std::string> s = field_str(line, name);
-  if (!s || s->size() < 3 || s->compare(0, 2, "0x") != 0) return std::nullopt;
-  std::uint64_t v = 0;
-  for (std::size_t i = 2; i < s->size(); ++i) {
-    const char c = (*s)[i];
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = 10 + (c - 'a');
-    else return std::nullopt;
-    v = (v << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return v;
-}
-
-}  // namespace
-
 std::optional<PersistedTrace> parse_explore_record(const std::string& line,
                                                    std::string* error) {
+  using sweep::field_bool;
+  using sweep::field_hex;
+  using sweep::field_str;
+  using sweep::field_u64;
   const auto fail = [&](const std::string& why) -> std::optional<PersistedTrace> {
     if (error != nullptr) *error = why;
     return std::nullopt;

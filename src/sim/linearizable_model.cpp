@@ -20,8 +20,8 @@ namespace {
 class LinearizableModel final : public WindowedModel {
  public:
   std::vector<ResponseChoice> response_choices(int op_id, Time now) override {
-    const int wid = window_id_of(op_id);
-    const history::OpRecord& op = window().op(wid);
+    const int wid = frontier_.window_id_of(op_id);
+    const history::OpRecord& op = frontier_.window().op(wid);
     std::vector<ResponseChoice> choices;
     if (op.is_write()) {
       // Completing a write never constrains the past: every linearization
@@ -34,15 +34,17 @@ class LinearizableModel final : public WindowedModel {
       choices.push_back(std::move(c));
       return choices;
     }
-    // Reads: any value with a feasible linearization.
-    std::set<Value> candidates(initial_values().begin(),
-                               initial_values().end());
-    for (const history::OpRecord& w : window().ops()) {
+    // Reads: any value with a feasible linearization, probed through the
+    // solver's completion overlay (no window copy).
+    const std::vector<Value>& pre = frontier_.initial_values();
+    std::set<Value> candidates(pre.begin(), pre.end());
+    for (const history::OpRecord& w : frontier_.window().ops()) {
       if (w.is_write()) candidates.insert(w.value);
     }
+    checker::LinProblem probe = frontier_.problem();
     for (const Value v : candidates) {
-      if (feasible_with_completion(wid, v, now,
-                                   checker::WriteOrderMode::kFree, {})) {
+      probe.completion = checker::LinProblem::Completion{wid, v, now};
+      if (checker::feasible(probe)) {
         ResponseChoice c;
         c.value = v;
         c.label = "read->" + std::to_string(v);
@@ -56,9 +58,11 @@ class LinearizableModel final : public WindowedModel {
 
   [[nodiscard]] std::string describe() const override {
     std::ostringstream os;
-    os << "linearizable{window=" << window().size() << " ops, pre-window in {";
-    for (std::size_t i = 0; i < initial_values().size(); ++i) {
-      os << (i == 0 ? "" : ",") << initial_values()[i];
+    const std::vector<Value>& pre = frontier_.initial_values();
+    os << "linearizable{window=" << frontier_.window().size()
+       << " ops, pre-window in {";
+    for (std::size_t i = 0; i < pre.size(); ++i) {
+      os << (i == 0 ? "" : ",") << pre[i];
     }
     os << "}}";
     return os.str();
@@ -71,12 +75,12 @@ class LinearizableModel final : public WindowedModel {
                   "linearizable registers have no committed write order");
   }
 
-  void collapse_hook() override {
+  std::vector<Value> collapse_values() override {
     const std::set<Value> finals =
-        window_final_values(checker::WriteOrderMode::kFree, {});
+        checker::feasible_final_values(frontier_.problem());
     RLT_CHECK_MSG(!finals.empty(),
                   "quiescent window has no feasible final value — bug");
-    initial_values_.assign(finals.begin(), finals.end());
+    return {finals.begin(), finals.end()};
   }
 };
 

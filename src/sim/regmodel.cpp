@@ -8,24 +8,15 @@
 namespace rlt::sim {
 
 void WindowedModel::set_initial(Value v) {
-  RLT_CHECK_MSG(window_.empty(), "set_initial after operations began");
-  initial_values_ = {v};
-  window_.set_initial(0, v);
+  RLT_CHECK_MSG(frontier_.window().empty(),
+                "set_initial after operations began");
+  frontier_ = checker::Frontier(v);
 }
 
 std::optional<Value> WindowedModel::on_invoke(int op_id, ProcessId p,
                                               OpKind kind, Value value,
                                               Time now) {
-  history::OpRecord op;
-  op.process = p;
-  op.reg = 0;  // window histories are single-register by construction
-  op.kind = kind;
-  op.value = kind == OpKind::kWrite ? value : Value{0};
-  op.invoke = now;
-  const int wid = window_.add(op);
-  RLT_CHECK_MSG(wid == static_cast<int>(window_to_global_.size()),
-                "window id bookkeeping out of sync");
-  window_to_global_.push_back(op_id);
+  frontier_.invoke(op_id, p, kind, value, now);
 
   PendingOpInfo info;
   info.op_id = op_id;
@@ -39,10 +30,10 @@ std::optional<Value> WindowedModel::on_invoke(int op_id, ProcessId p,
 
 Value WindowedModel::on_respond(int op_id, const ResponseChoice& choice,
                                 Time now) {
-  const int wid = window_id_of(op_id);
-  const history::OpRecord op = window_.op(wid);
+  const int wid = frontier_.window_id_of(op_id);
+  const history::OpRecord op = frontier_.window().op(wid);
   apply_choice(wid, choice);
-  window_.complete_op(wid, choice.value, now);
+  frontier_.respond(wid, choice.value, now);
   const auto it =
       std::find_if(pending_.begin(), pending_.end(),
                    [op_id](const PendingOpInfo& p) { return p.op_id == op_id; });
@@ -56,49 +47,8 @@ const std::vector<PendingOpInfo>& WindowedModel::pending() const {
 }
 
 void WindowedModel::maybe_collapse() {
-  if (!pending_.empty() || window_.empty()) return;
-  collapse_hook();
-  window_ = history::History{};
-  window_.set_initial(0, initial_values_.front());
-  window_to_global_.clear();
-}
-
-int WindowedModel::window_id_of(int global_op_id) const {
-  for (std::size_t i = 0; i < window_to_global_.size(); ++i) {
-    if (window_to_global_[i] == global_op_id) return static_cast<int>(i);
-  }
-  RLT_CHECK_MSG(false, "op " << global_op_id << " not in window");
-  return -1;
-}
-
-int WindowedModel::global_id_of(int window_id) const {
-  RLT_CHECK(window_id >= 0 &&
-            window_id < static_cast<int>(window_to_global_.size()));
-  return window_to_global_[static_cast<std::size_t>(window_id)];
-}
-
-std::set<Value> WindowedModel::window_final_values(
-    checker::WriteOrderMode mode, const std::vector<int>& exact) const {
-  checker::LinProblem problem;
-  problem.history = &window_;
-  problem.mode = mode;
-  problem.exact_write_order = exact;
-  problem.initial_values = initial_values_;
-  return checker::feasible_final_values(problem);
-}
-
-bool WindowedModel::feasible_with_completion(
-    int window_id, Value read_value, Time now, checker::WriteOrderMode mode,
-    const std::vector<int>& exact_window_order) const {
-  // What-if probe via the solver's completion overlay: no window copy.
-  checker::LinProblem problem;
-  problem.history = &window_;
-  problem.mode = mode;
-  problem.exact_write_order = exact_window_order;
-  problem.initial_values = initial_values_;
-  problem.completion =
-      checker::LinProblem::Completion{window_id, read_value, now};
-  return checker::feasible(problem);
+  if (frontier_.open() != 0 || frontier_.window().empty()) return;
+  frontier_.collapse(collapse_values());
 }
 
 std::optional<Value> AtomicModel::on_invoke(int /*op_id*/, ProcessId /*p*/,

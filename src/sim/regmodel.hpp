@@ -13,7 +13,8 @@
 //    append-only *committed write sequence*: a write must be committed no
 //    later than its response, and every response choice must admit a
 //    linearization whose write subsequence is exactly the committed
-//    sequence (Definition 4 made operational; see DESIGN.md §5).
+//    sequence (Definition 4 made operational; wsl_model.cpp has the
+//    details).
 //
 // Complexity note: the WSL model's response-choice menu for a write
 // enumerates every ordered commitment batch over the currently
@@ -23,13 +24,12 @@
 // explode; adversaries should respond writes promptly (the paper's
 // schedules all do), and tests keep concurrent-writer counts small.
 //
-// Models keep a *window* of recent operations plus a set of possible
-// pre-window values.  When a register becomes quiescent (no pending ops)
-// the window is collapsed into the set of feasible final values, keeping
-// solver calls small even in unbounded executions (Theorem 6's infinite
-// run).  Collapsing is sound because every pre-collapse operation
-// real-time-precedes every post-collapse one, so the only information the
-// future needs is the set of values the register may still hold.
+// The interval models keep one `checker::Frontier` each: a window of
+// recent operations plus the values the register may hold before it.
+// When the register becomes quiescent (no pending ops) the window
+// collapses, which keeps solver calls small even in unbounded executions
+// (Theorem 6's infinite run).  checker/frontier.hpp states why the
+// collapse is sound.
 #pragma once
 
 #include <memory>
@@ -37,8 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "checker/lin_solver.hpp"
-#include "history/history.hpp"
+#include "checker/frontier.hpp"
 #include "sim/types.hpp"
 
 namespace rlt::sim {
@@ -80,7 +79,7 @@ class RegisterModel {
 };
 
 /// Common machinery for interval-based models (linearizable and WSL):
-/// window history, id mapping, and quiescence collapsing.
+/// the register's frontier, keyed by global op id, and its pending ops.
 class WindowedModel : public RegisterModel {
  public:
   void set_initial(Value v) override;
@@ -92,39 +91,16 @@ class WindowedModel : public RegisterModel {
   [[nodiscard]] const std::vector<PendingOpInfo>& pending() const override;
   void maybe_collapse() override;
 
-  /// The set of values the register may hold before the current window
-  /// (singleton until a collapse preserves adversary freedom).
-  [[nodiscard]] const std::vector<Value>& initial_values() const noexcept {
-    return initial_values_;
-  }
-
  protected:
   /// Subclass hook: commitment bookkeeping etc. `window_id` is the op's
-  /// id inside `window_`.
+  /// id inside the frontier's window.
   virtual void apply_choice(int window_id, const ResponseChoice& choice) = 0;
 
-  /// Subclass hook called on collapse, before the window is cleared.
-  virtual void collapse_hook() = 0;
+  /// Subclass hook at quiescence: the values the window collapses to.
+  /// Called once per collapse, just before the window is retired.
+  virtual std::vector<Value> collapse_values() = 0;
 
-  /// Subclass access to the window.
-  [[nodiscard]] const history::History& window() const noexcept {
-    return window_;
-  }
-  [[nodiscard]] int window_id_of(int global_op_id) const;
-  [[nodiscard]] int global_id_of(int window_id) const;
-
-  /// Feasible final values of the current window under `mode`/`exact`.
-  [[nodiscard]] std::set<Value> window_final_values(
-      checker::WriteOrderMode mode, const std::vector<int>& exact) const;
-
-  /// Solves the window with an op hypothetically completed.
-  [[nodiscard]] bool feasible_with_completion(
-      int window_id, Value read_value, Time now, checker::WriteOrderMode mode,
-      const std::vector<int>& exact_window_order) const;
-
-  history::History window_;
-  std::vector<Value> initial_values_{0};
-  std::vector<int> window_to_global_;   ///< window id -> global op id
+  checker::Frontier frontier_;          ///< caller ids are global op ids
   std::vector<PendingOpInfo> pending_;  ///< keyed by global op id
 };
 

@@ -15,10 +15,10 @@
 // order of the concurrent write [1,j] now; it cannot retroactively pick
 // the order after seeing the coin.
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <sstream>
 
+#include "checker/tree_common.hpp"
 #include "sim/regmodel.hpp"
 #include "util/assert.hpp"
 
@@ -26,23 +26,32 @@ namespace rlt::sim {
 
 namespace {
 
+using checker::detail::for_each_ordered_selection;
+
 class WslModel final : public WindowedModel {
  public:
   std::vector<ResponseChoice> response_choices(int op_id, Time now) override {
-    const int wid = window_id_of(op_id);
-    const history::OpRecord& op = window().op(wid);
+    const int wid = frontier_.window_id_of(op_id);
+    const history::OpRecord& op = frontier_.window().op(wid);
     std::vector<ResponseChoice> choices;
+    // Every probe: exact write order, `op` hypothetically completed now.
+    checker::LinProblem probe = frontier_.problem();
+    probe.mode = checker::WriteOrderMode::kExact;
+    const auto feasible_with = [&](Value v, const std::vector<int>& s) {
+      probe.exact_write_order = committed_;
+      probe.exact_write_order.insert(probe.exact_write_order.end(), s.begin(),
+                                     s.end());
+      probe.completion = checker::LinProblem::Completion{wid, v, now};
+      return checker::feasible(probe);
+    };
 
     if (op.is_write()) {
       if (std::find(committed_.begin(), committed_.end(), wid) !=
           committed_.end()) {
         // Already committed (a read returned this write's value earlier
         // and forced the commitment).  Responding decides nothing more.
-        RLT_CHECK_MSG(
-            feasible_with_completion(wid, op.value, now,
-                                     checker::WriteOrderMode::kExact,
-                                     committed_),
-            "WSL model: committed write response infeasible — bug");
+        RLT_CHECK_MSG(feasible_with(op.value, {}),
+                      "WSL model: committed write response infeasible — bug");
         ResponseChoice c;
         c.value = op.value;
         c.label = "complete-committed-write";
@@ -51,21 +60,17 @@ class WslModel final : public WindowedModel {
       }
       // Enumerate ordered selections of uncommitted writes containing the
       // responding write; each selection is a candidate commitment batch.
-      for_each_selection(uncommitted_writes(), [&](const std::vector<int>& s) {
-        if (std::find(s.begin(), s.end(), wid) == s.end()) return;
-        std::vector<int> exact = committed_;
-        exact.insert(exact.end(), s.begin(), s.end());
-        if (!feasible_with_completion(wid, op.value, now,
-                                      checker::WriteOrderMode::kExact,
-                                      exact)) {
-          return;
-        }
-        ResponseChoice c;
-        c.value = op.value;
-        c.commit_extension = to_global(s);
-        c.label = "commit" + render(s);
-        choices.push_back(std::move(c));
-      });
+      for_each_ordered_selection(
+          uncommitted_writes(), [&](const std::vector<int>& s) {
+            if (std::find(s.begin(), s.end(), wid) == s.end()) return false;
+            if (!feasible_with(op.value, s)) return false;
+            ResponseChoice c;
+            c.value = op.value;
+            c.commit_extension = to_global(s);
+            c.label = "commit" + render(s);
+            choices.push_back(std::move(c));
+            return false;
+          });
       RLT_CHECK_MSG(!choices.empty(),
                     "WSL model: write has no feasible commitment — bug");
       return choices;
@@ -73,18 +78,14 @@ class WslModel final : public WindowedModel {
 
     // Reads: (value, commitment extension) pairs.  The empty extension is
     // considered too (value determined by already-committed writes).
-    std::set<Value> candidates(initial_values().begin(),
-                               initial_values().end());
-    for (const history::OpRecord& w : window().ops()) {
+    const std::vector<Value>& pre = frontier_.initial_values();
+    std::set<Value> candidates(pre.begin(), pre.end());
+    for (const history::OpRecord& w : frontier_.window().ops()) {
       if (w.is_write()) candidates.insert(w.value);
     }
     const auto try_selection = [&](const std::vector<int>& s) {
-      std::vector<int> exact = committed_;
-      exact.insert(exact.end(), s.begin(), s.end());
       for (const Value v : candidates) {
-        if (feasible_with_completion(wid, v, now,
-                                     checker::WriteOrderMode::kExact,
-                                     exact)) {
+        if (feasible_with(v, s)) {
           ResponseChoice c;
           c.value = v;
           c.commit_extension = to_global(s);
@@ -93,9 +94,10 @@ class WslModel final : public WindowedModel {
           choices.push_back(std::move(c));
         }
       }
+      return false;
     };
     try_selection({});
-    for_each_selection(uncommitted_writes(), try_selection);
+    for_each_ordered_selection(uncommitted_writes(), try_selection);
     RLT_CHECK_MSG(!choices.empty(),
                   "WSL model: read has no feasible response — bug");
     return choices;
@@ -103,29 +105,24 @@ class WslModel final : public WindowedModel {
 
   [[nodiscard]] std::string describe() const override {
     std::ostringstream os;
-    os << "wsl{window=" << window().size() << " ops, committed=[";
+    os << "wsl{window=" << frontier_.window().size() << " ops, committed=[";
     for (std::size_t i = 0; i < committed_.size(); ++i) {
-      os << (i == 0 ? "" : ",") << 'w' << global_id_of(committed_[i]);
+      os << (i == 0 ? "" : ",") << 'w' << frontier_.caller_id_of(committed_[i]);
     }
     os << "], pre-window in {";
-    for (std::size_t i = 0; i < initial_values().size(); ++i) {
-      os << (i == 0 ? "" : ",") << initial_values()[i];
+    const std::vector<Value>& pre = frontier_.initial_values();
+    for (std::size_t i = 0; i < pre.size(); ++i) {
+      os << (i == 0 ? "" : ",") << pre[i];
     }
     os << "}}";
     return os.str();
   }
 
-  /// The committed write order, as global history op ids (introspection
-  /// for adversaries and tests).
-  [[nodiscard]] std::vector<int> committed_global() const {
-    return to_global(committed_);
-  }
-
  protected:
   void apply_choice(int /*window_id*/, const ResponseChoice& choice) override {
     for (const int global : choice.commit_extension) {
-      const int wid = window_id_of(global);
-      const history::OpRecord& op = window().op(wid);
+      const int wid = frontier_.window_id_of(global);
+      const history::OpRecord& op = frontier_.window().op(wid);
       RLT_CHECK_MSG(op.is_write(), "cannot commit a read");
       RLT_CHECK_MSG(std::find(committed_.begin(), committed_.end(), wid) ==
                         committed_.end(),
@@ -134,28 +131,28 @@ class WslModel final : public WindowedModel {
     }
   }
 
-  void collapse_hook() override {
+  std::vector<Value> collapse_values() override {
     // At quiescence every write has responded, hence is committed.
     std::size_t write_count = 0;
-    for (const history::OpRecord& op : window().ops()) {
+    for (const history::OpRecord& op : frontier_.window().ops()) {
       if (op.is_write()) ++write_count;
     }
     RLT_CHECK_MSG(write_count == committed_.size(),
                   "quiescent WSL register with uncommitted writes — bug");
-    Value final_value = initial_values_.front();
-    RLT_CHECK_MSG(initial_values_.size() == 1,
+    RLT_CHECK_MSG(frontier_.initial_values().size() == 1,
                   "WSL pre-window value must be determined");
+    Value final_value = frontier_.initial_values().front();
     if (!committed_.empty()) {
-      final_value = window().op(committed_.back()).value;
+      final_value = frontier_.window().op(committed_.back()).value;
     }
-    initial_values_ = {final_value};
     committed_.clear();
+    return {final_value};
   }
 
  private:
   [[nodiscard]] std::vector<int> uncommitted_writes() const {
     std::vector<int> out;
-    for (const history::OpRecord& op : window().ops()) {
+    for (const history::OpRecord& op : frontier_.window().ops()) {
       if (op.is_write() && std::find(committed_.begin(), committed_.end(),
                                      op.id) == committed_.end()) {
         out.push_back(op.id);
@@ -167,7 +164,7 @@ class WslModel final : public WindowedModel {
   [[nodiscard]] std::vector<int> to_global(const std::vector<int>& wids) const {
     std::vector<int> out;
     out.reserve(wids.size());
-    for (const int wid : wids) out.push_back(global_id_of(wid));
+    for (const int wid : wids) out.push_back(frontier_.caller_id_of(wid));
     return out;
   }
 
@@ -176,32 +173,10 @@ class WslModel final : public WindowedModel {
     for (std::size_t i = 0; i < wids.size(); ++i) {
       if (i != 0) out += ',';
       out += 'w';
-      out += std::to_string(global_id_of(wids[i]));
+      out += std::to_string(frontier_.caller_id_of(wids[i]));
     }
     out += ']';
     return out;
-  }
-
-  /// Enumerates every non-empty ordered selection of `candidates`.
-  /// Statically dispatched: this is the factorial part of the menu build.
-  template <typename Fn>
-  static void for_each_selection(const std::vector<int>& candidates,
-                                 const Fn& fn) {
-    std::vector<int> current;
-    current.reserve(candidates.size());
-    std::uint64_t used = 0;
-    const auto rec = [&](const auto& self) -> void {
-      if (!current.empty()) fn(current);
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if ((used & (1ULL << i)) != 0) continue;
-        used |= 1ULL << i;
-        current.push_back(candidates[i]);
-        self(self);
-        current.pop_back();
-        used &= ~(1ULL << i);
-      }
-    };
-    rec(rec);
   }
 
   std::vector<int> committed_;  ///< window ids, committed order

@@ -65,115 +65,9 @@ Record shard_trailer_record(const ShardSpec& shard, std::uint64_t records,
 
 // ---- merge: parse shard stores, re-fold in global order -----------------
 //
-// The parsers below read back the canonical JSONL this repo's Record
-// class writes: fields in insertion order, strings escaped per RFC 8259.
-// They search by `"name":` needle — safe because every quote inside a
-// value is escaped (`\"`), so a needle can never match inside a value —
-// and fully unescape string fields, because the fold must see exactly
-// the strings the original fold saw.
+// Records are read back with store.hpp's field readers.
 
 namespace {
-
-[[nodiscard]] std::optional<std::string> field_str(const std::string& line,
-                                                   const std::string& name) {
-  const std::string needle = "\"" + name + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::string out;
-  std::size_t i = at + needle.size();
-  while (i < line.size()) {
-    const char c = line[i];
-    if (c == '"') return out;
-    if (c != '\\') {
-      out += c;
-      ++i;
-      continue;
-    }
-    if (i + 1 >= line.size()) return std::nullopt;
-    const char e = line[i + 1];
-    switch (e) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 5 >= line.size()) return std::nullopt;
-        unsigned v = 0;
-        for (std::size_t k = i + 2; k < i + 6; ++k) {
-          const char h = line[k];
-          v <<= 4;
-          if (h >= '0' && h <= '9') {
-            v |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            v |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            v |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return std::nullopt;
-          }
-        }
-        // The writer only \u-escapes control characters; anything wider
-        // is not a record this repo produced.
-        if (v > 0xFF) return std::nullopt;
-        out += static_cast<char>(v);
-        i += 4;
-        break;
-      }
-      default: return std::nullopt;
-    }
-    i += 2;
-  }
-  return std::nullopt;
-}
-
-[[nodiscard]] std::optional<std::uint64_t> field_u64(const std::string& line,
-                                                     const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t i = at + needle.size();
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') return std::nullopt;
-  std::uint64_t v = 0;
-  while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(line[i] - '0');
-    ++i;
-  }
-  return v;
-}
-
-[[nodiscard]] std::optional<bool> field_bool(const std::string& line,
-                                             const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t i = at + needle.size();
-  if (line.compare(i, 4, "true") == 0) return true;
-  if (line.compare(i, 5, "false") == 0) return false;
-  return std::nullopt;
-}
-
-[[nodiscard]] std::optional<std::uint64_t> field_hex(const std::string& line,
-                                                     const std::string& name) {
-  const auto s = field_str(line, name);
-  if (!s || s->size() < 3 || s->compare(0, 2, "0x") != 0) return std::nullopt;
-  std::uint64_t v = 0;
-  for (std::size_t i = 2; i < s->size(); ++i) {
-    const char h = (*s)[i];
-    v <<= 4;
-    if (h >= '0' && h <= '9') {
-      v |= static_cast<std::uint64_t>(h - '0');
-    } else if (h >= 'a' && h <= 'f') {
-      v |= static_cast<std::uint64_t>(h - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return v;
-}
 
 /// "term/<family>/…" → the Family enumerator.
 [[nodiscard]] std::optional<term::Family> family_from_key(

@@ -31,6 +31,105 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// 0–15 for a hex digit (lowercase, or either case if `upper_ok`), else -1.
+int hex_digit(char c, bool upper_ok) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (upper_ok && c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+}  // namespace
+
+std::optional<std::string> field_str(const std::string& line,
+                                     const std::string& name) {
+  const std::string needle = "\"" + name + "\":\"";
+  const std::size_t at = line.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  std::string out;
+  std::size_t i = at + needle.size();
+  while (i < line.size()) {
+    const char c = line[i];
+    if (c == '"') return out;
+    if (c != '\\') {
+      out += c;
+      ++i;
+      continue;
+    }
+    if (i + 1 >= line.size()) return std::nullopt;
+    switch (line[i + 1]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        if (i + 5 >= line.size()) return std::nullopt;
+        unsigned v = 0;
+        for (std::size_t k = i + 2; k < i + 6; ++k) {
+          const int d = hex_digit(line[k], /*upper_ok=*/true);
+          if (d < 0) return std::nullopt;
+          v = (v << 4) | static_cast<unsigned>(d);
+        }
+        // The writer only \u-escapes control characters; anything wider
+        // is not a record this repo produced.
+        if (v > 0xFF) return std::nullopt;
+        out += static_cast<char>(v);
+        i += 4;
+        break;
+      }
+      default: return std::nullopt;
+    }
+    i += 2;
+  }
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> field_u64(const std::string& line,
+                                       const std::string& name) {
+  const std::string needle = "\"" + name + "\":";
+  const std::size_t at = line.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  std::size_t i = at + needle.size();
+  if (i >= line.size() || line[i] < '0' || line[i] > '9') return std::nullopt;
+  std::uint64_t v = 0;
+  for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
+    const auto d = static_cast<std::uint64_t>(line[i] - '0');
+    if (v > (UINT64_MAX - d) / 10) return std::nullopt;
+    v = v * 10 + d;
+  }
+  return v;
+}
+
+std::optional<bool> field_bool(const std::string& line,
+                               const std::string& name) {
+  const std::string needle = "\"" + name + "\":";
+  const std::size_t at = line.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  const std::size_t i = at + needle.size();
+  if (line.compare(i, 4, "true") == 0) return true;
+  if (line.compare(i, 5, "false") == 0) return false;
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> field_hex(const std::string& line,
+                                       const std::string& name) {
+  const auto s = field_str(line, name);
+  if (!s || s->size() < 3 || s->compare(0, 2, "0x") != 0) return std::nullopt;
+  std::uint64_t v = 0;
+  for (std::size_t i = 2; i < s->size(); ++i) {
+    const int d = hex_digit((*s)[i], /*upper_ok=*/false);
+    if (d < 0 || (v >> 60) != 0) return std::nullopt;
+    v = (v << 4) | static_cast<std::uint64_t>(d);
+  }
+  return v;
+}
+
 void Record::begin_field(std::string_view field) {
   if (!body_.empty()) body_ += ',';
   body_ += json_escape(field);

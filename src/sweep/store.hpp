@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -42,6 +43,23 @@ class Record {
 
 /// Escapes `s` as a JSON string literal (including the quotes).
 [[nodiscard]] std::string json_escape(std::string_view s);
+
+// Readers for one record line as `Record::json` writes it (the --merge
+// and --replay inputs).  Each returns field `name`'s value, or nullopt
+// when the field is absent, has another type, is malformed, or (numbers)
+// does not fit in 64 bits: store files are outside input.  Fields are
+// found by their `"name":` needle, which is safe because every quote
+// inside a string value is escaped.  String values come back fully
+// unescaped, so a fold sees exactly the strings the writer saw.
+[[nodiscard]] std::optional<std::string> field_str(const std::string& line,
+                                                   const std::string& name);
+[[nodiscard]] std::optional<std::uint64_t> field_u64(const std::string& line,
+                                                     const std::string& name);
+[[nodiscard]] std::optional<bool> field_bool(const std::string& line,
+                                             const std::string& name);
+/// A `Record::hex` field ("0x" and at most 16 lowercase hex digits).
+[[nodiscard]] std::optional<std::uint64_t> field_hex(const std::string& line,
+                                                     const std::string& name);
 
 /// Where per-scenario records go.  `append` is called in enumeration
 /// order, exactly once per scenario, one call at a time — possibly while

@@ -8,7 +8,8 @@
 // sweep kinds (safety, term, explore).  Also the loud-failure contract:
 // a merge over an incomplete, duplicated, mismatched, or corrupted shard
 // set must throw with the offending shard named, never produce a
-// plausible-looking partial aggregate.
+// plausible-looking partial aggregate.  Last, the store-record field
+// reader that --merge and --replay parse records with.
 
 #include <cstdint>
 #include <stdexcept>
@@ -19,6 +20,7 @@
 
 #include "explore/explore.hpp"
 #include "sweep/shard.hpp"
+#include "sweep/store.hpp"
 #include "sweep/sweep.hpp"
 #include "term/term_sweep.hpp"
 
@@ -354,6 +356,29 @@ TEST_F(ShardMergeRejection, UnshardedStoreIsNotAShardStore) {
 TEST_F(ShardMergeRejection, EmptyShardSetIsRejected) {
   const std::string err = merge_error({});
   EXPECT_FALSE(err.empty());
+}
+
+// ---------------------------------------------------- store field reader ---
+
+TEST(StoreFieldReader, RoundTripsRecordsAndRejectsOverflow) {
+  const std::string detail = std::string("say \"hi\" \\ a\nb") + '\x01' + "!";
+  Record r;
+  r.str("detail", detail)
+      .u64("gi", UINT64_MAX)
+      .hex("digest", 0xfedcba9876543210ULL)
+      .boolean("ok", true);
+  const std::string line = r.json();
+  EXPECT_EQ(field_str(line, "detail"), detail);
+  EXPECT_EQ(field_u64(line, "gi"), UINT64_MAX);
+  EXPECT_EQ(field_hex(line, "digest"), 0xfedcba9876543210ULL);
+  EXPECT_EQ(field_bool(line, "ok"), true);
+  EXPECT_FALSE(field_u64(line, "missing").has_value());
+  // Store files are outside input: a value that does not fit in 64 bits
+  // is rejected, never wrapped (2^64 used to read as 0) or truncated (a
+  // 17th hex digit used to drop the top one).
+  EXPECT_FALSE(field_u64(R"({"gi":18446744073709551616})", "gi").has_value());
+  EXPECT_FALSE(
+      field_hex(R"({"digest":"0x1fedcba9876543210"})", "digest").has_value());
 }
 
 }  // namespace

@@ -220,12 +220,15 @@ TEST(StreamChecker, UnknownOpIdLatchesAnError) {
 }
 
 TEST(StreamChecker, WindowOverflowLatchesAnError) {
-  StreamCheckerOptions opt;
-  opt.max_live_ops = 2;
-  StreamingChecker c(opt);
-  (void)c.on_invoke(0, 0, OpKind::kWrite, 1, 1);
-  (void)c.on_invoke(1, 0, OpKind::kWrite, 2, 2);
-  (void)c.on_invoke(2, 0, OpKind::kWrite, 3, 3);  // third concurrent op
+  // The solver takes at most 64 ops per register, so a register that
+  // never quiesces can hold 64 concurrent ops and no more.
+  StreamingChecker c;
+  for (int i = 0; i < 64; ++i) {
+    (void)c.on_invoke(i, 0, OpKind::kWrite, i, static_cast<Time>(i + 1));
+  }
+  EXPECT_TRUE(c.ok());
+  EXPECT_EQ(c.live_ops(), 64u);
+  (void)c.on_invoke(64, 0, OpKind::kWrite, 64, 65);  // 65th concurrent op
   EXPECT_FALSE(c.ok());
   EXPECT_NE(c.error().find("window"), std::string::npos);
   EXPECT_EQ(c.first_violation_event(), -1);
