@@ -38,9 +38,9 @@ namespace rlt::checker {
 
 class Frontier {
  public:
-  /// The solver's per-call limit (one bit per op).  A window at this size
-  /// cannot take another op and still be solved.
-  static constexpr std::size_t kMaxOps = 64;
+  /// The solver's per-call limit.  A window at this size cannot take
+  /// another op and still be solved.
+  static constexpr std::size_t kMaxOps = kMaxSolverOps;
 
   /// An empty window whose pre-window value is `initial`.
   explicit Frontier(Value initial = 0) : initial_values_{initial} {}

@@ -37,21 +37,21 @@ struct SolveContext {
   std::uint64_t placeable_mask = 0;  // ops that may ever be placed
   std::uint64_t write_mask = 0;      // placeable writes
   std::uint64_t all_writes_mask = 0; // every write included in the view
-  /// Per op id: completed predecessors.  Inline (no heap): n <= 64.
-  std::array<std::uint64_t, 64> pred{};
+  /// Per op id: completed predecessors.  Inline (no heap).
+  std::array<std::uint64_t, kMaxSolverOps> pred{};
   /// Placeable reads grouped by returned value, sorted by value; inline.
-  std::array<std::pair<Value, std::uint64_t>, 64> reads_by_value{};
+  std::array<std::pair<Value, std::uint64_t>, kMaxSolverOps> reads_by_value{};
   int nread_groups = 0;
   /// Placeable writes grouped by written value, sorted by value; inline.
   /// Consulted by the doomed-state prune.
-  std::array<std::pair<Value, std::uint64_t>, 64> writes_by_value{};
+  std::array<std::pair<Value, std::uint64_t>, kMaxSolverOps> writes_by_value{};
   int nwrite_groups = 0;
   /// Response time of every completed op (completion overlay applied);
   /// the accept shortcut orders remaining free-mode writes by it.
-  std::array<Time, 64> resp{};
+  std::array<Time, kMaxSolverOps> resp{};
   /// kExact only: exact_suffix[i] = ops of exact[i..] as a bitmask — the
   /// writes still placeable once `exact_next` reaches `i`.
-  std::array<std::uint64_t, 65> exact_suffix{};
+  std::array<std::uint64_t, kMaxSolverOps + 1> exact_suffix{};
   bool prune = true;
   /// Allowed pre-history values: caller-supplied list, or the register's
   /// initial value.
@@ -228,7 +228,7 @@ struct SolveContext {
       return true;
     }
     std::uint64_t rem = must_place_mask & ~mask;  // completed writes only
-    std::array<int, 64> by_resp{};
+    std::array<int, kMaxSolverOps> by_resp{};
     int nrem = 0;
     while (rem != 0) {
       const int id = std::countr_zero(rem);
@@ -256,8 +256,9 @@ SolveContext make_context(const LinProblem& problem) {
   RLT_CHECK(problem.history != nullptr);
   const History& h = *problem.history;
   const auto reg = single_register_of(h);
-  RLT_CHECK_MSG(h.size() <= 64, "solver supports at most 64 ops, got "
-                                    << h.size());
+  RLT_CHECK_MSG(h.size() <= kMaxSolverOps,
+                "solver supports at most " << kMaxSolverOps << " ops, got "
+                                           << h.size());
   SolveContext ctx;
   ctx.view = HistoryView(h, problem.cutoff);
   ctx.mode = problem.mode;
@@ -347,7 +348,7 @@ SolveContext make_context(const LinProblem& problem) {
   // candidate generation, placeable writes for the doomed-state prune.
   // Tiny arrays: insertion sort beats std::sort's dispatch overhead.
   const auto group_by_value =
-      [](std::array<std::pair<Value, std::uint64_t>, 64>& groups,
+      [](std::array<std::pair<Value, std::uint64_t>, kMaxSolverOps>& groups,
          int ngroups) {
         for (int i = 1; i < ngroups; ++i) {
           auto entry = groups[static_cast<std::size_t>(i)];

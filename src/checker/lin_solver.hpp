@@ -20,9 +20,9 @@
 //
 // Complexity: worst-case exponential (register linearizability with
 // duplicate values is NP-hard in general), tamed by memoizing failed
-// (placed-set, register-value) states.  The solver supports at most 64
-// operations per call; on-line callers keep windows small by collapsing
-// them at quiescence (frontier.hpp).
+// (placed-set, register-value) states.  The solver supports at most
+// `kMaxSolverOps` (64) operations per call; on-line callers keep windows
+// small by collapsing them at quiescence (frontier.hpp).
 //
 // Fast path: the context build precomputes per-op predecessor bitmasks,
 // so the availability rule above costs one AND per candidate per DFS
@@ -48,6 +48,7 @@
 // practical ceiling moves from ~6 writers per register to 10+.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <set>
 #include <vector>
@@ -56,6 +57,11 @@
 #include "history/view.hpp"
 
 namespace rlt::checker {
+
+/// The solver's per-call operation limit: it tracks sets of operations as
+/// 64-bit masks, one bit per op.  Every caller that hands the solver a
+/// history (or the tree search a run) is bounded by this one name.
+inline constexpr std::size_t kMaxSolverOps = 64;
 
 /// How the solver treats the order of write operations.
 enum class WriteOrderMode {
@@ -123,7 +129,8 @@ struct LinSolution {
 };
 
 /// Searches for a legal linearization.  Throws util::InvariantViolation if
-/// the history has more than 64 operations or mentions several registers.
+/// the history has more than kMaxSolverOps operations or mentions several
+/// registers.
 [[nodiscard]] LinSolution solve(const LinProblem& problem);
 
 /// solve(problem).ok without witness bookkeeping — the fast entry point

@@ -1,51 +1,41 @@
 #include "checker/strong_checker.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "checker/tree_common.hpp"
 #include "history/view.hpp"
-#include "util/assert.hpp"
 
 namespace rlt::checker {
 
 namespace {
 
-using detail::EventSig;
-using detail::for_each_ordered_selection;
 using detail::OpKey;
-using detail::prepare_run;
 using detail::PreparedRun;
 using history::HistoryView;
 
-struct StrongSearch {
-  std::vector<PreparedRun> runs;
-  Value initial = 0;
-  std::string first_failure;
-  std::size_t deepest_failure_events = 0;
-  std::vector<std::vector<int>> result_orders;
+/// The strong-linearizability probe for the shared tree search
+/// (tree_common.hpp): the committed sequence holds every op, and it
+/// passes at a prefix iff it is a legal value of f there.
+struct StrongProbe {
+  static constexpr detail::Wording kWording{"strong linearization", "ops",
+                                            "valid", "invalid"};
 
-  /// Is `committed` a legal value of f(G) for the prefix of `run` with
+  static bool commits(const OpRecord& /*op*/) { return true; }
+
+  /// Is `committed` a legal value of f(G) for the prefix G of `run` with
   /// `nevents` events?  f(G) must contain all completed ops of G, only
   /// invoked ops, respect real time, and satisfy register semantics with
   /// completed reads returning their actual values.  Validates against a
   /// zero-copy prefix view — no History copy, no per-probe id-map
   /// rebuild; ids below are base-history ids.
-  bool valid(const PreparedRun& run, std::size_t nevents,
-             const std::vector<OpKey>& committed, std::string* why) const {
+  static bool passes(const PreparedRun& run, std::size_t nevents,
+                     const std::vector<OpKey>& committed,
+                     std::uint64_t /*state*/, std::string* why) {
     const auto fail = [why](const std::string& reason) {
       if (why != nullptr) *why = reason;
       return false;
     };
-    // The empty prefix is unrepresentable as a cutoff when the run's
-    // first event is at time 0 (unsigned Time, inclusive cutoffs), so
-    // answer it directly: valid iff nothing is committed.
-    if (nevents == 0) {
-      return committed.empty() ||
-             fail("committed op not invoked in empty prefix");
-    }
-    const Time t = run.events[nevents - 1].time;
-    const HistoryView view(*run.h, t);
+    const HistoryView view(*run.h, run.events[nevents - 1].time);
 
     std::vector<int> order;
     order.reserve(committed.size());
@@ -83,7 +73,7 @@ struct StrongSearch {
     }
     // Register semantics; completed reads must match, pending reads take
     // their invented (position-determined) value.
-    Value value = initial;
+    Value value = run.initial;
     for (const int id : order) {
       if (view.is_write(id)) {
         value = view.value(id);
@@ -96,160 +86,18 @@ struct StrongSearch {
     }
     return true;
   }
-
-  std::vector<OpKey> extension_candidates(
-      const PreparedRun& run, std::size_t nevents,
-      const std::vector<OpKey>& committed) const {
-    // Empty prefix: nothing invoked yet (see valid() on why nevents == 0
-    // cannot be expressed as a cutoff).
-    if (nevents == 0) return {};
-    const Time t = run.events[nevents - 1].time;
-    std::vector<OpKey> out;
-    for (const OpRecord& op : run.h->ops()) {
-      if (op.invoke > t) continue;
-      const OpKey key = run.op_keys[static_cast<std::size_t>(op.id)];
-      if (std::find(committed.begin(), committed.end(), key) ==
-          committed.end()) {
-        out.push_back(key);
-      }
-    }
-    return out;
-  }
-
-  void note_failure(std::size_t nevents, const std::string& description) {
-    if (nevents >= deepest_failure_events) {
-      deepest_failure_events = nevents;
-      first_failure = description;
-    }
-  }
-
-  bool walk(const std::vector<int>& group, std::size_t depth,
-            std::vector<OpKey>& committed);
-  bool step(const std::vector<int>& subgroup, std::size_t depth,
-            std::vector<OpKey>& committed);
 };
-
-bool StrongSearch::step(const std::vector<int>& subgroup, std::size_t depth,
-                        std::vector<OpKey>& committed) {
-  const PreparedRun& rep = runs[static_cast<std::size_t>(subgroup.front())];
-  const std::size_t nevents = depth + 1;
-
-  std::string why;
-  if (valid(rep, nevents, committed, &why)) {
-    return walk(subgroup, nevents, committed);
-  }
-
-  const std::vector<OpKey> candidates =
-      extension_candidates(rep, nevents, committed);
-  std::ostringstream failure;
-  failure << why << "; tried extensions over " << candidates.size()
-          << " uncommitted ops:";
-  const std::size_t base = committed.size();
-  const bool ok = for_each_ordered_selection(
-      candidates, [&](const std::vector<OpKey>& extension) -> bool {
-        committed.resize(base);
-        committed.insert(committed.end(), extension.begin(), extension.end());
-        const auto render = [&extension](std::ostream& os) {
-          os << "\n  + [";
-          for (std::size_t i = 0; i < extension.size(); ++i) {
-            os << (i == 0 ? "" : ", ") << extension[i];
-          }
-          os << ']';
-        };
-        if (!valid(rep, nevents, committed, nullptr)) {
-          render(failure);
-          failure << " invalid";
-          return false;
-        }
-        if (walk(subgroup, nevents, committed)) return true;
-        render(failure);
-        failure << " valid here but fails on a continuation";
-        return false;
-      });
-  if (!ok) {
-    committed.resize(base);
-    note_failure(nevents, failure.str());
-  }
-  return ok;
-}
-
-bool StrongSearch::walk(const std::vector<int>& group, std::size_t depth,
-                        std::vector<OpKey>& committed) {
-  std::vector<int> active;
-  for (const int idx : group) {
-    const PreparedRun& run = runs[static_cast<std::size_t>(idx)];
-    if (run.events.size() <= depth) {
-      std::vector<int> ids;
-      for (const OpKey& key : committed) {
-        const int id = run.id_of(key);
-        if (id >= 0) ids.push_back(id);
-      }
-      result_orders[static_cast<std::size_t>(run.input_index)] =
-          std::move(ids);
-    } else {
-      active.push_back(idx);
-    }
-  }
-  if (active.empty()) return true;
-
-  std::vector<std::pair<EventSig, std::vector<int>>> partitions;
-  for (const int idx : active) {
-    const PreparedRun& run = runs[static_cast<std::size_t>(idx)];
-    const EventSig& sig = run.signatures[depth];
-    auto it = std::find_if(partitions.begin(), partitions.end(),
-                           [&sig](const auto& p) { return p.first == sig; });
-    if (it == partitions.end()) {
-      partitions.push_back({sig, {idx}});
-    } else {
-      it->second.push_back(idx);
-    }
-  }
-
-  const std::vector<OpKey> snapshot = committed;
-  for (const auto& [sig, subgroup] : partitions) {
-    committed = snapshot;
-    if (!step(subgroup, depth, committed)) {
-      committed = snapshot;
-      return false;
-    }
-  }
-  committed = snapshot;
-  return true;
-}
 
 }  // namespace
 
 StrongCheckResult check_strong_linearizable(const std::vector<History>& runs) {
+  StrongProbe probe;
+  detail::TreeOutcome out =
+      detail::TreeSearch(runs, probe, /*memoize=*/true).run();
   StrongCheckResult result;
-  RLT_CHECK_MSG(!runs.empty(), "need at least one history");
-
-  StrongSearch search;
-  search.result_orders.resize(runs.size());
-  const auto reg0 = single_register_of(runs.front());
-  search.initial = runs.front().initial(reg0);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto reg = single_register_of(runs[i]);
-    RLT_CHECK_MSG(reg == reg0, "all runs must use the same register");
-    RLT_CHECK_MSG(runs[i].initial(reg) == search.initial,
-                  "all runs must share the initial value");
-    search.runs.push_back(prepare_run(runs[i], static_cast<int>(i)));
-  }
-
-  std::vector<int> group(runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) group[i] = static_cast<int>(i);
-  std::vector<OpKey> committed;
-  const bool ok = search.walk(group, 0, committed);
-  result.ok = ok;
-  if (ok) {
-    result.orders = std::move(search.result_orders);
-  } else {
-    std::ostringstream os;
-    os << "no strong linearization function exists; deepest failing "
-          "decision point (after "
-       << search.deepest_failure_events
-       << " events): " << search.first_failure;
-    result.explanation = os.str();
-  }
+  result.ok = out.ok;
+  result.orders = std::move(out.orders);
+  result.explanation = std::move(out.explanation);
   return result;
 }
 

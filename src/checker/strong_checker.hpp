@@ -4,12 +4,14 @@
 // H iff it is a linearization function and f(G) is a prefix of f(H)
 // whenever G is a prefix of H — for ALL operations, not just writes.
 //
-// The checker mirrors the write strong-linearizability tree checker, but
-// the committed sequence contains every linearized operation.  Because a
-// read's return value in a sequential history is determined by its
-// position (the last write before it), committing a still-pending read
-// assigns it an "invented" response, which Definition 2 permits; if the
-// read later responds with a different value the branch fails.
+// The checker runs the lazy-commitment tree search it shares with the
+// write strong-linearizability checker (checker/tree_common.hpp, which
+// also states why the search is complete).  Here the committed sequence
+// holds every linearized operation.  Because a read's return value in a
+// sequential history is determined by its position (the last write
+// before it), committing a still-pending read assigns it an "invented"
+// response, which Definition 2 permits; if the read later responds with a
+// different value the branch fails.
 //
 // Intended for small histories (the separation examples): its search is
 // exponential in pending-op counts.
@@ -33,7 +35,8 @@ struct StrongCheckResult {
 
 /// Checks whether the prefix-closed set generated by `runs` admits a
 /// strong linearization function.  Same input requirements as
-/// `check_write_strong_linearizable`.
+/// `check_write_strong_linearizable`, at most kMaxSolverOps (64) ops per
+/// run included; throws util::InvariantViolation otherwise.
 [[nodiscard]] StrongCheckResult check_strong_linearizable(
     const std::vector<History>& runs);
 

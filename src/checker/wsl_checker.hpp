@@ -8,23 +8,12 @@
 // counterexample needs two different extensions of a common prefix.
 //
 // This checker therefore takes a SET of (single-register) histories that
-// may share event-prefixes, builds their prefix tree, and searches for a
-// per-branch "committed write sequence" that
-//   * grows only by appending (property P),
-//   * at every event-prefix G admits a legal linearization of G whose
-//     write subsequence is exactly the committed sequence (property L,
-//     checked by the exact-order mode of the backtracking solver),
-//   * agrees across branches on their common prefix.
-//
-// Search strategy — *lazy commitment*: extend the committed sequence only
-// at events where the current sequence has become infeasible, trying every
-// ordered selection of uncommitted invoked writes.  Lazy search is
-// complete: if any write strong-linearization f exists, truncating each
-// f(G) to its last "forced" write (a completed write, or a write whose
-// value a completed read returned) yields a monotone family reachable by
-// lazy decisions; conversely exhausting all lazy paths proves no f exists.
-// (That is the whole argument; tests/checker_test.cpp and
-// tests/property_test.cpp exercise the checker.)
+// may share event-prefixes and runs the lazy-commitment tree search it
+// shares with the strong checker (checker/tree_common.hpp, which also
+// states why the search is complete).  Here the committed sequence holds
+// writes, and it passes at an event-prefix G iff G has a legal
+// linearization whose write subsequence is exactly that sequence (the
+// exact-order mode of the backtracking solver).
 #pragma once
 
 #include <string>
@@ -36,12 +25,12 @@ namespace rlt::checker {
 
 /// Tuning knobs for the WSL tree search.
 struct WslCheckOptions {
-  /// Memoize feasibility verdicts across the tree search, keyed on
-  /// (prefix-tree node, committed write sequence).  Sibling commitment
-  /// branches restored from the same snapshot re-reach identical
-  /// (prefix, committed) states constantly; the cache answers those
-  /// without re-running the solver.  Disable only to cross-check (the
-  /// verdict and write orders must not depend on this flag).
+  /// Memoize feasibility verdicts and failed decision subtrees across the
+  /// tree search, keyed on (prefix-tree node, committed write sequence).
+  /// Sibling commitment branches re-reach identical (prefix, committed)
+  /// states constantly; the cache answers those without re-running the
+  /// solver.  Disable only to cross-check (the verdict and write orders
+  /// must not depend on this flag).
   bool memoize = true;
 };
 
@@ -68,9 +57,10 @@ struct WslCheckResult {
 ///
 /// Requirements: every run is a single-register history on the same
 /// register with the same initial value; every process's operations are
-/// sequential within a run; each run has at most 64 operations.  Runs
-/// that extend one another are allowed; branching runs must agree exactly
-/// (event times and payloads) on their common prefix.
+/// sequential within a run; each run has at most kMaxSolverOps (64)
+/// operations.  Runs that extend one another are allowed; branching runs
+/// must agree exactly (event times and payloads) on their common prefix.
+/// Throws util::InvariantViolation otherwise.
 [[nodiscard]] WslCheckResult check_write_strong_linearizable(
     const std::vector<History>& runs, const WslCheckOptions& options = {});
 

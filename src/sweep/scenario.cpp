@@ -977,16 +977,16 @@ void classify_run(const History& h, bool expect_wsl, RunEnd end,
     }
   };
   const CheckTimer timer{out};
-  // The backtracking solver handles at most 64 ops per register; sweep
-  // workloads stay far below that, but a programmatic caller could
-  // exceed it.  Degrade to "unvalidated" rather than throw.
+  // The backtracking solver handles at most kMaxSolverOps ops per
+  // register; sweep workloads stay far below that, but a programmatic
+  // caller could exceed it.  Degrade to "unvalidated" rather than throw.
   bool checkable = true;
   for (const history::RegisterId reg : h.registers()) {
     std::size_t ops_on_reg = 0;
     for (const history::OpRecord& op : h.ops()) {
       if (op.reg == reg) ++ops_on_reg;
     }
-    if (ops_on_reg > 64) checkable = false;
+    if (ops_on_reg > checker::kMaxSolverOps) checkable = false;
   }
   if (checkable) {
     check_history(h, expect_wsl, online, out);
@@ -1006,7 +1006,9 @@ void classify_run(const History& h, bool expect_wsl, RunEnd end,
     case RunEnd::kCompleted:
       if (!checkable) {
         out.verdict = Verdict::kError;
-        out.detail = "history exceeds the solver's 64-op/register limit";
+        out.detail = "history exceeds the solver's " +
+                     std::to_string(checker::kMaxSolverOps) +
+                     "-op/register limit";
       }
       break;  // otherwise check_history's kOk stands
     case RunEnd::kBlocked:

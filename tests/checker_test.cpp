@@ -6,7 +6,9 @@
 
 #include "checker/lin_checker.hpp"
 #include "checker/strong_checker.hpp"
+#include "checker/tree_common.hpp"
 #include "checker/wsl_checker.hpp"
+#include "util/assert.hpp"
 
 namespace rlt::checker {
 namespace {
@@ -70,9 +72,9 @@ TEST(LinChecker, PrefixClosedness) {
 TEST(LinChecker, HistoriesStartingAtTimeZeroAreHandled) {
   // External (streamed) histories may start their clock at 0 — a time no
   // inclusive unsigned cutoff can exclude.  Every checker must accept a
-  // clean t=0 history and reject a violating one; the tree checkers'
-  // empty-prefix handling (wsl_checker/strong_checker) must not build a
-  // wrong one-event "empty" view.
+  // clean t=0 history and reject a violating one; the tree search, which
+  // cuts each prefix at its last event's time, must never build a wrong
+  // one-event "empty" view.
   History good;
   add(good, 0, OpKind::kWrite, 1, 0, 2);  // invoked at t=0
   add(good, 1, OpKind::kRead, 1, 3, 4);
@@ -86,6 +88,46 @@ TEST(LinChecker, HistoriesStartingAtTimeZeroAreHandled) {
   add(bad, 1, OpKind::kRead, 99, 3, 4);
   EXPECT_FALSE(check_linearizable(bad).ok);
   EXPECT_FALSE(check_write_strong_linearizable(bad).ok);
+}
+
+// ---------- the shared tree search ----------
+
+TEST(TreeSearch, BothCheckersEnforceTheSolverOpLimit) {
+  // kMaxSolverOps concurrent writes are the most either checker takes.
+  // One more would hand the strong checker's ordered-selection enumerator
+  // more candidates than its 64-bit mask has bits; the shared input
+  // checks reject the run first.
+  const auto concurrent_writes = [](int n) {
+    History h;
+    for (int i = 0; i < n; ++i) {
+      add(h, i, OpKind::kWrite, i + 1, static_cast<Time>(i + 1),
+          static_cast<Time>(n + i + 1));
+    }
+    return h;
+  };
+  const History over = concurrent_writes(static_cast<int>(kMaxSolverOps) + 1);
+  EXPECT_THROW((void)check_write_strong_linearizable(over),
+               util::InvariantViolation);
+  EXPECT_THROW((void)check_strong_linearizable(over),
+               util::InvariantViolation);
+
+  // At the limit, a sequential run is checked normally.
+  History at_limit;
+  for (int i = 0; i < static_cast<int>(kMaxSolverOps); ++i) {
+    add(at_limit, 0, OpKind::kWrite, i + 1, static_cast<Time>(2 * i + 1),
+        static_cast<Time>(2 * i + 2));
+  }
+  EXPECT_TRUE(check_write_strong_linearizable(at_limit).ok);
+  EXPECT_TRUE(check_strong_linearizable(at_limit).ok);
+}
+
+TEST(TreeSearch, EnumeratorRejectsMoreCandidatesThanMaskBits) {
+  const auto take_first = [](const std::vector<int>&) { return true; };
+  EXPECT_TRUE(detail::for_each_ordered_selection(
+      std::vector<int>(kMaxSolverOps, 0), take_first));
+  EXPECT_THROW((void)detail::for_each_ordered_selection(
+                   std::vector<int>(kMaxSolverOps + 1, 0), take_first),
+               util::InvariantViolation);
 }
 
 // ---------- write strong-linearizability ----------

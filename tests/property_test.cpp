@@ -6,7 +6,9 @@
 // plus structural properties: every checker verdict's witness validates
 // against the sequential spec; linearizability is prefix-closed; WSL of a
 // history set implies WSL of every subset; SWMR histories that are
-// linearizable are always WSL (Theorem 14 at the abstract level).
+// linearizable are always WSL (Theorem 14 at the abstract level); and the
+// hierarchy holds on branching two-run trees, through the tree search's
+// multi-run path.
 #include <gtest/gtest.h>
 
 #include "checker/lin_checker.hpp"
@@ -96,6 +98,63 @@ History random_history(util::Rng& rng, int procs, int ops_per_proc,
   }
   h.validate();
   return h;
+}
+
+/// A second run that shares the first `k` events of `a` and then
+/// diverges: the ops still pending after those events respond in a
+/// random order (reads with fresh plausible values), interleaved with a
+/// new op for each process that is idle by then.  Event times after the
+/// shared prefix restart just past it, so the two runs branch at event
+/// `k` or later.
+History diverging_run(util::Rng& rng, const History& a, std::size_t k,
+                      int procs) {
+  const history::Time cut = a.events().at(k - 1).time;
+  History b;
+  b.set_initial(0, 0);
+  std::vector<history::Value> written{0};
+  std::vector<int> open;  // ops of b not yet responded
+  for (const OpRecord& op : a.ops()) {
+    if (op.invoke > cut) continue;
+    OpRecord copy = op;
+    if (op.response == kNoTime || op.response > cut) {
+      copy.response = kNoTime;
+      open.push_back(b.add(copy));
+    } else {
+      b.add(copy);
+    }
+    if (op.is_write()) written.push_back(op.value);
+  }
+  history::Time clock = cut;
+  for (int p = 0; p < procs; ++p) {
+    // Respond a random number of open ops, then start p's new op if p
+    // is idle.
+    while (!open.empty() && rng.chance(1, 2)) {
+      const std::size_t i = rng.uniform(open.size());
+      b.complete_op(open[i], written[rng.uniform(written.size())], ++clock);
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    const bool busy = std::any_of(open.begin(), open.end(), [&](int id) {
+      return b.op(id).process == p;
+    });
+    if (busy) continue;  // p's pending op is still open
+    OpRecord op;
+    op.process = p;
+    op.reg = 0;
+    op.kind = rng.chance(1, 2) ? OpKind::kWrite : OpKind::kRead;
+    op.value = op.kind == OpKind::kWrite
+                   ? static_cast<history::Value>(200 + written.size())
+                   : 0;
+    op.invoke = ++clock;
+    if (op.is_write()) written.push_back(op.value);
+    open.push_back(b.add(op));
+  }
+  while (!open.empty()) {
+    const std::size_t i = rng.uniform(open.size());
+    b.complete_op(open[i], written[rng.uniform(written.size())], ++clock);
+    open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  b.validate();
+  return b;
 }
 
 class PropertySweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -198,6 +257,46 @@ TEST_P(PropertySweep, InsaneReadsAreUsuallyCaughtConsistently) {
     EXPECT_FALSE(check_write_strong_linearizable(h).ok);
     EXPECT_FALSE(check_strong_linearizable(h).ok);
   }
+}
+
+TEST_P(PropertySweep, BranchingTreesRespectTheHierarchy) {
+  // Two runs that share an event-prefix and then diverge send both tree
+  // checkers through their multi-run path: partitions at the branch
+  // point and the failed-subtree memo across them.
+  util::Rng rng(GetParam() ^ 0x5555);
+  // Most random runs are not linearizable.  Redraw each run a few times,
+  // so that most trees land where the three criteria can disagree.
+  const auto draw = [](const auto& make) {
+    History h = make();
+    for (int i = 0; i < 16 && !check_linearizable(h).ok; ++i) h = make();
+    return h;
+  };
+  const History a = draw([&] { return random_history(rng, 3, 2, true); });
+  const std::size_t k = 1 + rng.uniform(a.events().size() - 1);
+  const History b = draw([&] { return diverging_run(rng, a, k, 3); });
+  const std::vector<History> tree{a, b};
+
+  const auto strong = check_strong_linearizable(tree);
+  const auto wsl = check_write_strong_linearizable(tree, {.memoize = true});
+  const bool lin = check_linearizable(a).ok && check_linearizable(b).ok;
+  const std::string shown = a.to_string() + "--\n" + b.to_string();
+  // strong(set) ⟹ wsl(set) ⟹ every run is linearizable.
+  if (strong.ok) {
+    EXPECT_TRUE(wsl.ok) << wsl.explanation << '\n' << shown;
+  }
+  if (wsl.ok) {
+    EXPECT_TRUE(lin) << shown;
+  }
+  // strong(set) ⟹ strong(each run).
+  if (strong.ok) {
+    EXPECT_TRUE(check_strong_linearizable(a).ok) << shown;
+    EXPECT_TRUE(check_strong_linearizable(b).ok) << shown;
+  }
+  // The memo is a pure accelerator on trees too.
+  const auto unmemoized =
+      check_write_strong_linearizable(tree, {.memoize = false});
+  EXPECT_EQ(wsl.ok, unmemoized.ok) << shown;
+  EXPECT_EQ(wsl.write_orders, unmemoized.write_orders) << shown;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertySweep,
