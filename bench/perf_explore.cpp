@@ -2,10 +2,12 @@
 //
 // The schedule-search lab stacks many deterministic runs per search
 // instance, so its unit economics matter: one greedy probe of the
-// Theorem 6 game (the rounds objective's inner loop), one full
-// counterexample hunt against the planted ABD ablation (search + ddmin
-// shrink), the random-restart baseline, and the replay of a shrunk
-// witness (the verification path CI and --replay exercise).  Outcome
+// Theorem 6 game (the rounds objective's inner loop), one rounds-objective
+// instance whose round-cap survival is shrunk (search + shrink replays of
+// the game under linearizable registers), one full counterexample hunt
+// against the planted ABD ablation (search + ddmin shrink), the
+// random-restart baseline, and the replay of a shrunk witness (the
+// verification path CI and --replay exercise).  Outcome
 // fingerprints are asserted stable across iterations — a search bench
 // that silently changed behaviour would be worse than useless.
 #include <benchmark/benchmark.h>
@@ -59,6 +61,38 @@ void BM_ExploreGreedyGameProbe(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(iter));
 }
 BENCHMARK(BM_ExploreGreedyGameProbe)->Unit(benchmark::kMicrosecond);
+
+/// One rounds-objective instance (game, greedy, p4, r16): the search
+/// reaches the round cap and the shrinker spends its 1024-candidate budget
+/// replaying the survival, so this measures the read menus of the
+/// linearizable game registers and the shrink loop.
+void BM_ExploreRoundsShrink(benchmark::State& state) {
+  explore::ExploreInstance e;
+  e.objective = explore::Objective::kRounds;
+  e.strategy = explore::Strategy::kGreedy;
+  e.family = term::Family::kGame;
+  e.processes = 4;
+  e.max_rounds = 16;
+  e.seed = 0;
+  e.shrink_budget = 1024;
+  std::uint64_t fingerprint = 0;
+  std::uint64_t probes = 0;
+  std::uint64_t iter = 0;
+  for (auto _ : state) {
+    const explore::ExploreOutcome o = explore::run_explore_instance(e);
+    benchmark::DoNotOptimize(o.trace_fnv);
+    RLT_CHECK_MSG(o.shrunk, "the round-cap survival is no longer shrunk");
+    RLT_CHECK_MSG(iter == 0 || (fingerprint == o.fingerprint &&
+                                probes == o.shrink_probes),
+                  "fingerprint or shrink probes changed between reruns — "
+                  "nondeterminism");
+    fingerprint = o.fingerprint;
+    probes = o.shrink_probes;
+    ++iter;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(iter));
+}
+BENCHMARK(BM_ExploreRoundsShrink)->Unit(benchmark::kMillisecond);
 
 /// Full counterexample pipeline: greedy search finds the planted
 /// no-write-back violation and ddmin shrinks it to local minimality.

@@ -58,6 +58,14 @@ struct SolveContext {
   const std::vector<Value>* initials = nullptr;
   Value single_initial = 0;
   int n = 0;
+  /// feasible_read_values only: the completed read whose value is open.
+  /// It is kept out of `reads_by_value`, so the DFS never places it as a
+  /// candidate; the read-value search inserts it.
+  int wildcard = -1;
+  /// feasible_read_values only: how many values the current DFS root
+  /// could still add — its pre-history value and the placeable writes'
+  /// values, less those already found.  The search stops at zero.
+  int values_missing = 0;
 
   /// Search statistics, tallied locally (plain increments on this
   /// context — no registry traffic inside the DFS) and flushed to the
@@ -252,7 +260,10 @@ struct SolveContext {
   }
 };
 
-SolveContext make_context(const LinProblem& problem) {
+/// `wildcard_read`: the completion names a read whose value is left open
+/// (feasible_read_values).
+SolveContext make_context(const LinProblem& problem,
+                          bool wildcard_read = false) {
   RLT_CHECK(problem.history != nullptr);
   const History& h = *problem.history;
   const auto reg = single_register_of(h);
@@ -280,6 +291,12 @@ SolveContext make_context(const LinProblem& problem) {
                   "completion overlay must name an op pending in the view");
     RLT_CHECK_MSG(problem.completion->response > ctx.view.invoke(cop),
                   "completion response not after invocation");
+  }
+  if (wildcard_read) {
+    RLT_CHECK_MSG(cop >= 0, "a read-value search needs a completion");
+    RLT_CHECK_MSG(ctx.view.is_read(cop),
+                  "a read-value search completes a read, not op" << cop);
+    ctx.wildcard = cop;
   }
   const auto completed = [&ctx, cop](int id) {
     return id == cop || ctx.view.completed(id);
@@ -376,6 +393,7 @@ SolveContext make_context(const LinProblem& problem) {
       };
   int ngroups = 0;
   std::uint64_t reads = ctx.placeable_mask & ~ctx.write_mask;
+  if (ctx.wildcard >= 0) reads &= ~(1ULL << ctx.wildcard);
   while (reads != 0) {
     const int id = std::countr_zero(reads);
     reads &= reads - 1;
@@ -409,7 +427,14 @@ bool exact_order_covers_completed(const SolveContext& ctx) {
 /// kEnumerateFinals: visit every reachable state (ctx.seen is a visited
 /// set), record the register value of every done-state in `out`, and keep
 /// exploring past done-states — pending writes may still be appended.
-enum class DfsMode { kFindOne, kEnumerateFinals };
+/// kReadValues: visit every reachable state with ctx.wildcard unplaced
+/// (ctx.seen is a visited set) and, where the wildcard is available and
+/// the current value is not in `out` yet, run one kFindOne search with it
+/// placed; record the value on success.  Returns true once
+/// ctx.values_missing reaches zero, which stops the search.  The modes share
+/// ctx.seen without clashing: every kFindOne state has the wildcard bit
+/// set, and no kReadValues state has.
+enum class DfsMode { kFindOne, kEnumerateFinals, kReadValues };
 
 template <DfsMode M>
 bool dfs(SolveContext& ctx, std::uint64_t mask, Value value, int exact_next,
@@ -427,7 +452,9 @@ bool dfs(SolveContext& ctx, std::uint64_t mask, Value value, int exact_next,
       ++ctx.stat_memo_hits;
       return false;
     }
-    if (ctx.done(mask)) out->insert(value);
+    if constexpr (M == DfsMode::kEnumerateFinals) {
+      if (ctx.done(mask)) out->insert(value);
+    }
   }
 
   if (ctx.prune) {
@@ -450,6 +477,17 @@ bool dfs(SolveContext& ctx, std::uint64_t mask, Value value, int exact_next,
         ctx.seen.insert(key);
         return false;
       }
+    }
+  }
+
+  if constexpr (M == DfsMode::kReadValues) {
+    const std::uint64_t wbit = 1ULL << ctx.wildcard;
+    if ((ctx.pred[static_cast<std::size_t>(ctx.wildcard)] & ~mask) == 0 &&
+        !out->contains(value) &&
+        dfs<DfsMode::kFindOne>(ctx, mask | wbit, value, exact_next, nullptr,
+                               nullptr)) {
+      out->insert(value);
+      if (--ctx.values_missing == 0) return true;
     }
   }
 
@@ -477,8 +515,9 @@ bool dfs(SolveContext& ctx, std::uint64_t mask, Value value, int exact_next,
         return true;
       }
       if (order != nullptr) order->pop_back();
-    } else {
-      dfs<M>(ctx, mask | (1ULL << id), next_value, next_exact, order, out);
+    } else if (dfs<M>(ctx, mask | (1ULL << id), next_value, next_exact,
+                      order, out)) {
+      return true;  // kReadValues has every value; finals never stop
     }
   }
 
@@ -552,6 +591,28 @@ std::set<Value> feasible_final_values(const LinProblem& problem) {
   if (!exact_order_covers_completed(ctx)) return out;
   for (const Value init : initials_of(ctx)) {
     (void)dfs<DfsMode::kEnumerateFinals>(ctx, 0, init, 0, nullptr, &out);
+  }
+  return out;
+}
+
+std::set<Value> feasible_read_values(const LinProblem& problem) {
+  SolveContext ctx = make_context(problem, /*wildcard_read=*/true);
+  const StatFlush flush{ctx};
+  std::set<Value> out;
+  if (!exact_order_covers_completed(ctx)) return out;
+  for (const Value init : initials_of(ctx)) {
+    // A root reaches no value but its own and the placeable writes'.
+    ctx.values_missing =
+        !out.contains(init) && ctx.writes_of(init) == 0 ? 1 : 0;
+    for (int g = 0; g < ctx.nwrite_groups; ++g) {
+      if (!out.contains(ctx.writes_by_value[static_cast<std::size_t>(g)]
+                            .first)) {
+        ++ctx.values_missing;
+      }
+    }
+    if (ctx.values_missing > 0) {
+      (void)dfs<DfsMode::kReadValues>(ctx, 0, init, 0, nullptr, &out);
+    }
   }
   return out;
 }

@@ -2,11 +2,15 @@
 //
 // This is the single source of truth for "does a legal linearization
 // exist?", shared by:
-//  * the off-line linearizability checker (free write order),
+//  * the off-line linearizability checker (free write order) and the
+//    message-passing F* check,
 //  * the write strong-linearizability tree checker (exact write order),
-//  * the simulator's `LinearizableModel` and `WslModel`, which must decide
-//    on-line whether a candidate read-return value / write commitment
-//    still admits a legal linearization.
+//  * the streaming checker, which probes its frontier at every read
+//    response and collapses it with `feasible_final_values`,
+//  * the simulator's `LinearizableModel` and `WslModel`, which decide
+//    on-line which write commitments still admit a legal linearization
+//    (`feasible`) and which values a read may return
+//    (`feasible_read_values`, one search per menu).
 //
 // Search space: orders of the history's operations.  A completed read
 // must return the value of the last write placed before it (or an allowed
@@ -27,8 +31,8 @@
 // Fast path: the context build precomputes per-op predecessor bitmasks,
 // so the availability rule above costs one AND per candidate per DFS
 // node, and groups placeable reads by returned value, so candidate
-// generation is a table lookup instead of an O(n) scan.  Both solvers
-// share one DFS core over (placed-set, register-value) states.
+// generation is a table lookup instead of an O(n) scan.  Every entry
+// point shares one DFS core over (placed-set, register-value) states.
 //
 // Dominance pruning (`LinProblem::prune`, on by default) cuts between
 // DFS extension orders without changing any verdict or final-value set:
@@ -46,6 +50,26 @@
 //    deterministic availability walk of the remaining committed suffix.
 // These collapse the exponential blowup of many concurrent writers: the
 // practical ceiling moves from ~6 writers per register to 10+.
+//
+// Read menus (`feasible_read_values`) leave one pending read's value open:
+// the read is a wildcard that returns whatever the register holds where
+// it is placed.  One DFS visits each state with the wildcard unplaced once
+// and, where the wildcard is available and the current value is new,
+// runs one find-one search from the state with the wildcard placed.  The
+// value set is exact:
+//  * a read changes no value, so a linearization that includes the
+//    wildcard is one of the other ops with the wildcard inserted where its
+//    predecessors are placed (ops it precedes in real time wait for it),
+//    and it returns the value held there.  The DFS visits every such
+//    point, and the find-one search decides whether the rest completes;
+//  * the eager-read and doomed prunes stay exact while the wildcard is
+//    unplaced.  Doomed is unchanged: an unservable read dooms every
+//    completion, with or without the wildcard.  Eager read: moving another
+//    available read of the current value to the front keeps every
+//    insertion point, because the wildcard still sees the same value at
+//    each one;
+//  * the wildcard itself is never placed eagerly: it is not a candidate of
+//    the DFS, only inserted.
 #pragma once
 
 #include <cstddef>
@@ -101,8 +125,9 @@ struct LinProblem {
 
   /// Zero-copy what-if: treat this currently-pending op of the history as
   /// completed at `response` (reads: returning `value`).  The on-line
-  /// models probe dozens of candidate responses per event; this overlay
-  /// replaces the copy-the-window-and-complete-the-op pattern.
+  /// models probe every write commitment and every read menu through it
+  /// instead of copying the window and completing the op.
+  /// `feasible_read_values` ignores `value`.
   struct Completion {
     int op_id = -1;
     Value value = 0;
@@ -143,5 +168,12 @@ struct LinSolution {
 /// history at quiescent points: the returned set becomes the next window's
 /// `initial_values`.
 [[nodiscard]] std::set<Value> feasible_final_values(const LinProblem& problem);
+
+/// All values `v` such that the problem with the pending read named by
+/// `problem.completion` completed as {op_id, v, response} is feasible: the
+/// simulator's read menu, from one search (see the file comment).  The
+/// completion's `value` is ignored.  Throws util::InvariantViolation if
+/// there is no completion or it names a write.
+[[nodiscard]] std::set<Value> feasible_read_values(const LinProblem& problem);
 
 }  // namespace rlt::checker

@@ -268,7 +268,8 @@ ExploreOutcome run_explore_instance(const ExploreInstance& e) {
           shrink(out.best_trace, keep, e.shrink_budget);
       out.shrunk = true;
       out.locally_minimal = sr.locally_minimal;
-      out.shrink_probes = sr.probes;
+      out.shrink_probes = sr.probes + sr.repeats;
+      out.shrink_repeats = sr.repeats;
       out.best_trace = std::move(sr.trace);
       // The persisted record describes the SHRUNK trace: re-derive its
       // own deterministic replay facts.
@@ -481,6 +482,7 @@ struct ExploreMode {
       obs::count(obs::Counter::kExploreRuns, r.runs);
       obs::count(obs::Counter::kExploreShrinkProbes, r.shrink_probes);
       obs::count(obs::Counter::kExploreSteps, r.total_steps);
+      obs::count(obs::Counter::kExploreShrinkRepeats, r.shrink_repeats);
     }
     return r;
   }

@@ -71,7 +71,8 @@ struct ExploreInstance {
   std::uint64_t max_actions = 2'000'000;
   std::uint64_t seed = 0;       ///< Coin stream + search randomness root.
   int search_budget = 32;       ///< Runs this instance may spend.
-  std::uint64_t shrink_budget = 4096;  ///< Shrink replays (0 = no shrink).
+  /// Shrink candidates tested; a repeat is not replayed (0 = no shrink).
+  std::uint64_t shrink_budget = 4096;
   /// Ablation knob (tests/CI): disables ABD's read write-back, planting
   /// genuine violations for the search to find.  Marked in key().
   bool abd_read_write_back = true;
@@ -114,7 +115,11 @@ struct ExploreOutcome {
   std::size_t unshrunk_len = 0;   ///< Best trace length before shrinking.
   bool shrunk = false;            ///< A shrink pass ran.
   bool locally_minimal = false;   ///< The shrink reached a fixpoint.
+  /// Shrink candidates tested: replays plus repeats (shrink.hpp).
   std::uint64_t shrink_probes = 0;
+  /// Of those, repeats answered without a replay.  Observability only:
+  /// not persisted, not digest material.
+  std::uint64_t shrink_repeats = 0;
   bool error = false;
   std::string detail;
   std::uint64_t wall_ns = 0;  ///< Measured; NOT digest material.
@@ -169,6 +174,7 @@ struct ExploreOptions {
   std::uint64_t seed_begin = 0;  ///< Inclusive (instance seeds).
   std::uint64_t seed_end = 4;    ///< Exclusive.
   int search_budget = 32;
+  /// Shrink candidates tested per instance; a repeat is not replayed.
   std::uint64_t shrink_budget = 4096;
   std::uint64_t max_actions_per_run = 2'000'000;
   int threads = 1;

@@ -1,6 +1,11 @@
 #include "explore/shrink.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "util/assert.hpp"
 
 namespace rlt::explore {
 namespace {
@@ -22,10 +27,41 @@ ScheduleTrace without_range(const ScheduleTrace& t, std::size_t begin,
 
 ShrinkResult shrink(ScheduleTrace t, const KeepPredicate& keep,
                     std::uint64_t budget) {
+  RLT_CHECK_MSG(t.choices.size() <= UINT32_MAX,
+                "trace too long to shrink: " << t.choices.size());
   ShrinkResult r;
-  auto probe = [&](const ScheduleTrace& candidate) {
+  const auto spent = [&r] { return r.probes + r.repeats; };
+  // Candidates rejected since `t` last changed, as edits of `t`:
+  //  * a removed range [begin, end), shifted right while t[begin] ==
+  //    t[end].  Such a shift removes an equal element and so yields the
+  //    same candidate; two ranges of one length yield the same candidate
+  //    exactly when their shifted forms agree;
+  //  * choice i lowered to 0, kept as the empty range [i, i), which no
+  //    removal uses.
+  // Positions are 32-bit (checked above), which halves the memo.
+  using Edit = std::pair<std::uint32_t, std::uint32_t>;
+  const auto edit = [](std::size_t begin, std::size_t end) {
+    return Edit{static_cast<std::uint32_t>(begin),
+                static_cast<std::uint32_t>(end)};
+  };
+  std::vector<Edit> rejected;
+  // Tests the candidate `make()` builds from `t` by edit `e`; on success
+  // `t` becomes it.  A candidate already rejected is a repeat: it counts
+  // against the budget but is not replayed.
+  const auto test = [&](const Edit& e, const auto& make) {
+    if (std::find(rejected.begin(), rejected.end(), e) != rejected.end()) {
+      ++r.repeats;
+      return false;
+    }
     ++r.probes;
-    return keep(candidate);
+    ScheduleTrace candidate = make();
+    if (!keep(candidate)) {
+      rejected.push_back(e);
+      return false;
+    }
+    t = std::move(candidate);
+    rejected.clear();
+    return true;
   };
 
   // ddmin chunk removal down to granularity 1.  Returns true iff the
@@ -34,19 +70,23 @@ ShrinkResult shrink(ScheduleTrace t, const KeepPredicate& keep,
   auto removal_pass = [&](bool& changed) {
     std::size_t chunks = 2;
     while (!t.choices.empty()) {
-      if (r.probes >= budget) return false;
+      if (spent() >= budget) return false;
       chunks = std::min(chunks, t.choices.size());
       const std::size_t len = t.choices.size();
       bool removed = false;
-      for (std::size_t k = 0; k < chunks && r.probes < budget; ++k) {
+      for (std::size_t k = 0; k < chunks && spent() < budget; ++k) {
         // Chunk k covers [k*len/chunks, (k+1)*len/chunks) — an exact
         // integer split, every element in exactly one chunk.
-        const std::size_t begin = k * len / chunks;
-        const std::size_t end = (k + 1) * len / chunks;
+        std::size_t begin = k * len / chunks;
+        std::size_t end = (k + 1) * len / chunks;
         if (begin == end) continue;
-        ScheduleTrace candidate = without_range(t, begin, end);
-        if (probe(candidate)) {
-          t = std::move(candidate);
+        // The memo's form of the range: the same candidate, shifted right.
+        while (end < len && t.choices[begin] == t.choices[end]) {
+          ++begin;
+          ++end;
+        }
+        if (test(edit(begin, end),
+                 [&] { return without_range(t, begin, end); })) {
           chunks = std::max<std::size_t>(chunks - 1, 2);
           removed = true;
           changed = true;
@@ -64,11 +104,12 @@ ShrinkResult shrink(ScheduleTrace t, const KeepPredicate& keep,
   auto lowering_pass = [&](bool& changed) {
     for (std::size_t i = 0; i < t.choices.size(); ++i) {
       if (t.choices[i] == 0) continue;
-      if (r.probes >= budget) return false;
-      ScheduleTrace candidate = t;
-      candidate.choices[i] = 0;
-      if (probe(candidate)) {
-        t = std::move(candidate);
+      if (spent() >= budget) return false;
+      if (test(edit(i, i), [&] {
+            ScheduleTrace candidate = t;
+            candidate.choices[i] = 0;
+            return candidate;
+          })) {
         changed = true;
       }
     }

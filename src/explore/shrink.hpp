@@ -17,8 +17,12 @@
 // fallback after exhaustion — see trace.hpp) guarantees every candidate
 // is a valid schedule, so the predicate never has to reject for shape.
 //
-// Every predicate call replays a full run, so the pass is budgeted;
-// exhausting the budget returns the best trace found so far with
+// Every predicate call replays a full run, so the pass is budgeted in
+// candidates tested; a repeat is not replayed.  ddmin's refinement re-cuts
+// chunks it already tried: a candidate already rejected against the
+// current trace is answered without calling the predicate, yet still
+// counts against the budget, so the result does not depend on the skip.
+// Exhausting the budget returns the best trace found so far with
 // `locally_minimal = false`.
 #pragma once
 
@@ -35,11 +39,16 @@ using KeepPredicate = std::function<bool(const ScheduleTrace&)>;
 struct ShrinkResult {
   ScheduleTrace trace;       ///< Reduced trace (still satisfies `keep`).
   std::uint64_t probes = 0;  ///< Predicate calls spent.
+  /// Candidates answered without a predicate call: already rejected
+  /// against the same trace.  `probes + repeats` is the number of
+  /// candidates tested, which the budget bounds.
+  std::uint64_t repeats = 0;
   bool locally_minimal = false;  ///< Both passes ran to completion.
 };
 
-/// Reduces `t` (which must satisfy `keep`) spending at most `budget`
-/// predicate calls.  Deterministic: same inputs, same result.
+/// Reduces `t` (which must satisfy `keep`) testing at most `budget`
+/// candidates; a repeat is not replayed.  Deterministic: same inputs,
+/// same result.
 [[nodiscard]] ShrinkResult shrink(ScheduleTrace t, const KeepPredicate& keep,
                                   std::uint64_t budget);
 

@@ -44,6 +44,7 @@ constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
     {"explore.runs", true},
     {"explore.shrink_probes", true},
     {"explore.steps", true},
+    {"explore.shrink_repeats", true},
     {"pool.steals", false},
     {"pool.tasks", false},
 }};

@@ -42,7 +42,7 @@ namespace rlt::obs {
 
 enum class Counter : int {
   // Linearization solver (src/checker/lin_solver.cpp) internals.
-  kCheckerSolverCalls,    // solve/feasible/feasible_final_values entries
+  kCheckerSolverCalls,    // solver entries (solve, feasible, feasible_*)
   kCheckerDfsNodes,       // DFS states visited
   kCheckerMemoHits,       // seen-set hits (failed/visited states)
   kCheckerPruneDoomed,    // doomed-state prune fired
@@ -70,8 +70,9 @@ enum class Counter : int {
   kTermCoinFlips,
   kTermCapped,
   kExploreRuns,
-  kExploreShrinkProbes,
+  kExploreShrinkProbes,   // shrink candidates tested (replays + repeats)
   kExploreSteps,
+  kExploreShrinkRepeats,  // shrink candidates answered without a replay
   // Runtime (execution-dependent; excluded from stability assertions).
   kPoolSteals,
   kPoolTasks,

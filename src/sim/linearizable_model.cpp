@@ -34,22 +34,15 @@ class LinearizableModel final : public WindowedModel {
       choices.push_back(std::move(c));
       return choices;
     }
-    // Reads: any value with a feasible linearization, probed through the
-    // solver's completion overlay (no window copy).
-    const std::vector<Value>& pre = frontier_.initial_values();
-    std::set<Value> candidates(pre.begin(), pre.end());
-    for (const history::OpRecord& w : frontier_.window().ops()) {
-      if (w.is_write()) candidates.insert(w.value);
-    }
+    // Reads: any value with a feasible linearization, from one solver
+    // search with the read completed now and its value left open.
     checker::LinProblem probe = frontier_.problem();
-    for (const Value v : candidates) {
-      probe.completion = checker::LinProblem::Completion{wid, v, now};
-      if (checker::feasible(probe)) {
-        ResponseChoice c;
-        c.value = v;
-        c.label = "read->" + std::to_string(v);
-        choices.push_back(std::move(c));
-      }
+    probe.completion = checker::LinProblem::Completion{wid, op.value, now};
+    for (const Value v : checker::feasible_read_values(probe)) {
+      ResponseChoice c;
+      c.value = v;
+      c.label = "read->" + std::to_string(v);
+      choices.push_back(std::move(c));
     }
     RLT_CHECK_MSG(!choices.empty(),
                   "linearizable model: read has no feasible value — bug");

@@ -15,7 +15,6 @@
 // order of the concurrent write [1,j] now; it cannot retroactively pick
 // the order after seeing the coin.
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "checker/tree_common.hpp"
@@ -34,15 +33,17 @@ class WslModel final : public WindowedModel {
     const int wid = frontier_.window_id_of(op_id);
     const history::OpRecord& op = frontier_.window().op(wid);
     std::vector<ResponseChoice> choices;
-    // Every probe: exact write order, `op` hypothetically completed now.
+    // Every probe: `op` hypothetically completed now, and the exact write
+    // order committed_ + s for a candidate commitment batch s.
     checker::LinProblem probe = frontier_.problem();
     probe.mode = checker::WriteOrderMode::kExact;
-    const auto feasible_with = [&](Value v, const std::vector<int>& s) {
+    probe.completion = checker::LinProblem::Completion{wid, op.value, now};
+    const auto committing = [&](const std::vector<int>& s)
+        -> const checker::LinProblem& {
       probe.exact_write_order = committed_;
       probe.exact_write_order.insert(probe.exact_write_order.end(), s.begin(),
                                      s.end());
-      probe.completion = checker::LinProblem::Completion{wid, v, now};
-      return checker::feasible(probe);
+      return probe;
     };
 
     if (op.is_write()) {
@@ -50,7 +51,7 @@ class WslModel final : public WindowedModel {
           committed_.end()) {
         // Already committed (a read returned this write's value earlier
         // and forced the commitment).  Responding decides nothing more.
-        RLT_CHECK_MSG(feasible_with(op.value, {}),
+        RLT_CHECK_MSG(checker::feasible(committing({})),
                       "WSL model: committed write response infeasible — bug");
         ResponseChoice c;
         c.value = op.value;
@@ -63,7 +64,7 @@ class WslModel final : public WindowedModel {
       for_each_ordered_selection(
           uncommitted_writes(), [&](const std::vector<int>& s) {
             if (std::find(s.begin(), s.end(), wid) == s.end()) return false;
-            if (!feasible_with(op.value, s)) return false;
+            if (!checker::feasible(committing(s))) return false;
             ResponseChoice c;
             c.value = op.value;
             c.commit_extension = to_global(s);
@@ -76,23 +77,17 @@ class WslModel final : public WindowedModel {
       return choices;
     }
 
-    // Reads: (value, commitment extension) pairs.  The empty extension is
-    // considered too (value determined by already-committed writes).
-    const std::vector<Value>& pre = frontier_.initial_values();
-    std::set<Value> candidates(pre.begin(), pre.end());
-    for (const history::OpRecord& w : frontier_.window().ops()) {
-      if (w.is_write()) candidates.insert(w.value);
-    }
+    // Reads: (value, commitment extension) pairs, one solver search per
+    // extension.  The empty extension is considered too (value determined
+    // by already-committed writes).
     const auto try_selection = [&](const std::vector<int>& s) {
-      for (const Value v : candidates) {
-        if (feasible_with(v, s)) {
-          ResponseChoice c;
-          c.value = v;
-          c.commit_extension = to_global(s);
-          c.label = "read->" + std::to_string(v) +
-                    (s.empty() ? "" : " commit" + render(s));
-          choices.push_back(std::move(c));
-        }
+      for (const Value v : checker::feasible_read_values(committing(s))) {
+        ResponseChoice c;
+        c.value = v;
+        c.commit_extension = to_global(s);
+        c.label = "read->" + std::to_string(v) +
+                  (s.empty() ? "" : " commit" + render(s));
+        choices.push_back(std::move(c));
       }
       return false;
     };

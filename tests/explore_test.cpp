@@ -5,6 +5,7 @@
 // the thread/batch byte-stability of the aggregate summary and store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -74,6 +75,110 @@ TEST(Shrink, RespectsTheProbeBudget) {
   EXPECT_EQ(r.probes, calls);
   EXPECT_FALSE(r.locally_minimal);
   EXPECT_TRUE(keep(r.trace));  // never hands back a non-witness
+}
+
+// The repeat skip (shrink.hpp) must not change what the shrinker does:
+// only whether a candidate already rejected against the current trace is
+// replayed again.  Three fixed cases exercise it.
+struct ShrinkCase {
+  const char* name;
+  ScheduleTrace trace;
+  KeepPredicate keep;
+};
+
+std::vector<ShrinkCase> shrink_cases() {
+  std::vector<ShrinkCase> cases;
+  // 64 equal choices, and no candidate keeps the property: every chunk
+  // of one size is the same candidate.
+  ScheduleTrace equal;
+  equal.choices.assign(64, 5);
+  cases.push_back({"all-equal", equal, [equal](const ScheduleTrace& c) {
+                     return c == equal;
+                   }});
+  // A periodic trace whose middle [24, 40) is removable and nothing else
+  // is: the first and last 24 choices must survive unchanged.
+  ScheduleTrace periodic;
+  for (std::uint32_t i = 0; i < 64; ++i) periodic.choices.push_back(i % 7 + 1);
+  cases.push_back({"middle-chunk", periodic,
+                   [periodic](const ScheduleTrace& c) {
+                     const auto& x = c.choices;
+                     const auto& o = periodic.choices;
+                     return x.size() >= 48 &&
+                            std::equal(o.begin(), o.begin() + 24, x.begin()) &&
+                            std::equal(o.end() - 24, o.end(), x.end() - 24);
+                   }});
+  // Only the single 42 matters.
+  ScheduleTrace single;
+  for (std::uint32_t i = 0; i < 64; ++i) single.choices.push_back(i % 5 + 1);
+  single.choices[37] = 42;
+  cases.push_back({"single-element", single, [](const ScheduleTrace& c) {
+                     return std::find(c.choices.begin(), c.choices.end(),
+                                      42u) != c.choices.end();
+                   }});
+  return cases;
+}
+
+TEST(Shrink, NeverReplaysACandidateAlreadyRejectedAgainstTheSameTrace) {
+  std::vector<ShrinkCase> cases = shrink_cases();
+  ScheduleTrace sevens;
+  sevens.choices = {3, 7, 0, 9, 9, 1, 7, 2, 5, 7, 4, 4, 4, 4, 7, 7, 1, 1};
+  cases.push_back({"sevens", sevens, [](const ScheduleTrace& c) {
+                     return std::count(c.choices.begin(), c.choices.end(),
+                                       7u) >= 2;
+                   }});
+  std::uint64_t repeats = 0;
+  for (const ShrinkCase& sc : cases) {
+    std::set<std::vector<std::uint32_t>> rejected;  // since the last `true`
+    std::uint64_t calls = 0;
+    const auto logging = [&](const ScheduleTrace& c) {
+      ++calls;
+      EXPECT_EQ(rejected.count(c.choices), 0u)
+          << sc.name << ": candidate replayed twice against one trace";
+      const bool kept = sc.keep(c);
+      if (kept) {
+        rejected.clear();
+      } else {
+        rejected.insert(c.choices);
+      }
+      return kept;
+    };
+    const ShrinkResult r = shrink(sc.trace, logging, 100000);
+    EXPECT_TRUE(r.locally_minimal) << sc.name;
+    EXPECT_EQ(r.probes, calls) << sc.name;
+    repeats += r.repeats;
+  }
+  EXPECT_GT(repeats, 0u);  // the skip actually fired
+}
+
+TEST(Shrink, SkippingRepeatsKeepsResultsAndBudgetAccounting) {
+  // Pinned by running these cases through the shrinker as it was before
+  // it skipped repeats.  It replayed every candidate, so its predicate
+  // calls equal probes + repeats here; `repeats` is how many of its calls
+  // re-tested a candidate already rejected since the trace last changed.
+  struct Pin {
+    std::vector<std::uint32_t> trace;
+    bool locally_minimal;
+    std::uint64_t tested;
+    std::uint64_t repeats;
+  };
+  std::vector<std::uint32_t> middle;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    if (i < 24 || i >= 40) middle.push_back(i % 7 + 1);
+  }
+  const std::vector<Pin> pins = {
+      {std::vector<std::uint32_t>(64, 5), true, 190, 120},
+      {middle, true, 310, 121},
+      {{42}, true, 13, 2},
+  };
+  const std::vector<ShrinkCase> cases = shrink_cases();
+  ASSERT_EQ(cases.size(), pins.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const ShrinkResult r = shrink(cases[i].trace, cases[i].keep, 4096);
+    EXPECT_EQ(r.trace.choices, pins[i].trace) << cases[i].name;
+    EXPECT_EQ(r.locally_minimal, pins[i].locally_minimal) << cases[i].name;
+    EXPECT_EQ(r.probes + r.repeats, pins[i].tested) << cases[i].name;
+    EXPECT_EQ(r.repeats, pins[i].repeats) << cases[i].name;
+  }
 }
 
 // ---------- record → replay → re-record ----------

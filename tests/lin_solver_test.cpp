@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <set>
+#include <vector>
 
 #include "checker/lin_solver.hpp"
 #include "checker/stream_checker.hpp"
@@ -593,6 +595,164 @@ TEST(LinSolverOracle, FinalValuesAgreeWithBruteForceExactMode) {
   }
   EXPECT_GE(compared, 100);
   EXPECT_GE(nonempty, 30);
+}
+
+// ---------- read menus (feasible_read_values) ----------
+//
+// One search with the read's value left open must return exactly the
+// values a per-candidate search accepts, and the values a brute-force
+// enumeration of the completed copy accepts.  The cases mimic a model's
+// menu probe: one pending read completes at a time after its invocation,
+// over 1-3 pre-window values, in both write-order modes.
+
+struct ReadMenuCase {
+  History h;
+  int read = -1;
+  Time response = kNoTime;
+  std::vector<Value> initials;  ///< distinct, from {0, 1, 2, 3}
+};
+
+/// A random window with one pending read to complete: one of the window's
+/// own pending reads when it has any, else a read appended at the end.
+/// The response falls anywhere after the invocation, up to just past the
+/// last event, so the read sometimes precedes later ops in real time.
+ReadMenuCase random_read_menu_case(util::Rng& rng, int max_ops) {
+  ReadMenuCase c;
+  c.h = random_history(rng, max_ops);
+  Time max_time = 0;
+  std::vector<int> pending_reads;
+  for (const OpRecord& op : c.h.ops()) {
+    max_time = std::max(max_time, op.invoke);
+    if (!op.pending()) {
+      max_time = std::max(max_time, op.response);
+    } else if (op.is_read()) {
+      pending_reads.push_back(op.id);
+    }
+  }
+  if (pending_reads.empty()) {
+    c.read = add(c.h, /*process=*/3, OpKind::kRead, 0, ++max_time, kNoTime);
+  } else {
+    c.read = pending_reads[rng.uniform(pending_reads.size())];
+  }
+  const Time invoke = c.h.op(c.read).invoke;
+  c.response = invoke + 1 +
+               static_cast<Time>(rng.uniform(
+                   static_cast<std::uint64_t>(max_time + 1 - invoke)));
+  std::vector<Value> pool = {0, 1, 2, 3};
+  for (std::size_t i = pool.size(); i > 1; --i) {
+    std::swap(pool[i - 1], pool[rng.uniform(i)]);
+  }
+  pool.resize(1 + rng.uniform(3));
+  c.initials = pool;
+  return c;
+}
+
+/// Every value a read of `c` could return: pre-window and written values.
+std::set<Value> read_candidates(const ReadMenuCase& c) {
+  std::set<Value> out(c.initials.begin(), c.initials.end());
+  for (const OpRecord& op : c.h.ops()) {
+    if (op.is_write()) out.insert(op.value);
+  }
+  return out;
+}
+
+/// The per-candidate menu: one `feasible` call per candidate value.
+std::set<Value> per_candidate_read_values(const ReadMenuCase& c,
+                                          const LinProblem& p) {
+  std::set<Value> out;
+  for (const Value v : read_candidates(c)) {
+    LinProblem q = p;
+    q.completion = LinProblem::Completion{c.read, v, c.response};
+    if (feasible(q)) out.insert(v);
+  }
+  return out;
+}
+
+/// Brute force on the completed copy, from each pre-window value; nullopt
+/// when some instance is too large to enumerate.
+std::optional<std::set<Value>> brute_force_read_values(const ReadMenuCase& c,
+                                                       const LinProblem& p) {
+  std::set<Value> out;
+  for (const Value v : read_candidates(c)) {
+    History copy = c.h;
+    copy.complete_op(c.read, v, c.response);
+    bool any = false;
+    for (const Value init : c.initials) {
+      copy.set_initial(0, init);
+      if (p.mode == WriteOrderMode::kExact) {
+        const std::optional<bool> ok = oracle_exact(copy, p.exact_write_order);
+        if (!ok.has_value()) return std::nullopt;
+        any = any || *ok;
+      } else {
+        bool found = false;
+        if (!enumerate_free_linearizations(copy, [&](const std::vector<int>&) {
+              found = true;
+              return false;  // one witness is enough
+            })) {
+          return std::nullopt;
+        }
+        any = any || found;
+      }
+    }
+    if (any) out.insert(v);
+  }
+  return out;
+}
+
+TEST(LinSolverOracle, ReadValuesAgreeWithPerCandidateAndBruteForce) {
+  util::Rng rng(0x4EAD);
+  int brute = 0, multi = 0, empty = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const ReadMenuCase c = random_read_menu_case(rng, /*max_ops=*/10);
+    LinProblem p;
+    p.history = &c.h;
+    p.initial_values = c.initials;
+    if (trial % 2 == 1) {
+      p.mode = WriteOrderMode::kExact;
+      p.exact_write_order = random_exact_order(rng, c.h);
+    }
+    // The completion's value is ignored: any placeholder will do.
+    p.completion = LinProblem::Completion{c.read, 7, c.response};
+    // Brute force at small sizes only: it is factorial in the op count.
+    const std::optional<std::set<Value>> expected_brute =
+        c.h.size() <= 6 ? brute_force_read_values(c, p) : std::nullopt;
+    for (const bool prune : {true, false}) {
+      p.prune = prune;
+      const std::set<Value> got = feasible_read_values(p);
+      ASSERT_EQ(got, per_candidate_read_values(c, p))
+          << "trial " << trial << " prune=" << prune << " mode="
+          << (p.mode == WriteOrderMode::kExact ? "exact" : "free")
+          << " read op" << c.read << " responding at " << c.response << ":\n"
+          << c.h.to_string();
+      if (expected_brute.has_value()) {
+        ASSERT_EQ(got, *expected_brute)
+            << "brute-force disagreement on trial " << trial << ":\n"
+            << c.h.to_string();
+      }
+      if (got.size() >= 2) ++multi;
+      if (got.empty()) ++empty;
+    }
+    if (expected_brute.has_value()) ++brute;
+  }
+  // Menus with several values, empty menus and brute-force comparisons
+  // must all be exercised substantially.
+  EXPECT_GE(brute, 200);
+  EXPECT_GE(multi, 100);
+  EXPECT_GE(empty, 100);
+}
+
+TEST(LinSolver, ReadValuesNeedACompletedRead) {
+  History h;
+  h.set_initial(0, 0);
+  const int w = add(h, 0, OpKind::kWrite, 1, 1, kNoTime);
+  const int r = add(h, 1, OpKind::kRead, 0, 2, kNoTime);
+  LinProblem p;
+  p.history = &h;
+  EXPECT_THROW((void)feasible_read_values(p), util::InvariantViolation);
+  p.completion = LinProblem::Completion{w, 1, 3};
+  EXPECT_THROW((void)feasible_read_values(p), util::InvariantViolation);
+  p.completion = LinProblem::Completion{r, 0, 3};
+  EXPECT_EQ(feasible_read_values(p), (std::set<Value>{0, 1}));
 }
 
 // ---------- zero-copy prefix views and completion overlays ----------

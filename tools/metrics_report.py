@@ -11,8 +11,9 @@ line, then every counter and gauge (zeros included, registry order),
 then one line per histogram with its non-zero power-of-two buckets.
 
 Render mode prints the counters/gauges grouped by subsystem prefix,
-histograms as bucket rows, and a few derived rates (memo hit rate,
-prune fraction, wsl cache hit rate, network delivery rate).
+histograms as bucket rows, and a few derived rows (memo hit rate,
+prune fraction, wsl cache hit rate, network delivery rate, and the
+explore shrink probes split into replays and repeats).
 
 Diff mode prints old/new/delta/pct for every metric present in either
 dump.  With --threshold P, stable counters whose relative change
@@ -83,6 +84,11 @@ def derived(scalars):
          rate(g("net.delivered", 0), g("net.msgs_sent", 0))),
         ("stream collapse rate",
          rate(g("stream.collapses", 0), g("stream.events", 0))),
+        # shrink_probes counts candidates tested; a repeat is not replayed.
+        ("explore shrink probes",
+         f"{g('explore.shrink_probes', 0)} = "
+         f"{g('explore.shrink_probes', 0) - g('explore.shrink_repeats', 0)}"
+         f" replays + {g('explore.shrink_repeats', 0)} repeats"),
     ]
 
 

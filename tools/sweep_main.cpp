@@ -131,8 +131,9 @@ using rlt::term::TermSweepOptions;
       "                      (default: rounds)\n"
       "  --strategy NAME     greedy, hill, or random (default: greedy)\n"
       "  --search-budget N   runs per search instance, >= 1 (default: 32)\n"
-      "  --shrink-budget N   replays the counterexample shrinker may\n"
-      "                      spend per instance; 0 disables shrinking\n"
+      "  --shrink-budget N   candidates the counterexample shrinker may\n"
+      "                      test per instance (a repeat is not\n"
+      "                      replayed); 0 disables shrinking\n"
       "                      (default: 4096)\n"
       "  --ablate KIND       plant a known bug for the search to find:\n"
       "                      'nowb' disables ABD's read write-back\n"
