@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/adversary.hpp"
 #include "sweep/store.hpp"
 #include "sweep/sweep.hpp"
 #include "term/term_scenario.hpp"
@@ -145,6 +146,60 @@ TEST(TermGolden, ConsensusAndCoinTerminateUnderStalls) {
       EXPECT_EQ(r.stalled, 1) << "n=4 has exactly one strict-minority "
                               << "victim";
     }
+  }
+}
+
+// ---------- exploration probes ----------
+
+TEST(TermProbe, RandomSchedulesArePinnedForEveryFamily) {
+  // run_term_probe is the exploration lab's rounds objective; the blessed
+  // store pins it through searches, this pins one plain run per family.
+  // The values were printed by this same loop when the record and the
+  // probe still built and ran each family separately, so they hold the
+  // probe to its per-family folding rules: the family mixed in first,
+  // no consensus inputs, composed's game rounds after the processes.
+  struct Pin {
+    Family family;
+    int processes;
+    std::uint64_t seed;
+    std::uint64_t outcome_hash;
+    std::uint64_t rounds_score;
+    std::uint64_t steps;
+  };
+  const Pin pins[] = {
+      {Family::kConsensus, 3, 0, 0x62117704524cd4d8ULL, 2, 25},
+      {Family::kConsensus, 3, 1, 0xe8a92fd0d56239beULL, 5, 80},
+      {Family::kConsensus, 3, 2, 0x21f7965200262ccaULL, 3, 40},
+      {Family::kConsensus, 4, 0, 0x368978cb0b53e936ULL, 3, 54},
+      {Family::kConsensus, 4, 1, 0xb58add52268ecf97ULL, 3, 53},
+      {Family::kConsensus, 4, 2, 0xb5af1625fedf7137ULL, 3, 54},
+      {Family::kSharedCoin, 3, 0, 0x99e60c3899bc7152ULL, 5, 58},
+      {Family::kSharedCoin, 3, 1, 0x783cb314632b7feaULL, 17, 233},
+      {Family::kSharedCoin, 3, 2, 0xacd939b27e830deaULL, 7, 93},
+      {Family::kSharedCoin, 4, 0, 0x4b11b6d7a52aa9f0ULL, 5, 94},
+      {Family::kSharedCoin, 4, 1, 0x064119bba190b865ULL, 19, 400},  // capped
+      {Family::kSharedCoin, 4, 2, 0x1c77d726f4c21dfdULL, 27, 400},  // capped
+      {Family::kGame, 4, 0, 0x0c3ed42b3c729847ULL, 1, 39},
+      {Family::kGame, 4, 1, 0x0c3ed42b3c729847ULL, 1, 39},
+      {Family::kGame, 4, 2, 0x0c3ed42b3c729847ULL, 1, 39},
+      {Family::kComposed, 4, 0, 0x3cebe29f15649ff1ULL, 3, 81},
+      {Family::kComposed, 4, 1, 0xd1e3b3caf5ce1fcaULL, 4, 104},
+      {Family::kComposed, 4, 2, 0x64b2fa47351cb8b6ULL, 3, 85},
+  };
+  for (const Pin& pin : pins) {
+    TermProbeSpec spec;
+    spec.family = pin.family;
+    spec.processes = pin.processes;
+    spec.max_rounds = 8;
+    spec.seed = pin.seed;
+    sim::RandomAdversary adversary(pin.seed ^ 0x9E3779B97F4A7C15ULL);
+    const TermProbe p = run_term_probe(spec, adversary);
+    SCOPED_TRACE(std::string(to_string(pin.family)) + " p" +
+                 std::to_string(pin.processes) + " seed" +
+                 std::to_string(pin.seed));
+    EXPECT_EQ(p.outcome_hash, pin.outcome_hash);
+    EXPECT_EQ(p.rounds_score, pin.rounds_score);
+    EXPECT_EQ(p.steps, pin.steps);
   }
 }
 
