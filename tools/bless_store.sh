@@ -11,8 +11,9 @@
 #                 crash, crash-recovery) over seeds 0:10;
 #   2. term     — the termination lab's default cross-product over seeds
 #                 0:10, per-family decision-round histograms included;
-#   3. explore/rounds — the greedy adaptive adversary vs the Theorem 6
-#                 game (round-cap survival witnesses, shrunk);
+#   3. explore/rounds — the greedy adaptive adversary vs every term
+#                 family's rounds probe (the Theorem 6 game's round-cap
+#                 survival witnesses among them, shrunk);
 #   4. explore/violation — the counterexample pipeline against the
 #                 planted no-write-back ABD ablation (found, shrunk,
 #                 replayable traces embedded in the records).
@@ -47,7 +48,8 @@ trap 'rm -rf "${tmpdir}"' EXIT
          --out "${tmpdir}/safety.jsonl" > /dev/null
 "${BIN}" --term --seeds 0:10 --threads 4 \
          --out "${tmpdir}/term.jsonl" > /dev/null
-"${BIN}" --explore --objective rounds --families game --strategy greedy \
+"${BIN}" --explore --objective rounds --families consensus,composed,coin,game \
+         --strategy greedy \
          --rounds 8 --search-budget 2 --seeds 0:2 --threads 4 \
          --out "${tmpdir}/explore_rounds.jsonl" > /dev/null
 "${BIN}" --explore --objective violation --algorithms abd --processes 5 \
