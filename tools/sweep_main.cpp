@@ -721,15 +721,18 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --merge and --replay are standalone: they read every config from
+  // their input files, so sweep axes, modes, and execution knobs make no
+  // sense with them.
+  const bool sweep_flags_used =
+      term_mode || explore_mode || list_only || shard_set ||
+      !safety_flags_used.empty() || !algo_flags_used.empty() ||
+      !term_flags_used.empty() || !family_flags_used.empty() ||
+      !explore_flags_used.empty() || !obs_flags_used.empty() ||
+      processes_set || max_actions_set || batch_set || threads_set ||
+      seeds_set || progress_every > 0;
   if (merge_mode) {
-    // Merge is standalone: it reads every config from the shard headers,
-    // so sweep axes, modes, and execution knobs make no sense here.
-    if (term_mode || explore_mode || list_only || !replay_path.empty() ||
-        shard_set || !safety_flags_used.empty() || !algo_flags_used.empty() ||
-        !term_flags_used.empty() || !family_flags_used.empty() ||
-        !explore_flags_used.empty() || !obs_flags_used.empty() ||
-        processes_set || max_actions_set ||
-        batch_set || threads_set || seeds_set || progress_every > 0) {
+    if (sweep_flags_used || !replay_path.empty()) {
       std::cerr << "sweep_main: --merge is standalone (only --out may "
                    "accompany it; every config comes from the shard "
                    "headers)\n";
@@ -745,11 +748,7 @@ int main(int argc, char** argv) {
     usage(2);
   }
   if (!replay_path.empty()) {
-    if (term_mode || explore_mode || shard_set ||
-        !safety_flags_used.empty() ||
-        !algo_flags_used.empty() || !term_flags_used.empty() ||
-        !family_flags_used.empty() || !explore_flags_used.empty() ||
-        !obs_flags_used.empty()) {
+    if (sweep_flags_used || !out_path.empty()) {
       std::cerr << "sweep_main: --replay is standalone (it reads every "
                    "config from the store)\n";
       usage(2);
