@@ -21,81 +21,15 @@ sim::Task composed_body(sim::Proc& self, game::GameState& gs,
   (void)co_await consensus_body(self, cs, i);
 }
 
-struct ComposedRun {
-  sim::Scheduler sched;
-  game::GameState game_state;
-  ConsensusState consensus_state;
-  bool consensus_started = false;
-
-  ComposedRun(const game::GameConfig& gc, ConsensusConfig cc,
-              sim::Semantics game_semantics, std::uint64_t seed)
-      : sched(seed),
-        game_state(gc),
-        consensus_state(
-            [&] {
-              RLT_CHECK_MSG(cc.n == gc.n,
-                            "game and consensus must share the process set");
-              cc.first_reg = 3;  // game occupies registers 0..2
-              return cc;
-            }(),
-            [&] {
-              // Inputs derived deterministically from the seed.
-              util::Rng rng(seed ^ 0xC0FFEE);
-              std::vector<int> in(static_cast<std::size_t>(gc.n));
-              for (int& b : in) b = rng.flip();
-              return in;
-            }()) {
-    RLT_CHECK_MSG(gc.n >= 3, "the game needs n >= 3 processes");
-    // Registers only: the composed bodies below ARE the game processes.
-    // Calling setup_game here would add a second, competing set of game
-    // processes on the same GameState — two "host 0"s would write
-    // different coins into C and break Lemma 18 (a bug this runner
-    // actually had; Corollary9Regression.ComposedRunsUseExactlyNProcesses
-    // pins the schedules that exposed it).
-    game::setup_game_registers(sched, game_semantics);
-    setup_consensus(sched, consensus_state.cfg, sim::Semantics::kAtomic);
-    for (int i = 0; i < gc.n; ++i) {
-      sched.add_process(
-          "composed-p" + std::to_string(i),
-          [this, i](sim::Proc& p) {
-            return composed_body(p, game_state, consensus_state, i,
-                                 &consensus_started);
-          });
-    }
-  }
-
-  [[nodiscard]] ComposedResult collect(sim::RunOutcome outcome) const {
-    ComposedResult r;
-    r.outcome = outcome;
-    r.game_terminated = game_state.all_returned();
-    r.game_rounds = game_state.rounds_reached();
-    r.consensus_started = consensus_started;
-    r.all_decided = consensus_state.all_decided();
-    r.agreement = consensus_state.agreement();
-    r.validity = consensus_state.validity();
-    return r;
-  }
-};
-
 }  // namespace
 
-ComposedResult run_composed_scripted(const game::GameConfig& game_cfg,
-                                     const ConsensusConfig& consensus_cfg,
-                                     sim::Semantics game_semantics,
-                                     game::CommitStrategy strategy,
-                                     std::uint64_t seed) {
-  RLT_CHECK_MSG(game_semantics != sim::Semantics::kAtomic,
-                "the scripted adversary needs interval semantics");
-  ComposedRun run(game_cfg, consensus_cfg, game_semantics, seed);
-  game::GameScriptAdversary adversary(game_cfg, strategy,
-                                      seed ^ 0x5DEECE66DULL);
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(game_cfg.max_rounds + 2) *
-          (static_cast<std::uint64_t>(game_cfg.n) * 24 + 64) +
-      static_cast<std::uint64_t>(consensus_cfg.max_rounds + 2) *
-          (static_cast<std::uint64_t>(game_cfg.n) * 600 + 2000);
-  const sim::RunOutcome outcome = run.sched.run(adversary, budget);
-  return run.collect(outcome);
+std::uint64_t composed_budget(const game::GameConfig& game_cfg,
+                              const ConsensusConfig& consensus_cfg,
+                              bool scripted) {
+  return game::action_budget(game_cfg, scripted) +
+         static_cast<std::uint64_t>(consensus_cfg.max_rounds + 2) *
+             (static_cast<std::uint64_t>(game_cfg.n) * (scripted ? 600 : 2000) +
+              (scripted ? 2000 : 8000));
 }
 
 ComposedStats run_composed_adversary(const game::GameConfig& game_cfg,
@@ -104,39 +38,73 @@ ComposedStats run_composed_adversary(const game::GameConfig& game_cfg,
                                      sim::Adversary& adversary,
                                      std::uint64_t max_actions,
                                      std::uint64_t seed) {
-  ComposedRun run(game_cfg, consensus_cfg, game_semantics, seed);
+  RLT_CHECK_MSG(consensus_cfg.n == game_cfg.n,
+                "game and consensus must share the process set");
+  RLT_CHECK_MSG(game_cfg.n >= 3, "the game needs n >= 3 processes");
+  ConsensusConfig cc = consensus_cfg;
+  cc.first_reg = 3;  // game occupies registers 0..2
+  sim::Scheduler sched(seed);
+  game::GameState game_state(game_cfg);
+  ConsensusState consensus_state(cc, seeded_inputs(game_cfg.n, seed));
+  bool consensus_started = false;
+  // Registers only: the composed bodies below ARE the game processes.
+  // Calling setup_game here would add a second, competing set of game
+  // processes on the same GameState — two "host 0"s would write
+  // different coins into C and break Lemma 18 (a bug this runner
+  // actually had; Corollary9Regression.ComposedRunsUseExactlyNProcesses
+  // pins the schedules that exposed it).
+  game::setup_game_registers(sched, game_semantics);
+  setup_consensus(sched, cc, sim::Semantics::kAtomic);
+  for (int i = 0; i < game_cfg.n; ++i) {
+    sched.add_process("composed-p" + std::to_string(i),
+                      [&game_state, &consensus_state, &consensus_started,
+                       i](sim::Proc& p) {
+                        return composed_body(p, game_state, consensus_state,
+                                             i, &consensus_started);
+                      });
+  }
   ComposedStats st;
-  st.outcome = run.sched.run(adversary, max_actions);
-  st.game_rounds = run.game_state.rounds_reached();
-  st.game_capped = run.game_state.any_capped();
-  st.consensus_started = run.consensus_started;
-  st.game_returned.reserve(run.game_state.procs.size());
-  for (const game::ProcStatus& p : run.game_state.procs) {
+  st.outcome = sched.run(adversary, max_actions);
+  for (const game::ProcStatus& p : game_state.procs) {
     st.game_returned.push_back(p.returned);
   }
-  st.decisions = run.consensus_state.decisions;
-  st.decided_round = run.consensus_state.decided_round;
-  st.consensus_capped = run.consensus_state.hit_round_cap;
-  st.agreement = run.consensus_state.agreement();
-  st.validity = run.consensus_state.validity();
-  st.actions = run.sched.actions_applied();
-  st.coin_flips = run.sched.coin_log().size();
+  st.game_terminated = game_state.all_returned();
+  st.game_rounds = game_state.rounds_reached();
+  st.game_capped = game_state.any_capped();
+  st.consensus_started = consensus_started;
+  st.decisions = consensus_state.decisions;
+  st.decided_round = consensus_state.decided_round;
+  st.consensus_capped = consensus_state.hit_round_cap;
+  st.all_decided = consensus_state.all_decided();
+  st.agreement = consensus_state.agreement();
+  st.validity = consensus_state.validity();
+  st.actions = sched.actions_applied();
+  st.coin_flips = sched.coin_log().size();
   return st;
 }
 
-ComposedResult run_composed_random(const game::GameConfig& game_cfg,
-                                   const ConsensusConfig& consensus_cfg,
-                                   sim::Semantics game_semantics,
-                                   std::uint64_t seed) {
-  ComposedRun run(game_cfg, consensus_cfg, game_semantics, seed);
+ComposedStats run_composed_scripted(const game::GameConfig& game_cfg,
+                                    const ConsensusConfig& consensus_cfg,
+                                    sim::Semantics game_semantics,
+                                    game::CommitStrategy strategy,
+                                    std::uint64_t seed) {
+  RLT_CHECK_MSG(game_semantics != sim::Semantics::kAtomic,
+                "the scripted adversary needs interval semantics");
+  game::GameScriptAdversary adversary(game_cfg, strategy,
+                                      seed ^ 0x5DEECE66DULL);
+  return run_composed_adversary(
+      game_cfg, consensus_cfg, game_semantics, adversary,
+      composed_budget(game_cfg, consensus_cfg, /*scripted=*/true), seed);
+}
+
+ComposedStats run_composed_random(const game::GameConfig& game_cfg,
+                                  const ConsensusConfig& consensus_cfg,
+                                  sim::Semantics game_semantics,
+                                  std::uint64_t seed) {
   sim::RandomAdversary adversary(seed ^ 0x9E3779B97F4A7C15ULL);
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(game_cfg.max_rounds + 2) *
-          (static_cast<std::uint64_t>(game_cfg.n) * 400 + 4000) +
-      static_cast<std::uint64_t>(consensus_cfg.max_rounds + 2) *
-          (static_cast<std::uint64_t>(game_cfg.n) * 2000 + 8000);
-  const sim::RunOutcome outcome = run.sched.run(adversary, budget);
-  return run.collect(outcome);
+  return run_composed_adversary(
+      game_cfg, consensus_cfg, game_semantics, adversary,
+      composed_budget(game_cfg, consensus_cfg, /*scripted=*/false), seed);
 }
 
 }  // namespace rlt::consensus

@@ -18,58 +18,54 @@
 
 namespace rlt::consensus {
 
-/// Outcome of one A' execution.
-struct ComposedResult {
-  bool game_terminated = false;   ///< Every process returned from the game.
-  int game_rounds = 0;            ///< Rounds the game lasted.
-  bool consensus_started = false; ///< Some process began A.
-  bool all_decided = false;
-  bool agreement = true;
-  bool validity = true;
-  sim::RunOutcome outcome = sim::RunOutcome::kStopped;
-};
-
-/// Runs A' with the game registers under `game_semantics`, driven by the
-/// scripted strong adversary (kLinearizable or kWriteStrong), with the
-/// consensus phase (atomic registers) scheduled deterministically after
-/// the game dies.  Consensus inputs are derived from `seed`.
-[[nodiscard]] ComposedResult run_composed_scripted(
-    const game::GameConfig& game_cfg, const ConsensusConfig& consensus_cfg,
-    sim::Semantics game_semantics, game::CommitStrategy strategy,
-    std::uint64_t seed);
-
-/// Runs A' end-to-end under the uniformly random strong adversary (any
-/// semantics for the game registers, including atomic).
-[[nodiscard]] ComposedResult run_composed_random(
-    const game::GameConfig& game_cfg, const ConsensusConfig& consensus_cfg,
-    sim::Semantics game_semantics, std::uint64_t seed);
-
-/// Full end state of one A' execution — per-process game and consensus
-/// status plus scheduler counters.  The termination lab needs this finer
-/// grain than ComposedResult: under a stalling adversary "all decided"
-/// is the wrong question; "every live process decided" is the right one,
-/// and that needs the per-process vectors.
+/// Full end state of one A' execution: per-process game and consensus
+/// status plus scheduler counters.  Under a stalling adversary "all
+/// decided" is the wrong question and "every live process decided" the
+/// right one, so the per-process vectors are kept alongside the totals.
 struct ComposedStats {
   sim::RunOutcome outcome = sim::RunOutcome::kStopped;
   std::vector<bool> game_returned;  ///< Per process: returned from the game.
+  bool game_terminated = false;     ///< Every process returned from the game.
   int game_rounds = 0;              ///< Highest game round entered.
   bool game_capped = false;         ///< Some process hit the game round cap.
-  bool consensus_started = false;
+  bool consensus_started = false;   ///< Some process began A.
   std::vector<int> decisions;       ///< Per process; -1 = undecided.
   std::vector<int> decided_round;   ///< Per process; 0 = none.
   bool consensus_capped = false;    ///< Some process hit the consensus cap.
+  bool all_decided = false;         ///< Every process decided.
   bool agreement = true;            ///< Over decided processes.
   bool validity = true;             ///< Over decided processes.
   std::uint64_t actions = 0;        ///< Scheduler actions consumed.
   std::uint64_t coin_flips = 0;     ///< Scheduler coin flips (game + A).
 };
 
+/// A''s action budget: the game's (game::action_budget) plus the
+/// consensus rounds at the same kind of schedule's rate.
+[[nodiscard]] std::uint64_t composed_budget(
+    const game::GameConfig& game_cfg, const ConsensusConfig& consensus_cfg,
+    bool scripted);
+
 /// Runs A' under a caller-supplied adversary with an explicit action
-/// budget.  Consensus inputs are derived from `seed` exactly as in the
-/// helpers above (identical seeds give identical inputs).
+/// budget.  Consensus inputs are seeded_inputs(n, seed); the consensus
+/// registers are atomic whatever `game_semantics` is.
 [[nodiscard]] ComposedStats run_composed_adversary(
     const game::GameConfig& game_cfg, const ConsensusConfig& consensus_cfg,
     sim::Semantics game_semantics, sim::Adversary& adversary,
     std::uint64_t max_actions, std::uint64_t seed);
+
+/// Runs A' with the game registers under `game_semantics`, driven by the
+/// scripted strong adversary (kLinearizable or kWriteStrong), with the
+/// consensus phase (atomic registers) scheduled deterministically after
+/// the game dies.
+[[nodiscard]] ComposedStats run_composed_scripted(
+    const game::GameConfig& game_cfg, const ConsensusConfig& consensus_cfg,
+    sim::Semantics game_semantics, game::CommitStrategy strategy,
+    std::uint64_t seed);
+
+/// Runs A' end-to-end under the uniformly random strong adversary (any
+/// semantics for the game registers, including atomic).
+[[nodiscard]] ComposedStats run_composed_random(
+    const game::GameConfig& game_cfg, const ConsensusConfig& consensus_cfg,
+    sim::Semantics game_semantics, std::uint64_t seed);
 
 }  // namespace rlt::consensus

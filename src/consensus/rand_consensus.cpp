@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace rlt::consensus {
 
@@ -29,6 +30,13 @@ bool ConsensusState::validity() const {
     }
   }
   return true;
+}
+
+std::vector<int> seeded_inputs(int n, std::uint64_t seed) {
+  util::Rng rng(seed ^ 0xC0FFEEULL);
+  std::vector<int> in(static_cast<std::size_t>(n));
+  for (int& b : in) b = rng.flip();
+  return in;
 }
 
 void setup_consensus(sim::Scheduler& sched, const ConsensusConfig& cfg,

@@ -27,6 +27,7 @@
 // a constant for the shared coin) after which the race closes.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "consensus/shared_coin.hpp"
@@ -83,6 +84,11 @@ struct ConsensusState {
   /// Every decision equals some process's input.
   [[nodiscard]] bool validity() const;
 };
+
+/// Consensus inputs derived from a run seed, one seeded bit per process.
+/// A' and the termination lab's consensus family share it, so equal
+/// seeds give equal inputs.
+[[nodiscard]] std::vector<int> seeded_inputs(int n, std::uint64_t seed);
 
 /// Adds the consensus registers (markers + coin counters) to `sched`
 /// with the given semantics (the paper's A assumes atomic base objects).

@@ -31,6 +31,12 @@ GameRunResult collect(const GameState& state, const sim::Scheduler& sched,
 
 }  // namespace
 
+std::uint64_t action_budget(const GameConfig& cfg, bool scripted) {
+  return static_cast<std::uint64_t>(cfg.max_rounds + 2) *
+         (static_cast<std::uint64_t>(cfg.n) * (scripted ? 24 : 400) +
+          (scripted ? 64 : 4000));
+}
+
 GameRunResult run_game_adversary(GameState& state, sim::Semantics semantics,
                                  sim::Adversary& adversary,
                                  std::uint64_t budget, std::uint64_t seed) {
@@ -48,13 +54,9 @@ GameRunResult run_scripted_game(const GameConfig& cfg,
                 "run_random_game for atomic registers");
   GameState state(cfg);
   GameScriptAdversary adversary(cfg, strategy, seed ^ 0x5DEECE66DULL);
-  // Generous action budget: the script uses a bounded number of actions
-  // per round.
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(cfg.max_rounds + 2) *
-      (static_cast<std::uint64_t>(cfg.n) * 24 + 64);
-  GameRunResult r = run_game_adversary(state, semantics, adversary, budget,
-                                       seed);
+  GameRunResult r = run_game_adversary(
+      state, semantics, adversary, action_budget(cfg, /*scripted=*/true),
+      seed);
   if (adversary.stats().doomed_round != 0) {
     RLT_CHECK_MSG(r.terminated,
                   "script doomed the game but processes did not return");
@@ -67,12 +69,8 @@ GameRunResult run_random_game(const GameConfig& cfg, sim::Semantics semantics,
                               std::uint64_t seed) {
   GameState state(cfg);
   sim::RandomAdversary adversary(seed ^ 0x9E3779B97F4A7C15ULL);
-  // Random schedules are far less action-efficient than the script; the
-  // cap guards against pathological schedules only.
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(cfg.max_rounds + 2) *
-      (static_cast<std::uint64_t>(cfg.n) * 400 + 4000);
-  return run_game_adversary(state, semantics, adversary, budget, seed);
+  return run_game_adversary(state, semantics, adversary,
+                            action_budget(cfg, /*scripted=*/false), seed);
 }
 
 TerminationDistribution measure_termination_rounds(const GameConfig& cfg,

@@ -22,6 +22,13 @@ struct GameRunResult {
   std::vector<int> coins;    ///< p0's coin per round (1-based, -1 unset).
 };
 
+/// The game's action budget: a bounded number of actions per round for
+/// the script, and a far more generous one for other schedules (random
+/// schedules are much less action-efficient; the cap guards against
+/// pathological ones only).
+[[nodiscard]] std::uint64_t action_budget(const GameConfig& cfg,
+                                          bool scripted);
+
 /// Runs the game in a caller-built `state` under a caller-supplied
 /// adversary (`seed` seeds the scheduler's coin RNG).  The scripted /
 /// random helpers below are wrappers; the termination lab drives this

@@ -126,7 +126,7 @@ TEST(Corollary9, LinearizableGameRegistersBlockAPrime) {
   gc.max_rounds = 30;
   ConsensusConfig cc;
   cc.n = 4;
-  const ComposedResult r = run_composed_scripted(
+  const ComposedStats r = run_composed_scripted(
       gc, cc, sim::Semantics::kLinearizable,
       game::CommitStrategy::kRandomOrder, 5);
   EXPECT_FALSE(r.game_terminated);
@@ -142,7 +142,7 @@ TEST(Corollary9, WslGameRegistersLetAPrimeDecide) {
     gc.max_rounds = 300;
     ConsensusConfig cc;
     cc.n = 4;
-    const ComposedResult r = run_composed_scripted(
+    const ComposedStats r = run_composed_scripted(
         gc, cc, sim::Semantics::kWriteStrong,
         game::CommitStrategy::kRandomOrder, seed);
     ASSERT_TRUE(r.game_terminated) << "seed " << seed;
@@ -166,7 +166,7 @@ TEST(ConsensusRegression, TieDefector) {
     gc.max_rounds = 1000;
     ConsensusConfig cc;
     cc.n = 4;
-    const ComposedResult r =
+    const ComposedStats r =
         run_composed_random(gc, cc, sim::Semantics::kAtomic, seed);
     ASSERT_TRUE(r.agreement) << "seed " << seed;
     ASSERT_TRUE(r.validity) << "seed " << seed;
@@ -188,7 +188,7 @@ TEST(Corollary9Regression, ComposedRunsUseExactlyNProcesses) {
     gc.max_rounds = 64;
     ConsensusConfig cc;
     cc.n = 4;
-    const ComposedResult r =
+    const ComposedStats r =
         run_composed_random(gc, cc, sim::Semantics::kAtomic, seed);
     EXPECT_TRUE(r.game_terminated) << "seed " << seed;
     EXPECT_TRUE(r.agreement && r.validity) << "seed " << seed;
@@ -203,7 +203,7 @@ TEST_P(ComposedRandomSweep, SafetyNeverViolated) {
   gc.max_rounds = 1000;
   ConsensusConfig cc;
   cc.n = 4;
-  const ComposedResult r = run_composed_random(
+  const ComposedStats r = run_composed_random(
       gc, cc, sim::Semantics::kAtomic, GetParam());
   EXPECT_TRUE(r.agreement);
   EXPECT_TRUE(r.validity);
@@ -220,7 +220,7 @@ TEST(Corollary9, AtomicGameRegistersWorkUnderRandomSchedules) {
     gc.max_rounds = 500;
     ConsensusConfig cc;
     cc.n = 4;
-    const ComposedResult r = run_composed_random(
+    const ComposedStats r = run_composed_random(
         gc, cc, sim::Semantics::kAtomic, seed);
     ASSERT_TRUE(r.game_terminated) << "seed " << seed;
     EXPECT_TRUE(r.all_decided) << "seed " << seed;
