@@ -43,7 +43,6 @@ void BM_ExploreGreedyGameProbe(benchmark::State& state) {
   spec.processes = 4;
   spec.max_rounds = 16;
   spec.seed = 0;
-  spec.game_semantics = sim::Semantics::kLinearizable;
   std::uint64_t fingerprint = 0;
   std::uint64_t iter = 0;
   for (auto _ : state) {

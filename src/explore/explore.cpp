@@ -59,8 +59,6 @@ ProbeOutcome probe(const ExploreInstance& e, RecordingPolicy& policy) {
     spec.max_rounds = e.max_rounds;
     spec.max_actions = e.max_actions;
     spec.seed = e.seed;
-    spec.game_semantics = game_like(e.family) ? sim::Semantics::kLinearizable
-                                              : sim::Semantics::kAtomic;
     sim::PolicyAdversary adv(policy);
     const term::TermProbe p = term::run_term_probe(spec, adv);
     out.score = p.rounds_score;

@@ -5,6 +5,7 @@
 #include <exception>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "consensus/composed.hpp"
@@ -14,14 +15,12 @@
 #include "sim/adversary.hpp"
 #include "sweep/fnv.hpp"
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace rlt::term {
 namespace {
 
 using sweep::fnv_mix_u64;
 using sweep::kFnvOffset;
-using sweep::kFnvPrime;
 
 /// Derives the adversary's seed stream from the scenario, decorrelated
 /// from the scheduler's coin stream (which uses the raw scenario seed).
@@ -44,10 +43,6 @@ std::vector<sim::ProcessId> stall_victims(const TermScenario& s) {
   return sim::pick_strict_minority(s.processes, mix);
 }
 
-bool is_stalled(const std::vector<sim::ProcessId>& victims, int p) {
-  return std::find(victims.begin(), victims.end(), p) != victims.end();
-}
-
 /// Accumulates the outcome fingerprint.
 struct Hash {
   std::uint64_t h = kFnvOffset;
@@ -56,7 +51,7 @@ struct Hash {
 };
 
 /// Folds the record's own digest-relevant fields into its fingerprint
-/// (per-family extras were mixed by the drivers before this).
+/// (the family run mixed its per-process outcome before this).
 void seal_record(TermRecord& r, Hash& hash) {
   hash.mix(r.terminated ? 1 : 0);
   hash.mix(r.capped ? 1 : 0);
@@ -81,65 +76,101 @@ sim::Task coin_proc(sim::Proc& p, consensus::SharedCoinConfig cfg, int i,
       co_await consensus::shared_coin_flip(p, cfg, i);
 }
 
-// ---- family drivers -----------------------------------------------------
+// ---- one run per family -------------------------------------------------
+//
+// Each family builds its system, runs it under the caller's adversary,
+// and reads its end state out once.  run_term_scenario folds that end
+// state into a TermRecord, run_term_probe into a TermProbe.
 
-/// Consensus inputs derived deterministically from the scenario seed
-/// (mirrors the composed runner's derivation, different stream).
-std::vector<int> derive_inputs(const TermScenario& s) {
-  util::Rng rng(s.seed ^ 0xC0FFEEULL);
-  std::vector<int> in(static_cast<std::size_t>(s.processes));
-  for (int& b : in) b = rng.flip();
-  return in;
-}
+/// What a family run takes besides its adversary.
+struct FamilySetup {
+  int n = 0;
+  int max_rounds = 0;
+  std::uint64_t seed = 0;         ///< Scheduler seed: the coin stream.
+  std::uint64_t max_actions = 0;  ///< Caps the family's own action budget.
+  /// Take the game families' budget for the Theorem 6 script rather
+  /// than the one for other schedules.
+  bool scripted = false;
+  /// The game registers' semantics (game, composed); consensus and the
+  /// coin run on atomic registers regardless, per the paper.
+  sim::Semantics game_semantics = sim::Semantics::kLinearizable;
+  /// Fingerprint the consensus inputs too (the record does, the probe
+  /// does not).
+  bool mix_inputs = false;
+};
 
-void run_consensus_family(const TermScenario& s,
-                          const std::vector<sim::ProcessId>& victims,
-                          TermRecord& out, Hash& hash) {
+/// A family run's end state.  The per-process outcome words went into
+/// the caller's fingerprint as they were read out.
+struct FamilyEnd {
+  sim::RunOutcome outcome = sim::RunOutcome::kStopped;
+  std::vector<bool> done;  ///< Per process: completed its protocol.
+  /// Per process: decision round (consensus, composed), game exit round,
+  /// or personal walk length (coin).
+  std::vector<int> round;
+  /// Highest round entered; the coin, which has no rounds, reports its
+  /// longest walk.
+  int rounds_reached = 0;
+  bool round_capped = false;  ///< A process hit the structural round cap.
+  bool agreement = true;      ///< Consensus agreement and validity held.
+  std::uint64_t steps = 0;
+  std::uint64_t coin_flips = 0;
+
+  /// Whether every process outside `stalled` completed its protocol, and
+  /// the highest round among them.
+  [[nodiscard]] std::pair<bool, int> live(
+      const std::vector<sim::ProcessId>& stalled) const {
+    bool all_done = true;
+    int highest = 0;
+    for (std::size_t i = 0; i < done.size(); ++i) {
+      const auto id = static_cast<sim::ProcessId>(i);
+      if (std::find(stalled.begin(), stalled.end(), id) != stalled.end()) {
+        continue;
+      }
+      all_done = all_done && done[i];
+      highest = std::max(highest, round[i]);
+    }
+    return {all_done, highest};
+  }
+};
+
+FamilyEnd run_consensus(const FamilySetup& u, sim::Adversary& adversary,
+                        Hash& hash) {
   consensus::ConsensusConfig cfg;
-  cfg.n = s.processes;
-  cfg.max_rounds = s.max_rounds;
-  sim::Scheduler sched(s.seed);
-  consensus::ConsensusState st(cfg, derive_inputs(s));
+  cfg.n = u.n;
+  cfg.max_rounds = u.max_rounds;
+  sim::Scheduler sched(u.seed);
+  consensus::ConsensusState st(cfg, consensus::seeded_inputs(u.n, u.seed));
   setup_consensus(sched, cfg, sim::Semantics::kAtomic);
   for (int i = 0; i < cfg.n; ++i) {
     sched.add_process("c" + std::to_string(i), [&st, i](sim::Proc& p) {
       return consensus_proc(p, st, i);
     });
   }
-  sim::RunOutcome outcome;
-  if (victims.empty()) {
-    sim::RandomAdversary adv(adversary_seed(s));
-    outcome = sched.run(adv, s.max_actions);
-  } else {
-    sim::StallingAdversary adv(victims, adversary_seed(s));
-    outcome = sched.run(adv, s.max_actions);
-  }
-  out.terminated = true;
+  FamilyEnd end;
+  end.outcome = sched.run(adversary, u.max_actions);
   for (int i = 0; i < cfg.n; ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
-    hash.mix_i(st.inputs[ui]);
+    if (u.mix_inputs) hash.mix_i(st.inputs[ui]);
     hash.mix_i(st.decisions[ui]);
     hash.mix_i(st.decided_round[ui]);
-    if (is_stalled(victims, i)) continue;
-    if (st.decisions[ui] < 0) out.terminated = false;
-    out.rounds = std::max(out.rounds, st.decided_round[ui]);
+    end.done.push_back(st.decisions[ui] >= 0);
+    end.round.push_back(st.decided_round[ui]);
   }
-  if (!out.terminated) out.rounds = 0;
-  out.capped = st.hit_round_cap || outcome == sim::RunOutcome::kActionCap;
-  out.safety_ok = st.agreement() && st.validity();
-  if (!out.safety_ok) out.detail = "consensus agreement/validity violated";
-  out.coin_flips = sched.coin_log().size();
-  out.steps = sched.actions_applied();
+  end.rounds_reached = st.max_round_entered;
+  end.round_capped = st.hit_round_cap;
+  end.agreement = st.agreement() && st.validity();
+  end.steps = sched.actions_applied();
+  end.coin_flips = sched.coin_log().size();
+  return end;
 }
 
-void run_coin_family(const TermScenario& s,
-                     const std::vector<sim::ProcessId>& victims,
-                     TermRecord& out, Hash& hash) {
+FamilyEnd run_coin(const FamilySetup& u, sim::Adversary& adversary,
+                   Hash& hash) {
   consensus::SharedCoinConfig cfg;
-  cfg.n = s.processes;
+  cfg.n = u.n;
   cfg.first_reg = 0;
   cfg.threshold_per_proc = 2;
-  sim::Scheduler sched(s.seed);
+  sim::Scheduler sched(u.seed);
   setup_shared_coin(sched, cfg, sim::Semantics::kAtomic);
   std::vector<int> outs(static_cast<std::size_t>(cfg.n), -1);
   for (int i = 0; i < cfg.n; ++i) {
@@ -154,159 +185,121 @@ void run_coin_family(const TermScenario& s,
   // and n counter reads).  Tight budgets genuinely cap long walks —
   // the axis is live for this family too, not just a key suffix.
   const std::uint64_t budget =
-      std::min(s.max_actions,
-               static_cast<std::uint64_t>(s.max_rounds + 2) *
-                   static_cast<std::uint64_t>(s.processes) *
-                   static_cast<std::uint64_t>(s.processes + 6));
-  sim::RunOutcome outcome;
-  if (victims.empty()) {
-    sim::RandomAdversary adv(adversary_seed(s));
-    outcome = sched.run(adv, budget);
-  } else {
-    sim::StallingAdversary adv(victims, adversary_seed(s));
-    outcome = sched.run(adv, budget);
-  }
+      static_cast<std::uint64_t>(u.max_rounds + 2) *
+      static_cast<std::uint64_t>(u.n) * static_cast<std::uint64_t>(u.n + 6);
+  FamilyEnd end;
+  end.outcome = sched.run(adversary, std::min(u.max_actions, budget));
   // Personal walk length per process: its own coin flips.
-  std::vector<int> flips(static_cast<std::size_t>(cfg.n), 0);
+  end.round.assign(static_cast<std::size_t>(cfg.n), 0);
   for (const sim::CoinRecord& c : sched.coin_log()) {
-    ++flips[static_cast<std::size_t>(c.process)];
+    ++end.round[static_cast<std::size_t>(c.process)];
   }
-  out.terminated = true;
   for (int i = 0; i < cfg.n; ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
     hash.mix_i(outs[ui]);
-    hash.mix_i(flips[ui]);
-    if (is_stalled(victims, i)) continue;
-    if (outs[ui] < 0) out.terminated = false;
-    out.rounds = std::max(out.rounds, flips[ui]);
+    hash.mix_i(end.round[ui]);
+    end.done.push_back(outs[ui] >= 0);
   }
-  if (!out.terminated) out.rounds = 0;
-  out.capped = outcome == sim::RunOutcome::kActionCap;
-  out.coin_flips = sched.coin_log().size();
-  out.steps = sched.actions_applied();
+  end.rounds_reached = *std::max_element(end.round.begin(), end.round.end());
+  end.steps = sched.actions_applied();
+  end.coin_flips = sched.coin_log().size();
+  return end;
 }
 
-void run_game_family(const TermScenario& s,
-                     const std::vector<sim::ProcessId>& victims,
-                     TermRecord& out, Hash& hash) {
+FamilyEnd run_game(const FamilySetup& u, sim::Adversary& adversary,
+                   Hash& hash) {
   game::GameConfig cfg;
-  cfg.n = s.processes;
-  cfg.max_rounds = s.max_rounds;
+  cfg.n = u.n;
+  cfg.max_rounds = u.max_rounds;
   game::GameState state(cfg);
-  game::GameRunResult gr;
-  int doomed_round = 0;
-  if (s.adversary == TermAdversary::kScripted) {
-    // Theorem 6's regime: merely linearizable registers, the scripted
-    // strong adversary.  The script survives every round — the game only
-    // stops at the structural round cap.
-    game::GameScriptAdversary adv(cfg, game::CommitStrategy::kRandomOrder,
-                                  adversary_seed(s));
-    const std::uint64_t budget =
-        std::min(s.max_actions,
-                 static_cast<std::uint64_t>(cfg.max_rounds + 2) *
-                     (static_cast<std::uint64_t>(cfg.n) * 24 + 64));
-    gr = game::run_game_adversary(state, sim::Semantics::kLinearizable, adv,
-                                  budget, s.seed);
-    doomed_round = adv.stats().doomed_round;
-  } else {
-    const std::uint64_t budget =
-        std::min(s.max_actions,
-                 static_cast<std::uint64_t>(cfg.max_rounds + 2) *
-                     (static_cast<std::uint64_t>(cfg.n) * 400 + 4000));
-    if (victims.empty()) {
-      sim::RandomAdversary adv(adversary_seed(s));
-      gr = game::run_game_adversary(state, sim::Semantics::kAtomic, adv,
-                                    budget, s.seed);
-    } else {
-      sim::StallingAdversary adv(victims, adversary_seed(s));
-      gr = game::run_game_adversary(state, sim::Semantics::kAtomic, adv,
-                                    budget, s.seed);
-    }
-  }
-  out.terminated = true;
-  int live_exit = 0;
-  for (int i = 0; i < cfg.n; ++i) {
-    const game::ProcStatus& p = state.procs[static_cast<std::size_t>(i)];
+  const game::GameRunResult gr = game::run_game_adversary(
+      state, u.game_semantics, adversary,
+      std::min(u.max_actions, game::action_budget(cfg, u.scripted)), u.seed);
+  FamilyEnd end;
+  end.outcome = gr.outcome;
+  for (const game::ProcStatus& p : state.procs) {
     hash.mix_i(p.returned ? 1 : 0);
     hash.mix_i(p.exit_round);
     hash.mix_i(static_cast<int>(p.exit_line));
-    if (is_stalled(victims, i)) continue;
-    if (!p.returned) out.terminated = false;
-    live_exit = std::max(live_exit, p.exit_round);
+    end.done.push_back(p.returned);
+    end.round.push_back(p.exit_round);
   }
-  if (out.terminated) {
-    out.rounds = doomed_round != 0 ? doomed_round : live_exit;
-  }
-  // A non-terminated game is always budget-bound: either a process saw
-  // the structural round cap itself, the action budget ran out, or the
-  // script stopped scheduling after driving its last budgeted round
-  // (kStopped before any process re-entered the loop to notice the cap —
-  // the Theorem 6 steady state).
-  out.capped = gr.capped || gr.outcome == sim::RunOutcome::kActionCap ||
-               (!out.terminated && gr.outcome == sim::RunOutcome::kStopped);
-  out.coin_flips = gr.coin_flips;
-  out.steps = gr.actions;
+  end.rounds_reached = gr.rounds_reached;
+  end.round_capped = gr.capped;
+  end.steps = gr.actions;
+  end.coin_flips = gr.coin_flips;
+  return end;
 }
 
-void run_composed_family(const TermScenario& s,
-                         const std::vector<sim::ProcessId>& victims,
-                         TermRecord& out, Hash& hash) {
+FamilyEnd run_composed(const FamilySetup& u, sim::Adversary& adversary,
+                       Hash& hash) {
   game::GameConfig gc;
-  gc.n = s.processes;
-  gc.max_rounds = s.max_rounds;
+  gc.n = u.n;
+  gc.max_rounds = u.max_rounds;
   consensus::ConsensusConfig cc;
-  cc.n = s.processes;
-  cc.max_rounds = s.max_rounds;
-  consensus::ComposedStats st;
-  if (s.adversary == TermAdversary::kScripted) {
-    // The positive side of Corollary 9: write strongly-linearizable game
-    // registers force the script to commit before the coin; the game
-    // dies geometrically fast and consensus then runs on atomic regs.
-    game::GameScriptAdversary adv(gc, game::CommitStrategy::kRandomOrder,
-                                  adversary_seed(s));
-    const std::uint64_t budget = std::min(
-        s.max_actions,
-        static_cast<std::uint64_t>(gc.max_rounds + 2) *
-                (static_cast<std::uint64_t>(gc.n) * 24 + 64) +
-            static_cast<std::uint64_t>(cc.max_rounds + 2) *
-                (static_cast<std::uint64_t>(gc.n) * 600 + 2000));
-    st = consensus::run_composed_adversary(gc, cc, sim::Semantics::kWriteStrong,
-                                           adv, budget, s.seed);
-  } else {
-    const std::uint64_t budget = std::min(
-        s.max_actions,
-        static_cast<std::uint64_t>(gc.max_rounds + 2) *
-                (static_cast<std::uint64_t>(gc.n) * 400 + 4000) +
-            static_cast<std::uint64_t>(cc.max_rounds + 2) *
-                (static_cast<std::uint64_t>(gc.n) * 2000 + 8000));
-    if (victims.empty()) {
-      sim::RandomAdversary adv(adversary_seed(s));
-      st = consensus::run_composed_adversary(gc, cc, sim::Semantics::kAtomic,
-                                             adv, budget, s.seed);
-    } else {
-      sim::StallingAdversary adv(victims, adversary_seed(s));
-      st = consensus::run_composed_adversary(gc, cc, sim::Semantics::kAtomic,
-                                             adv, budget, s.seed);
-    }
-  }
-  out.terminated = true;
-  for (int i = 0; i < s.processes; ++i) {
+  cc.n = u.n;
+  cc.max_rounds = u.max_rounds;
+  const consensus::ComposedStats st = consensus::run_composed_adversary(
+      gc, cc, u.game_semantics, adversary,
+      std::min(u.max_actions, consensus::composed_budget(gc, cc, u.scripted)),
+      u.seed);
+  FamilyEnd end;
+  end.outcome = st.outcome;
+  for (int i = 0; i < u.n; ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
     hash.mix_i(st.game_returned[ui] ? 1 : 0);
     hash.mix_i(st.decisions[ui]);
     hash.mix_i(st.decided_round[ui]);
-    if (is_stalled(victims, i)) continue;
-    if (!st.game_returned[ui] || st.decisions[ui] < 0) out.terminated = false;
-    out.rounds = std::max(out.rounds, st.decided_round[ui]);
+    end.done.push_back(st.game_returned[ui] && st.decisions[ui] >= 0);
+    end.round.push_back(st.decided_round[ui]);
   }
-  if (!out.terminated) out.rounds = 0;
   hash.mix_i(st.game_rounds);
-  out.capped = st.game_capped || st.consensus_capped ||
-               st.outcome == sim::RunOutcome::kActionCap;
-  out.safety_ok = st.agreement && st.validity;
-  if (!out.safety_ok) out.detail = "composed agreement/validity violated";
-  out.coin_flips = st.coin_flips;
-  out.steps = st.actions;
+  end.rounds_reached = st.game_rounds;
+  end.round_capped = st.game_capped || st.consensus_capped;
+  end.agreement = st.agreement && st.validity;
+  end.steps = st.actions;
+  end.coin_flips = st.coin_flips;
+  return end;
+}
+
+FamilyEnd run_family(Family f, const FamilySetup& u,
+                     sim::Adversary& adversary, Hash& hash) {
+  switch (f) {
+    case Family::kConsensus: return run_consensus(u, adversary, hash);
+    case Family::kComposed: return run_composed(u, adversary, hash);
+    case Family::kSharedCoin: return run_coin(u, adversary, hash);
+    case Family::kGame: return run_game(u, adversary, hash);
+  }
+  RLT_CHECK_MSG(false, "unknown family");
+  return {};
+}
+
+/// The checks every family run makes of its shape.
+void check_shape(Family f, int processes, int max_rounds) {
+  RLT_CHECK_MSG(processes >= 1 && processes <= 64,
+                "processes out of range");
+  RLT_CHECK_MSG(
+      processes >= 3 || (f != Family::kGame && f != Family::kComposed),
+      "the game families need >= 3 processes");
+  RLT_CHECK_MSG(max_rounds >= 1, "round budget must be positive");
+}
+
+/// The scenario's adversary, built from its axis in one place: the
+/// Theorem 6 script, or uniform choice among the live processes' actions
+/// (every process's, when none is stalled).
+std::unique_ptr<sim::Adversary> make_adversary(
+    const TermScenario& s, const std::vector<sim::ProcessId>& victims) {
+  if (s.adversary == TermAdversary::kScripted) {
+    game::GameConfig cfg;
+    cfg.n = s.processes;
+    cfg.max_rounds = s.max_rounds;
+    return std::make_unique<game::GameScriptAdversary>(
+        cfg, game::CommitStrategy::kRandomOrder, adversary_seed(s));
+  }
+  if (victims.empty()) {
+    return std::make_unique<sim::RandomAdversary>(adversary_seed(s));
+  }
+  return std::make_unique<sim::StallingAdversary>(victims, adversary_seed(s));
 }
 
 }  // namespace
@@ -344,166 +337,31 @@ std::string TermScenario::key() const {
 
 TermProbe run_term_probe(const TermProbeSpec& spec,
                          sim::Adversary& adversary) {
-  RLT_CHECK_MSG(spec.processes >= 1 && spec.processes <= 64,
-                "probe processes out of range");
-  RLT_CHECK_MSG(
-      spec.processes >= 3 || (spec.family != Family::kGame &&
-                              spec.family != Family::kComposed),
-      "the game families need >= 3 processes");
-  RLT_CHECK_MSG(spec.max_rounds >= 1, "probe round budget must be positive");
-  const int n = spec.processes;
-  const std::uint64_t cap_score =
-      static_cast<std::uint64_t>(spec.max_rounds) + 1;
+  check_shape(spec.family, spec.processes, spec.max_rounds);
+  FamilySetup u;
+  u.n = spec.processes;
+  u.max_rounds = spec.max_rounds;
+  u.seed = spec.seed;
+  u.max_actions = spec.max_actions;
   TermProbe out;
   Hash hash;
   hash.mix(static_cast<std::uint64_t>(spec.family));
-  switch (spec.family) {
-    case Family::kConsensus: {
-      consensus::ConsensusConfig cfg;
-      cfg.n = n;
-      cfg.max_rounds = spec.max_rounds;
-      sim::Scheduler sched(spec.seed);
-      TermScenario inputs_key;  // reuse the scenario input derivation
-      inputs_key.processes = n;
-      inputs_key.seed = spec.seed;
-      consensus::ConsensusState st(cfg, derive_inputs(inputs_key));
-      setup_consensus(sched, cfg, sim::Semantics::kAtomic);
-      for (int i = 0; i < cfg.n; ++i) {
-        sched.add_process("c" + std::to_string(i), [&st, i](sim::Proc& p) {
-          return consensus_proc(p, st, i);
-        });
-      }
-      const sim::RunOutcome outcome = sched.run(adversary, spec.max_actions);
-      out.decided = true;
-      int max_round = 0;
-      for (int i = 0; i < cfg.n; ++i) {
-        const std::size_t ui = static_cast<std::size_t>(i);
-        hash.mix_i(st.decisions[ui]);
-        hash.mix_i(st.decided_round[ui]);
-        if (st.decisions[ui] < 0) out.decided = false;
-        max_round = std::max(max_round, st.decided_round[ui]);
-      }
-      out.capped = st.hit_round_cap || outcome == sim::RunOutcome::kActionCap;
-      out.rounds_reached = st.max_round_entered;
-      out.rounds_score = out.decided ? static_cast<std::uint64_t>(max_round)
-                         : st.hit_round_cap
-                             ? cap_score
-                             : static_cast<std::uint64_t>(out.rounds_reached);
-      out.steps = sched.actions_applied();
-      out.coin_flips = sched.coin_log().size();
-      break;
-    }
-    case Family::kSharedCoin: {
-      consensus::SharedCoinConfig cfg;
-      cfg.n = n;
-      cfg.first_reg = 0;
-      cfg.threshold_per_proc = 2;
-      sim::Scheduler sched(spec.seed);
-      setup_shared_coin(sched, cfg, sim::Semantics::kAtomic);
-      std::vector<int> outs(static_cast<std::size_t>(cfg.n), -1);
-      for (int i = 0; i < cfg.n; ++i) {
-        sched.add_process("coin" + std::to_string(i),
-                          [cfg, i, &outs](sim::Proc& p) {
-                            return coin_proc(p, cfg, i, &outs);
-                          });
-      }
-      const std::uint64_t budget =
-          std::min(spec.max_actions,
-                   static_cast<std::uint64_t>(spec.max_rounds + 2) *
-                       static_cast<std::uint64_t>(n) *
-                       static_cast<std::uint64_t>(n + 6));
-      const sim::RunOutcome outcome = sched.run(adversary, budget);
-      std::vector<int> flips(static_cast<std::size_t>(cfg.n), 0);
-      for (const sim::CoinRecord& c : sched.coin_log()) {
-        ++flips[static_cast<std::size_t>(c.process)];
-      }
-      out.decided = true;
-      int longest = 0;
-      for (int i = 0; i < cfg.n; ++i) {
-        const std::size_t ui = static_cast<std::size_t>(i);
-        hash.mix_i(outs[ui]);
-        hash.mix_i(flips[ui]);
-        if (outs[ui] < 0) out.decided = false;
-        longest = std::max(longest, flips[ui]);
-      }
-      out.capped = outcome == sim::RunOutcome::kActionCap;
-      out.rounds_reached = longest;
-      // The walk has no structural cap: the objective is the longest
-      // personal walk the adversary sustained, decided or not.
-      out.rounds_score = static_cast<std::uint64_t>(longest);
-      out.steps = sched.actions_applied();
-      out.coin_flips = sched.coin_log().size();
-      break;
-    }
-    case Family::kGame: {
-      game::GameConfig cfg;
-      cfg.n = n;
-      cfg.max_rounds = spec.max_rounds;
-      game::GameState state(cfg);
-      const std::uint64_t budget =
-          std::min(spec.max_actions,
-                   static_cast<std::uint64_t>(cfg.max_rounds + 2) *
-                       (static_cast<std::uint64_t>(cfg.n) * 400 + 4000));
-      const game::GameRunResult gr = game::run_game_adversary(
-          state, spec.game_semantics, adversary, budget, spec.seed);
-      for (int i = 0; i < cfg.n; ++i) {
-        const game::ProcStatus& p = state.procs[static_cast<std::size_t>(i)];
-        hash.mix_i(p.returned ? 1 : 0);
-        hash.mix_i(p.exit_round);
-        hash.mix_i(static_cast<int>(p.exit_line));
-      }
-      out.decided = gr.terminated;
-      out.capped = gr.capped || gr.outcome == sim::RunOutcome::kActionCap;
-      out.rounds_reached = gr.rounds_reached;
-      out.rounds_score =
-          out.decided ? static_cast<std::uint64_t>(gr.termination_round)
-          : out.capped ? cap_score
-                       : static_cast<std::uint64_t>(gr.rounds_reached);
-      out.steps = gr.actions;
-      out.coin_flips = gr.coin_flips;
-      break;
-    }
-    case Family::kComposed: {
-      game::GameConfig gc;
-      gc.n = n;
-      gc.max_rounds = spec.max_rounds;
-      consensus::ConsensusConfig cc;
-      cc.n = n;
-      cc.max_rounds = spec.max_rounds;
-      const std::uint64_t budget = std::min(
-          spec.max_actions,
-          static_cast<std::uint64_t>(gc.max_rounds + 2) *
-                  (static_cast<std::uint64_t>(gc.n) * 400 + 4000) +
-              static_cast<std::uint64_t>(cc.max_rounds + 2) *
-                  (static_cast<std::uint64_t>(gc.n) * 2000 + 8000));
-      const consensus::ComposedStats st = consensus::run_composed_adversary(
-          gc, cc, spec.game_semantics, adversary, budget, spec.seed);
-      out.decided = true;
-      int max_round = 0;
-      for (int i = 0; i < n; ++i) {
-        const std::size_t ui = static_cast<std::size_t>(i);
-        hash.mix_i(st.game_returned[ui] ? 1 : 0);
-        hash.mix_i(st.decisions[ui]);
-        hash.mix_i(st.decided_round[ui]);
-        if (!st.game_returned[ui] || st.decisions[ui] < 0) {
-          out.decided = false;
-        }
-        max_round = std::max(max_round, st.decided_round[ui]);
-      }
-      hash.mix_i(st.game_rounds);
-      out.capped = st.game_capped || st.consensus_capped ||
-                   st.outcome == sim::RunOutcome::kActionCap;
-      out.rounds_reached = st.game_rounds;
-      out.rounds_score =
-          out.decided ? static_cast<std::uint64_t>(max_round)
-          : (st.game_capped || st.consensus_capped)
-              ? cap_score
-              : static_cast<std::uint64_t>(st.game_rounds);
-      out.steps = st.actions;
-      out.coin_flips = st.coin_flips;
-      break;
-    }
-  }
+  const FamilyEnd end = run_family(spec.family, u, adversary, hash);
+  const auto [decided, highest] = end.live({});
+  out.decided = decided;
+  out.capped = end.round_capped || end.outcome == sim::RunOutcome::kActionCap;
+  out.rounds_reached = end.rounds_reached;
+  // max_rounds + 1 scores survival to the structural round cap.  The
+  // game also scores a run that ran out of actions that way; the coin
+  // has no cap, so its score is always its longest walk.
+  const bool at_cap =
+      end.round_capped || (spec.family == Family::kGame && out.capped);
+  out.rounds_score =
+      out.decided ? static_cast<std::uint64_t>(highest)
+      : at_cap    ? static_cast<std::uint64_t>(spec.max_rounds) + 1
+                  : static_cast<std::uint64_t>(out.rounds_reached);
+  out.steps = end.steps;
+  out.coin_flips = end.coin_flips;
   hash.mix(out.decided ? 1 : 0);
   hash.mix(out.capped ? 1 : 0);
   hash.mix_i(out.rounds_reached);
@@ -522,29 +380,53 @@ TermRecord run_term_scenario(const TermScenario& s) {
     RLT_CHECK_MSG(combination_valid(s.family, s.adversary),
                   "the scripted adversary only drives the game-register "
                   "families (composed, game)");
-    RLT_CHECK_MSG(s.processes >= 1 && s.processes <= 64,
-                  "scenario processes out of range");
-    RLT_CHECK_MSG(
-        s.processes >= 3 || (s.family != Family::kGame &&
-                             s.family != Family::kComposed),
-        "the game families need >= 3 processes");
-    RLT_CHECK_MSG(s.max_rounds >= 1, "round budget must be positive");
+    check_shape(s.family, s.processes, s.max_rounds);
     const std::vector<sim::ProcessId> victims = stall_victims(s);
     out.stalled = static_cast<int>(victims.size());
-    switch (s.family) {
-      case Family::kConsensus:
-        run_consensus_family(s, victims, out, hash);
-        break;
-      case Family::kComposed:
-        run_composed_family(s, victims, out, hash);
-        break;
-      case Family::kSharedCoin:
-        run_coin_family(s, victims, out, hash);
-        break;
-      case Family::kGame:
-        run_game_family(s, victims, out, hash);
-        break;
+    const std::unique_ptr<sim::Adversary> adversary =
+        make_adversary(s, victims);
+    FamilySetup u;
+    u.n = s.processes;
+    u.max_rounds = s.max_rounds;
+    u.seed = s.seed;
+    u.max_actions = s.max_actions;
+    u.scripted = s.adversary == TermAdversary::kScripted;
+    // The script meets merely linearizable game registers in the game
+    // (Theorem 6) and write strongly-linearizable ones in A' (the
+    // positive side of Corollary 9); other schedules meet atomic ones.
+    u.game_semantics = !u.scripted ? sim::Semantics::kAtomic
+                       : s.family == Family::kComposed
+                           ? sim::Semantics::kWriteStrong
+                           : sim::Semantics::kLinearizable;
+    u.mix_inputs = true;
+    const FamilyEnd end = run_family(s.family, u, *adversary, hash);
+    const auto [terminated, highest] = end.live(victims);
+    out.terminated = terminated;
+    if (out.terminated) out.rounds = highest;
+    // The scripted game dies in the round the script doomed it; in A'
+    // the rounds are consensus's decision rounds.
+    const auto* script =
+        dynamic_cast<const game::GameScriptAdversary*>(adversary.get());
+    if (s.family == Family::kGame && script != nullptr && out.terminated &&
+        script->stats().doomed_round != 0) {
+      out.rounds = script->stats().doomed_round;
     }
+    // A game that did not terminate is always budget-bound: either a
+    // process saw the structural round cap itself, the action budget ran
+    // out, or the script stopped scheduling after driving its last
+    // budgeted round (kStopped before any process re-entered the loop to
+    // notice the cap — the Theorem 6 steady state).
+    out.capped = end.round_capped ||
+                 end.outcome == sim::RunOutcome::kActionCap ||
+                 (s.family == Family::kGame && !out.terminated &&
+                  end.outcome == sim::RunOutcome::kStopped);
+    out.safety_ok = end.agreement;
+    if (!out.safety_ok) {
+      out.detail = std::string(to_string(s.family)) +
+                   " agreement/validity violated";
+    }
+    out.coin_flips = end.coin_flips;
+    out.steps = end.steps;
   } catch (const std::exception& e) {
     out = TermRecord{};
     out.error = true;

@@ -39,12 +39,17 @@
 //    scheduled (sim::StallingAdversary).  "Terminated" then means every
 //    LIVE process completed its protocol — the wait-freedom /
 //    fault-tolerance reading of termination.
+//
+// Each family has one run: it builds the family's system, runs it under
+// a given adversary and action budget, and reads the end state out once.
+// run_term_scenario builds the adversary from the scenario's axis and
+// folds the end state into a TermRecord; run_term_probe runs the same
+// function under the exploration lab's adversary and folds it into a
+// TermProbe.
 #pragma once
 
 #include <cstdint>
 #include <string>
-
-#include "sim/regmodel.hpp"
 
 namespace rlt::sim {
 class Adversary;
@@ -133,6 +138,9 @@ struct TermRecord {
 [[nodiscard]] TermRecord run_term_scenario(const TermScenario& s);
 
 /// One exploration probe of a term family under an external adversary.
+/// The game registers (kGame / kComposed) are always linearizable — the
+/// Theorem 6 regime; consensus and the coin run on atomic registers, per
+/// the paper.
 struct TermProbeSpec {
   Family family = Family::kGame;
   int processes = 4;
@@ -142,10 +150,6 @@ struct TermProbeSpec {
   /// so the adversary searches schedules against one coin sequence — the
   /// adaptive-adversary regime of the paper.
   std::uint64_t seed = 0;
-  /// Register semantics of the game registers (kGame / kComposed).  The
-  /// Theorem 6 separation lives at kLinearizable; consensus/coin run on
-  /// atomic registers regardless, per the paper.
-  sim::Semantics game_semantics = sim::Semantics::kLinearizable;
 };
 
 /// What one probe produced.  Pure function of (spec, adversary
