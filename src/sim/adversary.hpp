@@ -51,6 +51,24 @@ class FixedStepAdversary final : public Adversary {
   std::size_t next_ = 0;
 };
 
+/// Draws `count` distinct process ids from 0..n-1 by a partial
+/// Fisher–Yates shuffle, in draw order: one `rng.uniform` per victim,
+/// nothing else drawn.  The one victim picker shared by
+/// pick_strict_minority and the safety sweep's fault planners.
+[[nodiscard]] inline std::vector<ProcessId> pick_victims(int n, int count,
+                                                         util::Rng& rng) {
+  std::vector<ProcessId> ids(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = i;
+  for (int i = 0; i < count; ++i) {
+    const std::size_t j =
+        static_cast<std::size_t>(i) +
+        static_cast<std::size_t>(rng.uniform(static_cast<std::uint64_t>(n - i)));
+    std::swap(ids[static_cast<std::size_t>(i)], ids[j]);
+  }
+  ids.resize(static_cast<std::size_t>(count));
+  return ids;
+}
+
 /// Picks a seeded strict minority of victims: 1..⌊(n-1)/2⌋ distinct
 /// process ids (ascending), a pure function of (n, mix).  Empty when
 /// n <= 2 (no strict minority exists).  Shared by the sweep engine's
@@ -58,22 +76,12 @@ class FixedStepAdversary final : public Adversary {
 /// subsystems freeze the same processes for the same seeds.
 [[nodiscard]] inline std::vector<ProcessId> pick_strict_minority(
     int n, std::uint64_t mix) {
-  std::vector<ProcessId> out;
   const int max_victims = (n - 1) / 2;
-  if (max_victims <= 0) return out;
+  if (max_victims <= 0) return {};
   util::Rng rng(mix);
   const int count =
       1 + static_cast<int>(rng.uniform(static_cast<std::uint64_t>(max_victims)));
-  std::vector<ProcessId> ids(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = i;
-  // Partial Fisher–Yates: the first `count` slots are the victims.
-  for (int i = 0; i < count; ++i) {
-    const std::size_t j =
-        static_cast<std::size_t>(i) +
-        static_cast<std::size_t>(rng.uniform(static_cast<std::uint64_t>(n - i)));
-    std::swap(ids[static_cast<std::size_t>(i)], ids[j]);
-    out.push_back(ids[static_cast<std::size_t>(i)]);
-  }
+  std::vector<ProcessId> out = pick_victims(n, count, rng);
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -296,29 +296,13 @@ std::uint64_t abd_horizon(const Scenario& s) {
   return total_ops * (4 * static_cast<std::uint64_t>(s.processes) + 2) + 1;
 }
 
-/// Draws `count` distinct victims via a partial Fisher-Yates over the
-/// node ids (the fault planners' shared victim picker).
-std::vector<mp::NodeId> pick_victims(int processes, int count,
-                                     util::Rng& rng) {
-  std::vector<mp::NodeId> ids(static_cast<std::size_t>(processes));
-  for (int i = 0; i < processes; ++i) ids[static_cast<std::size_t>(i)] = i;
-  for (int i = 0; i < count; ++i) {
-    const std::size_t j =
-        static_cast<std::size_t>(i) +
-        static_cast<std::size_t>(rng.uniform(
-            static_cast<std::uint64_t>(processes - i)));
-    std::swap(ids[static_cast<std::size_t>(i)], ids[j]);
-  }
-  ids.resize(static_cast<std::size_t>(count));
-  return ids;
-}
-
 /// Expands a minority-crash FaultPlan into concrete (time, victim) pairs.  Crash count
 /// is a strict minority (1..⌊(n-1)/2⌋, so a write/read quorum of live
 /// servers always remains), victims are distinct, and times are spread
 /// over the horizon.  Purely a function of (scenario, plan).  The rng
 /// draw order (count, then per-victim swap + time) is digest material:
-/// pre-fault-fabric minority digests depend on it.
+/// pre-fault-fabric minority digests depend on it, which is why the
+/// interleaved draws stay here instead of going through sim::pick_victims.
 std::vector<PlannedCrash> plan_crashes(const Scenario& s) {
   std::vector<PlannedCrash> out;
   if (s.faults.kind != FaultKind::kMinorityCrash) return out;
@@ -403,7 +387,7 @@ AbdFaultFabric plan_fabric(const Scenario& s, mp::Network& net) {
       const int minority =
           1 + static_cast<int>(rng.uniform(
                   static_cast<std::uint64_t>(n - 1)));
-      for (const mp::NodeId v : pick_victims(n, minority, rng)) {
+      for (const mp::NodeId v : sim::pick_victims(n, minority, rng)) {
         f.side[static_cast<std::size_t>(v)] = 1;
       }
       f.fault_tolerant = true;
@@ -419,7 +403,7 @@ AbdFaultFabric plan_fabric(const Scenario& s, mp::Network& net) {
       const int count =
           q + static_cast<int>(rng.uniform(
                   static_cast<std::uint64_t>(n - q + 1)));
-      const std::vector<mp::NodeId> victims = pick_victims(n, count, rng);
+      const std::vector<mp::NodeId> victims = sim::pick_victims(n, count, rng);
       std::vector<PlannedCrash> at_send;
       for (const mp::NodeId v : victims) {
         PlannedCrash c;
@@ -443,7 +427,7 @@ AbdFaultFabric plan_fabric(const Scenario& s, mp::Network& net) {
           1 + static_cast<int>(rng.uniform(
                   static_cast<std::uint64_t>(max_crashes)));
       const std::uint64_t horizon = abd_horizon(s);
-      const std::vector<mp::NodeId> victims = pick_victims(n, count, rng);
+      const std::vector<mp::NodeId> victims = sim::pick_victims(n, count, rng);
       f.recover_delay.assign(static_cast<std::size_t>(n), 0);
       std::vector<PlannedCrash> at_send;
       for (const mp::NodeId v : victims) {
