@@ -17,9 +17,9 @@
 //
 // The four class keys are mode-specific labels supplied by the engine
 // (safety: ok/viol/blocked/err; term: term/capped/other/err; explore:
-// done/found/other/err).  The final line carries "state":"done" and the
-// exact final counts; a consumer that only reads the last line gets the
-// truth.
+// clean/found/other/err — not "done", which is the count's own key).
+// The final line carries "state":"done" and the exact final counts; a
+// consumer that only reads the last line gets the truth.
 #pragma once
 
 #include <array>
