@@ -274,6 +274,98 @@ TEST(ShardMerge, ComposesTruncatedFailureMarker) {
                         });
 }
 
+// A violation hunt's records say "found":"violation" or "found":"blocked";
+// the merge must read those back into the same counters and digest.
+const auto run_explore_into = [](const explore::ExploreOptions& opts,
+                                 RecordSink* sink) {
+  return run_explore(opts, 0, sink);
+};
+
+TEST(ShardMerge, ReconstructsViolationHuntStore) {
+  explore::ExploreOptions o;
+  o.objective = explore::Objective::kViolation;
+  o.algorithms = {Algorithm::kAbd};
+  o.abd_read_write_back = false;  // The planted no-write-back ablation.
+  o.process_counts = {4};
+  o.search_budget = 8;
+  o.seed_begin = 0;
+  o.seed_end = 3;
+  o.threads = 2;
+  ASSERT_GT(run_explore(o).violations_found, 0u);
+  expect_merge_identity(o, 3, "explore", run_explore_into);
+}
+
+TEST(ShardMerge, ReconstructsBlockedHuntStore) {
+  explore::ExploreOptions o;
+  o.objective = explore::Objective::kViolation;
+  o.algorithms = {Algorithm::kAbd};
+  o.fault_menu = true;
+  o.process_counts = {3};
+  o.search_budget = 8;
+  o.seed_begin = 0;
+  o.seed_end = 6;
+  o.threads = 2;
+  ASSERT_GT(run_explore(o).blocked_found, 0u);
+  expect_merge_identity(o, 3, "explore", run_explore_into);
+}
+
+// Each kind's merge reads back the digest fields its writer persists: a
+// shard record missing one fails the merge, naming the store.
+template <typename Options, typename RunFn>
+void expect_missing_field_rejected(Options o, const std::string& field,
+                                   RunFn run) {
+  std::vector<ShardStore> stores;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    o.shard = ShardSpec{i, 2};
+    StringSink s;
+    (void)run(o, &s);
+    stores.push_back({"k" + std::to_string(i) + ".jsonl", s.text()});
+  }
+  // Drop `"<field>":<value>,` from shard 1's first scenario record.
+  std::string& text = stores[1].content;
+  const std::size_t at = text.find("\"" + field + "\":");
+  ASSERT_NE(at, std::string::npos) << field;
+  text.erase(at, text.find(',', at) + 1 - at);
+  try {
+    (void)merge_shard_stores(stores);
+    ADD_FAILURE() << "merge accepted a record without " << field;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("k1.jsonl"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ShardMergeRecords, SafetyRecordWithoutDigestFieldIsRejected) {
+  SweepOptions o;
+  o.seed_begin = 0;
+  o.seed_end = 2;
+  expect_missing_field_rejected(o, "history_hash",
+                                [](const SweepOptions& opts,
+                                   RecordSink* sink) {
+                                  return run_sweep(opts, 0, sink);
+                                });
+}
+
+TEST(ShardMergeRecords, TermRecordWithoutDigestFieldIsRejected) {
+  term::TermSweepOptions o;
+  o.seed_begin = 0;
+  o.seed_end = 2;
+  expect_missing_field_rejected(o, "outcome_hash",
+                                [](const term::TermSweepOptions& opts,
+                                   RecordSink* sink) {
+                                  return run_term_sweep(opts, 0, sink);
+                                });
+}
+
+TEST(ShardMergeRecords, ExploreRecordWithoutDigestFieldIsRejected) {
+  explore::ExploreOptions o;
+  o.seed_begin = 0;
+  o.seed_end = 2;
+  o.search_budget = 2;
+  o.round_budgets = {4};
+  expect_missing_field_rejected(o, "trace_fnv", run_explore_into);
+}
+
 // ------------------------------------------------------- loud rejection ---
 
 class ShardMergeRejection : public ::testing::Test {
