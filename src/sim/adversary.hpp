@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "sim/scheduler.hpp"
 #include "util/assert.hpp"
@@ -14,20 +15,43 @@
 
 namespace rlt::sim {
 
+/// Whether `p` is one of the `stalled` processes the adversaries below
+/// never schedule.
+[[nodiscard]] inline bool is_stalled(const std::vector<ProcessId>& stalled,
+                                     ProcessId p) {
+  return std::find(stalled.begin(), stalled.end(), p) != stalled.end();
+}
+
 /// A strong adversary choosing uniformly at random among all enabled
 /// actions.  Random scheduling is a fair-in-expectation stress schedule:
 /// every pending response eventually fires with probability 1.
+///
+/// `stalled` processes are never scheduled: they stall forever
+/// mid-operation (steps AND responses to their pending ops are
+/// withheld), and the run stops once only they have enabled actions.
+/// That is the wait-freedom probe behind the sweep's `--faults stall`
+/// axis and the termination lab's stalling adversary: everyone else must
+/// still finish.  With no stalled process the draws are the plain
+/// uniform ones.
 class RandomAdversary final : public Adversary {
  public:
-  explicit RandomAdversary(std::uint64_t seed) : rng_(seed) {}
+  explicit RandomAdversary(std::uint64_t seed,
+                           std::vector<ProcessId> stalled = {})
+      : stalled_(std::move(stalled)), rng_(seed) {}
 
   std::optional<Action> choose(Scheduler& sched) override {
     std::vector<Action> actions = sched.enabled_actions();
+    if (!stalled_.empty()) {
+      std::erase_if(actions, [this](const Action& a) {
+        return is_stalled(stalled_, a.process);
+      });
+    }
     if (actions.empty()) return std::nullopt;
     return actions[rng_.uniform(actions.size())];
   }
 
  private:
+  std::vector<ProcessId> stalled_;
   util::Rng rng_;
 };
 
@@ -86,76 +110,19 @@ class FixedStepAdversary final : public Adversary {
   return out;
 }
 
-/// An adversary that never schedules a chosen set of processes — they
-/// stall forever mid-operation (steps AND responses to their pending ops
-/// are withheld).  The remaining actions are scheduled by the selected
-/// policy; returns std::nullopt (stopping the run) once only stalled
-/// processes have enabled actions.  Wait-freedom probe: everyone else
-/// must still finish.  Promoted from the ablation tests to back the
-/// sweep engine's `--faults stall` axis and the termination lab.
-class StallingAdversary final : public Adversary {
- public:
-  enum class Policy {
-    kRandom,     ///< Uniform among the surviving actions (seeded).
-    kRoundRobin, ///< RoundRobinAdversary's rule over live processes.
-  };
-
-  StallingAdversary(std::vector<ProcessId> stalled, std::uint64_t seed,
-                    Policy policy = Policy::kRandom)
-      : stalled_(std::move(stalled)), policy_(policy), rng_(seed) {}
-
-  std::optional<Action> choose(Scheduler& sched) override {
-    if (policy_ == Policy::kRoundRobin) return choose_round_robin(sched);
-    std::vector<Action> actions;
-    for (Action& a : sched.enabled_actions()) {
-      if (!is_stalled(a.process)) actions.push_back(std::move(a));
-    }
-    if (actions.empty()) return std::nullopt;
-    return actions[rng_.uniform(actions.size())];
-  }
-
- private:
-  [[nodiscard]] bool is_stalled(ProcessId p) const {
-    return std::find(stalled_.begin(), stalled_.end(), p) != stalled_.end();
-  }
-
-  std::optional<Action> choose_round_robin(Scheduler& sched) {
-    // Respond the oldest live-owned pending op first, first choice.
-    for (const PendingOpInfo& info : sched.pending_ops()) {
-      if (is_stalled(info.process)) continue;
-      auto choices = sched.choices_for(info.op_id);
-      RLT_CHECK_MSG(!choices.empty(), "pending op with no choices");
-      return Action::respond(info.process, info.op_id,
-                             std::move(choices.front()));
-    }
-    const int n = sched.process_count();
-    for (int i = 0; i < n; ++i) {
-      const ProcessId p = static_cast<ProcessId>((next_ + i) % n);
-      if (is_stalled(p)) continue;
-      if (!sched.process_done(p) && !sched.process_blocked(p)) {
-        next_ = (p + 1) % n;
-        return Action::step(p);
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::vector<ProcessId> stalled_;
-  Policy policy_;
-  util::Rng rng_;
-  int next_ = 0;
-};
-
 /// Deterministic round-robin over processes; pending operations are
 /// responded as soon as they appear (first enumerated choice).  With
-/// atomic registers this is a plain round-robin scheduler.
+/// atomic registers this is a plain round-robin scheduler.  `stalled`
+/// processes are never scheduled, as for RandomAdversary.
 class RoundRobinAdversary final : public Adversary {
  public:
+  explicit RoundRobinAdversary(std::vector<ProcessId> stalled = {})
+      : stalled_(std::move(stalled)) {}
+
   std::optional<Action> choose(Scheduler& sched) override {
-    // Respond the oldest pending op first, taking its first choice.
-    const auto pending = sched.pending_ops();
-    if (!pending.empty()) {
-      const PendingOpInfo& info = pending.front();
+    // Respond the oldest live-owned pending op first, first choice.
+    for (const PendingOpInfo& info : sched.pending_ops()) {
+      if (is_stalled(stalled_, info.process)) continue;
       auto choices = sched.choices_for(info.op_id);
       RLT_CHECK_MSG(!choices.empty(), "pending op with no choices");
       return Action::respond(info.process, info.op_id,
@@ -164,6 +131,7 @@ class RoundRobinAdversary final : public Adversary {
     const int n = sched.process_count();
     for (int i = 0; i < n; ++i) {
       const ProcessId p = static_cast<ProcessId>((next_ + i) % n);
+      if (is_stalled(stalled_, p)) continue;
       if (!sched.process_done(p) && !sched.process_blocked(p)) {
         next_ = (p + 1) % n;
         return Action::step(p);
@@ -173,6 +141,7 @@ class RoundRobinAdversary final : public Adversary {
   }
 
  private:
+  std::vector<ProcessId> stalled_;
   int next_ = 0;
 };
 

@@ -57,14 +57,6 @@ sim::Task implemented_proc(sim::Proc& p, Reg& r, int slot, int writes) {
   (void)co_await r.read(p);
 }
 
-std::unique_ptr<sim::Adversary> make_adversary(const Scenario& s) {
-  if (s.adversary == AdversaryKind::kRandom) {
-    // Decorrelate the schedule stream from the scheduler's coin stream.
-    return std::make_unique<sim::RandomAdversary>(s.seed * kFnvPrime + 1);
-  }
-  return std::make_unique<sim::RoundRobinAdversary>();
-}
-
 /// The stall axis's single seed derivation: everything the axis
 /// randomizes (victim choice AND the stalling adversary's own stream)
 /// keys off this one mix of (scenario seed, fault seed), so the two can
@@ -106,20 +98,18 @@ SimDrive drive_sim(const Scenario& s, sim::Scheduler& sched,
     return d;
   }
   d.stalled = plan_stalls(s);
-  if (d.stalled.empty()) {
-    auto adv = make_adversary(s);
-    d.outcome = sched.run(*adv, s.max_actions);
-    return d;
-  }
   for (const sim::ProcessId p : d.stalled) {
     sched.apply(sim::Action::step(p));
   }
-  sim::StallingAdversary adv(
-      d.stalled, stall_mix(s) * kFnvPrime + 1,
-      s.adversary == AdversaryKind::kRandom
-          ? sim::StallingAdversary::Policy::kRandom
-          : sim::StallingAdversary::Policy::kRoundRobin);
-  d.outcome = sched.run(adv, s.max_actions);
+  if (s.adversary == AdversaryKind::kRandom) {
+    // Decorrelate the schedule stream from the scheduler's coin stream.
+    const std::uint64_t seed = d.stalled.empty() ? s.seed : stall_mix(s);
+    sim::RandomAdversary adv(seed * kFnvPrime + 1, d.stalled);
+    d.outcome = sched.run(adv, s.max_actions);
+  } else {
+    sim::RoundRobinAdversary adv(d.stalled);
+    d.outcome = sched.run(adv, s.max_actions);
+  }
   return d;
 }
 

@@ -296,10 +296,7 @@ std::unique_ptr<sim::Adversary> make_adversary(
     return std::make_unique<game::GameScriptAdversary>(
         cfg, game::CommitStrategy::kRandomOrder, adversary_seed(s));
   }
-  if (victims.empty()) {
-    return std::make_unique<sim::RandomAdversary>(adversary_seed(s));
-  }
-  return std::make_unique<sim::StallingAdversary>(victims, adversary_seed(s));
+  return std::make_unique<sim::RandomAdversary>(adversary_seed(s), victims);
 }
 
 }  // namespace

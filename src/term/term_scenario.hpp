@@ -36,9 +36,9 @@
 //    only; the consensus/coin families have no script).
 //  * kRandom — uniformly random among enabled actions.
 //  * kStalling — a seeded strict minority of processes is never
-//    scheduled (sim::StallingAdversary).  "Terminated" then means every
-//    LIVE process completed its protocol — the wait-freedom /
-//    fault-tolerance reading of termination.
+//    scheduled (sim::RandomAdversary's stalled set).  "Terminated" then
+//    means every LIVE process completed its protocol — the wait-freedom
+//    / fault-tolerance reading of termination.
 //
 // Each family has one run: it builds the family's system, runs it under
 // a given adversary and action budget, and reads the end state out once.

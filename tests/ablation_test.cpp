@@ -173,9 +173,9 @@ TEST(AbdAblation, WithWriteBackTheSameSchedulesStayLinearizable) {
 
 // ---------- Failure injection: wait-freedom ----------
 //
-// The stalling adversary itself was promoted to sim::StallingAdversary
-// (it now also backs the sweep engine's --faults stall axis and the
-// termination lab); these tests keep probing wait-freedom through it.
+// The stalling adversary is sim::RandomAdversary with a stalled set (it
+// also backs the sweep engine's --faults stall axis and the termination
+// lab); these tests keep probing wait-freedom through it.
 
 TEST(WaitFreedom, Alg2OpsCompleteDespiteStalledWriters) {
   // Writers 1 and 2 stall after their first step; writer 0 and the
@@ -194,7 +194,7 @@ TEST(WaitFreedom, Alg2OpsCompleteDespiteStalledWriters) {
     // Let the doomed writers take one step each so their ops are live.
     sched.apply(sim::Action::step(1));
     sched.apply(sim::Action::step(2));
-    sim::StallingAdversary adv({1, 2}, seed * 5);
+    sim::RandomAdversary adv(seed * 5, {1, 2});
     sched.run(adv, 100000);
     EXPECT_TRUE(sched.process_done(0)) << "seed " << seed;
     EXPECT_TRUE(sched.process_done(3)) << "seed " << seed;
@@ -214,7 +214,7 @@ TEST(WaitFreedom, GamePlayersStallingOnlyStallsTheGameRound) {
   sim::Scheduler sched(3);
   game::GameState state(cfg);
   game::setup_game(sched, sim::Semantics::kAtomic, state);
-  sim::StallingAdversary adv({2, 3}, 17);
+  sim::RandomAdversary adv(17, {2, 3});
   sched.run(adv, 20000);
   // Hosts exit (players never incremented R2), players still in round 1.
   EXPECT_TRUE(state.procs[0].returned);
