@@ -57,10 +57,6 @@ struct ConsensusConfig {
   [[nodiscard]] sim::RegId coin_reg_base(int r) const {
     return first_reg + 2 * (max_rounds + 2) + r * n;
   }
-  [[nodiscard]] int register_count() const {
-    return 2 * (max_rounds + 2) +
-           (coin == CoinKind::kShared ? n * (max_rounds + 2) : 0);
-  }
 };
 
 /// Live results of one consensus execution.

@@ -159,10 +159,6 @@ class AbdRegister {
   [[nodiscard]] bool op_abandoned(int token) const {
     return op_at(token).abandoned;
   }
-  /// True for the writer's op, false for a read.
-  [[nodiscard]] bool op_is_write(int token) const {
-    return op_at(token).kind == ClientOp::Kind::kWrite;
-  }
 
   /// The recorded high-level history (register id 0; times are the
   /// driver's logical clock: one tick per delivery or op begin).

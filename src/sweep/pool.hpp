@@ -48,10 +48,6 @@ class WorkStealingPool {
   /// (if one did).
   void wait_idle();
 
-  [[nodiscard]] int thread_count() const noexcept {
-    return static_cast<int>(workers_.size());
-  }
-
   /// Number of times a worker took a task from another worker's deque
   /// (observability; tests assert the pool actually steals).
   [[nodiscard]] std::uint64_t steals() const noexcept;
