@@ -23,9 +23,10 @@ using sweep::kFnvOffset;
 /// Materialization cap of enumerate_explore_shard; per shard, so
 /// sharding raises it N-fold.  run_explore streams and needs no cap.
 constexpr std::uint64_t kMaxInstances = 1'000'000;
-/// Short local spellings of the public rank constants (explore.hpp).
-constexpr int kRankViolation = kFoundRankViolation;
-constexpr int kRankBlocked = kFoundRankBlocked;
+/// Violation ranks (kViolation outranks kBlocked outranks everything);
+/// store records persist them as the "found" string.
+constexpr int kRankViolation = 3;
+constexpr int kRankBlocked = 2;
 
 /// Independent derived seed streams (domain-separated FNV mixes).
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
@@ -68,7 +69,7 @@ ProbeOutcome probe(const ExploreInstance& e, RecordingPolicy& policy) {
   } else {
     sweep::Scenario s;
     s.algorithm = e.algorithm;
-    s.semantics = e.semantics;
+    s.semantics = sim::Semantics::kLinearizable;
     s.processes = e.processes;
     s.seed = e.seed;
     s.writes_per_process = e.writes_per_process;
@@ -300,28 +301,16 @@ std::string config_key(const ExploreOptions& o) {
   os << "objective=" << to_string(o.objective)
      << " strategy=" << to_string(o.strategy);
   if (o.objective == Objective::kRounds) {
-    os << " families=";
-    for (std::size_t i = 0; i < o.families.size(); ++i) {
-      os << (i ? "," : "") << term::to_string(o.families[i]);
-    }
-    os << " rounds=";
-    for (std::size_t i = 0; i < o.round_budgets.size(); ++i) {
-      os << (i ? "," : "") << o.round_budgets[i];
-    }
+    os << " families=" << sweep::comma_list(o.families)
+       << " rounds=" << sweep::comma_list(o.round_budgets);
   } else {
-    os << " algs=";
-    for (std::size_t i = 0; i < o.algorithms.size(); ++i) {
-      os << (i ? "," : "") << sweep::to_string(o.algorithms[i]);
-    }
-    os << " writes=" << o.writes_per_process
+    os << " algs=" << sweep::comma_list(o.algorithms)
+       << " writes=" << o.writes_per_process
        << " wb=" << (o.abd_read_write_back ? 1 : 0)
        << " fmenu=" << (o.fault_menu ? 1 : 0);
   }
-  os << " procs=";
-  for (std::size_t i = 0; i < o.process_counts.size(); ++i) {
-    os << (i ? "," : "") << o.process_counts[i];
-  }
-  os << " seeds=" << o.seed_begin << ':' << o.seed_end
+  os << " procs=" << sweep::comma_list(o.process_counts)
+     << " seeds=" << o.seed_begin << ':' << o.seed_end
      << " budget=" << o.search_budget << " shrink=" << o.shrink_budget
      << " max-actions=" << o.max_actions_per_run;
   return os.str();
@@ -363,7 +352,6 @@ sweep::Cursor<ExploreInstance> explore_cursor(const ExploreOptions& o) {
       for (const sweep::Algorithm a : o.algorithms) {
         ExploreInstance e = base;
         e.algorithm = a;
-        e.semantics = sim::Semantics::kLinearizable;
         e.writes_per_process = o.writes_per_process;
         e.abd_read_write_back =
             a == sweep::Algorithm::kAbd ? o.abd_read_write_back : true;
@@ -416,35 +404,35 @@ std::string ExploreSummary::stable_text() const {
 
 ExploreFold::ExploreFold() { sum_.digest = kFnvOffset; }
 
-void ExploreFold::add(const std::string& key, const Item& it) {
+void ExploreFold::add(const std::string& key, const ExploreOutcome& r) {
   ++sum_.instances;
-  sum_.search_runs += it.runs;
-  if (it.found_rank >= kRankViolation) ++sum_.violations_found;
-  if (it.found_rank == kRankBlocked) ++sum_.blocked_found;
-  if (it.shrunk) ++sum_.shrunk_traces;
-  if (it.error) ++sum_.errors;
-  sum_.total_steps += it.total_steps;
-  if (!it.error && it.best_score > sum_.best_score) {
-    sum_.best_score = it.best_score;
+  sum_.search_runs += r.runs;
+  if (r.found_rank >= kRankViolation) ++sum_.violations_found;
+  if (r.found_rank == kRankBlocked) ++sum_.blocked_found;
+  if (r.shrunk) ++sum_.shrunk_traces;
+  if (r.error) ++sum_.errors;
+  sum_.total_steps += r.total_steps;
+  if (!r.error && r.best_score > sum_.best_score) {
+    sum_.best_score = r.best_score;
     sum_.best_key = key;
   }
   // First-instance tie-break: an all-zero exploration still names the
   // first non-error instance, so best_key is never "n/a" spuriously.
-  if (sum_.best_key.empty() && !it.error && index_ == 0) sum_.best_key = key;
+  if (sum_.best_key.empty() && !r.error && index_ == 0) sum_.best_key = key;
   fnv_mix_str(sum_.digest, key);
-  fnv_mix_u64(sum_.digest, it.best_score);
-  fnv_mix_u64(sum_.digest, static_cast<std::uint64_t>(it.found_rank));
-  fnv_mix_u64(sum_.digest, it.fingerprint);
-  fnv_mix_u64(sum_.digest, it.trace_fnv);
-  fnv_mix_u64(sum_.digest, it.runs);
-  fnv_mix_u64(sum_.digest, it.total_steps);
-  fnv_mix_u64(sum_.digest, it.shrunk ? 1 : 0);
-  fnv_mix_u64(sum_.digest, it.locally_minimal ? 1 : 0);
-  fnv_mix_u64(sum_.digest, it.shrink_probes);
-  fnv_mix_u64(sum_.digest, it.error ? 1 : 0);
-  if (it.error) {
+  fnv_mix_u64(sum_.digest, r.best_score);
+  fnv_mix_u64(sum_.digest, static_cast<std::uint64_t>(r.found_rank));
+  fnv_mix_u64(sum_.digest, r.fingerprint);
+  fnv_mix_u64(sum_.digest, r.trace_fnv);
+  fnv_mix_u64(sum_.digest, r.runs);
+  fnv_mix_u64(sum_.digest, r.total_steps);
+  fnv_mix_u64(sum_.digest, r.shrunk ? 1 : 0);
+  fnv_mix_u64(sum_.digest, r.locally_minimal ? 1 : 0);
+  fnv_mix_u64(sum_.digest, r.shrink_probes);
+  fnv_mix_u64(sum_.digest, r.error ? 1 : 0);
+  if (r.error) {
     if (sum_.failures.size() < kMaxReportedFailures) {
-      sum_.failures.push_back(key + ": " + it.detail);
+      sum_.failures.push_back(key + ": " + r.detail);
     } else {
       ++sum_.failures_truncated;
     }
@@ -452,7 +440,9 @@ void ExploreFold::add(const std::string& key, const Item& it) {
   ++index_;
 }
 
-ExploreSummary ExploreFold::finish() { return std::move(sum_); }
+ExploreSummary ExploreFold::finish(sweep::RecordSink*) {
+  return std::move(sum_);
+}
 
 namespace {
 
@@ -576,25 +566,53 @@ struct ExploreMode {
 
   void fold(const std::string& key, const ExploreInstance&,
             const ExploreOutcome& r) {
-    ExploreFold::Item item;
-    item.best_score = r.best_score;
-    item.found_rank = r.found_rank;
-    item.fingerprint = r.fingerprint;
-    item.trace_fnv = r.trace_fnv;
-    item.runs = r.runs;
-    item.total_steps = r.total_steps;
-    item.shrunk = r.shrunk;
-    item.locally_minimal = r.locally_minimal;
-    item.shrink_probes = r.shrink_probes;
-    item.error = r.error;
-    item.detail = r.detail;
-    folded.add(key, item);
+    folded.add(key, r);
   }
 
-  ExploreSummary finish(sweep::RecordSink*) { return folded.finish(); }
+  ExploreSummary finish(sweep::RecordSink* sink) {
+    return folded.finish(sink);
+  }
 };
 
 }  // namespace
+
+bool ExploreFold::add_record(const std::string& line) {
+  using sweep::field_bool;
+  using sweep::field_hex;
+  using sweep::field_u64;
+  const auto key = sweep::field_str(line, "key");
+  const auto runs = field_u64(line, "runs");
+  const auto steps = field_u64(line, "steps");
+  const auto best_score = field_u64(line, "best_score");
+  const auto found = sweep::field_str(line, "found");
+  const auto fingerprint = field_hex(line, "fingerprint");
+  const auto trace_fnv = field_hex(line, "trace_fnv");
+  const auto shrunk = field_bool(line, "shrunk");
+  const auto locally_minimal = field_bool(line, "locally_minimal");
+  const auto shrink_probes = field_u64(line, "shrink_probes");
+  const auto detail = sweep::field_str(line, "detail");
+  if (!key || !runs || *runs > UINT32_MAX || !steps || !best_score ||
+      !found || !fingerprint || !trace_fnv || !shrunk || !locally_minimal ||
+      !shrink_probes || !detail) {
+    return false;
+  }
+  ExploreOutcome r;
+  r.runs = static_cast<std::uint32_t>(*runs);
+  r.total_steps = *steps;
+  r.best_score = *best_score;
+  r.found_rank = *found == "violation" ? kRankViolation
+                 : *found == "blocked" ? kRankBlocked
+                                       : 0;
+  r.error = *found == "error";
+  r.fingerprint = *fingerprint;
+  r.trace_fnv = *trace_fnv;
+  r.shrunk = *shrunk;
+  r.locally_minimal = *locally_minimal;
+  r.shrink_probes = *shrink_probes;
+  r.detail = *detail;
+  add(*key, r);
+  return true;
+}
 
 ExploreSummary run_explore(const ExploreOptions& o,
                            std::uint64_t progress_every,
@@ -650,7 +668,6 @@ std::optional<PersistedTrace> parse_explore_record(const std::string& line,
     else if (*target == "alg4") e.algorithm = sweep::Algorithm::kAlg4;
     else if (*target == "abd") e.algorithm = sweep::Algorithm::kAbd;
     else return fail("unknown algorithm '" + *target + "'");
-    e.semantics = sim::Semantics::kLinearizable;
   }
   const auto processes = field_u64(line, "processes");
   const auto rounds = field_u64(line, "rounds");

@@ -49,22 +49,15 @@ enum class Strategy : std::uint8_t { kGreedy, kHillClimb, kRandom };
 [[nodiscard]] const char* to_string(Objective o) noexcept;
 [[nodiscard]] const char* to_string(Strategy s) noexcept;
 
-/// Violation ranks (kViolation outranks kBlocked outranks everything).
-/// Public because store records persist the rank as a "found" string and
-/// the shard merge maps it back.
-inline constexpr int kFoundRankViolation = 3;
-inline constexpr int kFoundRankBlocked = 2;
-
 /// One fully determined search instance.
 struct ExploreInstance {
   Objective objective = Objective::kRounds;
   Strategy strategy = Strategy::kGreedy;
   /// kRounds: which term family.
   term::Family family = term::Family::kGame;
-  /// kViolation: which register algorithm (semantics applies to kModeled;
-  /// the game registers of a kRounds probe are always kLinearizable).
+  /// kViolation: which register algorithm.  A kModeled target and the
+  /// game registers of a kRounds probe are always kLinearizable.
   sweep::Algorithm algorithm = sweep::Algorithm::kAbd;
-  sim::Semantics semantics = sim::Semantics::kLinearizable;
   int processes = 4;
   int max_rounds = 16;          ///< kRounds: round budget.
   int writes_per_process = 2;   ///< kViolation: writer workload.
@@ -227,40 +220,32 @@ struct ExploreSummary {
 
   /// Deterministic section, byte-identical across runs/threads/batches.
   [[nodiscard]] std::string stable_text() const;
+
+  /// The exit rule: only machinery errors fail an exploration.  Finding
+  /// a violation is the search succeeding at its job.
+  [[nodiscard]] bool failed() const { return errors != 0; }
 };
 
 /// The deterministic half of the exploration aggregate as a composable
-/// fold (the sweep::SweepFold counterpart): feed it, in global
-/// enumeration order, exactly the per-instance fields the store
-/// persists, and it reproduces the unsharded summary — including the
-/// first-instance best_key tie-break — whether the outcomes came from
-/// the pool or from N merged shard stores.
+/// fold (the sweep::SweepFold counterpart): feed it every instance's
+/// outcome in global enumeration order — live from the pool, or read
+/// back from the store records the search wrote — and it reproduces the
+/// unsharded summary, including the first-instance best_key tie-break.
 class ExploreFold {
  public:
   static constexpr std::size_t kMaxReportedFailures = 16;
 
-  /// The persisted per-instance fields the fold consumes (the
-  /// digest material plus the failure detail).
-  struct Item {
-    std::uint64_t best_score = 0;
-    int found_rank = 0;
-    std::uint64_t fingerprint = 0;
-    std::uint64_t trace_fnv = 0;
-    std::uint64_t runs = 0;
-    std::uint64_t total_steps = 0;
-    bool shrunk = false;
-    bool locally_minimal = false;
-    std::uint64_t shrink_probes = 0;
-    bool error = false;
-    std::string detail;
-  };
-
   ExploreFold();
 
-  void add(const std::string& key, const Item& it);
+  void add(const std::string& key, const ExploreOutcome& r);
 
-  /// The folded summary (`engine` stats zero).
-  [[nodiscard]] ExploreSummary finish();
+  /// Reads back one instance record as run_explore wrote it and adds
+  /// it.  False, adding nothing, when a field the fold needs is missing.
+  [[nodiscard]] bool add_record(const std::string& line);
+
+  /// The folded summary (`engine` stats zero).  An explore store ends
+  /// with its last instance record, so nothing is appended to `sink`.
+  [[nodiscard]] ExploreSummary finish(sweep::RecordSink* sink);
 
  private:
   ExploreSummary sum_;

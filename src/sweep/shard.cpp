@@ -3,10 +3,7 @@
 #include <stdexcept>
 
 #include "explore/explore.hpp"
-#include "sweep/fnv.hpp"
-#include "sweep/scenario.hpp"
 #include "sweep/sweep.hpp"
-#include "term/term_scenario.hpp"
 #include "term/term_sweep.hpp"
 
 namespace rlt::sweep {
@@ -65,142 +62,10 @@ Record shard_trailer_record(const ShardSpec& shard, std::uint64_t records,
 
 // ---- merge: parse shard stores, re-fold in global order -----------------
 //
-// Records are read back with store.hpp's field readers.
+// Each sweep's fold reads back its own mode's records (add_record); this
+// file parses only the shard bracket.
 
 namespace {
-
-/// "term/<family>/…" → the Family enumerator.
-[[nodiscard]] std::optional<term::Family> family_from_key(
-    const std::string& key) {
-  const std::size_t a = key.find('/');
-  if (a == std::string::npos) return std::nullopt;
-  const std::size_t b = key.find('/', a + 1);
-  if (b == std::string::npos) return std::nullopt;
-  const std::string fam = key.substr(a + 1, b - a - 1);
-  for (const term::Family f :
-       {term::Family::kConsensus, term::Family::kComposed,
-        term::Family::kSharedCoin, term::Family::kGame}) {
-    if (fam == term::to_string(f)) return f;
-  }
-  return std::nullopt;
-}
-
-/// The three sweep folds behind one kind switch, so the per-shard digest
-/// check and the global merge share one record-to-fold path.
-class KindFold {
- public:
-  explicit KindFold(const std::string& kind) : kind_(kind) {}
-
-  void add(const std::string& name, const std::string& line) {
-    const auto fail = [&](const std::string& what) {
-      return std::runtime_error(name + ": malformed " + kind_ + " record (" +
-                                what + "): " + line.substr(0, 96));
-    };
-    const auto key = field_str(line, "key");
-    if (!key) throw fail("no key");
-    if (kind_ == "safety") {
-      const auto verdict_s = field_str(line, "verdict");
-      const std::optional<Verdict> verdict =
-          verdict_s ? verdict_from_string(*verdict_s)
-                    : std::optional<Verdict>();
-      const auto steps = field_u64(line, "steps");
-      const auto ops = field_u64(line, "ops");
-      const auto hash = field_hex(line, "history_hash");
-      const auto detail = field_str(line, "detail");
-      if (!verdict || !steps || !ops || !hash || !detail) {
-        throw fail("missing field");
-      }
-      safety_.add(*key, *verdict, *steps, *ops, *hash, *detail);
-    } else if (kind_ == "term") {
-      const auto family = family_from_key(*key);
-      const auto terminated = field_bool(line, "terminated");
-      const auto capped = field_bool(line, "capped");
-      const auto safety_ok = field_bool(line, "safety_ok");
-      const auto error = field_bool(line, "error");
-      const auto rounds = field_u64(line, "rounds");
-      const auto stalled = field_u64(line, "stalled");
-      const auto coin_flips = field_u64(line, "coin_flips");
-      const auto steps = field_u64(line, "steps");
-      const auto hash = field_hex(line, "outcome_hash");
-      const auto detail = field_str(line, "detail");
-      if (!family || !terminated || !capped || !safety_ok || !error ||
-          !rounds || !stalled || !coin_flips || !steps || !hash || !detail) {
-        throw fail("missing field");
-      }
-      term::TermRecord r;
-      r.terminated = *terminated;
-      r.capped = *capped;
-      r.safety_ok = *safety_ok;
-      r.error = *error;
-      r.rounds = static_cast<int>(*rounds);
-      r.stalled = static_cast<int>(*stalled);
-      r.coin_flips = *coin_flips;
-      r.steps = *steps;
-      r.outcome_hash = *hash;
-      r.detail = *detail;
-      term_.add(*key, *family, r);
-    } else {
-      const auto found = field_str(line, "found");
-      const auto runs = field_u64(line, "runs");
-      const auto steps = field_u64(line, "steps");
-      const auto best_score = field_u64(line, "best_score");
-      const auto fingerprint = field_hex(line, "fingerprint");
-      const auto trace_fnv = field_hex(line, "trace_fnv");
-      const auto shrunk = field_bool(line, "shrunk");
-      const auto locally_minimal = field_bool(line, "locally_minimal");
-      const auto shrink_probes = field_u64(line, "shrink_probes");
-      const auto detail = field_str(line, "detail");
-      if (!found || !runs || !steps || !best_score || !fingerprint ||
-          !trace_fnv || !shrunk || !locally_minimal || !shrink_probes ||
-          !detail) {
-        throw fail("missing field");
-      }
-      explore::ExploreFold::Item it;
-      it.best_score = *best_score;
-      it.found_rank = *found == "violation" ? explore::kFoundRankViolation
-                      : *found == "blocked" ? explore::kFoundRankBlocked
-                                            : 0;
-      it.fingerprint = *fingerprint;
-      it.trace_fnv = *trace_fnv;
-      it.runs = *runs;
-      it.total_steps = *steps;
-      it.shrunk = *shrunk;
-      it.locally_minimal = *locally_minimal;
-      it.shrink_probes = *shrink_probes;
-      it.error = *found == "error";
-      it.detail = *detail;
-      explore_.add(*key, it);
-    }
-  }
-
-  /// Finishes the fold and lands the result in `out` (kind-specific
-  /// summary → shared MergeResult fields).  `hist_sink` receives the
-  /// term histograms; pass null for the per-shard digest check.
-  void finish_into(MergeResult* out, RecordSink* hist_sink) {
-    if (kind_ == "safety") {
-      const SweepSummary sum = safety_.finish();
-      out->stable_text = sum.stable_text();
-      out->digest = sum.digest;
-      out->failed = sum.violations > 0 || sum.errors > 0;
-    } else if (kind_ == "term") {
-      const term::TermSummary sum = term_.finish(hist_sink);
-      out->stable_text = sum.stable_text();
-      out->digest = sum.digest;
-      out->failed = sum.safety_violations > 0 || sum.errors > 0;
-    } else {
-      const explore::ExploreSummary sum = explore_.finish();
-      out->stable_text = sum.stable_text();
-      out->digest = sum.digest;
-      out->failed = sum.errors > 0;
-    }
-  }
-
- private:
-  std::string kind_;
-  SweepFold safety_;
-  term::TermFold term_;
-  explore::ExploreFold explore_;
-};
 
 /// One shard store, parsed and validated in isolation.
 struct ParsedShard {
@@ -321,6 +186,58 @@ ParsedShard parse_store(const ShardStore& in) {
   return p;
 }
 
+/// Folds one shard's record into `fold`, naming the store on a malformed
+/// record.
+template <class Fold>
+void add_line(Fold& fold, const ParsedShard& s, const std::string& line) {
+  if (!fold.add_record(line)) {
+    throw std::runtime_error(s.name + ": malformed " + s.kind +
+                             " record: " + line.substr(0, 96));
+  }
+}
+
+/// The merge proper, over the kind's fold: every shard's records must
+/// reproduce its own trailer digest — a tampered or bit-rotted store
+/// fails here, before it can poison the merged aggregate — and then the
+/// records re-fold in global enumeration order (gi g lives in shard
+/// g mod N) into the store and summary the unsharded run writes, byte
+/// for byte.
+template <class Fold>
+MergeResult refold(const std::vector<ParsedShard>& shards,
+                   const std::vector<const ParsedShard*>& by_index) {
+  for (const ParsedShard& s : shards) {
+    Fold partial;
+    for (const std::string& line : s.lines) add_line(partial, s, line);
+    if (partial.finish(nullptr).digest != s.trailer_digest) {
+      throw std::runtime_error(s.name + ": trailer digest mismatch (the "
+                                        "records do not reproduce the "
+                                        "digest the shard recorded)");
+    }
+  }
+  const ParsedShard& ref = shards.front();
+  const std::uint32_t count = ref.spec.count;
+  MergeResult out;
+  out.kind = ref.kind;
+  out.shards = count;
+  out.records = ref.total;
+  Fold global;
+  std::vector<std::size_t> cursor(count, 0);
+  for (std::uint64_t gi = 0; gi < ref.total; ++gi) {
+    const ParsedShard& s = *by_index[gi % count];
+    const std::string& line = s.lines[cursor[gi % count]++];
+    add_line(global, s, line);
+    out.store += line;
+    out.store += '\n';
+  }
+  StringSink tail;
+  const auto sum = global.finish(&tail);
+  out.store += tail.text();
+  out.stable_text = sum.stable_text();
+  out.digest = sum.digest;
+  out.failed = sum.failed();
+  return out;
+}
+
 }  // namespace
 
 MergeResult merge_shard_stores(const std::vector<ShardStore>& stores) {
@@ -376,41 +293,9 @@ MergeResult merge_shard_stores(const std::vector<ShardStore>& stores) {
     }
   }
 
-  // Every shard's records must reproduce its own trailer digest — a
-  // tampered or bit-rotted store fails here, before it can poison the
-  // merged aggregate.
-  for (const ParsedShard& s : shards) {
-    KindFold partial(ref.kind);
-    for (const std::string& line : s.lines) partial.add(s.name, line);
-    MergeResult check;
-    partial.finish_into(&check, nullptr);
-    if (check.digest != s.trailer_digest) {
-      throw std::runtime_error(s.name + ": trailer digest mismatch (the "
-                                        "records do not reproduce the "
-                                        "digest the shard recorded)");
-    }
-  }
-
-  // Reconstitute global enumeration order — gi g lives in shard g mod N
-  // — re-folding as we go.  The result is the store and summary the
-  // unsharded run writes, byte for byte.
-  MergeResult out;
-  out.kind = ref.kind;
-  out.shards = count;
-  out.records = ref.total;
-  KindFold global(ref.kind);
-  std::vector<std::size_t> cursor(count, 0);
-  for (std::uint64_t gi = 0; gi < ref.total; ++gi) {
-    const ParsedShard& s = *by_index[gi % count];
-    const std::string& line = s.lines[cursor[gi % count]++];
-    global.add(s.name, line);
-    out.store += line;
-    out.store += '\n';
-  }
-  StringSink hist_sink;
-  global.finish_into(&out, &hist_sink);
-  out.store += hist_sink.text();
-  return out;
+  if (ref.kind == "safety") return refold<SweepFold>(shards, by_index);
+  if (ref.kind == "term") return refold<term::TermFold>(shards, by_index);
+  return refold<explore::ExploreFold>(shards, by_index);
 }
 
 }  // namespace rlt::sweep

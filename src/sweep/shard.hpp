@@ -22,11 +22,13 @@
 //
 //  2. Each sweep's aggregate folds through a composable fold object
 //     (SweepFold / TermFold / ExploreFold, declared next to their
-//     summaries) whose inputs are exactly the fields persisted in the
-//     store records.  A shard store therefore *is* the serialized fold
-//     partial: the merge re-folds the records in global order and lands
-//     on the identical digest, counters, failure list, and
-//     "... and N more" truncation marker the unsharded fold computes.
+//     summaries) that folds its mode's own results and reads back its
+//     mode's own records (add_record, beside the mode's record writer):
+//     exactly the fields the writer persists.  A shard store therefore
+//     *is* the serialized fold partial: the merge re-folds the records
+//     in global order and lands on the identical digest, counters,
+//     failure list, and "... and N more" truncation marker the
+//     unsharded fold computes.
 //
 //  3. A sharded store brackets its records with a header and a trailer
 //     line (written only when N > 1, so unsharded stores keep their
@@ -110,10 +112,8 @@ struct MergeResult {
   std::string store;        ///< Merged canonical JSONL.
   std::string stable_text;  ///< Reconstituted aggregate summary.
   std::uint64_t digest = 0; ///< The aggregate digest (== unsharded).
-  /// Mirrors the sweep's own exit contract: true iff the merged summary
-  /// contains what would have failed the unsharded run (safety:
-  /// violations/errors; term: safety violations/errors; explore:
-  /// errors).  Validation problems throw instead.
+  /// The merged summary's failed(): the unsharded run's exit rule.
+  /// Validation problems throw instead.
   bool failed = false;
 };
 

@@ -21,6 +21,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 namespace rlt::sweep {
 
@@ -43,6 +45,22 @@ class Record {
 
 /// Escapes `s` as a JSON string literal (including the quotes).
 [[nodiscard]] std::string json_escape(std::string_view s);
+
+/// Spells one list axis of a config key: `items` joined by commas, each
+/// in decimal or through the to_string of its own namespace.
+template <class T>
+[[nodiscard]] std::string comma_list(const std::vector<T>& items) {
+  std::string out;
+  for (const T& item : items) {
+    if (!out.empty()) out += ',';
+    if constexpr (std::is_arithmetic_v<T>) {
+      out += std::to_string(item);
+    } else {
+      out += to_string(item);
+    }
+  }
+  return out;
+}
 
 // Readers for one record line as `Record::json` writes it (the --merge
 // and --replay inputs).  Each returns field `name`'s value, or nullopt

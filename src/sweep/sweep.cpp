@@ -147,41 +147,44 @@ struct SafetyMode {
   }
 
   void fold(const std::string& key, const Scenario&, const ScenarioResult& r) {
-    folded.add(key, r.verdict, r.steps, r.ops, r.history_hash, r.detail);
+    folded.add(key, r);
   }
 
-  SweepSummary finish(RecordSink*) { return folded.finish(); }
+  SweepSummary finish(RecordSink* sink) { return folded.finish(sink); }
 };
 
 }  // namespace
 
+bool SweepFold::add_record(const std::string& line) {
+  const auto key = field_str(line, "key");
+  const auto verdict = field_str(line, "verdict");
+  const auto steps = field_u64(line, "steps");
+  const auto ops = field_u64(line, "ops");
+  const auto hash = field_hex(line, "history_hash");
+  const auto detail = field_str(line, "detail");
+  if (!key || !verdict || !steps || !ops || !hash || !detail) return false;
+  ScenarioResult r;
+  const std::optional<Verdict> v = verdict_from_string(*verdict);
+  if (!v) return false;
+  r.verdict = *v;
+  r.steps = *steps;
+  r.ops = *ops;
+  r.history_hash = *hash;
+  r.detail = *detail;
+  add(*key, r);
+  return true;
+}
+
 std::string config_key(const SweepOptions& o) {
   std::ostringstream os;
-  os << "algs=";
-  for (std::size_t i = 0; i < o.algorithms.size(); ++i) {
-    os << (i ? "," : "") << to_string(o.algorithms[i]);
-  }
-  os << " sems=";
-  for (std::size_t i = 0; i < o.semantics.size(); ++i) {
-    os << (i ? "," : "") << sim::to_string(o.semantics[i]);
-  }
-  os << " advs=";
-  for (std::size_t i = 0; i < o.adversaries.size(); ++i) {
-    os << (i ? "," : "") << to_string(o.adversaries[i]);
-  }
-  os << " faults=";
-  for (std::size_t i = 0; i < o.faults.size(); ++i) {
-    os << (i ? "," : "") << to_string(o.faults[i]);
-  }
-  os << " fseeds=";
-  for (std::size_t i = 0; i < o.crash_seeds.size(); ++i) {
-    os << (i ? "," : "") << o.crash_seeds[i];
-  }
-  os << " drop=" << o.drop_permille << " procs=";
-  for (std::size_t i = 0; i < o.process_counts.size(); ++i) {
-    os << (i ? "," : "") << o.process_counts[i];
-  }
-  os << " seeds=" << o.seed_begin << ':' << o.seed_end
+  os << "algs=" << comma_list(o.algorithms)
+     << " sems=" << comma_list(o.semantics)
+     << " advs=" << comma_list(o.adversaries)
+     << " faults=" << comma_list(o.faults)
+     << " fseeds=" << comma_list(o.crash_seeds)
+     << " drop=" << o.drop_permille
+     << " procs=" << comma_list(o.process_counts)
+     << " seeds=" << o.seed_begin << ':' << o.seed_end
      << " writes=" << o.writes_per_process
      << " max-actions=" << o.max_actions_per_scenario;
   return os.str();
@@ -223,34 +226,32 @@ std::string SweepSummary::stable_text() const {
 
 SweepFold::SweepFold() { sum_.digest = kFnvOffset; }
 
-void SweepFold::add(const std::string& key, Verdict verdict,
-                    std::uint64_t steps, std::uint64_t ops,
-                    std::uint64_t history_hash, const std::string& detail) {
+void SweepFold::add(const std::string& key, const ScenarioResult& r) {
   ++sum_.scenarios;
-  switch (verdict) {
+  switch (r.verdict) {
     case Verdict::kOk: ++sum_.ok; break;
     case Verdict::kViolation: ++sum_.violations; break;
     case Verdict::kBlocked: ++sum_.blocked; break;
     case Verdict::kError: ++sum_.errors; break;
   }
-  sum_.total_steps += steps;
-  sum_.total_ops += ops;
+  sum_.total_steps += r.steps;
+  sum_.total_ops += r.ops;
   fnv_mix_str(sum_.digest, key);
-  fnv_mix_u64(sum_.digest, static_cast<std::uint64_t>(verdict));
-  fnv_mix_u64(sum_.digest, steps);
-  fnv_mix_u64(sum_.digest, ops);
-  fnv_mix_u64(sum_.digest, history_hash);
-  if (verdict != Verdict::kOk) {
+  fnv_mix_u64(sum_.digest, static_cast<std::uint64_t>(r.verdict));
+  fnv_mix_u64(sum_.digest, r.steps);
+  fnv_mix_u64(sum_.digest, r.ops);
+  fnv_mix_u64(sum_.digest, r.history_hash);
+  if (r.verdict != Verdict::kOk) {
     if (sum_.failures.size() < kMaxReportedFailures) {
-      sum_.failures.push_back(key + ": [" + to_string(verdict) + "] " +
-                              detail);
+      sum_.failures.push_back(key + ": [" + to_string(r.verdict) + "] " +
+                              r.detail);
     } else {
       ++sum_.failures_truncated;
     }
   }
 }
 
-SweepSummary SweepFold::finish() { return std::move(sum_); }
+SweepSummary SweepFold::finish(RecordSink*) { return std::move(sum_); }
 
 SweepSummary run_sweep(const SweepOptions& o, std::uint64_t progress_every,
                        RecordSink* sink, const obs::Hooks* hooks) {

@@ -138,15 +138,20 @@ struct SweepSummary {
   /// The deterministic part, one line per field, byte-identical across
   /// runs with equal options.  (Timing fields are deliberately absent.)
   [[nodiscard]] std::string stable_text() const;
+
+  /// The exit rule: a sweep fails on violations or errors.  Blocked runs
+  /// are the fault axes doing their job (their histories were still
+  /// checked clean up to the block).
+  [[nodiscard]] bool failed() const { return violations != 0 || errors != 0; }
 };
 
 /// The deterministic half of the sweep aggregate as a composable fold:
-/// feed it exactly the per-scenario fields the store persists, in global
-/// enumeration order, and it produces the same counters, digest, failure
-/// list, and truncation marker whether the scenarios came from one
-/// process or were re-read from N merged shard stores.  run_sweep and
-/// merge_shard_stores share this object, which is what makes
-/// `shards + merge ≡ unsharded` an identity instead of a convention.
+/// feed it every scenario's result in global enumeration order — live
+/// from the pool, or read back from the store records the sweep wrote —
+/// and it produces the same counters, digest, failure list, and
+/// truncation marker either way.  run_sweep and merge_shard_stores
+/// share this object, which is what makes `shards + merge ≡ unsharded`
+/// an identity instead of a convention.
 class SweepFold {
  public:
   /// Failure lines kept verbatim; the rest fold into failures_truncated.
@@ -156,13 +161,16 @@ class SweepFold {
 
   SweepFold();
 
-  void add(const std::string& key, Verdict verdict, std::uint64_t steps,
-           std::uint64_t ops, std::uint64_t history_hash,
-           const std::string& detail);
+  void add(const std::string& key, const ScenarioResult& r);
+
+  /// Reads back one scenario record as run_sweep wrote it and adds it.
+  /// False, adding nothing, when a field the fold needs is missing.
+  [[nodiscard]] bool add_record(const std::string& line);
 
   /// The folded summary; its `engine` stats are zero (the engine fills
-  /// them in).
-  [[nodiscard]] SweepSummary finish();
+  /// them in).  A safety store ends with its last scenario record, so
+  /// nothing is appended to `sink`.
+  [[nodiscard]] SweepSummary finish(RecordSink* sink);
 
  private:
   SweepSummary sum_;

@@ -61,23 +61,11 @@ std::string fixed_ratio(std::uint64_t num, std::uint64_t den, int digits) {
 
 std::string config_key(const TermSweepOptions& o) {
   std::ostringstream os;
-  os << "families=";
-  for (std::size_t i = 0; i < o.families.size(); ++i) {
-    os << (i ? "," : "") << to_string(o.families[i]);
-  }
-  os << " advs=";
-  for (std::size_t i = 0; i < o.adversaries.size(); ++i) {
-    os << (i ? "," : "") << to_string(o.adversaries[i]);
-  }
-  os << " procs=";
-  for (std::size_t i = 0; i < o.process_counts.size(); ++i) {
-    os << (i ? "," : "") << o.process_counts[i];
-  }
-  os << " rounds=";
-  for (std::size_t i = 0; i < o.round_budgets.size(); ++i) {
-    os << (i ? "," : "") << o.round_budgets[i];
-  }
-  os << " seeds=" << o.seed_begin << ':' << o.seed_end
+  os << "families=" << sweep::comma_list(o.families)
+     << " advs=" << sweep::comma_list(o.adversaries)
+     << " procs=" << sweep::comma_list(o.process_counts)
+     << " rounds=" << sweep::comma_list(o.round_budgets)
+     << " seeds=" << o.seed_begin << ':' << o.seed_end
      << " max-actions=" << o.max_actions_per_scenario;
   return os.str();
 }
@@ -301,14 +289,50 @@ struct TermMode {
     folded.add(key, s.family, r);
   }
 
-  /// In a sharded store the per-family histogram records are this
-  /// shard's PARTIALS (useful for eyeballing a slice; the merge
-  /// recomputes the global ones from the scenario records and drops
-  /// these).
   TermSummary finish(sweep::RecordSink* sink) { return folded.finish(sink); }
 };
 
 }  // namespace
+
+bool TermFold::add_record(const std::string& line) {
+  using sweep::field_bool;
+  using sweep::field_u64;
+  const auto key = sweep::field_str(line, "key");
+  const auto terminated = field_bool(line, "terminated");
+  const auto capped = field_bool(line, "capped");
+  const auto safety_ok = field_bool(line, "safety_ok");
+  const auto error = field_bool(line, "error");
+  const auto rounds = field_u64(line, "rounds");
+  const auto stalled = field_u64(line, "stalled");
+  const auto coin_flips = field_u64(line, "coin_flips");
+  const auto steps = field_u64(line, "steps");
+  const auto hash = sweep::field_hex(line, "outcome_hash");
+  const auto detail = sweep::field_str(line, "detail");
+  if (!key || !terminated || !capped || !safety_ok || !error || !rounds ||
+      !stalled || !coin_flips || !steps || !hash || !detail) {
+    return false;
+  }
+  for (std::size_t fam = 0; fam < kFamilies; ++fam) {
+    const Family family = static_cast<Family>(fam);
+    if (key->rfind(std::string("term/") + to_string(family) + '/', 0) != 0) {
+      continue;
+    }
+    TermRecord r;
+    r.terminated = *terminated;
+    r.capped = *capped;
+    r.safety_ok = *safety_ok;
+    r.error = *error;
+    r.rounds = static_cast<int>(*rounds);
+    r.stalled = static_cast<int>(*stalled);
+    r.coin_flips = *coin_flips;
+    r.steps = *steps;
+    r.outcome_hash = *hash;
+    r.detail = *detail;
+    add(*key, family, r);
+    return true;
+  }
+  return false;
+}
 
 TermSummary run_term_sweep(const TermSweepOptions& o,
                            std::uint64_t progress_every,

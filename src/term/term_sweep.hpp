@@ -121,15 +121,21 @@ struct TermSummary {
   /// rendered with integer arithmetic so the bytes never depend on
   /// floating-point formatting.
   [[nodiscard]] std::string stable_text() const;
+
+  /// The exit rule: a termination sweep fails on broken safety or
+  /// errors.  Capped runs are Theorem 6 doing its job.
+  [[nodiscard]] bool failed() const {
+    return safety_violations != 0 || errors != 0;
+  }
 };
 
 /// The deterministic half of the termination aggregate as a composable
-/// fold (the sweep::SweepFold counterpart): feed it, in global
-/// enumeration order, exactly the per-scenario fields the store
-/// persists, and it reproduces the counters, histograms, survival tail,
-/// digest, and truncation marker of an unsharded run — whether the
-/// records came from the pool or were re-read from N merged shard
-/// stores.  Wall-clock fields on the incoming TermRecord are ignored.
+/// fold (the sweep::SweepFold counterpart): feed it every scenario's
+/// TermRecord in global enumeration order — live from the pool, or read
+/// back from the store records the sweep wrote — and it reproduces the
+/// counters, histograms, survival tail, digest, and truncation marker of
+/// an unsharded run.  Wall-clock fields on the incoming TermRecord are
+/// ignored.
 class TermFold {
  public:
   static constexpr std::size_t kMaxReportedFailures = 16;
@@ -138,10 +144,18 @@ class TermFold {
 
   void add(const std::string& key, Family family, const TermRecord& r);
 
+  /// Reads back one scenario record as run_term_sweep wrote it (the
+  /// family is the key's second segment) and adds it.  False, adding
+  /// nothing, when a field the fold needs is missing.
+  [[nodiscard]] bool add_record(const std::string& line);
+
   /// The folded summary (`engine` stats zero).  Materializes the
   /// per-family histograms in Family enum order and computes the
   /// survival tail from them; when `sink` is non-null, also appends one
-  /// canonical "term-hist/<family>" record per family present.
+  /// canonical "term-hist/<family>" record per family present.  In a
+  /// sharded store these are the shard's PARTIAL histograms (useful for
+  /// eyeballing a slice); the merge recomputes the global ones from the
+  /// scenario records and drops these.
   [[nodiscard]] TermSummary finish(sweep::RecordSink* sink);
 
  private:

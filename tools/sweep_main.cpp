@@ -50,12 +50,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "explore/explore.hpp"
@@ -68,10 +71,15 @@
 namespace {
 
 using rlt::explore::ExploreOptions;
+using rlt::explore::Objective;
+using rlt::explore::Strategy;
+using rlt::sim::Semantics;
 using rlt::sweep::AdversaryKind;
 using rlt::sweep::Algorithm;
+using rlt::sweep::FaultKind;
 using rlt::sweep::SweepOptions;
-using rlt::sweep::SweepSummary;
+using rlt::term::Family;
+using rlt::term::TermAdversary;
 using rlt::term::TermSweepOptions;
 
 [[noreturn]] void usage(int code) {
@@ -101,7 +109,8 @@ using rlt::term::TermSweepOptions;
       "                      verdict\n"
       "  --crash-seeds A:B   fault-schedule seed range for faulty\n"
       "                      scenarios, A inclusive, B exclusive "
-      "(default: 0:1)\n"
+      "(default: 0:1);\n"
+      "                      requires a faulty kind in --faults\n"
       "  --fault-seeds A:B   alias of --crash-seeds (the range seeds every\n"
       "                      fault kind's schedule, not just crashes)\n"
       "  --drop-prob P       per-message drop probability for 'lossy',\n"
@@ -154,7 +163,7 @@ using rlt::term::TermSweepOptions;
       "  --batch N           scenarios per pool task (default: 16; the\n"
       "                      digest does not depend on this)\n"
       "  --max-actions N     per-scenario action budget (default: 1000000,\n"
-      "                      or 2000000 with --term)\n"
+      "                      or 2000000 with --term and --explore)\n"
       "  --out PATH          write one canonical JSONL record per scenario\n"
       "                      (byte-identical across --threads; diff stores\n"
       "                      with tools/sweep_diff.py)\n"
@@ -168,9 +177,14 @@ using rlt::term::TermSweepOptions;
       "                      (tools/sweep_shard.py runs the whole fabric as\n"
       "                      one command)\n"
       "  --progress N        progress line every N scenarios (default: off)\n"
-      "observability (valid in every run mode; never digest material —\n"
-      "stores, digests, and summaries are byte-identical with or without\n"
-      "these flags):\n"
+      "  --list              print the scenario keys and exit; takes the\n"
+      "                      mode flags, the axes, --processes, --seeds\n"
+      "                      and --shard, and exits 2 with --out,\n"
+      "                      --threads, --batch, --max-actions, --progress\n"
+      "                      or an observability flag\n"
+      "observability (never digest material — stores, digests, and\n"
+      "summaries are byte-identical with or without these flags; valid in\n"
+      "every sweep run, but not with --list, --merge or --replay):\n"
       "  --metrics PATH      write the unified metrics registry (counters,\n"
       "                      gauges, histograms from every layer) as JSONL\n"
       "                      after the run; the \"stable\":true section is\n"
@@ -197,12 +211,13 @@ using rlt::term::TermSweepOptions;
       "                      ledger on blocked runs, and the message\n"
       "                      timeline with happens-before edges; --explore\n"
       "                      --objective violation replays each shrunk\n"
-      "                      witness into explore-<gi>.json.  Artifacts\n"
+      "                      witness into explore-<gi>.json (--term and\n"
+      "                      --objective rounds record no history, so\n"
+      "                      they reject this flag).  Artifacts\n"
       "                      are byte-identical across --threads/--batch\n"
       "                      and across shards (gi filenames are disjoint,\n"
       "                      so all shards may share one DIR); convert\n"
       "                      with tools/trace_view.py for Perfetto\n"
-      "  --list              print the scenario keys and exit\n"
       "merge mode:\n"
       "  --merge FILE...     validate and merge the named shard stores\n"
       "                      (written with --shard ... --out) back into the\n"
@@ -246,72 +261,80 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& v) {
   }
 }
 
-void parse_algorithms(const std::string& v, SweepOptions& o) {
-  o.algorithms.clear();
-  for (const std::string& name : split_csv(v)) {
-    if (name == "modeled") o.algorithms.push_back(Algorithm::kModeled);
-    else if (name == "alg2") o.algorithms.push_back(Algorithm::kAlg2);
-    else if (name == "alg4") o.algorithms.push_back(Algorithm::kAlg4);
-    else if (name == "abd") o.algorithms.push_back(Algorithm::kAbd);
-    else bad_value("--algorithms", name);
-  }
-  if (o.algorithms.empty()) bad_value("--algorithms", v);
+/// An integer in [lo, hi].
+std::uint64_t parse_in(const std::string& flag, const std::string& v,
+                       std::uint64_t lo, std::uint64_t hi) {
+  const std::uint64_t x = parse_u64(flag, v);
+  if (x < lo || x > hi) bad_value(flag, v);
+  return x;
 }
 
-void parse_semantics(const std::string& v, SweepOptions& o) {
-  o.semantics.clear();
-  for (const std::string& name : split_csv(v)) {
-    if (name == "atomic") {
-      o.semantics.push_back(rlt::sim::Semantics::kAtomic);
-    } else if (name == "lin" || name == "linearizable") {
-      o.semantics.push_back(rlt::sim::Semantics::kLinearizable);
-    } else if (name == "wsl") {
-      o.semantics.push_back(rlt::sim::Semantics::kWriteStrong);
-    } else {
-      bad_value("--semantics", name);
-    }
-  }
-  if (o.semantics.empty()) bad_value("--semantics", v);
+/// A non-empty comma list, each item parsed by `item`.
+template <class Parse>
+auto parse_list(const std::string& flag, const std::string& v, Parse item) {
+  std::vector<decltype(item(v))> out;
+  for (const std::string& s : split_csv(v)) out.push_back(item(s));
+  if (out.empty()) bad_value(flag, v);
+  return out;
 }
 
-void parse_adversaries(const std::string& v, SweepOptions& o) {
-  o.adversaries.clear();
-  for (const std::string& name : split_csv(v)) {
-    if (name == "rand" || name == "random") {
-      o.adversaries.push_back(AdversaryKind::kRandom);
-    } else if (name == "rr" || name == "roundrobin") {
-      o.adversaries.push_back(AdversaryKind::kRoundRobin);
-    } else {
-      bad_value("--adversaries", name);
-    }
-  }
-  if (o.adversaries.empty()) bad_value("--adversaries", v);
+/// A non-empty comma list of integers in [lo, hi].
+std::vector<int> parse_ints(const std::string& flag, const std::string& v,
+                            int lo, int hi) {
+  return parse_list(flag, v, [&](const std::string& item) {
+    return static_cast<int>(parse_in(flag, item, lo, hi));
+  });
 }
 
-void parse_faults(const std::string& v, SweepOptions& o) {
-  o.faults.clear();
-  for (const std::string& name : split_csv(v)) {
-    if (name == "none") {
-      o.faults.push_back(rlt::sweep::FaultKind::kNone);
-    } else if (name == "minority") {
-      o.faults.push_back(rlt::sweep::FaultKind::kMinorityCrash);
-    } else if (name == "stall") {
-      o.faults.push_back(rlt::sweep::FaultKind::kStall);
-    } else if (name == "lossy") {
-      o.faults.push_back(rlt::sweep::FaultKind::kLossy);
-    } else if (name == "dup" || name == "duplicate") {
-      o.faults.push_back(rlt::sweep::FaultKind::kDuplicate);
-    } else if (name == "partition") {
-      o.faults.push_back(rlt::sweep::FaultKind::kPartition);
-    } else if (name == "majority") {
-      o.faults.push_back(rlt::sweep::FaultKind::kMajorityCrash);
-    } else if (name == "recovery") {
-      o.faults.push_back(rlt::sweep::FaultKind::kCrashRecovery);
-    } else {
-      bad_value("--faults", name);
-    }
+/// The CLI spellings of a flag's values.
+template <class T>
+using Names = std::initializer_list<std::pair<std::string_view, T>>;
+
+/// The value `v` spells.
+template <class T>
+T parse_name(const std::string& flag, const std::string& v, Names<T> names) {
+  for (const auto& [name, value] : names) {
+    if (v == name) return value;
   }
-  if (o.faults.empty()) bad_value("--faults", v);
+  bad_value(flag, v);
+}
+
+/// A non-empty comma list of spelled values.
+template <class T>
+std::vector<T> parse_names(const std::string& flag, const std::string& v,
+                           Names<T> names) {
+  return parse_list(flag, v, [&](const std::string& item) {
+    return parse_name(flag, item, names);
+  });
+}
+
+/// A seed range: "A:B" (A inclusive, B exclusive) or "N" (N:N+1).
+std::pair<std::uint64_t, std::uint64_t> parse_range(const std::string& flag,
+                                                    const std::string& v) {
+  const std::size_t colon = v.find(':');
+  if (colon == std::string::npos) {
+    // Reject UINT64_MAX: N+1 would wrap to 0 and trip the reversed-range
+    // invariant.
+    const std::uint64_t n =
+        parse_in(flag, v, 0, std::numeric_limits<std::uint64_t>::max() - 1);
+    return {n, n + 1};
+  }
+  const std::uint64_t begin = parse_u64(flag, v.substr(0, colon));
+  const std::uint64_t end = parse_u64(flag, v.substr(colon + 1));
+  // An empty range would run zero scenarios, print the digest of nothing
+  // and exit 0 — trivially "green".  It is never what the caller meant.
+  if (end <= begin) bad_value(flag, v);
+  return {begin, end};
+}
+
+// `flag` is "--crash-seeds" or its alias "--fault-seeds"; errors name
+// whichever spelling the caller actually typed.
+void parse_crash_seeds(const std::string& flag, const std::string& v,
+                       SweepOptions& o) {
+  const auto [begin, end] = parse_range(flag, v);
+  if (end - begin > 1'000'000) bad_value(flag, v);
+  o.crash_seeds.clear();
+  for (std::uint64_t cs = begin; cs < end; ++cs) o.crash_seeds.push_back(cs);
 }
 
 void parse_drop_prob(const std::string& v, SweepOptions& o) {
@@ -338,113 +361,6 @@ void parse_drop_prob(const std::string& v, SweepOptions& o) {
     bad_value("--drop-prob", v);
   }
   o.drop_permille = permille;
-}
-
-void parse_families(const std::string& v, TermSweepOptions& o) {
-  o.families.clear();
-  for (const std::string& name : split_csv(v)) {
-    if (name == "consensus") {
-      o.families.push_back(rlt::term::Family::kConsensus);
-    } else if (name == "composed") {
-      o.families.push_back(rlt::term::Family::kComposed);
-    } else if (name == "coin") {
-      o.families.push_back(rlt::term::Family::kSharedCoin);
-    } else if (name == "game") {
-      o.families.push_back(rlt::term::Family::kGame);
-    } else {
-      bad_value("--families", name);
-    }
-  }
-  if (o.families.empty()) bad_value("--families", v);
-}
-
-void parse_term_adversaries(const std::string& v, TermSweepOptions& o) {
-  o.adversaries.clear();
-  for (const std::string& name : split_csv(v)) {
-    if (name == "scripted") {
-      o.adversaries.push_back(rlt::term::TermAdversary::kScripted);
-    } else if (name == "rand" || name == "random") {
-      o.adversaries.push_back(rlt::term::TermAdversary::kRandom);
-    } else if (name == "stall" || name == "stalling") {
-      o.adversaries.push_back(rlt::term::TermAdversary::kStalling);
-    } else {
-      bad_value("--term-adversaries", name);
-    }
-  }
-  if (o.adversaries.empty()) bad_value("--term-adversaries", v);
-}
-
-void parse_rounds(const std::string& v, TermSweepOptions& o) {
-  o.round_budgets.clear();
-  for (const std::string& item : split_csv(v)) {
-    const std::uint64_t r = parse_u64("--rounds", item);
-    if (r < 1 || r > 1'000'000) bad_value("--rounds", item);
-    o.round_budgets.push_back(static_cast<int>(r));
-  }
-  if (o.round_budgets.empty()) bad_value("--rounds", v);
-}
-
-// `flag` is "--crash-seeds" or its alias "--fault-seeds"; errors name
-// whichever spelling the caller actually typed.
-void parse_crash_seeds(const std::string& flag, const std::string& v,
-                       SweepOptions& o) {
-  const std::size_t colon = v.find(':');
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  if (colon == std::string::npos) {
-    begin = parse_u64(flag, v);
-    if (begin == std::numeric_limits<std::uint64_t>::max()) {
-      bad_value(flag, v);
-    }
-    end = begin + 1;
-  } else {
-    begin = parse_u64(flag, v.substr(0, colon));
-    end = parse_u64(flag, v.substr(colon + 1));
-    // Like --seeds: an empty or reversed range silently sweeps nothing
-    // faulty; reject it as bad usage.
-    if (end <= begin) bad_value(flag, v);
-  }
-  if (end - begin > 1'000'000) bad_value(flag, v);
-  o.crash_seeds.clear();
-  for (std::uint64_t cs = begin; cs < end; ++cs) o.crash_seeds.push_back(cs);
-}
-
-void parse_processes(const std::string& v, SweepOptions& o) {
-  o.process_counts.clear();
-  for (const std::string& item : split_csv(v)) {
-    const std::uint64_t n = parse_u64("--processes", item);
-    if (n < 1 || n > 16) bad_value("--processes", item);
-    o.process_counts.push_back(static_cast<int>(n));
-  }
-  if (o.process_counts.empty()) bad_value("--processes", v);
-}
-
-void parse_objective(const std::string& v, ExploreOptions& o) {
-  if (v == "rounds") o.objective = rlt::explore::Objective::kRounds;
-  else if (v == "violation" || v == "viol") {
-    o.objective = rlt::explore::Objective::kViolation;
-  } else {
-    bad_value("--objective", v);
-  }
-}
-
-void parse_strategy(const std::string& v, ExploreOptions& o) {
-  if (v == "greedy") o.strategy = rlt::explore::Strategy::kGreedy;
-  else if (v == "hill" || v == "hillclimb") {
-    o.strategy = rlt::explore::Strategy::kHillClimb;
-  } else if (v == "random" || v == "rand") {
-    o.strategy = rlt::explore::Strategy::kRandom;
-  } else {
-    bad_value("--strategy", v);
-  }
-}
-
-void parse_ablate(const std::string& v, ExploreOptions& o) {
-  // The one supported plant: ABD without the read write-back phase (the
-  // ablation the sweep tests use), which breaks linearizability across
-  // readers — a ground-truth target for the violation search.
-  if (v == "nowb") o.abd_read_write_back = false;
-  else bad_value("--ablate", v);
 }
 
 /// Replays every explore record in a store written with --out; exit 0
@@ -498,332 +414,445 @@ double peak_rss_mb() {
   return -1;
 }
 
-void parse_seeds(const std::string& v, SweepOptions& o) {
-  const std::size_t colon = v.find(':');
-  if (colon == std::string::npos) {
-    // Single value N means the one-seed range N:N+1 (reject UINT64_MAX:
-    // N+1 would wrap to 0 and trip the reversed-range invariant).
-    o.seed_begin = parse_u64("--seeds", v);
-    if (o.seed_begin == std::numeric_limits<std::uint64_t>::max()) {
-      bad_value("--seeds", v);
-    }
-    o.seed_end = o.seed_begin + 1;
-    return;
+/// The runs a flag may appear in, as bits.  A command is exactly one
+/// run: one of the four sweeps, or one of the standalone modes --merge
+/// and --replay.
+enum RunBit : unsigned {
+  kSafety = 1u << 0,
+  kTerm = 1u << 1,
+  kRounds = 1u << 2,     ///< --explore --objective rounds
+  kViolation = 1u << 3,  ///< --explore --objective violation
+  /// Still applies when --list narrows a sweep to printing its keys.
+  kList = 1u << 4,
+  kMerge = 1u << 5,
+  kReplay = 1u << 6,
+};
+constexpr unsigned kExplore = kRounds | kViolation;
+constexpr unsigned kSweeps = kSafety | kTerm | kExplore;
+/// The runs that record register histories, which --online checks and
+/// --forensics certifies.
+constexpr unsigned kHistories = kSafety | kViolation;
+/// The runs over the termination families.
+constexpr unsigned kFamilies = kTerm | kRounds;
+
+const char* run_name(unsigned run) {
+  switch (run) {
+    case kTerm: return "--term";
+    case kRounds: return "--explore --objective rounds";
+    case kViolation: return "--explore --objective violation";
+    default: return "the safety sweep";
   }
-  o.seed_begin = parse_u64("--seeds", v.substr(0, colon));
-  o.seed_end = parse_u64("--seeds", v.substr(colon + 1));
-  // A ≥ B used to slip through when A == B: the sweep ran zero
-  // scenarios, printed the digest of nothing, and exited 0 — trivially
-  // "green".  An empty range is never what the caller meant; reject it.
-  if (o.seed_end <= o.seed_begin) bad_value("--seeds", v);
+}
+
+/// Everything the flags set.  A flag shared by several runs writes every
+/// options struct that reads it, so whichever run the command names
+/// finds it set.
+struct Cli {
+  SweepOptions opts;
+  TermSweepOptions topts;
+  ExploreOptions eopts;
+  bool term = false;
+  bool explore = false;
+  bool list = false;
+  bool merge = false;
+  std::string replay_path;
+  std::string out_path;
+  std::uint64_t progress_every = 0;
+  std::string metrics_path;
+  std::string trace_path;
+  rlt::obs::Hooks hooks;
+  std::vector<std::string> merge_files;
+};
+
+/// One row of the flag table: the flag, the runs that accept it, and
+/// its setter (`value` is empty for flags that take none).
+struct Flag {
+  const char* name;
+  unsigned runs;
+  bool takes_value;
+  void (*set)(Cli& c, const std::string& value);
+};
+
+/// The setters' value parameter.
+using V = const std::string&;
+
+constexpr Flag kFlags[] = {
+    // Modes.
+    {"--term", kTerm | kList, false, [](Cli& c, V) { c.term = true; }},
+    {"--explore", kExplore | kList, false,
+     [](Cli& c, V) { c.explore = true; }},
+    {"--list", kSweeps | kList, false, [](Cli& c, V) { c.list = true; }},
+    {"--merge", kMerge, false, [](Cli& c, V) { c.merge = true; }},
+    {"--replay", kReplay, true, [](Cli& c, V v) { c.replay_path = v; }},
+    // Register workloads: the safety sweep and violation hunts.
+    {"--algorithms", kHistories | kList, true,
+     [](Cli& c, V v) {
+       c.opts.algorithms = c.eopts.algorithms = parse_names<Algorithm>(
+           "--algorithms", v,
+           {{"modeled", Algorithm::kModeled}, {"alg2", Algorithm::kAlg2},
+            {"alg4", Algorithm::kAlg4}, {"abd", Algorithm::kAbd}});
+     }},
+    {"--writes", kHistories | kList, true,
+     [](Cli& c, V v) {
+       // <= 99 keeps written_value()'s per-(role, index) encoding free of
+       // cross-role collisions (values are 100*(role+1)+i).
+       c.opts.writes_per_process = c.eopts.writes_per_process =
+           static_cast<int>(parse_in("--writes", v, 1, 99));
+     }},
+    {"--online", kHistories | kList, false,
+     [](Cli& c, V) { c.opts.online = c.eopts.online = true; }},
+    {"--semantics", kSafety | kList, true,
+     [](Cli& c, V v) {
+       c.opts.semantics = parse_names<Semantics>(
+           "--semantics", v,
+           {{"atomic", Semantics::kAtomic},
+            {"lin", Semantics::kLinearizable},
+            {"linearizable", Semantics::kLinearizable},
+            {"wsl", Semantics::kWriteStrong}});
+     }},
+    {"--adversaries", kSafety | kList, true,
+     [](Cli& c, V v) {
+       c.opts.adversaries = parse_names<AdversaryKind>(
+           "--adversaries", v,
+           {{"rand", AdversaryKind::kRandom},
+            {"random", AdversaryKind::kRandom},
+            {"rr", AdversaryKind::kRoundRobin},
+            {"roundrobin", AdversaryKind::kRoundRobin}});
+     }},
+    {"--faults", kSafety | kList, true,
+     [](Cli& c, V v) {
+       c.opts.faults = parse_names<FaultKind>(
+           "--faults", v,
+           {{"none", FaultKind::kNone},
+            {"minority", FaultKind::kMinorityCrash},
+            {"stall", FaultKind::kStall},
+            {"lossy", FaultKind::kLossy},
+            {"dup", FaultKind::kDuplicate},
+            {"duplicate", FaultKind::kDuplicate},
+            {"partition", FaultKind::kPartition},
+            {"majority", FaultKind::kMajorityCrash},
+            {"recovery", FaultKind::kCrashRecovery}});
+     }},
+    {"--crash-seeds", kSafety | kList, true,
+     [](Cli& c, V v) { parse_crash_seeds("--crash-seeds", v, c.opts); }},
+    {"--fault-seeds", kSafety | kList, true,
+     [](Cli& c, V v) { parse_crash_seeds("--fault-seeds", v, c.opts); }},
+    {"--drop-prob", kSafety | kList, true,
+     [](Cli& c, V v) { parse_drop_prob(v, c.opts); }},
+    // Termination families: --term and rounds objectives.
+    {"--families", kFamilies | kList, true,
+     [](Cli& c, V v) {
+       c.topts.families = c.eopts.families = parse_names<Family>(
+           "--families", v,
+           {{"consensus", Family::kConsensus},
+            {"composed", Family::kComposed},
+            {"coin", Family::kSharedCoin},
+            {"game", Family::kGame}});
+     }},
+    {"--rounds", kFamilies | kList, true,
+     [](Cli& c, V v) {
+       c.topts.round_budgets = c.eopts.round_budgets =
+           parse_ints("--rounds", v, 1, 1'000'000);
+     }},
+    {"--term-adversaries", kTerm | kList, true,
+     [](Cli& c, V v) {
+       c.topts.adversaries = parse_names<TermAdversary>(
+           "--term-adversaries", v,
+           {{"scripted", TermAdversary::kScripted},
+            {"rand", TermAdversary::kRandom},
+            {"random", TermAdversary::kRandom},
+            {"stall", TermAdversary::kStalling},
+            {"stalling", TermAdversary::kStalling}});
+     }},
+    // Exploration.
+    {"--objective", kExplore | kList, true,
+     [](Cli& c, V v) {
+       c.eopts.objective = parse_name<Objective>(
+           "--objective", v,
+           {{"rounds", Objective::kRounds},
+            {"violation", Objective::kViolation},
+            {"viol", Objective::kViolation}});
+     }},
+    {"--strategy", kExplore | kList, true,
+     [](Cli& c, V v) {
+       c.eopts.strategy = parse_name<Strategy>(
+           "--strategy", v,
+           {{"greedy", Strategy::kGreedy},
+            {"hill", Strategy::kHillClimb},
+            {"hillclimb", Strategy::kHillClimb},
+            {"random", Strategy::kRandom},
+            {"rand", Strategy::kRandom}});
+     }},
+    {"--search-budget", kExplore | kList, true,
+     [](Cli& c, V v) {
+       // Like --seeds: a zero budget would search nothing and report a
+       // trivially green summary; reject it as bad usage.
+       c.eopts.search_budget =
+           static_cast<int>(parse_in("--search-budget", v, 1, 1'000'000));
+     }},
+    {"--shrink-budget", kExplore | kList, true,
+     [](Cli& c, V v) {
+       c.eopts.shrink_budget = parse_in("--shrink-budget", v, 0, 1'000'000'000);
+     }},
+    {"--ablate", kViolation | kList, true,
+     [](Cli& c, V v) {
+       // The one supported plant: ABD without the read write-back phase
+       // (the ablation the sweep tests use), which breaks linearizability
+       // across readers — a ground-truth target for the violation search.
+       c.eopts.abd_read_write_back =
+           parse_name<bool>("--ablate", v, {{"nowb", false}});
+     }},
+    {"--fault-menu", kViolation | kList, false,
+     [](Cli& c, V) { c.eopts.fault_menu = true; }},
+    // Every sweep.
+    {"--processes", kSweeps | kList, true,
+     [](Cli& c, V v) {
+       c.opts.process_counts = c.topts.process_counts =
+           c.eopts.process_counts = parse_ints("--processes", v, 1, 16);
+     }},
+    {"--seeds", kSweeps | kList, true,
+     [](Cli& c, V v) {
+       const auto [begin, end] = parse_range("--seeds", v);
+       c.opts.seed_begin = c.topts.seed_begin = c.eopts.seed_begin = begin;
+       c.opts.seed_end = c.topts.seed_end = c.eopts.seed_end = end;
+     }},
+    {"--shard", kSweeps | kList, true,
+     [](Cli& c, V v) {
+       const auto spec = rlt::sweep::parse_shard(v);
+       if (!spec) bad_value("--shard", v);
+       c.opts.shard = c.topts.shard = c.eopts.shard = *spec;
+     }},
+    {"--threads", kSweeps, true,
+     [](Cli& c, V v) {
+       // Upper bound keeps a typo from asking the OS for an absurd
+       // number of threads.
+       c.opts.threads = c.topts.threads = c.eopts.threads =
+           static_cast<int>(parse_in("--threads", v, 1, 1024));
+     }},
+    {"--batch", kSweeps, true,
+     [](Cli& c, V v) {
+       c.opts.batch_size = c.topts.batch_size = c.eopts.batch_size =
+           static_cast<int>(parse_in("--batch", v, 1, 1'000'000));
+     }},
+    {"--max-actions", kSweeps, true,
+     [](Cli& c, V v) {
+       c.opts.max_actions_per_scenario = c.topts.max_actions_per_scenario =
+           c.eopts.max_actions_per_run = parse_u64("--max-actions", v);
+     }},
+    {"--progress", kSweeps, true,
+     [](Cli& c, V v) { c.progress_every = parse_u64("--progress", v); }},
+    {"--out", kSweeps | kMerge, true, [](Cli& c, V v) { c.out_path = v; }},
+    // Observability.
+    {"--metrics", kSweeps, true, [](Cli& c, V v) { c.metrics_path = v; }},
+    {"--trace", kSweeps, true, [](Cli& c, V v) { c.trace_path = v; }},
+    {"--trace-times", kSweeps, false,
+     [](Cli& c, V) { c.hooks.trace_times = true; }},
+    {"--progress-fd", kSweeps, true,
+     [](Cli& c, V v) {
+       // Must be an fd the parent opened for us; 0-2 are the standard
+       // streams and an obvious mistake.
+       c.hooks.progress_fd =
+           static_cast<int>(parse_in("--progress-fd", v, 3, 1'048'575));
+     }},
+    {"--heartbeat", kSweeps, true,
+     [](Cli& c, V v) {
+       c.hooks.heartbeat_ms = parse_in("--heartbeat", v, 1, 3'600'000);
+     }},
+    {"--forensics", kHistories, true,
+     [](Cli& c, V v) {
+       // Capture in the runners, and in explore witness replays.
+       if (v.empty()) bad_value("--forensics", v);
+       c.hooks.forensics_dir = v;
+       c.opts.forensics = c.eopts.forensics = true;
+     }},
+};
+
+/// Validates and merges the named shard stores back into the unsharded
+/// store and summary.
+int run_merge(const Cli& c) {
+  std::vector<rlt::sweep::ShardStore> stores;
+  stores.reserve(c.merge_files.size());
+  for (const std::string& path : c.merge_files) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      std::cerr << "sweep_main: cannot open " << path << "\n";
+      return 2;
+    }
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    stores.push_back(rlt::sweep::ShardStore{path, ss.str()});
+  }
+  // Validation failures (missing/duplicated shard, config mismatch,
+  // digest mismatch, …) throw and land in main's catch-all → exit 2.
+  const rlt::sweep::MergeResult m = rlt::sweep::merge_shard_stores(stores);
+  if (!c.out_path.empty()) {
+    std::ofstream out(c.out_path, std::ios::binary);
+    out << m.store;
+    out.flush();
+    if (!out.good()) {
+      std::cerr << "sweep_main: cannot write " << c.out_path << "\n";
+      return 2;
+    }
+  }
+  // The reconstituted deterministic section — byte-identical to the
+  // unsharded run's — then merge provenance, which is not.
+  std::cout << m.stable_text;
+  std::cout << "--- merge (not digest material) ---\n"
+            << "kind " << m.kind << "\n"
+            << "shards " << m.shards << "\n"
+            << "records " << m.records << "\n";
+  return m.failed ? 1 : 0;
+}
+
+/// One sweep run, whichever mode: with --list, print the keys of its
+/// cross-product; otherwise run it with the observability fabric
+/// attached and report its summary — the deterministic section first
+/// (byte-identical across runs), then timing, which naturally varies.
+/// Exits 1 when the summary failed().
+template <class Options, class Enumerate, class Run>
+int run_mode(Cli& c, const char* mode, const Options& o, Enumerate enumerate,
+             Run run) {
+  if (c.list) {
+    for (const auto& item : enumerate(o)) std::cout << item.key() << "\n";
+    return 0;
+  }
+  std::unique_ptr<rlt::sweep::JsonlFileSink> sink;
+  if (!c.out_path.empty()) {
+    sink = std::make_unique<rlt::sweep::JsonlFileSink>(c.out_path);
+  }
+  // Observability (never digest material): a metrics dump and/or trace
+  // spans force the registry on; progress needs no registry at all.
+  if (!c.metrics_path.empty() || !c.trace_path.empty()) {
+    rlt::obs::set_enabled(true);
+  }
+  std::unique_ptr<rlt::sweep::JsonlFileSink> trace_sink;
+  if (!c.trace_path.empty()) {
+    trace_sink = std::make_unique<rlt::sweep::JsonlFileSink>(c.trace_path);
+  }
+  c.hooks.trace = trace_sink.get();
+  if (c.hooks.forensics_on()) {
+    std::filesystem::create_directories(c.hooks.forensics_dir);
+  }
+  const bool hooked = c.hooks.trace != nullptr || c.hooks.progress_on() ||
+                      c.hooks.forensics_on();
+  const auto sum =
+      run(o, c.progress_every, sink.get(), hooked ? &c.hooks : nullptr);
+  if (sink) sink->close();
+  if (trace_sink) trace_sink->close();
+  if (!c.metrics_path.empty()) {
+    rlt::sweep::JsonlFileSink msink(c.metrics_path);
+    rlt::obs::dump(rlt::obs::snapshot_all(), msink, mode, config_key(o));
+    msink.close();
+  }
+  const rlt::sweep::EngineStats& engine = sum.engine;
+  std::cout << sum.stable_text();
+  std::cout << "--- timing (not digest material) ---\n"
+            << "elapsed_ms " << engine.elapsed_ns / 1'000'000 << "\n"
+            << "scenario_ms_total " << engine.wall_ns_total / 1'000'000
+            << "\n"
+            << "scenario_ms_max " << engine.wall_ns_max / 1'000'000 << "\n"
+            << "threads " << o.threads << "\n"
+            << "steals " << engine.steals << "\n"
+            << "peak_rss_mb " << std::fixed << std::setprecision(1)
+            << peak_rss_mb() << "\n";
+  return sum.failed() ? 1 : 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepOptions opts;
-  TermSweepOptions topts;
-  ExploreOptions eopts;
-  bool term_mode = false;
-  bool explore_mode = false;
-  bool list_only = false;
-  bool merge_mode = false;
-  std::uint64_t progress_every = 0;
-  std::string out_path;
-  std::string replay_path;
-  std::string metrics_path;
-  std::string trace_path;
-  std::string forensics_dir;
-  bool trace_times = false;
-  int progress_fd = -1;
-  std::uint64_t heartbeat_ms = 0;
-  std::vector<std::string> merge_files;
-  // Mode-specific flags are rejected in the other modes; collect what
-  // was used, by category, so the check is order-independent.
-  std::vector<std::string> safety_flags_used;   ///< safety mode only
-  std::vector<std::string> algo_flags_used;     ///< safety or --explore viol
-  std::vector<std::string> term_flags_used;     ///< --term only
-  std::vector<std::string> family_flags_used;   ///< --term or --explore rounds
-  std::vector<std::string> explore_flags_used;  ///< --explore only
-  std::vector<std::string> obs_flags_used;      ///< run modes only
-  bool processes_set = false;
-  bool max_actions_set = false;
-  bool batch_set = false;
-  bool families_set = false;
-  bool rounds_set = false;
-  bool algorithms_set = false;
-  bool ablate_set = false;
-  bool drop_prob_set = false;
-  bool fault_menu_set = false;
-  bool threads_set = false;
-  bool seeds_set = false;
-  bool shard_set = false;
-
-  std::vector<std::string> args(argv + 1, argv + argc);
+  Cli c;
+  // --explore without --seeds runs 0:10, like the other sweeps.
+  c.eopts.seed_end = 10;
+  std::vector<const Flag*> used;
+  const std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    auto next = [&]() -> const std::string& {
+    if (a == "--help" || a == "-h") usage(0);
+    if (!a.empty() && a[0] != '-') {
+      // Positional arguments are the shard stores of --merge.
+      c.merge_files.push_back(a);
+      continue;
+    }
+    const Flag* flag = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                    [&](const Flag& f) { return a == f.name; });
+    if (flag == std::end(kFlags)) {
+      std::cerr << "sweep_main: unknown flag " << a << "\n";
+      usage(2);
+    }
+    std::string value;
+    if (flag->takes_value) {
       if (i + 1 >= args.size()) {
         std::cerr << "sweep_main: " << a << " needs a value\n";
         usage(2);
       }
-      return args[++i];
-    };
-    if (a == "--help" || a == "-h") usage(0);
-    else if (a == "--list") list_only = true;
-    else if (a == "--term") term_mode = true;
-    else if (a == "--explore") explore_mode = true;
-    else if (a == "--merge") merge_mode = true;
-    else if (a == "--replay") replay_path = next();
-    else if (a == "--out") out_path = next();
-    else if (a == "--shard") {
-      shard_set = true;
-      const std::string v = next();
-      const auto spec = rlt::sweep::parse_shard(v);
-      if (!spec) bad_value("--shard", v);
-      opts.shard = *spec;
+      value = args[++i];
     }
-    else if (a == "--algorithms") {
-      algo_flags_used.push_back(a);
-      algorithms_set = true;
-      parse_algorithms(next(), opts);
-    } else if (a == "--semantics") {
-      safety_flags_used.push_back(a);
-      parse_semantics(next(), opts);
-    } else if (a == "--adversaries") {
-      safety_flags_used.push_back(a);
-      parse_adversaries(next(), opts);
-    } else if (a == "--faults") {
-      safety_flags_used.push_back(a);
-      parse_faults(next(), opts);
-    } else if (a == "--crash-seeds" || a == "--fault-seeds") {
-      safety_flags_used.push_back(a);
-      parse_crash_seeds(a, next(), opts);
-    } else if (a == "--drop-prob") {
-      safety_flags_used.push_back(a);
-      drop_prob_set = true;
-      parse_drop_prob(next(), opts);
-    } else if (a == "--families") {
-      family_flags_used.push_back(a);
-      families_set = true;
-      parse_families(next(), topts);
-    } else if (a == "--term-adversaries") {
-      term_flags_used.push_back(a);
-      parse_term_adversaries(next(), topts);
-    } else if (a == "--rounds") {
-      family_flags_used.push_back(a);
-      rounds_set = true;
-      parse_rounds(next(), topts);
-    } else if (a == "--objective") {
-      explore_flags_used.push_back(a);
-      parse_objective(next(), eopts);
-    } else if (a == "--strategy") {
-      explore_flags_used.push_back(a);
-      parse_strategy(next(), eopts);
-    } else if (a == "--search-budget") {
-      explore_flags_used.push_back(a);
-      // Like --seeds: a zero budget would search nothing and report a
-      // trivially green summary; reject it as bad usage.
-      const std::uint64_t b = parse_u64("--search-budget", next());
-      if (b < 1 || b > 1'000'000) bad_value("--search-budget", args[i]);
-      eopts.search_budget = static_cast<int>(b);
-    } else if (a == "--shrink-budget") {
-      explore_flags_used.push_back(a);
-      const std::uint64_t b = parse_u64("--shrink-budget", next());
-      if (b > 1'000'000'000) bad_value("--shrink-budget", args[i]);
-      eopts.shrink_budget = b;
-    } else if (a == "--ablate") {
-      explore_flags_used.push_back(a);
-      ablate_set = true;
-      parse_ablate(next(), eopts);
-    } else if (a == "--fault-menu") {
-      explore_flags_used.push_back(a);
-      fault_menu_set = true;
-      eopts.fault_menu = true;
-    } else if (a == "--processes") {
-      processes_set = true;
-      parse_processes(next(), opts);
-    } else if (a == "--seeds") {
-      seeds_set = true;
-      parse_seeds(next(), opts);
-    } else if (a == "--writes") {
-      // <= 99 keeps written_value()'s per-(role, index) encoding free of
-      // cross-role collisions (values are 100*(role+1)+i).
-      algo_flags_used.push_back(a);
-      opts.writes_per_process =
-          static_cast<int>(parse_u64("--writes", next()));
-      if (opts.writes_per_process < 1 || opts.writes_per_process > 99) {
-        bad_value("--writes", args[i]);
-      }
-    } else if (a == "--online") {
-      // Safety sweeps and violation hunts record histories the streaming
-      // checker can cross-check; --term and rounds objectives do not.
-      algo_flags_used.push_back(a);
-      opts.online = true;
-      eopts.online = true;
-    } else if (a == "--threads") {
-      // Upper bound keeps a typo from asking the OS for an absurd number
-      // of threads.
-      threads_set = true;
-      opts.threads = static_cast<int>(parse_u64("--threads", next()));
-      if (opts.threads < 1 || opts.threads > 1024) {
-        bad_value("--threads", args[i]);
-      }
-    } else if (a == "--batch") {
-      batch_set = true;
-      opts.batch_size = static_cast<int>(parse_u64("--batch", next()));
-      if (opts.batch_size < 1 || opts.batch_size > 1'000'000) {
-        bad_value("--batch", args[i]);
-      }
-    } else if (a == "--max-actions") {
-      max_actions_set = true;
-      opts.max_actions_per_scenario = parse_u64("--max-actions", next());
-    } else if (a == "--progress") {
-      progress_every = parse_u64("--progress", next());
-    } else if (a == "--metrics") {
-      obs_flags_used.push_back(a);
-      metrics_path = next();
-    } else if (a == "--trace") {
-      obs_flags_used.push_back(a);
-      trace_path = next();
-    } else if (a == "--forensics") {
-      // Forensics needs a recorded history to certify: safety sweeps and
-      // violation hunts have one, --term and rounds objectives do not —
-      // the algo-flag category enforces exactly that pairing, and the
-      // obs category keeps it out of --merge/--replay/--list.
-      obs_flags_used.push_back(a);
-      algo_flags_used.push_back(a);
-      forensics_dir = next();
-      if (forensics_dir.empty()) bad_value("--forensics", forensics_dir);
-    } else if (a == "--trace-times") {
-      obs_flags_used.push_back(a);
-      trace_times = true;
-    } else if (a == "--progress-fd") {
-      obs_flags_used.push_back(a);
-      // Must be an fd the parent opened for us; 0-2 are the standard
-      // streams and an obvious mistake.
-      const std::uint64_t fd = parse_u64("--progress-fd", next());
-      if (fd < 3 || fd > 1'048'575) bad_value("--progress-fd", args[i]);
-      progress_fd = static_cast<int>(fd);
-    } else if (a == "--heartbeat") {
-      obs_flags_used.push_back(a);
-      heartbeat_ms = parse_u64("--heartbeat", next());
-      if (heartbeat_ms < 1 || heartbeat_ms > 3'600'000) {
-        bad_value("--heartbeat", args[i]);
-      }
-    } else if (!a.empty() && a[0] != '-') {
-      // Positional arguments are the shard stores of --merge; anywhere
-      // else they are a typo.
-      merge_files.push_back(a);
+    flag->set(c, value);
+    used.push_back(flag);
+  }
+  const auto flag_used = [&](std::string_view name) {
+    return std::any_of(used.begin(), used.end(),
+                       [&](const Flag* f) { return name == f->name; });
+  };
+
+  // Every flag used must apply to the run the command names.  --merge
+  // and --replay read every config from their input files, so nothing
+  // that shapes or executes a sweep may accompany them.
+  const unsigned run = c.merge                 ? kMerge
+                       : flag_used("--replay") ? kReplay
+                       : c.term                ? kTerm
+                       : !c.explore            ? kSafety
+                       : c.eopts.objective == Objective::kRounds ? kRounds
+                                                                 : kViolation;
+  const unsigned need = run | (c.list ? kList : 0u);
+  for (const Flag* f : used) {
+    if ((f->runs & need) == need) continue;
+    std::cerr << "sweep_main: ";
+    if (run == kMerge) {
+      std::cerr << "--merge is standalone (only --out may accompany it; "
+                   "every config comes from the shard headers)\n";
+    } else if (run == kReplay) {
+      std::cerr << "--replay is standalone (it reads every config from the "
+                   "store)\n";
     } else {
-      std::cerr << "sweep_main: unknown flag " << a << "\n";
-      usage(2);
+      std::cerr << f->name << " does not apply to "
+                << ((f->runs & run) != 0 ? "--list" : run_name(run)) << "\n";
     }
+    usage(2);
   }
 
-  // --merge and --replay are standalone: they read every config from
-  // their input files, so sweep axes, modes, and execution knobs make no
-  // sense with them.
-  const bool sweep_flags_used =
-      term_mode || explore_mode || list_only || shard_set ||
-      !safety_flags_used.empty() || !algo_flags_used.empty() ||
-      !term_flags_used.empty() || !family_flags_used.empty() ||
-      !explore_flags_used.empty() || !obs_flags_used.empty() ||
-      processes_set || max_actions_set || batch_set || threads_set ||
-      seeds_set || progress_every > 0;
-  if (merge_mode) {
-    if (sweep_flags_used || !replay_path.empty()) {
-      std::cerr << "sweep_main: --merge is standalone (only --out may "
-                   "accompany it; every config comes from the shard "
-                   "headers)\n";
-      usage(2);
-    }
-    if (merge_files.empty()) {
-      std::cerr << "sweep_main: --merge needs at least one shard store\n";
-      usage(2);
-    }
-  } else if (!merge_files.empty()) {
+  // Rules between flags.
+  if (run == kMerge && c.merge_files.empty()) {
+    std::cerr << "sweep_main: --merge needs at least one shard store\n";
+    usage(2);
+  }
+  if (run != kMerge && !c.merge_files.empty()) {
     std::cerr << "sweep_main: unexpected positional argument '"
-              << merge_files.front() << "' (shard stores go with --merge)\n";
+              << c.merge_files.front() << "' (shard stores go with --merge)\n";
     usage(2);
   }
-  if (!replay_path.empty()) {
-    if (sweep_flags_used || !out_path.empty()) {
-      std::cerr << "sweep_main: --replay is standalone (it reads every "
-                   "config from the store)\n";
-      usage(2);
-    }
-    return run_replay(replay_path);
-  }
-  if (list_only && !obs_flags_used.empty()) {
-    std::cerr << "sweep_main: " << obs_flags_used.front()
-              << " has no effect with --list\n";
-    usage(2);
-  }
-  if (trace_times && trace_path.empty()) {
+  if (c.hooks.trace_times && c.trace_path.empty()) {
     std::cerr << "sweep_main: --trace-times needs --trace\n";
     usage(2);
   }
-  if (term_mode && explore_mode) {
-    std::cerr << "sweep_main: --term and --explore are exclusive\n";
-    usage(2);
-  }
-  if (!explore_mode && !explore_flags_used.empty()) {
-    std::cerr << "sweep_main: " << explore_flags_used.front()
-              << " needs --explore\n";
-    usage(2);
-  }
-  if ((term_mode || explore_mode) && !safety_flags_used.empty()) {
-    std::cerr << "sweep_main: " << safety_flags_used.front()
-              << " is a safety-mode flag and has no effect with --term/"
-                 "--explore\n";
-    usage(2);
-  }
-  if (!term_mode &&
-      !(explore_mode &&
-        eopts.objective == rlt::explore::Objective::kRounds) &&
-      !family_flags_used.empty()) {
-    std::cerr << "sweep_main: " << family_flags_used.front()
-              << " needs --term or --explore --objective rounds\n";
-    usage(2);
-  }
-  if (!term_mode && !term_flags_used.empty()) {
-    std::cerr << "sweep_main: " << term_flags_used.front()
-              << " needs --term\n";
-    usage(2);
-  }
-  if ((term_mode ||
-       (explore_mode &&
-        eopts.objective == rlt::explore::Objective::kRounds)) &&
-      !algo_flags_used.empty()) {
-    std::cerr << "sweep_main: " << algo_flags_used.front()
-              << " applies to the safety sweep or --explore --objective "
-                 "violation\n";
-    usage(2);
-  }
-  if (ablate_set &&
-      eopts.objective != rlt::explore::Objective::kViolation) {
-    std::cerr << "sweep_main: --ablate needs --objective violation\n";
-    usage(2);
-  }
-  if (fault_menu_set &&
-      eopts.objective != rlt::explore::Objective::kViolation) {
-    std::cerr << "sweep_main: --fault-menu needs --objective violation\n";
-    usage(2);
-  }
-  if (!term_mode && !explore_mode) {
+  if (run == kSafety) {
     // Pairing validation: a fault kind that applies to none of the swept
     // algorithms would be dropped silently by enumeration (plans_for);
     // the caller asked for a fault axis that cannot run, so reject it.
-    for (const rlt::sweep::FaultKind f : opts.faults) {
-      if (f == rlt::sweep::FaultKind::kNone) continue;
+    bool faulty = false;
+    bool lossy = false;
+    for (const FaultKind f : c.opts.faults) {
+      if (f == FaultKind::kNone) continue;
+      faulty = true;
+      lossy = lossy || f == FaultKind::kLossy;
       const bool applies = std::any_of(
-          opts.algorithms.begin(), opts.algorithms.end(),
+          c.opts.algorithms.begin(), c.opts.algorithms.end(),
           [f](Algorithm alg) { return rlt::sweep::fault_applies(f, alg); });
       if (!applies) {
         std::cerr << "sweep_main: --faults " << rlt::sweep::to_string(f)
                   << " applies to "
-                  << (f == rlt::sweep::FaultKind::kStall
+                  << (f == FaultKind::kStall
                           ? "none of the requested algorithms (stall needs "
                             "a simulator family: modeled, alg2, or alg4)"
                           : "abd only, which --algorithms excludes")
@@ -831,195 +860,45 @@ int main(int argc, char** argv) {
         usage(2);
       }
     }
-    const bool lossy_swept =
-        std::find(opts.faults.begin(), opts.faults.end(),
-                  rlt::sweep::FaultKind::kLossy) != opts.faults.end();
-    if (drop_prob_set && !lossy_swept) {
+    // Fault seeds seed only faulty schedules: without a faulty kind they
+    // would be dropped silently, like a fault kind no algorithm takes.
+    for (const char* seeds : {"--crash-seeds", "--fault-seeds"}) {
+      if (flag_used(seeds) && !faulty) {
+        std::cerr << "sweep_main: " << seeds
+                  << " needs a faulty kind in --faults\n";
+        usage(2);
+      }
+    }
+    if (flag_used("--drop-prob") && !lossy) {
       std::cerr << "sweep_main: --drop-prob needs lossy in --faults\n";
       usage(2);
     }
   }
-  // Shared flags land in `opts`; mirror them into the mode options.
-  if (term_mode) {
-    if (processes_set) topts.process_counts = opts.process_counts;
-    if (max_actions_set) {
-      topts.max_actions_per_scenario = opts.max_actions_per_scenario;
-    }
-    topts.seed_begin = opts.seed_begin;
-    topts.seed_end = opts.seed_end;
-    topts.threads = opts.threads;
-    topts.batch_size = opts.batch_size;
-    topts.shard = opts.shard;
-  }
-  if (explore_mode) {
-    if (families_set) eopts.families = topts.families;
-    if (rounds_set) eopts.round_budgets = topts.round_budgets;
-    if (algorithms_set) eopts.algorithms = opts.algorithms;
-    eopts.writes_per_process = opts.writes_per_process;
-    eopts.process_counts =
-        processes_set
-            ? opts.process_counts
-            : std::vector<int>{
-                  eopts.objective == rlt::explore::Objective::kRounds ? 4
-                                                                      : 3};
-    if (max_actions_set) {
-      eopts.max_actions_per_run = opts.max_actions_per_scenario;
-    }
-    eopts.seed_begin = opts.seed_begin;
-    eopts.seed_end = opts.seed_end;
-    eopts.threads = opts.threads;
-    eopts.shard = opts.shard;
-    // Search instances are heavy (budget × runs each); default to one
-    // instance per pool task unless the caller asked otherwise.
-    eopts.batch_size = batch_set ? opts.batch_size : 1;
+  // Violation hunts default to the safety sweep's 3 processes; the
+  // rounds objective keeps the termination lab's 4.
+  if (run == kViolation && !flag_used("--processes")) {
+    c.eopts.process_counts = {3};
   }
 
   try {
-    if (merge_mode) {
-      std::vector<rlt::sweep::ShardStore> stores;
-      stores.reserve(merge_files.size());
-      for (const std::string& path : merge_files) {
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-          std::cerr << "sweep_main: cannot open " << path << "\n";
-          return 2;
-        }
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        stores.push_back(rlt::sweep::ShardStore{path, ss.str()});
-      }
-      // Validation failures (missing/duplicated shard, config mismatch,
-      // digest mismatch, …) throw and land in the catch-all → exit 2.
-      const rlt::sweep::MergeResult m =
-          rlt::sweep::merge_shard_stores(stores);
-      if (!out_path.empty()) {
-        std::ofstream out(out_path, std::ios::binary);
-        out << m.store;
-        out.flush();
-        if (!out.good()) {
-          std::cerr << "sweep_main: cannot write " << out_path << "\n";
-          return 2;
-        }
-      }
-      // The reconstituted deterministic section — byte-identical to the
-      // unsharded run's — then merge provenance, which is not.
-      std::cout << m.stable_text;
-      std::cout << "--- merge (not digest material) ---\n"
-                << "kind " << m.kind << "\n"
-                << "shards " << m.shards << "\n"
-                << "records " << m.records << "\n";
-      return m.failed ? 1 : 0;
+    switch (run) {
+      case kMerge: return run_merge(c);
+      case kReplay: return run_replay(c.replay_path);
+      case kTerm:
+        return run_mode(c, "term", c.topts,
+                        rlt::term::enumerate_term_scenarios,
+                        rlt::term::run_term_sweep);
+      case kSafety:
+        return run_mode(c, "safety", c.opts, rlt::sweep::enumerate_scenarios,
+                        rlt::sweep::run_sweep);
+      default:
+        return run_mode(c, "explore", c.eopts,
+                        rlt::explore::enumerate_explore_instances,
+                        rlt::explore::run_explore);
     }
-    if (list_only) {
-      if (explore_mode) {
-        for (const rlt::explore::ExploreInstance& e :
-             rlt::explore::enumerate_explore_instances(eopts)) {
-          std::cout << e.key() << "\n";
-        }
-      } else if (term_mode) {
-        for (const rlt::term::TermScenario& s :
-             rlt::term::enumerate_term_scenarios(topts)) {
-          std::cout << s.key() << "\n";
-        }
-      } else {
-        for (const rlt::sweep::Scenario& s :
-             rlt::sweep::enumerate_scenarios(opts)) {
-          std::cout << s.key() << "\n";
-        }
-      }
-      return 0;
-    }
-    std::unique_ptr<rlt::sweep::JsonlFileSink> sink;
-    if (!out_path.empty()) {
-      sink = std::make_unique<rlt::sweep::JsonlFileSink>(out_path);
-    }
-    // Observability fabric (never digest material): a metrics dump
-    // and/or trace spans force the registry on; progress needs no
-    // registry at all.
-    if (!metrics_path.empty() || !trace_path.empty()) {
-      rlt::obs::set_enabled(true);
-    }
-    std::unique_ptr<rlt::sweep::JsonlFileSink> trace_sink;
-    if (!trace_path.empty()) {
-      trace_sink = std::make_unique<rlt::sweep::JsonlFileSink>(trace_path);
-    }
-    rlt::obs::Hooks hooks;
-    hooks.trace = trace_sink.get();
-    hooks.trace_times = trace_times;
-    hooks.progress_fd = progress_fd;
-    hooks.heartbeat_ms = heartbeat_ms;
-    if (!forensics_dir.empty()) {
-      std::filesystem::create_directories(forensics_dir);
-      hooks.forensics_dir = forensics_dir;
-      opts.forensics = true;   // capture in the runners...
-      eopts.forensics = true;  // ...and in explore witness replays
-    }
-    const rlt::obs::Hooks* hooks_p =
-        (hooks.trace || hooks.progress_on() || hooks.forensics_on())
-            ? &hooks
-            : nullptr;
-    std::string stable;
-    rlt::sweep::EngineStats engine;
-    bool failed = false;
-    if (explore_mode) {
-      const rlt::explore::ExploreSummary sum =
-          rlt::explore::run_explore(eopts, progress_every, sink.get(),
-                                    hooks_p);
-      stable = sum.stable_text();
-      engine = sum.engine;
-      // Finding a violation is the search succeeding at its job; only
-      // machinery errors fail an exploration.
-      failed = sum.errors != 0;
-    } else if (term_mode) {
-      const rlt::term::TermSummary sum =
-          rlt::term::run_term_sweep(topts, progress_every, sink.get(),
-                                    hooks_p);
-      stable = sum.stable_text();
-      engine = sum.engine;
-      // Capped runs are Theorem 6 doing its job; only broken safety or
-      // machinery failures fail a termination sweep.
-      failed = sum.safety_violations != 0 || sum.errors != 0;
-    } else {
-      const SweepSummary sum =
-          rlt::sweep::run_sweep(opts, progress_every, sink.get(), hooks_p);
-      stable = sum.stable_text();
-      engine = sum.engine;
-      // Blocked runs are the fault axes doing their job (their histories
-      // were still checked clean up to the block); only violations and
-      // errors fail the sweep.
-      failed = sum.violations != 0 || sum.errors != 0;
-    }
-    if (sink) sink->close();
-    if (trace_sink) trace_sink->close();
-    if (!metrics_path.empty()) {
-      rlt::sweep::JsonlFileSink msink(metrics_path);
-      const char* mode =
-          explore_mode ? "explore" : (term_mode ? "term" : "safety");
-      const std::string config = explore_mode
-                                     ? rlt::explore::config_key(eopts)
-                                     : (term_mode
-                                            ? rlt::term::config_key(topts)
-                                            : rlt::sweep::config_key(opts));
-      rlt::obs::dump(rlt::obs::snapshot_all(), msink, mode, config);
-      msink.close();
-    }
-
-    // Deterministic section first (byte-identical across runs), then
-    // timing, which naturally varies.
-    std::cout << stable;
-    std::cout << "--- timing (not digest material) ---\n"
-              << "elapsed_ms " << engine.elapsed_ns / 1'000'000 << "\n"
-              << "scenario_ms_total " << engine.wall_ns_total / 1'000'000
-              << "\n"
-              << "scenario_ms_max " << engine.wall_ns_max / 1'000'000 << "\n"
-              << "threads " << opts.threads << "\n"
-              << "steals " << engine.steals << "\n"
-              << "peak_rss_mb " << std::fixed << std::setprecision(1)
-              << peak_rss_mb() << "\n";
-    return failed ? 1 : 0;
   } catch (const std::exception& e) {
-    // Oversized cross-products, unwritable stores, and thread-spawn
-    // failures land here.
+    // Oversized cross-products, unwritable stores, thread-spawn failures,
+    // and failed merge validations land here.
     std::cerr << "sweep_main: " << e.what() << "\n";
     return 2;
   }
