@@ -47,6 +47,7 @@ constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
     {"explore.shrink_repeats", true},
     {"pool.steals", false},
     {"pool.tasks", false},
+    {"sweep.stamped", false},
 }};
 
 constexpr std::array<MetricInfo, kNumGauges> kGaugeInfo{{
@@ -120,6 +121,31 @@ CounterDelta thread_counters() noexcept {
   CounterDelta out;
   out.v = detail::local_shard().counters;
   return out;
+}
+
+WorkDelta thread_work() noexcept {
+  const Shard& shard = detail::local_shard();
+  WorkDelta out;
+  out.counters.v = shard.counters;
+  out.hists = shard.hists;
+  return out;
+}
+
+void add_work(const WorkDelta& d) noexcept {
+  if (!enabled()) return;
+  Shard& shard = detail::local_shard();
+  for (int i = 0; i < kNumCounters; ++i) {
+    if (!counter_stable(static_cast<Counter>(i))) continue;
+    shard.counters[static_cast<std::size_t>(i)] +=
+        d.counters.v[static_cast<std::size_t>(i)];
+  }
+  for (int i = 0; i < kNumHists; ++i) {
+    if (!hist_stable(static_cast<Hist>(i))) continue;
+    for (int b = 0; b < kHistBuckets; ++b) {
+      shard.hists[static_cast<std::size_t>(i)][static_cast<std::size_t>(b)] +=
+          d.hists[static_cast<std::size_t>(i)][static_cast<std::size_t>(b)];
+    }
+  }
 }
 
 Snapshot snapshot_all() {

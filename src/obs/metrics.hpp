@@ -76,6 +76,7 @@ enum class Counter : int {
   // Runtime (execution-dependent; excluded from stability assertions).
   kPoolSteals,
   kPoolTasks,
+  kSweepStamped,  // scenarios stamped from their config's template
   kCount_,
 };
 
@@ -129,6 +130,27 @@ struct CounterDelta {
   }
 };
 
+/// The counter and histogram slices of one thread's shard, taken before
+/// and after a run to capture the run's work.  `add_work` adds the
+/// stable part again for a run that is not re-run but copied (the
+/// safety sweep's stamped scenarios), so the folded stable metrics are
+/// the same as if it had run.  Gauges are maxima: a copy of a run moves
+/// none of them, so they are not captured.
+struct WorkDelta {
+  CounterDelta counters;
+  std::array<std::array<std::uint64_t, kHistBuckets>, kNumHists> hists{};
+
+  WorkDelta& operator-=(const WorkDelta& rhs) noexcept {
+    counters -= rhs.counters;
+    for (std::size_t h = 0; h < hists.size(); ++h) {
+      for (std::size_t b = 0; b < hists[h].size(); ++b) {
+        hists[h][b] -= rhs.hists[h][b];
+      }
+    }
+    return *this;
+  }
+};
+
 /// A folded view of every shard (or a copy of one shard).
 struct Snapshot {
   Shard data;
@@ -144,6 +166,8 @@ inline void count(Counter, std::uint64_t = 1) noexcept {}
 inline void gauge_max(Gauge, std::uint64_t) noexcept {}
 inline void hist(Hist, std::uint64_t) noexcept {}
 inline CounterDelta thread_counters() noexcept { return {}; }
+inline WorkDelta thread_work() noexcept { return {}; }
+inline void add_work(const WorkDelta&) noexcept {}
 inline Snapshot snapshot_all() { return {}; }
 
 #else  // RLT_OBS_OFF
@@ -193,6 +217,15 @@ inline void hist(Hist h, std::uint64_t v) noexcept {
 /// Copy of the calling thread's counter slice (for before/after deltas
 /// around one scenario — scenarios run wholly on one worker thread).
 [[nodiscard]] CounterDelta thread_counters() noexcept;
+
+/// Copy of the calling thread's counter and histogram slices (for
+/// before/after deltas like thread_counters).
+[[nodiscard]] WorkDelta thread_work() noexcept;
+
+/// Adds the stable counters and histogram buckets of `d` to the calling
+/// thread's shard; runtime metrics in `d` are skipped.  No-op while the
+/// registry is off.
+void add_work(const WorkDelta& d) noexcept;
 
 /// Folds every shard: counters and histogram buckets sum, gauges max.
 [[nodiscard]] Snapshot snapshot_all();

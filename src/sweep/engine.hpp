@@ -16,6 +16,24 @@
 // trace spans and forensics artifacts are byte-identical across
 // --threads, --batch and shards.
 //
+// Stamping.  A scenario's seed reaches its run only through util::Rng
+// draws (util/rng.hpp), so a run that drew nothing is a pure function of
+// its config: every seed of that config replays it.  For a mode that
+// declares `stampable`, the engine keeps one slot per config index
+// (gi % configs).  The first finished run of a config decides its slot:
+// a run that drew nothing and is stampable becomes the config's
+// template; any other run marks the config seeded, and its scenarios all
+// run.  Every later scenario of a templated config is stamped instead of
+// run: it takes the template's result (with its own wall time and no
+// checker time), renders its key and record from its own item, reuses
+// the template's rendered span fields after its own gi and key, and adds
+// the template's stable obs counters and histograms to its thread's
+// shard.  Its outputs are those of a run, so the contract above holds
+// whichever scenario of a config finished first; a scenario that starts
+// before its config's template exists simply runs.  Stamping is not
+// digest material: EngineStats::stamped and the runtime counter
+// `sweep.stamped` depend on threads and shards.
+//
 // A sweep mode plugs in through a small trait (SafetyMode in sweep.cpp is
 // the reference shape):
 //
@@ -36,6 +54,10 @@
 //   artifact(item, r, key, gi, dir)  writes forensics (may do nothing)
 //   fold(key, item, r)        the deterministic aggregate, gi order
 //   finish(sink)              the summary (its `engine` stats zero)
+//   stampable(r)              optional, static: true when a result of a
+//                             run that drew nothing may be stamped onto
+//                             the config's later seeds (Result then has
+//                             `check_ns`, and span must read only r)
 //
 // run/progress_class/record/span/artifact run on pool workers
 // concurrently and must not touch mutable mode state; fold and finish run
@@ -46,6 +68,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -65,6 +88,7 @@
 #include "sweep/shard.hpp"
 #include "sweep/store.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace rlt::sweep {
 
@@ -75,6 +99,7 @@ struct EngineStats {
   std::uint64_t wall_ns_max = 0;    ///< Slowest single scenario.
   std::uint64_t elapsed_ns = 0;     ///< End-to-end engine wall clock.
   std::uint64_t steals = 0;         ///< Pool steal count (scheduling info).
+  std::uint64_t stamped = 0;        ///< Scenarios stamped, not run.
 };
 
 /// One owned scenario and its position in the full cross-product.
@@ -113,6 +138,10 @@ class Cursor {
   /// This shard's share: how many scenarios next() yields.
   [[nodiscard]] std::uint64_t owned() const noexcept {
     return shard_.share(total_);
+  }
+  /// Scenarios per seed; a scenario's config index is gi % configs().
+  [[nodiscard]] std::size_t configs() const noexcept {
+    return configs_.size();
   }
 
   /// The next owned scenario, or nullopt past the end.
@@ -170,18 +199,13 @@ inline constexpr std::size_t kWindowCap = 8192;
   return std::clamp(want, kWindowFloor, kWindowCap);
 }
 
-namespace detail {
-
-/// Everything the in-order fold needs about one finished scenario.
+/// A mode opts into stamping by declaring `stampable` (file comment).
 template <class Mode>
-struct Slot {
-  std::uint64_t gi = 0;
-  typename Mode::Item item;
-  typename Mode::Result result;
-  std::string key;
-  Record record;  ///< Store record; empty without a sink.
-  Record span;    ///< Trace span; empty without a trace hook.
+concept Stampable = requires(const typename Mode::Result& r) {
+  { Mode::stampable(r) } -> std::convertible_to<bool>;
 };
+
+namespace detail {
 
 inline std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
   return static_cast<std::uint64_t>(
@@ -189,6 +213,101 @@ inline std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
           std::chrono::steady_clock::now() - t0)
           .count());
 }
+
+/// The stamping slots, one per config index (see the file comment); none
+/// for a mode that is not Stampable.  A slot is undecided (nullptr),
+/// seeded (&seeded_) or holds its config's template, and changes at most
+/// once, by compare-and-swap from undecided.  Templates live until the
+/// engine returns.
+template <class Mode>
+class Stamps {
+ public:
+  using Result = typename Mode::Result;
+
+  /// A config's run that drew nothing, as its stamped scenarios reuse it.
+  struct Template {
+    Result result;
+    obs::WorkDelta work;  ///< Its stable obs work.
+    Record span;  ///< Its span fields after obs/gi/key/mode, if rendered.
+  };
+
+  explicit Stamps(std::size_t configs)
+      : slots_(Stampable<Mode> ? configs : 0) {}
+  Stamps(const Stamps&) = delete;
+  Stamps& operator=(const Stamps&) = delete;
+  ~Stamps() {
+    for (std::atomic<const Template*>& slot : slots_) {
+      const Template* t = slot.load(std::memory_order_relaxed);
+      if (t != &seeded_) delete t;
+    }
+  }
+
+  /// Stamps `r` from the template of gi's config: its result, with this
+  /// copy's own wall time and no checker time, and its stable obs work
+  /// added to this thread's shard.  Returns the template, or nullptr,
+  /// doing nothing, while the config has none.
+  const Template* stamp(std::uint64_t gi, Result& r) {
+    if constexpr (!Stampable<Mode>) {
+      return nullptr;
+    } else {
+      const Template* t = slot(gi).load(std::memory_order_acquire);
+      if (t == nullptr || t == &seeded_) return nullptr;
+      const auto t0 = std::chrono::steady_clock::now();
+      r = t->result;
+      r.check_ns = 0;
+      obs::add_work(t->work);
+      r.wall_ns = ns_since(t0);
+      return t;
+    }
+  }
+
+  /// True while no run of gi's config has finished.
+  [[nodiscard]] bool undecided(std::uint64_t gi) {
+    return !slots_.empty() &&
+           slot(gi).load(std::memory_order_relaxed) == nullptr;
+  }
+
+  /// Decides gi's config from one finished run, unless another run of
+  /// the config decided it first: a template when the run `drew` nothing
+  /// and its result is stampable, seeded otherwise.
+  void decide(std::uint64_t gi, bool drew, Template run) {
+    if constexpr (Stampable<Mode>) {
+      const Template* undecided = nullptr;
+      if (drew || !Mode::stampable(run.result)) {
+        slot(gi).compare_exchange_strong(undecided, &seeded_,
+                                         std::memory_order_relaxed);
+        return;
+      }
+      auto t = std::make_unique<const Template>(std::move(run));
+      if (slot(gi).compare_exchange_strong(undecided, t.get(),
+                                           std::memory_order_release,
+                                           std::memory_order_relaxed)) {
+        (void)t.release();
+      }
+    }
+  }
+
+ private:
+  std::atomic<const Template*>& slot(std::uint64_t gi) {
+    return slots_[gi % slots_.size()];
+  }
+
+  std::vector<std::atomic<const Template*>> slots_;
+  const Template seeded_{};  ///< Its address marks a seeded slot.
+};
+
+/// Everything the in-order fold needs about one finished scenario.
+template <class Mode>
+struct Slot {
+  std::uint64_t gi = 0;
+  typename Mode::Item item;
+  typename Mode::Result result;
+  /// The template it was stamped from; nullptr when it ran.
+  const typename Stamps<Mode>::Template* stamp = nullptr;
+  std::string key;
+  Record record;  ///< Store record; empty without a sink.
+  Record span;    ///< Trace span; empty without a trace hook.
+};
 
 }  // namespace detail
 
@@ -210,8 +329,10 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   // on the worker around each scenario.
   const bool tracing = hooks != nullptr && hooks->trace != nullptr;
   if (tracing) obs::set_enabled(true);
+  const bool counting = obs::enabled();
   const bool times = tracing && hooks->trace_times;
   const bool forensics = hooks != nullptr && hooks->forensics_on();
+  detail::Stamps<Mode> stamps(cursor.configs());
   std::unique_ptr<obs::ProgressMeter> meter;
   if (hooks != nullptr && hooks->progress_on()) {
     obs::ProgressOptions po;
@@ -227,20 +348,52 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
                                      config_key(o), cursor.total(), owned));
   }
 
+  const auto span_head = [](Record& span, const Slot& s) {
+    span.str("obs", "span")
+        .u64("gi", s.gi)
+        .str("key", s.key)
+        .str("mode", Mode::kKind);
+  };
+
   // Worker side: run one scenario, then render what the fold needs.
   std::atomic<std::uint64_t> completed{0};
   const auto run_one = [&](Indexed<Item>& in) {
     Slot s;
     s.gi = in.gi;
     s.item = std::move(in.item);
-    // A scenario runs wholly on this thread, so the thread-local counter
-    // slice before/after brackets exactly its work.
-    const obs::CounterDelta before =
-        tracing ? obs::thread_counters() : obs::CounterDelta{};
-    s.result = mode.run(s.item);
-    obs::CounterDelta delta =
-        tracing ? obs::thread_counters() : obs::CounterDelta{};
-    delta -= before;
+    // A scenario runs wholly on this thread, so thread-local counts
+    // before/after bracket exactly its work.
+    obs::CounterDelta delta;
+    s.stamp = stamps.stamp(s.gi, s.result);
+    if (s.stamp != nullptr) {
+      if (times) delta = s.stamp->work.counters;
+    } else if (stamps.undecided(s.gi)) {
+      // A run that may decide its config: its draws, and all of its
+      // stable work, which the config's stamped scenarios add again.
+      typename detail::Stamps<Mode>::Template run;
+      const obs::WorkDelta before =
+          counting ? obs::thread_work() : obs::WorkDelta{};
+      const std::uint64_t draws = util::thread_draws();
+      s.result = mode.run(s.item);
+      const bool drew = util::thread_draws() != draws;
+      if (counting) {
+        run.work = obs::thread_work();
+        run.work -= before;
+      }
+      delta = run.work.counters;
+      if (tracing && !times) {
+        mode.span(s.item, s.result, false, run.span);
+        obs::append_stable_deltas(delta, run.span);
+      }
+      run.result = s.result;
+      stamps.decide(s.gi, drew, std::move(run));
+    } else {
+      const obs::CounterDelta before =
+          tracing ? obs::thread_counters() : obs::CounterDelta{};
+      s.result = mode.run(s.item);
+      if (tracing) delta = obs::thread_counters();
+      delta -= before;
+    }
     if (meter) meter->tick(mode.progress_class(s.item, s.result));
     const std::uint64_t done =
         completed.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -254,13 +407,10 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
       s.record.u64("gi", s.gi).str("key", s.key).str("mode", Mode::kKind);
       mode.record(s.item, s.result, s.record);
     }
-    if (tracing) {
+    if (tracing && (s.stamp == nullptr || times)) {
       // Wall-clock fields only under trace_times (they break
       // byte-identity).
-      s.span.str("obs", "span")
-          .u64("gi", s.gi)
-          .str("key", s.key)
-          .str("mode", Mode::kKind);
+      span_head(s.span, s);
       mode.span(s.item, s.result, times, s.span);
       obs::append_stable_deltas(delta, s.span);
     }
@@ -278,8 +428,15 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   const auto consume = [&](Slot& s) {
     stats.wall_ns_total += s.result.wall_ns;
     stats.wall_ns_max = std::max(stats.wall_ns_max, s.result.wall_ns);
+    stats.stamped += s.stamp != nullptr ? 1 : 0;
     mode.fold(s.key, s.item, s.result);
     if (sink != nullptr) sink->append(s.record);
+    if (tracing && s.stamp != nullptr && !times) {
+      // Its template's fields after its own head, rendered here: that
+      // costs less than freeing a span a worker allocated.
+      span_head(s.span, s);
+      s.span.append(s.stamp->span);
+    }
     if (tracing) hooks->trace->append(s.span);
   };
 
@@ -375,6 +532,7 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
     }
   }
   obs::count(obs::Counter::kPoolSteals, stats.steals);
+  obs::count(obs::Counter::kSweepStamped, stats.stamped);
   obs::gauge_max(obs::Gauge::kPoolThreads,
                  static_cast<std::uint64_t>(threads));
   if (meter) meter->finish();

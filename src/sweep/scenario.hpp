@@ -222,15 +222,18 @@ enum class RunEnd : std::uint8_t {
   kBudget,     ///< The action budget ran out first.
 };
 
-/// What one scenario produced.  All fields except `wall_ns` are pure
-/// functions of the Scenario; `wall_ns` is measured and therefore
-/// excluded from digests.
+/// What one scenario produced.  All fields except `wall_ns` and
+/// `check_ns` are pure functions of the Scenario; those two are measured
+/// and therefore excluded from digests.
 struct ScenarioResult {
   Verdict verdict = Verdict::kError;
   std::uint64_t steps = 0;        ///< Adversary actions / deliveries.
   std::uint64_t ops = 0;          ///< Completed high-level operations.
   std::uint64_t history_hash = 0; ///< FNV-1a over the recorded history.
-  std::uint64_t wall_ns = 0;      ///< Measured; NOT part of any digest.
+  /// Measured; NOT part of any digest.  A scenario the engine stamped
+  /// from its config's template (sweep/engine.hpp) carries the copy's
+  /// own time, and check_ns 0.
+  std::uint64_t wall_ns = 0;
   std::uint64_t check_ns = 0;     ///< Checker share of wall_ns; measured.
   // Message accounting (ABD family; zero for the simulator families).
   // Deterministic, recorded in stores, but NOT digest material — the

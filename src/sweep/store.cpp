@@ -1,33 +1,46 @@
 #include "sweep/store.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
 namespace rlt::sweep {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+namespace {
+
+/// Appends `s` to `out` as a JSON string literal: runs of characters
+/// that need no escape are copied whole.
+void escape_into(std::string& out, std::string_view s) {
   out += '"';
-  for (const char c : s) {
+  std::size_t copied = 0;  // s[0, copied) is already in `out`
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, copied, i - copied);
+    copied = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+      }
     }
   }
+  out.append(s, copied);
   out += '"';
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  escape_into(out, s);
   return out;
 }
 
@@ -132,27 +145,30 @@ std::optional<std::uint64_t> field_hex(const std::string& line,
 
 void Record::begin_field(std::string_view field) {
   if (!body_.empty()) body_ += ',';
-  body_ += json_escape(field);
+  escape_into(body_, field);
   body_ += ':';
 }
 
 Record& Record::str(std::string_view field, std::string_view value) {
   begin_field(field);
-  body_ += json_escape(value);
+  escape_into(body_, value);
   return *this;
 }
 
 Record& Record::u64(std::string_view field, std::uint64_t value) {
   begin_field(field);
-  body_ += std::to_string(value);
+  char buf[20];
+  const std::to_chars_result end = std::to_chars(buf, buf + sizeof buf, value);
+  body_.append(buf, end.ptr);
   return *this;
 }
 
 Record& Record::hex(std::string_view field, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return str(field, buf);
+  char buf[18] = {'0', 'x'};
+  for (int i = 0; i < 16; ++i) {
+    buf[2 + i] = "0123456789abcdef"[(value >> (60 - 4 * i)) & 0xF];
+  }
+  return str(field, {buf, sizeof buf});
 }
 
 Record& Record::boolean(std::string_view field, bool value) {
@@ -161,7 +177,20 @@ Record& Record::boolean(std::string_view field, bool value) {
   return *this;
 }
 
-std::string Record::json() const { return "{" + body_ + "}"; }
+Record& Record::append(const Record& tail) {
+  if (!body_.empty() && !tail.body_.empty()) body_ += ',';
+  body_ += tail.body_;
+  return *this;
+}
+
+std::string Record::json() const {
+  std::string out;
+  out.reserve(body_.size() + 2);
+  out += '{';
+  out += body_;
+  out += '}';
+  return out;
+}
 
 JsonlFileSink::JsonlFileSink(const std::string& path)
     : path_(path), out_(path, std::ios::out | std::ios::trunc) {

@@ -89,6 +89,13 @@ struct SafetyMode {
 
   static ScenarioResult run(const Scenario& s) { return run_scenario(s); }
 
+  /// An ok run that drew nothing is every seed's run of its config, so
+  /// the engine stamps it onto the later seeds.  Non-ok results always
+  /// run: their forensics artifacts embed the scenario key.
+  static bool stampable(const ScenarioResult& r) {
+    return r.verdict == Verdict::kOk;
+  }
+
   /// The verdict's slot in kClasses.
   static int progress_class(const Scenario&, const ScenarioResult& r) {
     switch (r.verdict) {

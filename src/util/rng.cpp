@@ -8,7 +8,11 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
 
+thread_local std::uint64_t t_draws = 0;
+
 }  // namespace
+
+std::uint64_t thread_draws() noexcept { return t_draws; }
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9E3779B97F4A7C15ULL;
@@ -24,6 +28,7 @@ void Rng::reseed(std::uint64_t seed) noexcept {
 }
 
 std::uint64_t Rng::next_u64() noexcept {
+  ++t_draws;
   const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
   const std::uint64_t t = s_[1] << 17;
   s_[2] ^= s_[0];

@@ -5,6 +5,13 @@
 // flows through an `rlt::util::Rng` seeded from a single experiment seed,
 // so that every run is exactly replayable from its printed seed.
 //
+// The safety sweep relies on that in one more way: a run that made no
+// `Rng` draw cannot depend on its scenario seed, so the sweep engine
+// runs it once per config and stamps its result onto every later seed
+// (sweep/engine.hpp).  Every use of a scenario seed must therefore be an
+// `Rng` draw: seeding a generator is free, but mixing the seed into a
+// run any other way would make stamped records wrong.
+//
 // The generator is xoshiro256++ seeded via SplitMix64, which is the
 // recommended seeding procedure of the xoshiro authors.  We deliberately
 // avoid std::mt19937 because its seeding from a single 64-bit value is
@@ -19,6 +26,12 @@ namespace rlt::util {
 /// SplitMix64 step; used to expand a 64-bit seed into generator state.
 /// Public because tests and hash-mixing utilities reuse it.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+
+/// How many draws every `Rng` on the calling thread has made so far.
+/// Each `next_u64` adds one, and every other drawing member goes through
+/// it; construction and `reseed` add nothing.  Equal counts before and
+/// after a run mean the run drew nothing.
+[[nodiscard]] std::uint64_t thread_draws() noexcept;
 
 /// xoshiro256++ deterministic pseudo-random generator.
 ///
@@ -43,7 +56,7 @@ class Rng {
   }
   result_type operator()() noexcept { return next_u64(); }
 
-  /// Next raw 64 bits.
+  /// Next raw 64 bits; the one member that draws (see thread_draws).
   std::uint64_t next_u64() noexcept;
 
   /// Uniform integer in [0, bound). `bound` must be > 0.

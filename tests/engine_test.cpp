@@ -226,6 +226,7 @@ TEST(Cursor, YieldsTheShardsScenariosInGlobalIndexOrder) {
   Cursor<Item> c({Item{10}, Item{20}}, 5, 9, shard);
   EXPECT_EQ(c.total(), 8u);
   EXPECT_EQ(c.owned(), 3u);
+  EXPECT_EQ(c.configs(), 2u);
   std::vector<std::uint64_t> gis;
   for (auto s = c.next(); s.has_value(); s = c.next()) {
     gis.push_back(s->gi);

@@ -1,23 +1,30 @@
 // Tests for the parallel scenario-sweep engine (src/sweep/): the
 // work-stealing pool, single-scenario determinism, the crash and stall
 // fault axes and their verdict taxonomy (blocked vs violation vs
-// error), and the sweep-level digest guarantees (same options =>
+// error), the sweep-level digest guarantees (same options =>
 // byte-identical summary, regardless of thread count — with or without
-// faults).
+// faults), and stamping (a seed range equals its single-seed sweeps).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "explore/explore.hpp"
 #include "mp/abd.hpp"
 #include "mp/network.hpp"
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/pool.hpp"
 #include "sweep/scenario.hpp"
+#include "sweep/store.hpp"
 #include "sweep/sweep.hpp"
+#include "term/term_sweep.hpp"
 #include "util/rng.hpp"
 
 namespace rlt::sweep {
@@ -845,6 +852,151 @@ TEST(Sweep, DigestMatchesThePr1Baseline) {
   EXPECT_EQ(sum.scenarios, 600u);
   EXPECT_EQ(sum.ok, 600u);
   EXPECT_EQ(sum.digest, 0x74043e05615bfe8fULL);
+}
+
+// ---------- stamping (engine.hpp) ----------
+
+/// Default families and adversaries at p2 and p3 under none, minority,
+/// stall and lossy faults with two fault seeds, checked online: 80
+/// configs per seed.  At p2 there is no strict minority to crash or
+/// stall, so the rr configs of those plans draw nothing either.
+SweepOptions stamp_sweep(int threads) {
+  SweepOptions o;
+  o.process_counts = {2, 3};
+  o.faults = {FaultKind::kNone, FaultKind::kMinorityCrash, FaultKind::kStall,
+              FaultKind::kLossy};
+  o.crash_seeds = {0, 1};
+  o.online = true;
+  o.seed_begin = 0;
+  o.seed_end = 30;
+  o.threads = threads;
+  return o;
+}
+
+/// A store's or trace's lines with everything before each record's key
+/// (its gi) dropped.
+std::vector<std::string> records_without_gi(const std::string& store) {
+  std::vector<std::string> out;
+  std::istringstream in(store);
+  for (std::string line; std::getline(in, line);) {
+    out.push_back("{" + line.substr(line.find("\"key\"")));
+  }
+  return out;
+}
+
+/// Every stable counter, gauge and histogram bucket of the registry.
+std::vector<std::uint64_t> stable_metrics() {
+  const obs::Snapshot snap = obs::snapshot_all();
+  std::vector<std::uint64_t> out;
+  for (int i = 0; i < obs::kNumCounters; ++i) {
+    if (obs::counter_stable(static_cast<obs::Counter>(i))) {
+      out.push_back(snap.data.counters[static_cast<std::size_t>(i)]);
+    }
+  }
+  for (int i = 0; i < obs::kNumGauges; ++i) {
+    if (obs::gauge_stable(static_cast<obs::Gauge>(i))) {
+      out.push_back(snap.data.gauges[static_cast<std::size_t>(i)]);
+    }
+  }
+  for (int i = 0; i < obs::kNumHists; ++i) {
+    if (obs::hist_stable(static_cast<obs::Hist>(i))) {
+      const auto& buckets = snap.data.hists[static_cast<std::size_t>(i)];
+      out.insert(out.end(), buckets.begin(), buckets.end());
+    }
+  }
+  return out;
+}
+
+TEST(Sweep, RangeEqualsItsSingleSeedSweeps) {
+  // Each config appears once in a single-seed sweep, so nothing in it is
+  // stamped: it is the reference the stamped range run must reproduce,
+  // record for record and span for span, in its digest and in its
+  // stable metrics.
+  const SweepOptions range_opts = stamp_sweep(1);
+  obs::set_enabled(true);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    obs::reset();
+    std::vector<std::string> singles;
+    std::vector<std::string> single_spans;
+    SweepFold fold;
+    for (std::uint64_t seed = range_opts.seed_begin;
+         seed < range_opts.seed_end; ++seed) {
+      SweepOptions one = stamp_sweep(threads);
+      one.seed_begin = seed;
+      one.seed_end = seed + 1;
+      StringSink store;
+      StringSink trace;
+      obs::Hooks hooks;
+      hooks.trace = &trace;
+      const SweepSummary sum = run_sweep(one, 0, &store, &hooks);
+      EXPECT_EQ(sum.engine.stamped, 0u);
+      std::istringstream in(store.text());
+      for (std::string line; std::getline(in, line);) {
+        ASSERT_TRUE(fold.add_record(line)) << line;
+      }
+      for (std::string& r : records_without_gi(store.text())) {
+        singles.push_back(std::move(r));
+      }
+      for (std::string& r : records_without_gi(trace.text())) {
+        single_spans.push_back(std::move(r));
+      }
+    }
+    const std::vector<std::uint64_t> single_metrics = stable_metrics();
+    obs::reset();
+
+    StringSink store;
+    StringSink trace;
+    obs::Hooks hooks;
+    hooks.trace = &trace;
+    const SweepSummary range =
+        run_sweep(stamp_sweep(threads), 0, &store, &hooks);
+    EXPECT_EQ(range.scenarios, 2400u);
+    EXPECT_EQ(records_without_gi(store.text()), singles);
+    EXPECT_EQ(records_without_gi(trace.text()), single_spans);
+    EXPECT_EQ(range.stable_text(), fold.finish(nullptr).stable_text());
+    EXPECT_EQ(stable_metrics(), single_metrics);
+  }
+  obs::set_enabled(false);
+  obs::reset();
+}
+
+TEST(Sweep, StampsEveryLaterSeedOfEachSeedFreeConfig) {
+  // On one thread a config's first run decides it before its next seed
+  // starts, so the count is exact.  A new Rng draw on a seed-free path
+  // would drop it.
+  SweepOptions o;
+  o.seed_begin = 0;
+  o.seed_end = 50;
+  // Default axes: the six fault-free rr configs draw nothing.
+  EXPECT_EQ(run_sweep(o).engine.stamped, 6u * 49u);
+  o.adversaries = {AdversaryKind::kRandom};
+  EXPECT_EQ(run_sweep(o).engine.stamped, 0u);
+  // 20 simulator rr configs (p3 fault-free, p2 under every plan) and 4
+  // ABD ones (p3 fault-free, p2 fault-free and minority).
+  EXPECT_EQ(run_sweep(stamp_sweep(1)).engine.stamped, 24u * 29u);
+}
+
+TEST(Sweep, OnlyTheSafetySweepStamps) {
+  term::TermSweepOptions t;
+  t.process_counts = {2};
+  t.round_budgets = {4};
+  t.seed_end = 5;
+  const term::TermSummary term = term::run_term_sweep(t);
+  EXPECT_GT(term.scenarios, 0u);
+  EXPECT_EQ(term.engine.stamped, 0u);
+
+  explore::ExploreOptions e;
+  e.objective = explore::Objective::kViolation;
+  e.algorithms = {Algorithm::kModeled};
+  e.process_counts = {2};
+  e.writes_per_process = 1;
+  e.search_budget = 1;
+  e.shrink_budget = 0;
+  e.seed_end = 5;
+  const explore::ExploreSummary explore = explore::run_explore(e);
+  EXPECT_EQ(explore.instances, 5u);
+  EXPECT_EQ(explore.engine.stamped, 0u);
 }
 
 }  // namespace

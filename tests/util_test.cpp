@@ -1,7 +1,9 @@
 // Tests for util: deterministic RNG and invariant checking.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <thread>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -106,6 +108,43 @@ TEST(Rng, SplitMixKnownGoodSequenceIsStable) {
   Rng again(0);
   EXPECT_EQ(first, again.next_u64());
   EXPECT_NE(first, 0u);
+}
+
+/// How far thread_draws() rises across `draw`.
+std::uint64_t draws_of(const std::function<void()>& draw) {
+  const std::uint64_t before = thread_draws();
+  draw();
+  return thread_draws() - before;
+}
+
+TEST(Rng, ThreadDrawsCountsEveryDrawAndNothingElse) {
+  Rng rng(5);
+  EXPECT_EQ(draws_of([] { Rng fresh(6); }), 0u);
+  EXPECT_EQ(draws_of([&] { rng.reseed(7); }), 0u);
+  EXPECT_EQ(draws_of([&] { (void)rng.next_u64(); }), 1u);
+  EXPECT_EQ(draws_of([&] {
+              for (int i = 0; i < 10; ++i) (void)rng.next_u64();
+            }),
+            10u);
+  EXPECT_GE(draws_of([&] { (void)rng.uniform(10); }), 1u);
+  EXPECT_GE(draws_of([&] { (void)rng.chance(1, 3); }), 1u);
+  EXPECT_GE(draws_of([&] { (void)rng.flip(); }), 1u);
+  EXPECT_GE(draws_of([&] { (void)rng.uniform_double(); }), 1u);
+  EXPECT_GE(draws_of([&] { (void)rng.fork(); }), 1u);
+}
+
+TEST(Rng, ThreadDrawsIgnoresOtherThreads) {
+  std::uint64_t there = 0;
+  const std::uint64_t here = draws_of([&] {
+    std::thread other([&] {
+      Rng rng(8);
+      for (int i = 0; i < 100; ++i) (void)rng.next_u64();
+      there = thread_draws();
+    });
+    other.join();
+  });
+  EXPECT_EQ(here, 0u);
+  EXPECT_EQ(there, 100u);  // a new thread counts from zero
 }
 
 TEST(Check, ThrowsWithMessage) {

@@ -6,11 +6,13 @@ Usage:
         -- <sweep_main args>
 
 Runs the given sweep K times plain and K times fully instrumented
-(--metrics + --trace to scratch files), takes the min elapsed_ms of
+(--metrics + --trace to scratch files), takes the min elapsed time of
 each side (min-of-K is the standard de-noising for wall-clock gates),
 and fails if the instrumented minimum exceeds the plain minimum by
-more than PCT percent.  The elapsed time is read from the sweep's own
-"--- timing ---" section, so process startup is excluded.
+more than PCT percent.  The elapsed time is the sweep's own
+`elapsed_us` line in its "--- timing ---" section, so process startup
+is excluded, and a run of a few tens of milliseconds still resolves
+far finer than the threshold.
 
 Exit status: 0 within threshold, 1 breach, 2 usage/machinery error.
 """
@@ -22,7 +24,7 @@ import subprocess
 import sys
 import tempfile
 
-ELAPSED = re.compile(r"^elapsed_ms (\d+)$", re.MULTILINE)
+ELAPSED = re.compile(r"^elapsed_us (\d+)$", re.MULTILINE)
 
 
 def run_once(cmd):
@@ -33,9 +35,9 @@ def run_once(cmd):
         sys.exit(2)
     m = ELAPSED.search(proc.stdout)
     if not m:
-        print("obs_gate: no elapsed_ms in sweep output", file=sys.stderr)
+        print("obs_gate: no elapsed_us in sweep output", file=sys.stderr)
         sys.exit(2)
-    return int(m.group(1))
+    return int(m.group(1)) / 1000.0
 
 
 def main():
@@ -66,9 +68,12 @@ def main():
 
     base, instd = min(plain), min(inst)
     overhead = 100.0 * (instd - base) / base if base else 0.0
-    print(f"obs_gate: plain min {base}ms (of {plain}), instrumented min "
-          f"{instd}ms (of {inst}), overhead {overhead:+.1f}% "
-          f"(threshold {args.threshold}%)")
+    def ms(runs):
+        return "[" + ", ".join(f"{t:.3f}" for t in runs) + "]"
+
+    print(f"obs_gate: plain min {base:.3f}ms (of {ms(plain)}), "
+          f"instrumented min {instd:.3f}ms (of {ms(inst)}), overhead "
+          f"{overhead:+.1f}% (threshold {args.threshold}%)")
     if base and overhead > args.threshold:
         print("obs_gate: instrumented sweep exceeds the overhead "
               "threshold", file=sys.stderr)

@@ -748,11 +748,13 @@ int run_mode(Cli& c, const char* mode, const Options& o, Enumerate enumerate,
   std::cout << sum.stable_text();
   std::cout << "--- timing (not digest material) ---\n"
             << "elapsed_ms " << engine.elapsed_ns / 1'000'000 << "\n"
+            << "elapsed_us " << engine.elapsed_ns / 1'000 << "\n"
             << "scenario_ms_total " << engine.wall_ns_total / 1'000'000
             << "\n"
             << "scenario_ms_max " << engine.wall_ns_max / 1'000'000 << "\n"
             << "threads " << o.threads << "\n"
             << "steals " << engine.steals << "\n"
+            << "stamped " << engine.stamped << "\n"
             << "peak_rss_mb " << std::fixed << std::setprecision(1)
             << peak_rss_mb() << "\n";
   return sum.failed() ? 1 : 0;
