@@ -49,7 +49,7 @@ LinProblem Frontier::problem() const {
 void Frontier::collapse(std::vector<Value> values) {
   RLT_CHECK_MSG(open_ == 0, "collapsing a window with open ops");
   RLT_CHECK_MSG(!values.empty(), "collapsing to no pre-window value");
-  window_ = History{};
+  window_.clear();  // keeps the window's capacity for the next one
   caller_ids_.clear();
   initial_values_ = std::move(values);
 }

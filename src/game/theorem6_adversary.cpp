@@ -15,7 +15,8 @@ using sim::ResponseChoice;
 using sim::Scheduler;
 
 /// The pending operation of process `p` on register `reg` (there is at
-/// most one: processes are sequential).
+/// most one: processes are sequential).  A copy, since the scheduler's
+/// list changes with the next action.
 PendingOpInfo pending_of(Scheduler& sched, ProcessId p, int reg) {
   for (const PendingOpInfo& info : sched.pending_ops()) {
     if (info.process == p && info.reg == reg) return info;
@@ -29,29 +30,29 @@ PendingOpInfo pending_of(Scheduler& sched, ProcessId p, int reg) {
 /// possible).  Returns nullopt if no choice yields `value`.
 std::optional<ResponseChoice> choice_with_value(Scheduler& sched, int op_id,
                                                 sim::Value value) {
-  std::optional<ResponseChoice> best;
-  for (ResponseChoice& c : sched.choices_for(op_id)) {
+  const ResponseChoice* best = nullptr;
+  for (const ResponseChoice& c : sched.choices_for(op_id)) {
     if (c.value != value) continue;
-    if (!best.has_value() ||
+    if (best == nullptr ||
         c.commit_extension.size() < best->commit_extension.size()) {
-      best = std::move(c);
+      best = &c;
     }
   }
-  return best;
+  if (best == nullptr) return std::nullopt;
+  return *best;
 }
 
 /// First (arbitrary legal) choice; used where the value is forced.
 ResponseChoice first_choice(Scheduler& sched, int op_id) {
-  auto choices = sched.choices_for(op_id);
+  const std::vector<ResponseChoice>& choices = sched.choices_for(op_id);
   RLT_CHECK_MSG(!choices.empty(), "pending op " << op_id << " has no choices");
   // Prefer the smallest commitment, as above.
-  auto it = std::min_element(choices.begin(), choices.end(),
-                             [](const ResponseChoice& a,
-                                const ResponseChoice& b) {
-                               return a.commit_extension.size() <
-                                      b.commit_extension.size();
-                             });
-  return std::move(*it);
+  return *std::min_element(choices.begin(), choices.end(),
+                           [](const ResponseChoice& a,
+                              const ResponseChoice& b) {
+                             return a.commit_extension.size() <
+                                    b.commit_extension.size();
+                           });
 }
 
 }  // namespace
@@ -77,7 +78,7 @@ std::optional<Action> GameScriptAdversary::choose(Scheduler& sched) {
   }
   RLT_CHECK_MSG(bound_ == &sched, "adversary bound to a different scheduler");
   if (!script_->advance()) return std::nullopt;
-  return script_->value();
+  return std::move(script_->value());
 }
 
 sim::Generator<Action> GameScriptAdversary::script(Scheduler& sched) {
@@ -127,15 +128,15 @@ sim::Generator<Action> GameScriptAdversary::script(Scheduler& sched) {
     }
     bool model_commits = false;  // WSL registers force a commitment here.
     {
-      std::vector<ResponseChoice> w0_choices = sched.choices_for(w0);
+      const std::vector<ResponseChoice>& w0_choices = sched.choices_for(w0);
       model_commits = std::any_of(
           w0_choices.begin(), w0_choices.end(),
           [](const ResponseChoice& c) { return !c.commit_extension.empty(); });
-      std::optional<ResponseChoice> chosen;
-      for (ResponseChoice& c : w0_choices) {
+      const ResponseChoice* chosen = nullptr;
+      for (const ResponseChoice& c : w0_choices) {
         if (!model_commits) {
           // Linearizable registers: responding a write decides nothing.
-          chosen = std::move(c);
+          chosen = &c;
           break;
         }
         const bool commits_w0_only =
@@ -144,12 +145,12 @@ sim::Generator<Action> GameScriptAdversary::script(Scheduler& sched) {
             c.commit_extension.size() == 2 && c.commit_extension[0] == w1 &&
             c.commit_extension[1] == w0;
         if ((w0_first && commits_w0_only) || (!w0_first && commits_w1_first)) {
-          chosen = std::move(c);
+          chosen = &c;
           break;
         }
       }
-      RLT_CHECK_MSG(chosen.has_value(), "no commitment choice for w0");
-      co_yield Action::respond(0, w0, *chosen);
+      RLT_CHECK_MSG(chosen != nullptr, "no commitment choice for w0");
+      co_yield Action::respond(0, w0, *chosen);  // copied before apply()
     }
 
     // Step 4 (times t1..tc): p0 flips the coin — only NOW does the
@@ -239,9 +240,9 @@ sim::Generator<Action> GameScriptAdversary::script(Scheduler& sched) {
       stats_.doomed_round = j;
       // Drain: hosts read R2 (forced 0 < n-2), exit and return.
       while (!sched.all_done()) {
-        const auto pend = sched.pending_ops();
-        if (!pend.empty()) {
-          const PendingOpInfo& op = pend.front();
+        if (!sched.pending_ops().empty()) {
+          // A copy: apply() erases the front entry while we are suspended.
+          const PendingOpInfo op = sched.pending_ops().front();
           co_yield Action::respond(op.process, op.op_id,
                                    first_choice(sched, op.op_id));
           continue;

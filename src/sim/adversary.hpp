@@ -39,15 +39,21 @@ class RandomAdversary final : public Adversary {
                            std::vector<ProcessId> stalled = {})
       : stalled_(std::move(stalled)), rng_(seed) {}
 
+  /// Draws uniformly among the live (non-stalled) actions, in menu order.
   std::optional<Action> choose(Scheduler& sched) override {
-    std::vector<Action> actions = sched.enabled_actions();
-    if (!stalled_.empty()) {
-      std::erase_if(actions, [this](const Action& a) {
-        return is_stalled(stalled_, a.process);
-      });
+    const std::vector<Action>& actions = sched.enabled_actions();
+    const auto live = [this](const Action& a) {
+      return !is_stalled(stalled_, a.process);
+    };
+    const auto count = static_cast<std::uint64_t>(
+        std::count_if(actions.begin(), actions.end(), live));
+    if (count == 0) return std::nullopt;
+    std::uint64_t k = rng_.uniform(count);
+    for (const Action& a : actions) {
+      if (live(a) && k-- == 0) return a;
     }
-    if (actions.empty()) return std::nullopt;
-    return actions[rng_.uniform(actions.size())];
+    RLT_CHECK_MSG(false, "live action count changed mid-draw");
+    return std::nullopt;
   }
 
  private:
@@ -123,10 +129,10 @@ class RoundRobinAdversary final : public Adversary {
     // Respond the oldest live-owned pending op first, first choice.
     for (const PendingOpInfo& info : sched.pending_ops()) {
       if (is_stalled(stalled_, info.process)) continue;
-      auto choices = sched.choices_for(info.op_id);
+      const std::vector<ResponseChoice>& choices =
+          sched.choices_for(info.op_id);
       RLT_CHECK_MSG(!choices.empty(), "pending op with no choices");
-      return Action::respond(info.process, info.op_id,
-                             std::move(choices.front()));
+      return Action::respond(info.process, info.op_id, choices.front());
     }
     const int n = sched.process_count();
     for (int i = 0; i < n; ++i) {

@@ -28,10 +28,7 @@ class LinearizableModel final : public WindowedModel {
       // of the current window remains legal when the write's interval
       // closes now (the new response time only affects operations invoked
       // later).  One choice, no decision content.
-      ResponseChoice c;
-      c.value = op.value;
-      c.label = "complete-write";
-      choices.push_back(std::move(c));
+      choices.push_back(ResponseChoice{op.value, {}});
       return choices;
     }
     // Reads: any value with a feasible linearization, from one solver
@@ -39,10 +36,7 @@ class LinearizableModel final : public WindowedModel {
     checker::LinProblem probe = frontier_.problem();
     probe.completion = checker::LinProblem::Completion{wid, op.value, now};
     for (const Value v : checker::feasible_read_values(probe)) {
-      ResponseChoice c;
-      c.value = v;
-      c.label = "read->" + std::to_string(v);
-      choices.push_back(std::move(c));
+      choices.push_back(ResponseChoice{v, {}});
     }
     RLT_CHECK_MSG(!choices.empty(),
                   "linearizable model: read has no feasible value — bug");

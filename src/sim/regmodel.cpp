@@ -1,6 +1,5 @@
 #include "sim/regmodel.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -17,14 +16,6 @@ std::optional<Value> WindowedModel::on_invoke(int op_id, ProcessId p,
                                               OpKind kind, Value value,
                                               Time now) {
   frontier_.invoke(op_id, p, kind, value, now);
-
-  PendingOpInfo info;
-  info.op_id = op_id;
-  info.process = p;
-  info.kind = kind;
-  info.value = value;
-  info.invoked = now;
-  pending_.push_back(info);
   return std::nullopt;
 }
 
@@ -34,16 +25,7 @@ Value WindowedModel::on_respond(int op_id, const ResponseChoice& choice,
   const history::OpRecord op = frontier_.window().op(wid);
   apply_choice(wid, choice);
   frontier_.respond(wid, choice.value, now);
-  const auto it =
-      std::find_if(pending_.begin(), pending_.end(),
-                   [op_id](const PendingOpInfo& p) { return p.op_id == op_id; });
-  RLT_CHECK_MSG(it != pending_.end(), "responding to unknown op " << op_id);
-  pending_.erase(it);
   return op.is_write() ? op.value : choice.value;
-}
-
-const std::vector<PendingOpInfo>& WindowedModel::pending() const {
-  return pending_;
 }
 
 void WindowedModel::maybe_collapse() {

@@ -24,6 +24,10 @@
 // explode; adversaries should respond writes promptly (the paper's
 // schedules all do), and tests keep concurrent-writer counts small.
 //
+// A model sees invocations and responses only.  Which operations are
+// pending, and the cached menus of their responses, belong to the
+// scheduler (sim/scheduler.hpp), which keeps one list for all registers.
+//
 // The interval models keep one `checker::Frontier` each: a window of
 // recent operations plus the values the register may hold before it.
 // When the register becomes quiescent (no pending ops) the window
@@ -68,9 +72,6 @@ class RegisterModel {
   virtual Value on_respond(int op_id, const ResponseChoice& choice,
                            Time now) = 0;
 
-  /// Pending operations on this register.
-  [[nodiscard]] virtual const std::vector<PendingOpInfo>& pending() const = 0;
-
   /// Human-readable state dump for debugging and benchmarks.
   [[nodiscard]] virtual std::string describe() const = 0;
 
@@ -79,7 +80,7 @@ class RegisterModel {
 };
 
 /// Common machinery for interval-based models (linearizable and WSL):
-/// the register's frontier, keyed by global op id, and its pending ops.
+/// the register's frontier, keyed by global op id.
 class WindowedModel : public RegisterModel {
  public:
   void set_initial(Value v) override;
@@ -88,7 +89,6 @@ class WindowedModel : public RegisterModel {
                                  Value value, Time now) override;
   Value on_respond(int op_id, const ResponseChoice& choice,
                    Time now) override;
-  [[nodiscard]] const std::vector<PendingOpInfo>& pending() const override;
   void maybe_collapse() override;
 
  protected:
@@ -100,8 +100,7 @@ class WindowedModel : public RegisterModel {
   /// Called once per collapse, just before the window is retired.
   virtual std::vector<Value> collapse_values() = 0;
 
-  checker::Frontier frontier_;          ///< caller ids are global op ids
-  std::vector<PendingOpInfo> pending_;  ///< keyed by global op id
+  checker::Frontier frontier_;  ///< caller ids are global op ids
 };
 
 /// Atomic registers: reads/writes are instantaneous (Section 2.1).
@@ -114,10 +113,6 @@ class AtomicModel final : public RegisterModel {
     return {};
   }
   Value on_respond(int, const ResponseChoice&, Time) override;
-  [[nodiscard]] const std::vector<PendingOpInfo>& pending() const override {
-    static const std::vector<PendingOpInfo> kNone;
-    return kNone;
-  }
   [[nodiscard]] std::string describe() const override;
 
  private:

@@ -89,13 +89,13 @@ class PolicyAdversary final : public Adversary {
   explicit PolicyAdversary(SchedulePolicy& policy) : policy_(&policy) {}
 
   std::optional<Action> choose(Scheduler& sched) override {
-    std::vector<Action> menu = sched.enabled_actions();
+    const std::vector<Action>& menu = sched.enabled_actions();
     if (menu.empty()) return std::nullopt;
     const std::size_t i = policy_->pick(sched, menu);
     RLT_CHECK_MSG(i < menu.size(), "policy picked index " << i
                                        << " out of a menu of "
                                        << menu.size());
-    return std::move(menu[i]);
+    return menu[i];
   }
 
  private:

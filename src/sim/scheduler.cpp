@@ -68,58 +68,43 @@ RegisterModel& Scheduler::model(RegId reg) {
   return *it->second;
 }
 
-std::vector<PendingOpInfo> Scheduler::pending_ops() const {
-  std::vector<PendingOpInfo> out;
-  for (const auto& [reg, model] : models_) {
-    for (const PendingOpInfo& info : model->pending()) {
-      out.push_back(info);
-      out.back().reg = reg;
-    }
+std::size_t Scheduler::pending_index(int op_id) const {
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    if (pending_[i].op_id == op_id) return i;
   }
-  std::sort(out.begin(), out.end(),
-            [](const PendingOpInfo& a, const PendingOpInfo& b) {
-              return a.op_id < b.op_id;
-            });
-  return out;
+  RLT_CHECK_MSG(false, "op " << op_id << " is not pending");
+  return 0;
 }
 
-std::vector<ResponseChoice> Scheduler::choices_for(int op_id) {
-  const auto it = op_reg_.find(op_id);
-  RLT_CHECK_MSG(it != op_reg_.end(), "op " << op_id << " is not pending");
-  auto cached = choice_cache_.find(op_id);
-  if (cached == choice_cache_.end()) {
-    cached = choice_cache_
-                 .emplace(op_id,
-                          model(it->second).response_choices(op_id, clock_ + 1))
-                 .first;
+const std::vector<ResponseChoice>& Scheduler::choices_for(int op_id) {
+  const std::size_t i = pending_index(op_id);
+  Menu& menu = menus_[i];
+  if (!menu.valid) {
+    menu.choices = model(pending_[i].reg).response_choices(op_id, clock_ + 1);
+    menu.valid = true;
   }
-  return cached->second;
+  return menu.choices;
 }
 
 void Scheduler::invalidate_choices(RegId reg) {
-  for (auto it = choice_cache_.begin(); it != choice_cache_.end();) {
-    if (op_reg_.at(it->first) == reg) {
-      it = choice_cache_.erase(it);
-    } else {
-      ++it;
-    }
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    if (pending_[i].reg == reg) menus_[i].valid = false;
   }
 }
 
-std::vector<Action> Scheduler::enabled_actions() {
-  std::vector<Action> actions;
+const std::vector<Action>& Scheduler::enabled_actions() {
+  enabled_.clear();
   for (const auto& proc : procs_) {
     if (!proc->done && !proc->blocked) {
-      actions.push_back(Action::step(proc->id_));
+      enabled_.push_back(Action::step(proc->id_));
     }
   }
-  for (const PendingOpInfo& info : pending_ops()) {
-    for (ResponseChoice& choice : choices_for(info.op_id)) {
-      actions.push_back(
-          Action::respond(info.process, info.op_id, std::move(choice)));
+  for (const PendingOpInfo& info : pending_) {
+    for (const ResponseChoice& choice : choices_for(info.op_id)) {
+      enabled_.push_back(Action::respond(info.process, info.op_id, choice));
     }
   }
-  return actions;
+  return enabled_;
 }
 
 void Scheduler::step_process(ProcessId p) {
@@ -164,8 +149,12 @@ void Scheduler::step_process(ProcessId p) {
         recorder_.end_op(h, *immediate, tick());
         proc.result_ = *immediate;
       } else {
-        op_owner_[h.op_id] = p;
-        op_reg_[h.op_id] = reg;
+        // Op ids grow with invocation, so appending keeps op-id order.
+        RLT_CHECK(pending_.empty() || pending_.back().op_id < h.op_id);
+        pending_.push_back(PendingOpInfo{h.op_id, p, reg,
+                                         proc.request_.op_kind,
+                                         proc.request_.value, t});
+        menus_.emplace_back();
         proc.blocked = true;
       }
       // The model's state changed; cached menus for this register are
@@ -177,17 +166,16 @@ void Scheduler::step_process(ProcessId p) {
 }
 
 void Scheduler::respond_op(int op_id, const ResponseChoice& choice) {
-  const auto reg_it = op_reg_.find(op_id);
-  RLT_CHECK_MSG(reg_it != op_reg_.end(), "op " << op_id << " not pending");
-  const RegId reg = reg_it->second;
-  const ProcessId p = op_owner_.at(op_id);
+  const std::size_t i = pending_index(op_id);
+  const RegId reg = pending_[i].reg;
+  const ProcessId p = pending_[i].process;
 
   const Time t = tick();
   const Value result = model(reg).on_respond(op_id, choice, t);
   recorder_.end_op(history::OpHandle{op_id}, result, t);
-  choice_cache_.erase(op_id);
-  op_reg_.erase(op_id);
-  op_owner_.erase(op_id);
+  const auto at = static_cast<std::ptrdiff_t>(i);
+  pending_.erase(pending_.begin() + at);
+  menus_.erase(menus_.begin() + at);
   invalidate_choices(reg);
 
   Proc& proc = *procs_.at(static_cast<std::size_t>(p));

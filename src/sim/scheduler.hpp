@@ -16,6 +16,16 @@
 // With `LinearizableModel` / `WslModel` registers, invocation and
 // response are separate actions, so operations overlap and the adversary
 // controls (within each model's rules) how they linearize.
+//
+// The scheduler owns the one list of pending operations, for all
+// registers, in op-id order, and next to each entry its cached response
+// menu.  Queries hand these out by reference, so an adversary's decision
+// copies only the action it returns:
+//
+//   * references from `pending_ops()` and `choices_for()` stay valid until
+//     the next `apply()`;
+//   * the reference from `enabled_actions()` stays valid until the next
+//     `enabled_actions()` or `apply()`.
 #pragma once
 
 #include <functional>
@@ -157,10 +167,16 @@ class Scheduler {
     return coins_;
   }
   [[nodiscard]] RegisterModel& model(RegId reg);
-  [[nodiscard]] std::vector<PendingOpInfo> pending_ops() const;
+
+  /// Pending operations of every register, in op-id order (invocation
+  /// order), each with its `reg` set.  Valid until the next `apply()`.
+  [[nodiscard]] const std::vector<PendingOpInfo>& pending_ops() const noexcept {
+    return pending_;
+  }
 
   /// Response choices for a pending op (targeted query for scripted
-  /// adversaries; cheaper than enumerating everything).
+  /// adversaries; cheaper than enumerating everything).  Valid until the
+  /// next `apply()`.
   ///
   /// Menus are cached between register-state changes: a model's choice
   /// menu must be a function of its own state (window, commitments,
@@ -169,11 +185,12 @@ class Scheduler {
   /// recorded event either way, so it cannot change the menu.  The cache
   /// is invalidated whenever the register's model mutates (invoke,
   /// respond, collapse).
-  [[nodiscard]] std::vector<ResponseChoice> choices_for(int op_id);
+  [[nodiscard]] const std::vector<ResponseChoice>& choices_for(int op_id);
 
   /// All enabled actions (steps of runnable processes + every response
-  /// choice of every pending op).
-  [[nodiscard]] std::vector<Action> enabled_actions();
+  /// choice of every pending op), in a buffer the scheduler reuses.
+  /// Valid until the next `enabled_actions()` or `apply()`.
+  [[nodiscard]] const std::vector<Action>& enabled_actions();
 
   /// Applies one action.  Must be an action the current state enables;
   /// response choices must come from `choices_for`/`enabled_actions`.
@@ -202,18 +219,25 @@ class Scheduler {
   Time tick() noexcept { return ++clock_; }
   void step_process(ProcessId p);
   void respond_op(int op_id, const ResponseChoice& choice);
+  /// Index of pending op `op_id` in `pending_`; fails loudly if unknown.
+  [[nodiscard]] std::size_t pending_index(int op_id) const;
   /// Drops cached choice menus of every pending op on `reg`.
   void invalidate_choices(RegId reg);
+
+  /// A pending op's cached response menu (see choices_for).
+  struct Menu {
+    std::vector<ResponseChoice> choices;
+    bool valid = false;
+  };
 
   util::Rng rng_;
   Time clock_ = 0;
   std::uint64_t actions_ = 0;
   std::vector<std::unique_ptr<Proc>> procs_;
   std::map<RegId, std::unique_ptr<RegisterModel>> models_;
-  std::map<int, ProcessId> op_owner_;  ///< pending op -> process
-  std::map<int, RegId> op_reg_;        ///< pending op -> register
-  /// Cached response-choice menus per pending op (see choices_for).
-  std::map<int, std::vector<ResponseChoice>> choice_cache_;
+  std::vector<PendingOpInfo> pending_;  ///< op-id order
+  std::vector<Menu> menus_;             ///< menus_[i] is pending_[i]'s
+  std::vector<Action> enabled_;         ///< enabled_actions()'s buffer
   history::Recorder recorder_;
   std::vector<CoinRecord> coins_;
 };

@@ -2,7 +2,6 @@
 // choices exposed by register semantic models, pending-operation info.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "history/event.hpp"
@@ -15,20 +14,18 @@ using history::Time;
 using history::Value;
 using RegId = history::RegisterId;
 
-/// One way a register model is willing to complete a pending operation.
+/// One way a register model is willing to complete a pending operation:
+/// its value plus its commit extension, nothing else.
 ///
-/// For reads, `value` is the value the read would return.  For write
-/// strongly-linearizable registers, `commit_extension` lists the write
-/// operations (global history op ids, in order) that responding with this
-/// choice irrevocably appends to the register's committed write order —
-/// the on-line decision that Definition 4 forces.
+/// For reads, `value` is the value the read would return; for writes, the
+/// written value.  For write strongly-linearizable registers,
+/// `commit_extension` lists the write operations (global history op ids,
+/// in order) that responding with this choice irrevocably appends to the
+/// register's committed write order — the on-line decision that
+/// Definition 4 forces.  It is empty for the other models.
 struct ResponseChoice {
   Value value = 0;
   std::vector<int> commit_extension;
-  std::string label;
-
-  friend bool operator==(const ResponseChoice&,
-                         const ResponseChoice&) = default;
 };
 
 /// A pending (invoked, unresponded) operation on a modeled register.

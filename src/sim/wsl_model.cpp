@@ -53,10 +53,7 @@ class WslModel final : public WindowedModel {
         // and forced the commitment).  Responding decides nothing more.
         RLT_CHECK_MSG(checker::feasible(committing({})),
                       "WSL model: committed write response infeasible — bug");
-        ResponseChoice c;
-        c.value = op.value;
-        c.label = "complete-committed-write";
-        choices.push_back(std::move(c));
+        choices.push_back(ResponseChoice{op.value, {}});
         return choices;
       }
       // Enumerate ordered selections of uncommitted writes containing the
@@ -65,11 +62,7 @@ class WslModel final : public WindowedModel {
           uncommitted_writes(), [&](const std::vector<int>& s) {
             if (std::find(s.begin(), s.end(), wid) == s.end()) return false;
             if (!checker::feasible(committing(s))) return false;
-            ResponseChoice c;
-            c.value = op.value;
-            c.commit_extension = to_global(s);
-            c.label = "commit" + render(s);
-            choices.push_back(std::move(c));
+            choices.push_back(ResponseChoice{op.value, to_global(s)});
             return false;
           });
       RLT_CHECK_MSG(!choices.empty(),
@@ -82,12 +75,7 @@ class WslModel final : public WindowedModel {
     // by already-committed writes).
     const auto try_selection = [&](const std::vector<int>& s) {
       for (const Value v : checker::feasible_read_values(committing(s))) {
-        ResponseChoice c;
-        c.value = v;
-        c.commit_extension = to_global(s);
-        c.label = "read->" + std::to_string(v) +
-                  (s.empty() ? "" : " commit" + render(s));
-        choices.push_back(std::move(c));
+        choices.push_back(ResponseChoice{v, to_global(s)});
       }
       return false;
     };
@@ -160,17 +148,6 @@ class WslModel final : public WindowedModel {
     std::vector<int> out;
     out.reserve(wids.size());
     for (const int wid : wids) out.push_back(frontier_.caller_id_of(wid));
-    return out;
-  }
-
-  [[nodiscard]] std::string render(const std::vector<int>& wids) const {
-    std::string out = "[";
-    for (std::size_t i = 0; i < wids.size(); ++i) {
-      if (i != 0) out += ',';
-      out += 'w';
-      out += std::to_string(frontier_.caller_id_of(wids[i]));
-    }
-    out += ']';
     return out;
   }
 

@@ -2,6 +2,13 @@
 // semantic models, adversary choice mechanics, and determinism.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "checker/lin_checker.hpp"
 #include "checker/wsl_checker.hpp"
 #include "sim/adversary.hpp"
@@ -293,6 +300,211 @@ TEST(FixedStepAdversary, ReplaysExactSchedule) {
   FixedStepAdversary adv({0, 0, 1, 1, 1});  // both writes, then reads
   EXPECT_EQ(sched.run(adv), RunOutcome::kStopped);
   EXPECT_EQ(v1, 20);
+}
+
+// ---- The scheduler's pending list and menu cache (stores depend on
+// both: every adversary reads menus in this order) ----
+
+Task read_once(Proc& self, RegId reg) { (void)co_await self.read(reg); }
+
+TEST(Scheduler, PendingOpsListEveryRegisterInOpIdOrder) {
+  Scheduler sched(1);
+  sched.add_register(0, Semantics::kLinearizable, 0);
+  sched.add_register(1, Semantics::kWriteStrong, 0);
+  sched.add_process("r1", [](Proc& p) { return read_once(p, 1); });
+  sched.add_process("w0", [](Proc& p) { return write_two(p, 0, 10, 11); });
+  sched.add_process("w1", [](Proc& p) { return write_two(p, 1, 20, 21); });
+  sched.apply(Action::step(0));  // read(R1)
+  sched.apply(Action::step(1));  // write(R0, 10)
+  sched.apply(Action::step(2));  // write(R1, 20)
+
+  const std::vector<PendingOpInfo> pending = sched.pending_ops();
+  ASSERT_EQ(pending.size(), 3u);
+  const std::vector<ProcessId> processes{0, 1, 2};
+  const std::vector<RegId> regs{1, 0, 1};
+  const std::vector<OpKind> kinds{OpKind::kRead, OpKind::kWrite,
+                                  OpKind::kWrite};
+  const std::vector<Value> values{0, 10, 20};
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(pending[i].process, processes[i]);
+    EXPECT_EQ(pending[i].reg, regs[i]);
+    EXPECT_EQ(pending[i].kind, kinds[i]);
+    EXPECT_EQ(pending[i].value, values[i]);
+    if (i > 0) {
+      EXPECT_LT(pending[i - 1].op_id, pending[i].op_id);
+      EXPECT_LT(pending[i - 1].invoked, pending[i].invoked);
+    }
+  }
+
+  // Responding the R0 write drops it and keeps the others in order.
+  sched.apply(Action::respond(1, pending[1].op_id,
+                              sched.choices_for(pending[1].op_id).front()));
+  ASSERT_EQ(sched.pending_ops().size(), 2u);
+  EXPECT_EQ(sched.pending_ops()[0].op_id, pending[0].op_id);
+  EXPECT_EQ(sched.pending_ops()[1].op_id, pending[2].op_id);
+  EXPECT_THROW((void)sched.choices_for(pending[1].op_id),
+               util::InvariantViolation);
+
+  // The next invocation appends after every op still pending.
+  sched.apply(Action::step(1));  // write(R0, 11)
+  ASSERT_EQ(sched.pending_ops().size(), 3u);
+  EXPECT_EQ(sched.pending_ops()[2].process, 1);
+  EXPECT_EQ(sched.pending_ops()[2].reg, 0);
+  EXPECT_EQ(sched.pending_ops()[2].value, 11);
+  EXPECT_GT(sched.pending_ops()[2].op_id, pending[2].op_id);
+}
+
+/// A linearizable register that counts its menu computations.
+class CountingModel final : public RegisterModel {
+ public:
+  explicit CountingModel(int* calls)
+      : inner_(make_linearizable_model(0)), calls_(calls) {}
+
+  void set_initial(Value v) override { inner_->set_initial(v); }
+  std::optional<Value> on_invoke(int op_id, ProcessId p, OpKind kind,
+                                 Value value, Time now) override {
+    return inner_->on_invoke(op_id, p, kind, value, now);
+  }
+  std::vector<ResponseChoice> response_choices(int op_id, Time now) override {
+    ++*calls_;
+    return inner_->response_choices(op_id, now);
+  }
+  Value on_respond(int op_id, const ResponseChoice& choice,
+                   Time now) override {
+    return inner_->on_respond(op_id, choice, now);
+  }
+  [[nodiscard]] std::string describe() const override {
+    return inner_->describe();
+  }
+  void maybe_collapse() override { inner_->maybe_collapse(); }
+
+ private:
+  std::unique_ptr<RegisterModel> inner_;
+  int* calls_;
+};
+
+TEST(Scheduler, MenusAreComputedOncePerRegisterState) {
+  int calls = 0;
+  Scheduler sched(1);
+  sched.add_register(0, std::make_unique<CountingModel>(&calls), 0);
+  sched.add_register(1, Semantics::kLinearizable, 0);
+  sched.add_process("r", [](Proc& p) { return read_once(p, 0); });
+  sched.add_process("w0", [](Proc& p) { return write_two(p, 0, 10, 11); });
+  sched.add_process("w1", [](Proc& p) { return write_two(p, 1, 20, 21); });
+  sched.apply(Action::step(0));  // read(R0) pending
+  const int read_op = sched.pending_ops()[0].op_id;
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(sched.choices_for(read_op).size(), 1u);
+  }
+  (void)sched.enabled_actions();
+  EXPECT_EQ(calls, 1);
+
+  // Actions on another register leave R0's menu cached.
+  sched.apply(Action::step(2));  // write(R1, 20) invoked
+  const int other_op = sched.pending_ops()[1].op_id;
+  sched.apply(Action::respond(2, other_op,
+                              sched.choices_for(other_op).front()));
+  (void)sched.enabled_actions();
+  EXPECT_EQ(sched.choices_for(read_op).size(), 1u);
+  EXPECT_EQ(calls, 1);
+
+  // An invocation on R0 recomputes its menu once.
+  sched.apply(Action::step(1));  // write(R0, 10) invoked
+  EXPECT_EQ(sched.choices_for(read_op).size(), 2u);  // 0 or 10
+  EXPECT_EQ(sched.choices_for(read_op).size(), 2u);
+  EXPECT_EQ(calls, 2);
+
+  // So does a response on R0 (the write's own menu is a third call).
+  const int write_op = sched.pending_ops()[1].op_id;
+  sched.apply(Action::respond(1, write_op,
+                              sched.choices_for(write_op).front()));
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(sched.choices_for(read_op).size(), 2u);
+  (void)sched.enabled_actions();
+  EXPECT_EQ(calls, 4);
+}
+
+/// The reference draw for RandomAdversary: copy the menu, erase the
+/// stalled processes' actions, index by one uniform draw.
+class ReferenceRandomAdversary final : public Adversary {
+ public:
+  ReferenceRandomAdversary(std::uint64_t seed, std::vector<ProcessId> stalled)
+      : stalled_(std::move(stalled)), rng_(seed) {}
+
+  std::optional<Action> choose(Scheduler& sched) override {
+    std::vector<Action> actions = sched.enabled_actions();
+    std::erase_if(actions, [this](const Action& a) {
+      return is_stalled(stalled_, a.process);
+    });
+    if (actions.empty()) return std::nullopt;
+    return actions[rng_.uniform(actions.size())];
+  }
+
+ private:
+  std::vector<ProcessId> stalled_;
+  util::Rng rng_;
+};
+
+/// Logs every action another adversary chooses.
+class LoggingAdversary final : public Adversary {
+ public:
+  explicit LoggingAdversary(Adversary& inner) : inner_(&inner) {}
+
+  std::optional<Action> choose(Scheduler& sched) override {
+    std::optional<Action> a = inner_->choose(sched);
+    if (a.has_value()) {
+      std::ostringstream os;
+      os << (a->kind == Action::Kind::kStep ? "step p" : "respond p")
+         << a->process << " op" << a->op_id << " v" << a->choice.value;
+      log.push_back(os.str());
+    }
+    return a;
+  }
+
+  std::vector<std::string> log;
+
+ private:
+  Adversary* inner_;
+};
+
+TEST(RandomAdversary, StalledDrawsMatchTheCopyEraseIndexReference) {
+  const auto run = [](Semantics sem, std::uint64_t seed,
+                      const std::vector<ProcessId>& stalled, bool reference) {
+    Scheduler sched(seed);
+    sched.add_register(0, sem, 0);
+    Value v1 = 0;
+    Value v2 = 0;
+    sched.add_process("w1", [](Proc& p) { return write_two(p, 0, 10, 11); });
+    sched.add_process("w2", [](Proc& p) { return write_two(p, 0, 20, 21); });
+    sched.add_process("r", [&](Proc& p) { return read_two(p, 0, &v1, &v2); });
+    // w2 invokes before the adversary starts, so on interval registers
+    // its response choices sit mid-menu when it is stalled.
+    sched.apply(Action::step(1));
+    RandomAdversary random(seed * 7919, stalled);
+    ReferenceRandomAdversary ref(seed * 7919, stalled);
+    LoggingAdversary logged(reference ? static_cast<Adversary&>(ref)
+                                      : static_cast<Adversary&>(random));
+    const RunOutcome outcome = sched.run(logged);
+    logged.log.push_back(to_string(outcome));
+    logged.log.push_back(sched.global_history().to_string());
+    return logged.log;
+  };
+  for (const Semantics sem : {Semantics::kAtomic, Semantics::kLinearizable}) {
+    for (const std::vector<ProcessId>& stalled :
+         {std::vector<ProcessId>{}, std::vector<ProcessId>{1},
+          std::vector<ProcessId>{0, 2}}) {
+      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << to_string(sem) << " seed " << seed << " stalled "
+                     << stalled.size());
+        const std::vector<std::string> got = run(sem, seed, stalled, false);
+        EXPECT_GT(got.size(), 2u);
+        EXPECT_EQ(got, run(sem, seed, stalled, true));
+      }
+    }
+  }
 }
 
 }  // namespace
