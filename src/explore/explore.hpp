@@ -171,7 +171,7 @@ struct ExploreOptions {
   std::uint64_t shrink_budget = 4096;
   std::uint64_t max_actions_per_run = 2'000'000;
   int threads = 1;
-  /// Instances per pool task (instances are heavy; default 1).
+  /// Instances a worker claims at once (instances are heavy; default 1).
   int batch_size = 1;
   /// Which slice of the instance list this process runs (see
   /// sweep/shard.hpp); an execution knob, not config.
@@ -252,7 +252,7 @@ class ExploreFold {
   std::uint64_t index_ = 0;  ///< Global enumeration index of the next add.
 };
 
-/// Runs the search on `o.threads` pool workers.  When `sink` is
+/// Runs the search on `o.threads` worker threads.  When `sink` is
 /// non-null, one canonical record per instance — including the encoded
 /// best trace, replayable via replay_trace / sweep_main --replay — is
 /// appended in enumeration order, exactly once, one call at a time —

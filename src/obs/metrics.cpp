@@ -45,7 +45,6 @@ constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
     {"explore.shrink_probes", true},
     {"explore.steps", true},
     {"explore.shrink_repeats", true},
-    {"pool.steals", false},
     {"pool.tasks", false},
     {"sweep.stamped", false},
 }};
@@ -91,7 +90,7 @@ thread_local Shard* t_shard = nullptr;
 
 namespace {
 // The registry owns the shards so their data survives thread exit (the
-// pool's workers die when a sweep returns; dumps read their shards after).
+// engine's workers die when a sweep returns; dumps read their shards after).
 std::mutex g_mutex;
 std::vector<std::unique_ptr<Shard>>& shard_list() {
   static std::vector<std::unique_ptr<Shard>> shards;

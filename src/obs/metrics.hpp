@@ -16,8 +16,8 @@
 //    `SweepFold`'s digest.
 //  * **Stable vs runtime split.**  Metrics that count deterministic
 //    per-scenario work (solver calls, prune hits, messages, …) are
-//    flagged `stable`; metrics that measure the execution itself (pool
-//    steals, task latency) are not.  Thread-invariance tests and
+//    flagged `stable`; metrics that measure the execution itself (batch
+//    counts, task latency, stamping) are not.  Thread-invariance tests and
 //    `tools/metrics_report.py` diffs key on the stable section.
 //  * **Observability, not digest material.**  Nothing here ever feeds a
 //    digest or a store record's digested fields (the PR 7 precedent).
@@ -74,8 +74,7 @@ enum class Counter : int {
   kExploreSteps,
   kExploreShrinkRepeats,  // shrink candidates answered without a replay
   // Runtime (execution-dependent; excluded from stability assertions).
-  kPoolSteals,
-  kPoolTasks,
+  kPoolTasks,     // batches the engine's workers ran
   kSweepStamped,  // scenarios stamped from their config's template
   kCount_,
 };
@@ -92,7 +91,7 @@ enum class Hist : int {
   kScenarioOps,        // ops recorded per scenario
   kStreamPeakLive,     // per-scenario peak live ops (online runs)
   // Runtime.
-  kPoolTaskNs,         // wall time per pool task (batch)
+  kPoolTaskNs,         // wall time per batch a worker ran
   kCount_,
 };
 

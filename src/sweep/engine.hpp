@@ -1,13 +1,12 @@
 // The one engine loop behind run_sweep, run_term_sweep and run_explore.
 //
 // A sweep is a stream.  A Cursor yields this shard's scenarios in global-
-// index (gi) order; the calling thread hands them to a WorkStealingPool a
-// batch at a time; each worker runs its scenarios and renders their keys,
-// store records and trace spans; and the calling thread folds the results
-// back in enumeration order through a bounded reorder window.  Nothing
-// ever holds every scenario or every result, so memory is O(window), not
-// O(scenarios), and the ordered fold and the sink appends overlap the
-// pool.
+// index (gi) order; `threads` workers claim them from it a batch at a
+// time, run them, and render their keys, store records and trace spans;
+// and the calling thread folds the results back in enumeration order
+// through a bounded reorder window.  Nothing ever holds every scenario or
+// every result, so memory is O(window), not O(scenarios), and the ordered
+// fold and the sink appends overlap the workers.
 //
 // The determinism contract lives here, once: a scenario's outputs are a
 // pure function of the scenario, and every sink sees them in enumeration
@@ -59,7 +58,7 @@
 //                             the config's later seeds (Result then has
 //                             `check_ns`, and span must read only r)
 //
-// run/progress_class/record/span/artifact run on pool workers
+// run/progress_class/record/span/artifact run on the workers
 // concurrently and must not touch mutable mode state; fold and finish run
 // on the calling thread only.
 #pragma once
@@ -78,13 +77,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
-#include "sweep/pool.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/store.hpp"
 #include "util/assert.hpp"
@@ -98,7 +97,6 @@ struct EngineStats {
   std::uint64_t wall_ns_total = 0;  ///< Sum over scenarios (cpu-ish time).
   std::uint64_t wall_ns_max = 0;    ///< Slowest single scenario.
   std::uint64_t elapsed_ns = 0;     ///< End-to-end engine wall clock.
-  std::uint64_t steals = 0;         ///< Pool steal count (scheduling info).
   std::uint64_t stamped = 0;        ///< Scenarios stamped, not run.
 };
 
@@ -356,7 +354,6 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   };
 
   // Worker side: run one scenario, then render what the fold needs.
-  std::atomic<std::uint64_t> completed{0};
   const auto run_one = [&](Indexed<Item>& in) {
     Slot s;
     s.gi = in.gi;
@@ -395,11 +392,6 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
       delta -= before;
     }
     if (meter) meter->tick(mode.progress_class(s.item, s.result));
-    const std::uint64_t done =
-        completed.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (progress_every > 0 && done % progress_every == 0) {
-      std::cerr << "[" << Mode::kKind << "] " << done << " scenarios done\n";
-    }
     // Rendering stays outside the bracket: span deltas are the
     // scenario's own work only.
     s.key = s.item.key();
@@ -424,8 +416,9 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   };
 
   // Calling-thread side: the deterministic fold, in enumeration order.
+  // `folded` counts the scenarios folded so far, this one included.
   EngineStats stats;
-  const auto consume = [&](Slot& s) {
+  const auto consume = [&](Slot& s, std::uint64_t folded) {
     stats.wall_ns_total += s.result.wall_ns;
     stats.wall_ns_max = std::max(stats.wall_ns_max, s.result.wall_ns);
     stats.stamped += s.stamp != nullptr ? 1 : 0;
@@ -438,14 +431,18 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
       s.span.append(s.stamp->span);
     }
     if (tracing) hooks->trace->append(s.span);
+    if (progress_every > 0 && folded % progress_every == 0) {
+      std::cerr << "[" << Mode::kKind << "] " << folded
+                << " scenarios done\n";
+    }
   };
 
   // Shared with the workers, guarded by `mu`: finished scenarios wait in
-  // `ring` (position p at p % window) until the fold reaches them.  The
-  // calling thread hands out whole batches while the window has room —
-  // never more than `window` positions ahead of the fold — so a slow
-  // fold never starves the workers of queued work, and a slow scenario
-  // at the head never stops the others short of a full window.
+  // `ring` (position p at p % window) until the fold reaches them.  A
+  // worker claims the next whole batch from the cursor once it fits the
+  // window — never more than `window` positions ahead of the fold — so a
+  // slow scenario at the head never stops the others short of a full
+  // window.
   const int threads = std::max(1, o.threads);
   const std::uint64_t window = std::min<std::uint64_t>(
       window_size(threads, o.batch_size), std::max<std::uint64_t>(owned, 1));
@@ -453,85 +450,113 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
       static_cast<std::uint64_t>(std::max(1, o.batch_size)), window);
   std::vector<std::optional<Slot>> ring(window);
   std::mutex mu;
-  std::condition_variable cv;
+  std::condition_variable landed;  // the fold waits for ring[head]
+  std::condition_variable room;    // workers wait for the window
   std::exception_ptr failure;
-  std::uint64_t head = 0;  // next position to fold; written under `mu`
-  std::atomic<bool> stop{false};
-
-  // One pool task: the batch of positions [first, first + claimed.size()).
-  const auto run_batch = [&](std::vector<Indexed<Item>>& claimed,
-                             std::uint64_t first) {
-    const bool timing = obs::enabled();
-    const auto t_task = std::chrono::steady_clock::now();
-    std::vector<Slot> done;
-    done.reserve(claimed.size());
-    std::exception_ptr error;
-    try {
-      for (Indexed<Item>& in : claimed) {
-        if (stop.load(std::memory_order_relaxed)) break;
-        done.push_back(run_one(in));
-      }
-    } catch (...) {
-      error = std::current_exception();
-      stop.store(true);
-    }
-    if (timing) {
-      obs::count(obs::Counter::kPoolTasks);
-      obs::hist(obs::Hist::kPoolTaskNs, detail::ns_since(t_task));
-    }
-    bool wake = false;
-    {
-      const std::lock_guard<std::mutex> guard(mu);
-      for (std::size_t k = 0; k < done.size(); ++k) {
-        ring[(first + k) % window] = std::move(done[k]);
-      }
-      if (error && !failure) failure = error;
-      // The fold waits only ever for the head.
-      wake = failure || (first <= head && head < first + done.size());
-    }
-    if (wake) cv.notify_one();
+  std::uint64_t head = 0;  // next position to fold
+  std::uint64_t next = 0;  // next position to claim
+  int waiting = 0;         // workers waiting on `room`
+  std::atomic<bool> stop{false};  // set under `mu`, read per scenario
+  const auto fits = [&] {
+    return next + std::min(batch, owned - next) - head <= window;
   };
 
-  {
-    WorkStealingPool pool(threads);
+  // One worker.  Each pass through `mu` parks its last batch's results
+  // in the ring and claims the next batch, which it then runs unlocked.
+  // A throw anywhere stops the sweep: the first becomes `failure`, which
+  // the fold rethrows.
+  const auto work = [&] {
     try {
-      std::uint64_t next = 0;  // next position to hand out
-      while (head < owned) {
-        const std::uint64_t n = std::min(batch, owned - next);
-        if (n > 0 && next + n - head <= window) {
-          std::vector<Indexed<Item>> claimed;
-          claimed.reserve(n);
-          for (std::uint64_t k = 0; k < n; ++k) {
-            std::optional<Indexed<Item>> s = cursor.next();
-            RLT_CHECK(s.has_value());
-            claimed.push_back(std::move(*s));
-          }
-          pool.submit([&run_batch, claimed = std::move(claimed),
-                       first = next]() mutable { run_batch(claimed, first); });
-          next += n;
-          continue;
+      std::vector<Indexed<Item>> claimed;
+      std::vector<Slot> done;
+      claimed.reserve(batch);
+      done.reserve(batch);
+      std::uint64_t first = 0;  // the position of claimed[0]
+      const auto ready = [&] { return stop || next == owned || fits(); };
+      std::unique_lock<std::mutex> lock(mu);
+      for (;;) {
+        for (std::size_t k = 0; k < done.size(); ++k) {
+          ring[(first + k) % window] = std::move(done[k]);
         }
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] {
-          return failure || ring[head % window].has_value();
-        });
-        if (failure) std::rethrow_exception(failure);
-        Slot s = std::move(*ring[head % window]);
-        ring[head % window].reset();
-        ++head;
+        // The fold waits only ever for the head.
+        bool wake = first <= head && head < first + done.size();
+        done.clear();
+        if (!ready()) {
+          if (wake) landed.notify_one();
+          wake = false;
+          ++waiting;
+          room.wait(lock, ready);
+          --waiting;
+        }
+        const std::uint64_t n = stop ? 0 : std::min(batch, owned - next);
+        first = next;
+        claimed.clear();
+        for (std::uint64_t k = 0; k < n; ++k) {
+          std::optional<Indexed<Item>> s = cursor.next();
+          RLT_CHECK(s.has_value());
+          claimed.push_back(std::move(*s));
+        }
+        next += n;
         lock.unlock();
-        consume(s);
+        if (wake) landed.notify_one();
+        if (n == 0) return;
+        const bool timing = obs::enabled();
+        const auto t_batch = std::chrono::steady_clock::now();
+        for (Indexed<Item>& in : claimed) {
+          if (stop.load(std::memory_order_relaxed)) break;
+          done.push_back(run_one(in));
+        }
+        if (timing) {
+          obs::count(obs::Counter::kPoolTasks);
+          obs::hist(obs::Hist::kPoolTaskNs, detail::ns_since(t_batch));
+        }
+        lock.lock();
       }
-      stats.steals = pool.steals();
     } catch (...) {
-      // ~pool drains the in-flight tasks, which see `stop` and skip
-      // their remaining scenarios, and joins every worker before the
-      // exception leaves this scope.
-      stop.store(true);
-      throw;
+      {
+        const std::lock_guard<std::mutex> guard(mu);
+        if (!failure) failure = std::current_exception();
+        stop = true;
+      }
+      room.notify_all();
+      landed.notify_one();
     }
+  };
+
+  std::vector<std::thread> workers;
+  // Stops the workers, which finish their current scenario at most, and
+  // joins them: on every way out of the fold.
+  const auto join = [&] {
+    {
+      const std::lock_guard<std::mutex> guard(mu);
+      stop = true;
+    }
+    room.notify_all();
+    for (std::thread& w : workers) w.join();
+  };
+  try {
+    workers.reserve(static_cast<std::size_t>(threads));
+    for (int i = 0; i < threads; ++i) workers.emplace_back(work);
+    while (head < owned) {
+      std::unique_lock<std::mutex> lock(mu);
+      landed.wait(lock, [&] {
+        return failure || ring[head % window].has_value();
+      });
+      if (failure) std::rethrow_exception(failure);
+      Slot s = std::move(*ring[head % window]);
+      ring[head % window].reset();
+      ++head;
+      // Only a fold makes room.
+      const bool wake = waiting > 0 && next < owned && fits();
+      lock.unlock();
+      if (wake) room.notify_one();
+      consume(s, head);
+    }
+  } catch (...) {
+    join();
+    throw;
   }
-  obs::count(obs::Counter::kPoolSteals, stats.steals);
+  join();
   obs::count(obs::Counter::kSweepStamped, stats.stamped);
   obs::gauge_max(obs::Gauge::kPoolThreads,
                  static_cast<std::uint64_t>(threads));

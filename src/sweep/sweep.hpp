@@ -56,12 +56,12 @@ struct SweepOptions {
   int writes_per_process = 2;
   std::uint64_t max_actions_per_scenario = 1'000'000;
   int threads = 1;
-  /// Scenarios per pool task.  Batching amortizes submit/wakeup overhead
-  /// (one lock + condition-variable signal per task) across a run of
-  /// consecutive scenario indices; results are still folded per scenario
-  /// in index order, so the digest is independent of this knob.  1 = one
-  /// task per scenario; a batch larger than the engine's reorder window
-  /// is split.
+  /// Scenarios a worker claims at once.  Batching amortizes the claim
+  /// (one pass through the engine's lock, which also parks the last
+  /// batch's results) across a run of consecutive scenario indices;
+  /// results are still folded per scenario in index order, so the digest
+  /// is independent of this knob.  1 = one claim per scenario; a batch
+  /// larger than the engine's reorder window is split.
   int batch_size = 16;
   /// Streaming cross-check: every checkable history is also replayed
   /// through the online checker, and any batch/online split reports as
@@ -176,8 +176,8 @@ class SweepFold {
   SweepSummary sum_;
 };
 
-/// Runs the sweep on `o.threads` pool workers.  `progress_every` > 0
-/// prints a line to stderr every that-many completed scenarios.  When
+/// Runs the sweep on `o.threads` worker threads.  `progress_every` > 0
+/// prints a line to stderr every that-many folded scenarios.  When
 /// `sink` is non-null, one canonical record per scenario is appended in
 /// enumeration order, exactly once, one call at a time — possibly while
 /// later scenarios are still running — so the store's bytes, like the

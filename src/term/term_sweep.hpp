@@ -38,7 +38,8 @@ struct TermSweepOptions {
   std::uint64_t seed_end = 10;   ///< Exclusive.
   std::uint64_t max_actions_per_scenario = 2'000'000;
   int threads = 1;
-  /// Scenarios per pool task (digest-independent; see SweepOptions).
+  /// Scenarios a worker claims at once (digest-independent; see
+  /// SweepOptions).
   int batch_size = 16;
   /// Which slice of the cross-product this process runs (see
   /// sweep/shard.hpp); an execution knob, not config.
@@ -165,8 +166,8 @@ class TermFold {
   std::vector<bool> family_present_;
 };
 
-/// Runs the sweep on `o.threads` pool workers.  `progress_every` > 0
-/// prints a line to stderr every that-many completed scenarios.  When
+/// Runs the sweep on `o.threads` worker threads.  `progress_every` > 0
+/// prints a line to stderr every that-many folded scenarios.  When
 /// `sink` is non-null, one canonical record per scenario is appended in
 /// enumeration order, exactly once, one call at a time — possibly while
 /// later scenarios are still running (byte-stable across thread counts

@@ -5,12 +5,15 @@
 // later scenarios have not run yet, a batch larger than the reorder
 // window changes no byte, a throwing sink surfaces on the calling thread
 // with every worker stopped, and every mode fills the same engine stats.
+// One more test throws from the workers instead of the sink.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +25,7 @@
 #include "sweep/store.hpp"
 #include "sweep/sweep.hpp"
 #include "term/term_sweep.hpp"
+#include "util/assert.hpp"
 
 namespace rlt::sweep {
 namespace {
@@ -215,6 +219,36 @@ TEST_P(Engine, EveryModeReportsTheSameEngineStats) {
   EXPECT_GT(run.engine.wall_ns_max, 0u);
   EXPECT_LE(run.engine.wall_ns_max, run.engine.wall_ns_total);
   EXPECT_GT(run.engine.elapsed_ns, 0u);
+}
+
+TEST(EngineWorkers, ThrowRethrowsOnTheCallerAndARerunCompletes) {
+  // A forensics directory under a regular file cannot be written to, so
+  // every blocked scenario's artifact throws on the worker that ran it.
+  std::string file =
+      (std::filesystem::temp_directory_path() / "engine_test_XXXXXX")
+          .string();
+  const int fd = mkstemp(file.data());
+  ASSERT_GE(fd, 0);
+  close(fd);
+  SweepOptions o;
+  o.faults = {FaultKind::kStall};
+  o.seed_end = 20;
+  o.threads = 4;
+  o.forensics = true;
+  obs::Hooks hooks;
+  hooks.forensics_dir = file + "/forensics";
+  StringSink failed;
+  EXPECT_THROW((void)run_sweep(o, 0, &failed, &hooks),
+               util::InvariantViolation);
+  // gi 0 is blocked, so its result never reached the fold.
+  EXPECT_TRUE(failed.text().empty());
+  // Every worker was joined: the engine runs again at once.
+  StringSink ok;
+  const SweepSummary again = run_sweep(o, 0, &ok);
+  EXPECT_EQ(again.scenarios, 240u);
+  EXPECT_EQ(again.blocked, 200u);
+  EXPECT_FALSE(ok.text().empty());
+  std::filesystem::remove(file);
 }
 
 TEST(Cursor, YieldsTheShardsScenariosInGlobalIndexOrder) {

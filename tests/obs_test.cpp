@@ -97,12 +97,12 @@ TEST_F(ObsTest, CounterDeltaSubtractsPerScenarioWork) {
 TEST_F(ObsTest, AppendStableDeltasSkipsZerosAndRuntimeCounters) {
   CounterDelta d;
   d.v[static_cast<std::size_t>(Counter::kCheckerSolverCalls)] = 2;
-  d.v[static_cast<std::size_t>(Counter::kPoolSteals)] = 99;  // runtime
+  d.v[static_cast<std::size_t>(Counter::kPoolTasks)] = 99;  // runtime
   sweep::Record r;
   append_stable_deltas(d, r);
   const std::string json = r.json();
   EXPECT_NE(json.find("\"checker.solver_calls\":2"), std::string::npos);
-  EXPECT_EQ(json.find("pool.steals"), std::string::npos);
+  EXPECT_EQ(json.find("pool.tasks"), std::string::npos);
   EXPECT_EQ(json.find("checker.dfs_nodes"), std::string::npos);
 }
 
@@ -250,7 +250,7 @@ TEST_F(ObsTest, DumpEmitsEveryScalarInEnumOrder) {
   EXPECT_NE(t.find("\"name\":\"term.coin_flips\",\"value\":0"),
             std::string::npos);
   // …and the runtime section is flagged.
-  EXPECT_NE(t.find("\"name\":\"pool.steals\",\"value\":0,\"stable\":false"),
+  EXPECT_NE(t.find("\"name\":\"pool.tasks\",\"value\":0,\"stable\":false"),
             std::string::npos);
 }
 

@@ -211,31 +211,53 @@ void expect_merge_identity(const Options& base, std::uint32_t shards,
 }
 
 TEST(ShardMerge, ReconstructsUnshardedSafetyStore) {
+  const auto run = [](const SweepOptions& opts, RecordSink* sink) {
+    return run_sweep(opts, 0, sink);
+  };
   SweepOptions o;
   o.seed_begin = 0;
   o.seed_end = 4;
   o.threads = 2;
-  expect_merge_identity(o, 3, "safety",
-                        [](const SweepOptions& opts, RecordSink* sink) {
-                          return run_sweep(opts, 0, sink);
-                        });
+  expect_merge_identity(o, 3, "safety", run);
+  // Empty shards and idle workers: 3 scenarios in 8 shards, 8 threads.
+  SweepOptions tiny;
+  tiny.algorithms = {Algorithm::kModeled};
+  tiny.semantics = {sim::Semantics::kAtomic};
+  tiny.adversaries = {AdversaryKind::kRoundRobin};
+  tiny.process_counts = {2};
+  tiny.seed_end = 3;
+  tiny.threads = 8;
+  expect_merge_identity(tiny, 8, "safety", run);
 }
 
 TEST(ShardMerge, ReconstructsUnshardedTermStore) {
   // Includes the per-family "term-hist" records: shards persist partial
   // histograms, the merge recomputes the global ones.
+  const auto run = [](const term::TermSweepOptions& opts,
+                      RecordSink* sink) {
+    return run_term_sweep(opts, 0, sink);
+  };
   term::TermSweepOptions o;
   o.seed_begin = 0;
   o.seed_end = 4;
   o.threads = 2;
-  expect_merge_identity(o, 4, "term",
-                        [](const term::TermSweepOptions& opts,
-                           RecordSink* sink) {
-                          return run_term_sweep(opts, 0, sink);
-                        });
+  expect_merge_identity(o, 4, "term", run);
+  // Empty shards and idle workers: 3 scenarios in 8 shards, 8 threads.
+  term::TermSweepOptions tiny;
+  tiny.families = {term::Family::kSharedCoin};
+  tiny.adversaries = {term::TermAdversary::kRandom};
+  tiny.process_counts = {2};
+  tiny.round_budgets = {4};
+  tiny.seed_end = 3;
+  tiny.threads = 8;
+  expect_merge_identity(tiny, 8, "term", run);
 }
 
 TEST(ShardMerge, ReconstructsUnshardedExploreStore) {
+  const auto run = [](const explore::ExploreOptions& opts,
+                      RecordSink* sink) {
+    return run_explore(opts, 0, sink);
+  };
   explore::ExploreOptions o;
   o.seed_begin = 0;
   o.seed_end = 4;
@@ -243,11 +265,12 @@ TEST(ShardMerge, ReconstructsUnshardedExploreStore) {
   o.shrink_budget = 64;
   o.round_budgets = {6};
   o.threads = 2;
-  expect_merge_identity(o, 3, "explore",
-                        [](const explore::ExploreOptions& opts,
-                           RecordSink* sink) {
-                          return run_explore(opts, 0, sink);
-                        });
+  expect_merge_identity(o, 3, "explore", run);
+  // Empty shards and idle workers: 3 instances in 8 shards, 8 threads.
+  explore::ExploreOptions tiny = o;
+  tiny.seed_end = 3;
+  tiny.threads = 8;
+  expect_merge_identity(tiny, 8, "explore", run);
 }
 
 TEST(ShardMerge, ComposesTruncatedFailureMarker) {

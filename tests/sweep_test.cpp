@@ -1,18 +1,15 @@
-// Tests for the parallel scenario-sweep engine (src/sweep/): the
-// work-stealing pool, single-scenario determinism, the crash and stall
-// fault axes and their verdict taxonomy (blocked vs violation vs
-// error), the sweep-level digest guarantees (same options =>
-// byte-identical summary, regardless of thread count — with or without
-// faults), and stamping (a seed range equals its single-seed sweeps).
+// Tests for the parallel scenario-sweep engine (src/sweep/):
+// single-scenario determinism, the crash and stall fault axes and their
+// verdict taxonomy (blocked vs violation vs error), the sweep-level
+// digest guarantees (same options => byte-identical summary, regardless
+// of thread count — with or without faults), and stamping (a seed range
+// equals its single-seed sweeps).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <optional>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "explore/explore.hpp"
@@ -20,7 +17,6 @@
 #include "mp/network.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
-#include "sweep/pool.hpp"
 #include "sweep/scenario.hpp"
 #include "sweep/store.hpp"
 #include "sweep/sweep.hpp"
@@ -29,91 +25,6 @@
 
 namespace rlt::sweep {
 namespace {
-
-// ---------- work-stealing pool ----------
-
-TEST(Pool, RunsEveryTask) {
-  WorkStealingPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(Pool, TasksMaySubmitTasks) {
-  WorkStealingPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&pool, &count] {
-      count.fetch_add(1);
-      for (int j = 0; j < 4; ++j) {
-        pool.submit([&count] { count.fetch_add(1); });
-      }
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 8 + 8 * 4);
-}
-
-TEST(Pool, WaitIdleIsReusable) {
-  WorkStealingPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(Pool, SingleThreadPoolStillCompletes) {
-  WorkStealingPool pool(1);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(pool.steals(), 0u);  // nobody to steal from
-}
-
-TEST(Pool, StealsWhenAWorkerIsBusy) {
-  // Occupy worker 0 with a task that spins until four later tasks have
-  // run, then submit those four: round-robin places T1,T3 on worker 1
-  // and T2,T4 on (busy) worker 0, so worker 1 can only finish the batch
-  // — and release worker 0 — by stealing T2 and T4 from worker 0's queue.
-  WorkStealingPool pool(2);
-  std::atomic<bool> t0_running{false};
-  std::atomic<int> others_done{0};
-  pool.submit([&t0_running, &others_done] {  // T0 -> worker 0
-    t0_running.store(true);
-    while (others_done.load() < 4) std::this_thread::yield();
-  });
-  while (!t0_running.load()) std::this_thread::yield();
-  for (int i = 0; i < 4; ++i) {  // T1..T4
-    pool.submit([&others_done] { others_done.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(others_done.load(), 4);
-  EXPECT_GE(pool.steals(), 2u);
-}
-
-TEST(Pool, TaskExceptionSurfacesInWaitIdle) {
-  WorkStealingPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(count.load(), 10);  // the throwing task killed nothing else
-  // The exception was consumed; the pool remains usable.
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 11);
-}
 
 // ---------- scenario enumeration ----------
 

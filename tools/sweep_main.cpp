@@ -159,9 +159,10 @@ using rlt::term::TermSweepOptions;
       "                      rounds)\n"
       "  --seeds A:B         seed range, A inclusive, B exclusive, A < B "
       "(default: 0:10)\n"
-      "  --threads N         pool worker threads (default: 1)\n"
-      "  --batch N           scenarios per pool task (default: 16; the\n"
-      "                      digest does not depend on this)\n"
+      "  --threads N         worker threads (default: 1)\n"
+      "  --batch N           scenarios a worker claims at once (default:\n"
+      "                      16, or 1 with --explore; the digest does not\n"
+      "                      depend on this)\n"
       "  --max-actions N     per-scenario action budget (default: 1000000,\n"
       "                      or 2000000 with --term and --explore)\n"
       "  --out PATH          write one canonical JSONL record per scenario\n"
@@ -176,7 +177,8 @@ using rlt::term::TermSweepOptions;
       "                      unsharded store and digest byte-for-byte\n"
       "                      (tools/sweep_shard.py runs the whole fabric as\n"
       "                      one command)\n"
-      "  --progress N        progress line every N scenarios (default: off)\n"
+      "  --progress N        progress line to stderr every N folded\n"
+      "                      scenarios, in order (default: off)\n"
       "  --list              print the scenario keys and exit; takes the\n"
       "                      mode flags, the axes, --processes, --seeds\n"
       "                      and --shard, and exits 2 with --out,\n"
@@ -753,7 +755,6 @@ int run_mode(Cli& c, const char* mode, const Options& o, Enumerate enumerate,
             << "\n"
             << "scenario_ms_max " << engine.wall_ns_max / 1'000'000 << "\n"
             << "threads " << o.threads << "\n"
-            << "steals " << engine.steals << "\n"
             << "stamped " << engine.stamped << "\n"
             << "peak_rss_mb " << std::fixed << std::setprecision(1)
             << peak_rss_mb() << "\n";
