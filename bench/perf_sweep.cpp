@@ -26,14 +26,12 @@ namespace {
 
 using namespace rlt;
 
-sweep::SweepOptions base_options(std::uint64_t seeds, int threads,
-                                 int batch) {
+sweep::SweepOptions base_options(std::uint64_t seeds, int threads) {
   sweep::SweepOptions o;
   o.seed_begin = 0;
   o.seed_end = seeds;
   o.process_counts = {3};
   o.threads = threads;
-  o.batch_size = batch;
   return o;
 }
 
@@ -58,27 +56,16 @@ void run_sweep_bench(benchmark::State& state, const sweep::SweepOptions& o) {
 void BM_SweepAllAxes(benchmark::State& state) {
   run_sweep_bench(state,
                   base_options(static_cast<std::uint64_t>(state.range(0)),
-                               /*threads=*/1, /*batch=*/16));
+                               /*threads=*/1));
 }
 BENCHMARK(BM_SweepAllAxes)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
 
 /// Thread scaling at a fixed cross-product.
 void BM_SweepThreads(benchmark::State& state) {
-  run_sweep_bench(state,
-                  base_options(/*seeds=*/25,
-                               static_cast<int>(state.range(0)),
-                               /*batch=*/16));
+  run_sweep_bench(state, base_options(/*seeds=*/25,
+                                      static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_SweepThreads)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
-
-/// Submit-overhead shape: one task per scenario vs batched tasks.
-void BM_SweepBatch(benchmark::State& state) {
-  run_sweep_bench(state,
-                  base_options(/*seeds=*/25, /*threads=*/2,
-                               static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_SweepBatch)->Arg(1)->Arg(16)->Arg(64)->Unit(
     benchmark::kMillisecond);
 
 /// Distributed-sweep shape at the same cross-product as BM_SweepThreads:
@@ -100,8 +87,7 @@ void BM_SweepSharded(benchmark::State& state) {
       const pid_t pid = ::fork();
       RLT_CHECK(pid >= 0);
       if (pid == 0) {
-        sweep::SweepOptions o = base_options(/*seeds=*/25, /*threads=*/1,
-                                             /*batch=*/16);
+        sweep::SweepOptions o = base_options(/*seeds=*/25, /*threads=*/1);
         o.shard = sweep::ShardSpec{i, shards};
         sweep::JsonlFileSink sink(paths.back());
         (void)sweep::run_sweep(o, 0, &sink);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <memory>
 #include <sstream>
 
@@ -412,13 +413,13 @@ void ExploreFold::add(const std::string& key, const ExploreOutcome& r) {
   if (r.shrunk) ++sum_.shrunk_traces;
   if (r.error) ++sum_.errors;
   sum_.total_steps += r.total_steps;
-  if (!r.error && r.best_score > sum_.best_score) {
+  // Ties keep the earlier instance, and an all-zero exploration names
+  // its first non-error instance: best_key is "n/a" only when every
+  // instance errored.
+  if (!r.error && (r.best_score > sum_.best_score || sum_.best_key.empty())) {
     sum_.best_score = r.best_score;
     sum_.best_key = key;
   }
-  // First-instance tie-break: an all-zero exploration still names the
-  // first non-error instance, so best_key is never "n/a" spuriously.
-  if (sum_.best_key.empty() && !r.error && index_ == 0) sum_.best_key = key;
   fnv_mix_str(sum_.digest, key);
   fnv_mix_u64(sum_.digest, r.best_score);
   fnv_mix_u64(sum_.digest, static_cast<std::uint64_t>(r.found_rank));
@@ -437,7 +438,6 @@ void ExploreFold::add(const std::string& key, const ExploreOutcome& r) {
       ++sum_.failures_truncated;
     }
   }
-  ++index_;
 }
 
 ExploreSummary ExploreFold::finish(sweep::RecordSink*) {
@@ -540,8 +540,8 @@ struct ExploreMode {
   /// Witness forensics: replay the shrunk best trace of a found violation
   /// or blocked schedule with capture on, so it ships with its
   /// explanation (certificate / quorum ledger / timeline).  The replay is
-  /// deterministic, so the artifact is byte-identical across threads,
-  /// batches, and shards.
+  /// deterministic, so the artifact is byte-identical across threads and
+  /// shards.
   static void artifact(const ExploreInstance& e, ExploreOutcome& r,
                        const std::string& key, std::uint64_t gi,
                        const std::string& dir) {
@@ -682,6 +682,10 @@ std::optional<PersistedTrace> parse_explore_record(const std::string& line,
   if (!processes || !rounds || !writes || !max_actions || !seed || !budget ||
       !write_back || !fallback_seed || !fingerprint || !best_score) {
     return fail("record is missing config fields");
+  }
+  if (*processes > INT_MAX || *rounds > INT_MAX || *writes > INT_MAX ||
+      *budget > INT_MAX) {
+    return fail("processes/rounds/writes/budget exceeds INT_MAX");
   }
   e.processes = static_cast<int>(*processes);
   e.max_rounds = static_cast<int>(*rounds);

@@ -26,7 +26,7 @@
 // (sweep/engine.hpp); the summary (and the per-instance store records)
 // folds in enumeration order, so — like every aggregate in this repo —
 // its digest is a pure function of the options, independent of thread
-// count and batch size.
+// count.
 #pragma once
 
 #include <cstdint>
@@ -156,12 +156,6 @@ struct ExploreOptions {
   bool fault_menu = false;
   /// Streaming cross-check on every kViolation probe (--online).
   bool online = false;
-  /// Write a forensics artifact per found witness (--forensics DIR via
-  /// obs::Hooks::forensics_dir): the engine replays each shrunk
-  /// violation-objective witness with Scenario::forensics on, so the
-  /// shrunk trace ships with its explanation.  Execution knob, not
-  /// config.
-  bool forensics = false;
   /// Shared:
   std::vector<int> process_counts = {4};
   std::uint64_t seed_begin = 0;  ///< Inclusive (instance seeds).
@@ -171,8 +165,6 @@ struct ExploreOptions {
   std::uint64_t shrink_budget = 4096;
   std::uint64_t max_actions_per_run = 2'000'000;
   int threads = 1;
-  /// Instances a worker claims at once (instances are heavy; default 1).
-  int batch_size = 1;
   /// Which slice of the instance list this process runs (see
   /// sweep/shard.hpp); an execution knob, not config.
   sweep::ShardSpec shard;
@@ -218,7 +210,7 @@ struct ExploreSummary {
   std::vector<std::string> failures;
   std::uint64_t failures_truncated = 0;
 
-  /// Deterministic section, byte-identical across runs/threads/batches.
+  /// Deterministic section, byte-identical across runs and threads.
   [[nodiscard]] std::string stable_text() const;
 
   /// The exit rule: only machinery errors fail an exploration.  Finding
@@ -249,7 +241,6 @@ class ExploreFold {
 
  private:
   ExploreSummary sum_;
-  std::uint64_t index_ = 0;  ///< Global enumeration index of the next add.
 };
 
 /// Runs the search on `o.threads` worker threads.  When `sink` is

@@ -1,9 +1,8 @@
 // Failure forensics: machine-checkable explanations for non-ok verdicts.
 //
 // Three layers, all deterministic pure functions of the finished run —
-// so every artifact is byte-identical across --threads/--batch and
-// across shard+merge vs unsharded sweeps, and none of it ever feeds a
-// digest:
+// so every artifact is byte-identical across --threads and across
+// shard+merge vs unsharded sweeps, and none of it ever feeds a digest:
 //
 //  * a **failure certificate** for kViolation: the minimal sub-history
 //    that still fails the checker (greedy 1-minimal op removal), the

@@ -16,9 +16,9 @@ struct Hooks {
   /// Per-scenario trace spans, appended like store records: enumeration
   /// order, exactly once, one call at a time, possibly while later
   /// scenarios are still running.  Like the store, the trace's bytes are
-  /// a pure function of the sweep options (asserted across `--threads` /
-  /// `--batch` by tests).  Setting this enables the metrics registry
-  /// for the run (spans carry per-scenario stable-counter deltas).
+  /// a pure function of the sweep options (asserted across `--threads`
+  /// by tests).  Setting this enables the metrics registry for the run
+  /// (spans carry per-scenario stable-counter deltas).
   sweep::RecordSink* trace = nullptr;
 
   /// Adds wall-clock fields (`wall_ns`, `check_ns`, and a closing fold
@@ -34,10 +34,10 @@ struct Hooks {
   std::uint64_t heartbeat_ms = 0;
 
   /// Directory for per-scenario forensics artifacts (obs/forensics.hpp);
-  /// empty disables them.  One canonical-JSON file per non-ok scenario,
-  /// written by the worker that ran it and named by global index, so the
-  /// directory contents are byte-identical across --threads/--batch and
-  /// shards of the same sweep tile the unsharded directory.
+  /// empty disables them, and capture with them.  One canonical-JSON file
+  /// per non-ok scenario, written by the worker that ran it and named by
+  /// global index, so the directory contents are byte-identical across
+  /// --threads and shards of the same sweep tile the unsharded directory.
   std::string forensics_dir;
 
   [[nodiscard]] bool progress_on() const noexcept {

@@ -12,12 +12,12 @@
 //    shards with sum (counters, histogram buckets) and max (gauges) —
 //    all commutative and associative, so the folded totals of the
 //    *stable* metrics are a pure function of the work done, independent
-//    of `--threads`, `--batch`, and scheduling, exactly like
+//    of `--threads` and scheduling, exactly like
 //    `SweepFold`'s digest.
 //  * **Stable vs runtime split.**  Metrics that count deterministic
 //    per-scenario work (solver calls, prune hits, messages, …) are
-//    flagged `stable`; metrics that measure the execution itself (batch
-//    counts, task latency, stamping) are not.  Thread-invariance tests and
+//    flagged `stable`; metrics that measure the execution itself (claim
+//    counts, claim latency, stamping) are not.  Thread-invariance tests and
 //    `tools/metrics_report.py` diffs key on the stable section.
 //  * **Observability, not digest material.**  Nothing here ever feeds a
 //    digest or a store record's digested fields (the PR 7 precedent).
@@ -74,7 +74,7 @@ enum class Counter : int {
   kExploreSteps,
   kExploreShrinkRepeats,  // shrink candidates answered without a replay
   // Runtime (execution-dependent; excluded from stability assertions).
-  kPoolTasks,     // batches the engine's workers ran
+  kPoolTasks,     // claims the engine's workers ran
   kSweepStamped,  // scenarios stamped from their config's template
   kCount_,
 };
@@ -91,7 +91,7 @@ enum class Hist : int {
   kScenarioOps,        // ops recorded per scenario
   kStreamPeakLive,     // per-scenario peak live ops (online runs)
   // Runtime.
-  kPoolTaskNs,         // wall time per batch a worker ran
+  kPoolTaskNs,         // wall time per claim a worker ran
   kCount_,
 };
 
@@ -239,14 +239,14 @@ void add_work(const WorkDelta& d) noexcept;
 /// Counters and gauges are emitted exhaustively (zeros included) in enum
 /// order so two dumps of the same workload are byte-comparable;
 /// histogram lines carry only non-zero buckets.  The stable section of a
-/// dump is thread/batch-invariant; `"stable":false` lines are not.
+/// dump is thread-invariant; `"stable":false` lines are not.
 void dump(const Snapshot& snap, sweep::RecordSink& sink,
           std::string_view mode, std::string_view config);
 
 /// Appends every non-zero *stable* counter of `d` to `rec` as
 /// "name":value fields in enum order — the per-scenario metric payload
 /// of a trace span.  Runtime counters are skipped (their deltas depend
-/// on scheduling), so span bytes stay thread/batch-invariant.
+/// on scheduling), so span bytes stay thread-invariant.
 void append_stable_deltas(const CounterDelta& d, sweep::Record& rec);
 
 }  // namespace rlt::obs

@@ -5,7 +5,7 @@
 // order the driver produced them; the driver adds named fault events
 // (partition cuts, planned crashes, recoveries) via note_fault.  The
 // recording is a pure function of the scenario, so the artifact built
-// from it is byte-identical across --threads/--batch/shards.  It is
+// from it is byte-identical across --threads and shards.  It is
 // observability only: recorders never alter behavior and never feed
 // digests.
 #pragma once

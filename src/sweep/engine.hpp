@@ -1,19 +1,19 @@
 // The one engine loop behind run_sweep, run_term_sweep and run_explore.
 //
 // A sweep is a stream.  A Cursor yields this shard's scenarios in global-
-// index (gi) order; `threads` workers claim them from it a batch at a
-// time, run them, and render their keys, store records and trace spans;
-// and the calling thread folds the results back in enumeration order
-// through a bounded reorder window.  Nothing ever holds every scenario or
-// every result, so memory is O(window), not O(scenarios), and the ordered
-// fold and the sink appends overlap the workers.
+// index (gi) order; `threads` workers claim runs of them from it, run
+// them, and render their keys, store records and trace spans; and the
+// calling thread folds the results back in enumeration order through a
+// bounded reorder window.  Nothing ever holds every scenario or every
+// result, so memory is O(window), not O(scenarios), and the ordered fold
+// and the sink appends overlap the workers.
 //
 // The determinism contract lives here, once: a scenario's outputs are a
 // pure function of the scenario, and every sink sees them in enumeration
 // order, exactly once, one call at a time — possibly while later
 // scenarios are still running.  So stores, digests, stable summaries,
 // trace spans and forensics artifacts are byte-identical across
-// --threads, --batch and shards.
+// --threads and shards.
 //
 // Stamping.  A scenario's seed reaches its run only through util::Rng
 // draws (util/rng.hpp), so a run that drew nothing is a pure function of
@@ -42,7 +42,7 @@
 //   kKind                     "safety" / "term" / "explore": the store and
 //                             span "mode", the shard kind, progress mode
 //   kClasses                  the four progress outcome-class labels
-//   o                         the options: threads, batch_size, shard, and
+//   o                         the options: threads, shard, and
 //                             config_key(o) (found by argument lookup)
 //   cursor()                  the shard's scenarios in gi order
 //   run(item)                 runs one scenario; inside the per-scenario
@@ -184,16 +184,19 @@ std::uint64_t materialize(Cursor<Item> c, std::uint64_t cap,
 /// long as ~200 of its mean scenarios, ~600 across three other workers.
 /// It is no larger because results held in the window cost peak RSS
 /// beyond their own size where scenarios are heavy (a 2,048 floor cost
-/// wsl-deep ~4 MB).  The cap keeps memory bounded whatever --batch says:
-/// a batch larger than the window is split.
+/// wsl-deep ~4 MB).  The cap keeps memory bounded at high thread counts.
 inline constexpr std::size_t kWindowFloor = 1024;
 inline constexpr std::size_t kWindowCap = 8192;
 
+/// The most scenarios one claim takes.  It is below the window floor, so
+/// every claim fits the window.
+inline constexpr std::uint64_t kMaxClaim = 16;
+
 /// How far scenario hand-out may run ahead of the oldest unfolded one:
-/// four batches per worker, within the floor and cap.
-[[nodiscard]] inline std::size_t window_size(int threads, int batch) noexcept {
-  const std::size_t want = 4 * static_cast<std::size_t>(std::max(1, threads)) *
-                           static_cast<std::size_t>(std::max(1, batch));
+/// four full claims per worker, within the floor and cap.
+[[nodiscard]] inline std::size_t window_size(int threads) noexcept {
+  const std::size_t want =
+      4 * static_cast<std::size_t>(std::max(1, threads)) * kMaxClaim;
   return std::clamp(want, kWindowFloor, kWindowCap);
 }
 
@@ -439,15 +442,13 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
 
   // Shared with the workers, guarded by `mu`: finished scenarios wait in
   // `ring` (position p at p % window) until the fold reaches them.  A
-  // worker claims the next whole batch from the cursor once it fits the
-  // window — never more than `window` positions ahead of the fold — so a
-  // slow scenario at the head never stops the others short of a full
-  // window.
+  // worker claims the next run of scenarios from the cursor once it fits
+  // the window — never more than `window` positions ahead of the fold —
+  // so a slow scenario at the head never stops the others short of a
+  // full window.
   const int threads = std::max(1, o.threads);
   const std::uint64_t window = std::min<std::uint64_t>(
-      window_size(threads, o.batch_size), std::max<std::uint64_t>(owned, 1));
-  const std::uint64_t batch = std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(std::max(1, o.batch_size)), window);
+      window_size(threads), std::max<std::uint64_t>(owned, 1));
   std::vector<std::optional<Slot>> ring(window);
   std::mutex mu;
   std::condition_variable landed;  // the fold waits for ring[head]
@@ -457,20 +458,24 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   std::uint64_t next = 0;  // next position to claim
   int waiting = 0;         // workers waiting on `room`
   std::atomic<bool> stop{false};  // set under `mu`, read per scenario
-  const auto fits = [&] {
-    return next + std::min(batch, owned - next) - head <= window;
+  // A quarter of each worker's share of what is left, within 1..kMaxClaim:
+  // no worker holds the last scenarios while the others idle.
+  const auto claim = [&] {
+    const std::uint64_t left = owned - next;
+    const std::uint64_t share = left / static_cast<unsigned>(threads) / 4;
+    return std::min(left, std::clamp<std::uint64_t>(share, 1, kMaxClaim));
   };
+  const auto fits = [&] { return next + claim() - head <= window; };
 
-  // One worker.  Each pass through `mu` parks its last batch's results
-  // in the ring and claims the next batch, which it then runs unlocked.
+  // One worker.  Each pass through `mu` parks its last claim's results
+  // in the ring and claims the next run, which it then runs unlocked.
   // A throw anywhere stops the sweep: the first becomes `failure`, which
   // the fold rethrows.
   const auto work = [&] {
     try {
+      // Unreserved, so explore's one-instance claims hold one slot each.
       std::vector<Indexed<Item>> claimed;
       std::vector<Slot> done;
-      claimed.reserve(batch);
-      done.reserve(batch);
       std::uint64_t first = 0;  // the position of claimed[0]
       const auto ready = [&] { return stop || next == owned || fits(); };
       std::unique_lock<std::mutex> lock(mu);
@@ -488,7 +493,7 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
           room.wait(lock, ready);
           --waiting;
         }
-        const std::uint64_t n = stop ? 0 : std::min(batch, owned - next);
+        const std::uint64_t n = stop ? 0 : claim();
         first = next;
         claimed.clear();
         for (std::uint64_t k = 0; k < n; ++k) {
@@ -501,14 +506,14 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
         if (wake) landed.notify_one();
         if (n == 0) return;
         const bool timing = obs::enabled();
-        const auto t_batch = std::chrono::steady_clock::now();
+        const auto t_claim = std::chrono::steady_clock::now();
         for (Indexed<Item>& in : claimed) {
           if (stop.load(std::memory_order_relaxed)) break;
           done.push_back(run_one(in));
         }
         if (timing) {
           obs::count(obs::Counter::kPoolTasks);
-          obs::hist(obs::Hist::kPoolTaskNs, detail::ns_since(t_batch));
+          obs::hist(obs::Hist::kPoolTaskNs, detail::ns_since(t_claim));
         }
         lock.lock();
       }

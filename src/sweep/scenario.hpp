@@ -249,8 +249,8 @@ struct ScenarioResult {
   std::string detail;             ///< Failure explanation (empty if kOk).
   /// Canonical-JSON forensics artifact (obs/forensics.hpp): non-empty
   /// only when Scenario::forensics was set and the verdict is not kOk.
-  /// A pure function of the Scenario — byte-identical across threads,
-  /// batches, and shards — and never digest or store material.
+  /// A pure function of the Scenario — byte-identical across threads and
+  /// shards — and never digest or store material.
   std::string forensics;
 };
 

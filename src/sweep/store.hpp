@@ -4,10 +4,10 @@
 // per scenario into a `RecordSink`.  Records are appended in scenario-
 // enumeration order by the deterministic fold, which runs while later
 // scenarios are still in flight (sweep/engine.hpp) — so a store's bytes
-// are a pure function of the sweep options: byte-identical across runs,
-// thread counts, and batch sizes.  That property is what
-// makes two stores diffable across commits (`tools/sweep_diff.py`):
-// a changed line means scenario behaviour changed, not scheduling.
+// are a pure function of the sweep options: byte-identical across runs
+// and thread counts.  That property is what makes two stores diffable
+// across commits (`tools/sweep_diff.py`): a changed line means scenario
+// behaviour changed, not scheduling.
 //
 // Serialization is canonical JSONL: one JSON object per line, fields in
 // the exact order the producer added them, no whitespace, strings

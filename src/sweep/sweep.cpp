@@ -38,8 +38,9 @@ std::vector<FaultPlan> plans_for(const SweepOptions& o, Algorithm alg) {
 }
 
 /// This shard's scenarios in enumeration order: per seed, algorithm ×
-/// semantics × adversary × process count × fault plan.
-Cursor<Scenario> scenario_cursor(const SweepOptions& o) {
+/// semantics × adversary × process count × fault plan; each captures
+/// forensics when `forensics` says so.
+Cursor<Scenario> scenario_cursor(const SweepOptions& o, bool forensics) {
   RLT_CHECK_MSG(o.seed_begin <= o.seed_end, "seed range is reversed");
   RLT_CHECK_MSG(!o.faults.empty(), "fault-kind list is empty");
   RLT_CHECK_MSG(!o.crash_seeds.empty(), "crash-seed list is empty");
@@ -63,7 +64,7 @@ Cursor<Scenario> scenario_cursor(const SweepOptions& o) {
             s.max_actions = o.max_actions_per_scenario;
             s.faults = plan;
             s.online_check = o.online;
-            s.forensics = o.forensics;
+            s.forensics = forensics;
             configs.push_back(s);
           }
         }
@@ -83,9 +84,12 @@ struct SafetyMode {
                                                             "blocked", "err"};
 
   const SweepOptions& o;
+  bool forensics;  ///< The hooks name a forensics directory.
   SweepFold folded;
 
-  [[nodiscard]] Cursor<Scenario> cursor() const { return scenario_cursor(o); }
+  [[nodiscard]] Cursor<Scenario> cursor() const {
+    return scenario_cursor(o, forensics);
+  }
 
   static ScenarioResult run(const Scenario& s) { return run_scenario(s); }
 
@@ -199,7 +203,7 @@ std::string config_key(const SweepOptions& o) {
 
 Enumeration enumerate_shard(const SweepOptions& o) {
   Enumeration en;
-  en.total = materialize(scenario_cursor(o), kMaxScenarios,
+  en.total = materialize(scenario_cursor(o, false), kMaxScenarios,
                          "sweep cross-product exceeds the per-shard scenario "
                          "limit; narrow the seed range or axes, or use more "
                          "shards",
@@ -262,7 +266,7 @@ SweepSummary SweepFold::finish(RecordSink*) { return std::move(sum_); }
 
 SweepSummary run_sweep(const SweepOptions& o, std::uint64_t progress_every,
                        RecordSink* sink, const obs::Hooks* hooks) {
-  SafetyMode mode{o, {}};
+  SafetyMode mode{o, hooks != nullptr && hooks->forensics_on(), {}};
   return run_engine(mode, progress_every, sink, hooks);
 }
 

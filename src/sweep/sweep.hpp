@@ -13,8 +13,8 @@
 // somewhere in the simulator, a register algorithm, or a checker.
 //
 // This is the repo's scenario-diversity workhorse: later PRs point it at
-// bigger cross-products (sharded across machines, batched seeds) and
-// diff digests across commits.
+// bigger cross-products (sharded across machines) and diff digests
+// across commits.
 #pragma once
 
 #include <cstdint>
@@ -56,25 +56,11 @@ struct SweepOptions {
   int writes_per_process = 2;
   std::uint64_t max_actions_per_scenario = 1'000'000;
   int threads = 1;
-  /// Scenarios a worker claims at once.  Batching amortizes the claim
-  /// (one pass through the engine's lock, which also parks the last
-  /// batch's results) across a run of consecutive scenario indices;
-  /// results are still folded per scenario in index order, so the digest
-  /// is independent of this knob.  1 = one claim per scenario; a batch
-  /// larger than the engine's reorder window is split.
-  int batch_size = 16;
   /// Streaming cross-check: every checkable history is also replayed
   /// through the online checker, and any batch/online split reports as
   /// an ERROR.  Excluded from scenario keys — an agreeing --online sweep
   /// produces records byte-identical to an offline one.
   bool online = false;
-  /// Capture per-scenario forensics (Scenario::forensics) so non-ok
-  /// results carry a canonical-JSON artifact; run_sweep writes one file
-  /// per non-ok scenario into obs::Hooks::forensics_dir.  An execution
-  /// knob like `online`: excluded from scenario keys and config_key, so
-  /// a --forensics sweep's store and digest are byte-identical to a
-  /// plain run's.
-  bool forensics = false;
   /// Which slice of the cross-product this process runs (see shard.hpp).
   /// The default (1/1) is the classic unsharded sweep.  An execution
   /// knob, not config: every shard of one logical sweep shares the same
@@ -85,7 +71,7 @@ struct SweepOptions {
 /// The canonical config identity of a sweep: every axis that determines
 /// what the sweep computes (algorithms, semantics, adversaries, faults,
 /// seeds, workload shape), NONE of the knobs that only determine how it
-/// executes (threads, batch, shard, online).  Every shard-store header
+/// executes (threads, shard, online).  Every shard-store header
 /// pins it, and the merge refuses shards whose configs differ.
 [[nodiscard]] std::string config_key(const SweepOptions& o);
 
@@ -181,16 +167,17 @@ class SweepFold {
 /// `sink` is non-null, one canonical record per scenario is appended in
 /// enumeration order, exactly once, one call at a time — possibly while
 /// later scenarios are still running — so the store's bytes, like the
-/// digest, are independent of thread count and batch size.  Memory is
-/// bounded by the engine's reorder window, not by the scenario count.
+/// digest, are independent of thread count.  Memory is bounded by the
+/// engine's reorder window, not by the scenario count.
 ///
 /// `hooks` (obs/hooks.hpp) attaches the observability fabric: a trace
 /// sink receiving one span record per scenario (enumeration order,
-/// byte-stable across threads/batch unless `trace_times` opts into
-/// wall-clock fields) and/or a live ProgressMeter (stderr heartbeat +
-/// progress fd).  All of it is observability, never digest material:
-/// the summary, digest, and store bytes are identical with or without
-/// hooks.
+/// byte-stable across threads unless `trace_times` opts into wall-clock
+/// fields), a live ProgressMeter (stderr heartbeat + progress fd),
+/// and/or a forensics directory, which turns on capture
+/// (Scenario::forensics) and receives one artifact per non-ok scenario.
+/// All of it is observability, never digest material: the summary,
+/// digest, and store bytes are identical with or without hooks.
 [[nodiscard]] SweepSummary run_sweep(const SweepOptions& o,
                                      std::uint64_t progress_every = 0,
                                      RecordSink* sink = nullptr,

@@ -6,8 +6,8 @@
 // uses (sweep/engine.hpp), and fold the per-scenario TermRecords into a
 // *stable aggregate*: termination rate, round statistics, a survival tail
 // P(round > k), and a 64-bit digest that — like the safety digest — is a
-// pure function of the sweep options, independent of thread count,
-// batch size, and machine.  Optionally streams one canonical record per
+// pure function of the sweep options, independent of thread count and
+// machine.  Optionally streams one canonical record per
 // scenario into a result store (src/sweep/store.hpp) for cross-commit
 // diffing with tools/sweep_diff.py.
 #pragma once
@@ -38,9 +38,6 @@ struct TermSweepOptions {
   std::uint64_t seed_end = 10;   ///< Exclusive.
   std::uint64_t max_actions_per_scenario = 2'000'000;
   int threads = 1;
-  /// Scenarios a worker claims at once (digest-independent; see
-  /// SweepOptions).
-  int batch_size = 16;
   /// Which slice of the cross-product this process runs (see
   /// sweep/shard.hpp); an execution knob, not config.
   sweep::ShardSpec shard;
@@ -83,7 +80,7 @@ struct TailPoint {
 /// the coin family, whose stalled runs can decide at walk length 0);
 /// capped runs have no decision round and are counted separately.
 /// Folded in enumeration order, so — like everything in the summary —
-/// byte-stable across thread counts and batch sizes.
+/// byte-stable across thread counts.
 struct FamilyRoundHist {
   Family family = Family::kConsensus;
   std::vector<std::uint64_t> buckets;
@@ -170,10 +167,10 @@ class TermFold {
 /// prints a line to stderr every that-many folded scenarios.  When
 /// `sink` is non-null, one canonical record per scenario is appended in
 /// enumeration order, exactly once, one call at a time — possibly while
-/// later scenarios are still running (byte-stable across thread counts
-/// and batch sizes).  `hooks` (obs/hooks.hpp) attaches the
-/// observability fabric — trace spans and/or live progress; never
-/// digest material (see sweep::run_sweep for the contract).
+/// later scenarios are still running (byte-stable across thread
+/// counts).  `hooks` (obs/hooks.hpp) attaches the observability fabric —
+/// trace spans and/or live progress; never digest material (see
+/// sweep::run_sweep for the contract).
 [[nodiscard]] TermSummary run_term_sweep(const TermSweepOptions& o,
                                          std::uint64_t progress_every = 0,
                                          sweep::RecordSink* sink = nullptr,

@@ -2,8 +2,8 @@
 // (src/sweep/engine.hpp).  Every test runs once per mode — through the
 // public run_sweep / run_term_sweep / run_explore entry points — and
 // checks one property of the loop itself: records reach the sink while
-// later scenarios have not run yet, a batch larger than the reorder
-// window changes no byte, a throwing sink surfaces on the calling thread
+// later scenarios have not run yet, claims shrink to single scenarios as
+// the sweep runs out, a throwing sink surfaces on the calling thread
 // with every worker stopped, and every mode fills the same engine stats.
 // One more test throws from the workers instead of the sink.
 #include <fcntl.h>
@@ -21,6 +21,7 @@
 
 #include "explore/explore.hpp"
 #include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/engine.hpp"
 #include "sweep/store.hpp"
 #include "sweep/sweep.hpp"
@@ -40,8 +41,7 @@ struct Outcome {
 };
 
 Outcome run_kind(Kind kind, std::uint64_t scenarios, int threads,
-                 int batch, RecordSink* sink,
-                 const obs::Hooks* hooks = nullptr) {
+                 RecordSink* sink, const obs::Hooks* hooks = nullptr) {
   switch (kind) {
     case Kind::kSafety: {
       SweepOptions o;
@@ -51,7 +51,6 @@ Outcome run_kind(Kind kind, std::uint64_t scenarios, int threads,
       o.process_counts = {2};
       o.seed_end = scenarios;
       o.threads = threads;
-      o.batch_size = batch;
       const SweepSummary s = run_sweep(o, 0, sink, hooks);
       return {s.stable_text(), s.engine};
     }
@@ -63,7 +62,6 @@ Outcome run_kind(Kind kind, std::uint64_t scenarios, int threads,
       o.round_budgets = {4};
       o.seed_end = scenarios;
       o.threads = threads;
-      o.batch_size = batch;
       const term::TermSummary s = term::run_term_sweep(o, 0, sink, hooks);
       return {s.stable_text(), s.engine};
     }
@@ -77,7 +75,6 @@ Outcome run_kind(Kind kind, std::uint64_t scenarios, int threads,
       o.shrink_budget = 0;
       o.seed_end = scenarios;
       o.threads = threads;
-      o.batch_size = batch;
       const explore::ExploreSummary s =
           explore::run_explore(o, 0, sink, hooks);
       return {s.stable_text(), s.engine};
@@ -152,8 +149,7 @@ TEST_P(Engine, FirstRecordReachesTheSinkBeforeLaterScenariosRun) {
   // Much larger than the reorder window: while the fold is held at the
   // first record, workers may finish at most one window of scenarios.
   constexpr int kThreads = 2;
-  constexpr int kBatch = 4;
-  const std::uint64_t window = window_size(kThreads, kBatch);
+  const std::uint64_t window = window_size(kThreads);
   const std::uint64_t scenarios = 3 * window;
   int fds[2];
   ASSERT_EQ(pipe(fds), 0);
@@ -162,7 +158,7 @@ TEST_P(Engine, FirstRecordReachesTheSinkBeforeLaterScenariosRun) {
   obs::Hooks hooks;
   hooks.progress_fd = fds[1];
   const Outcome run =
-      run_kind(GetParam(), scenarios, kThreads, kBatch, &sink, &hooks);
+      run_kind(GetParam(), scenarios, kThreads, &sink, &hooks);
   close(fds[0]);
   close(fds[1]);
   const std::string count =
@@ -174,16 +170,26 @@ TEST_P(Engine, FirstRecordReachesTheSinkBeforeLaterScenariosRun) {
   EXPECT_LE(sink.done_at_first_append(), window);
 }
 
-TEST_P(Engine, BatchLargerThanTheWindowKeepsEveryByte) {
-  constexpr std::uint64_t kScenarios = 10'000;
-  StringSink small;
-  const Outcome a = run_kind(GetParam(), kScenarios, 4, 16, &small);
-  StringSink huge;
-  const Outcome b = run_kind(GetParam(), kScenarios, 4, 100'000, &huge);
-  EXPECT_GT(100'000u, window_size(4, 100'000));
-  EXPECT_FALSE(small.text().empty());
-  EXPECT_EQ(small.text(), huge.text());
-  EXPECT_EQ(a.stable, b.stable);
+TEST_P(Engine, ClaimsShrinkToOneScenarioAsTheSweepRunsOut) {
+  // With the registry on, pool.tasks counts claims.  A claim's size
+  // depends only on how many scenarios are left, so the counts are exact
+  // whichever worker makes which claim.
+  constexpr auto kTasks = static_cast<std::size_t>(obs::Counter::kPoolTasks);
+  const Kind kind = GetParam();
+  const auto claims = [kind](std::uint64_t scenarios) {
+    obs::reset();
+    obs::set_enabled(true);
+    (void)run_kind(kind, scenarios, 4, nullptr);
+    obs::set_enabled(false);
+    const obs::Snapshot snap = obs::snapshot_all();
+    obs::reset();
+    return snap.data.counters[kTasks];
+  };
+  // Fewer than 4 scenarios per worker: one scenario per claim.
+  EXPECT_EQ(claims(8), 8u);
+  // 610 claims of kMaxClaim take the sweep down to 240 scenarios left,
+  // and 66 shrinking claims take the rest.
+  EXPECT_EQ(claims(10'000), 676u);
 }
 
 /// Throws on its `fail_at`-th append (1-based).
@@ -202,20 +208,20 @@ class ThrowingSink final : public RecordSink {
 
 TEST_P(Engine, ThrowingSinkRethrowsOnTheCallerWithWorkersStopped) {
   ThrowingSink sink(100);
-  EXPECT_THROW((void)run_kind(GetParam(), 5'000, 4, 8, &sink),
+  EXPECT_THROW((void)run_kind(GetParam(), 5'000, 4, &sink),
                std::runtime_error);
   // The fold stopped at the throw: no append after it, and the run
   // returned instead of hanging or terminating.
   EXPECT_EQ(sink.appends(), 100u);
   // Every worker was joined: the engine is reusable at once.
   StringSink ok;
-  const Outcome again = run_kind(GetParam(), 200, 4, 8, &ok);
+  const Outcome again = run_kind(GetParam(), 200, 4, &ok);
   EXPECT_FALSE(ok.text().empty());
   EXPECT_FALSE(again.stable.empty());
 }
 
 TEST_P(Engine, EveryModeReportsTheSameEngineStats) {
-  const Outcome run = run_kind(GetParam(), 64, 2, 4, nullptr);
+  const Outcome run = run_kind(GetParam(), 64, 2, nullptr);
   EXPECT_GT(run.engine.wall_ns_max, 0u);
   EXPECT_LE(run.engine.wall_ns_max, run.engine.wall_ns_total);
   EXPECT_GT(run.engine.elapsed_ns, 0u);
@@ -234,7 +240,6 @@ TEST(EngineWorkers, ThrowRethrowsOnTheCallerAndARerunCompletes) {
   o.faults = {FaultKind::kStall};
   o.seed_end = 20;
   o.threads = 4;
-  o.forensics = true;
   obs::Hooks hooks;
   hooks.forensics_dir = file + "/forensics";
   StringSink failed;

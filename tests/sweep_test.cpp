@@ -321,7 +321,6 @@ TEST(Sweep, StallSweepDigestIsIndependentOfThreadsAndBatch) {
   o.threads = 1;
   const SweepSummary seq = run_sweep(o);
   o.threads = 4;
-  o.batch_size = 3;
   const SweepSummary par = run_sweep(o);
   EXPECT_EQ(seq.stable_text(), par.stable_text());
   EXPECT_GT(seq.blocked, 0u);
@@ -431,21 +430,6 @@ TEST(Sweep, DigestDependsOnTheSeedRange) {
   EXPECT_NE(run_sweep(a).digest, run_sweep(b).digest);
 }
 
-TEST(Sweep, DigestIsIndependentOfBatchSize) {
-  // Batching seeds per pool task is a submit-overhead knob only: the
-  // whole deterministic section must be byte-identical at every batch
-  // size, including the degenerate one-scenario-per-task shape.
-  SweepOptions one = small_sweep(4);
-  one.batch_size = 1;
-  SweepOptions sixteen = small_sweep(4);
-  sixteen.batch_size = 16;
-  SweepOptions huge = small_sweep(4);
-  huge.batch_size = 1'000'000;  // single task carries the whole sweep
-  const std::string a = run_sweep(one).stable_text();
-  EXPECT_EQ(a, run_sweep(sixteen).stable_text());
-  EXPECT_EQ(a, run_sweep(huge).stable_text());
-}
-
 TEST(Enumerate, FaultAxisMultipliesAbdOnly) {
   SweepOptions o;
   o.seed_begin = 0;
@@ -476,7 +460,6 @@ TEST(Sweep, CrashSweepDigestIsIndependentOfThreadsAndBatch) {
   o.threads = 1;
   const SweepSummary seq = run_sweep(o);
   o.threads = 4;
-  o.batch_size = 3;
   const SweepSummary par = run_sweep(o);
   EXPECT_EQ(seq.stable_text(), par.stable_text());
   // The crash axis must actually exercise the new verdict: blocked runs
@@ -722,7 +705,6 @@ TEST(Sweep, UnreliableSweepDigestIsIndependentOfThreadsAndBatch) {
   o.threads = 1;
   const SweepSummary seq = run_sweep(o);
   o.threads = 4;
-  o.batch_size = 3;
   const SweepSummary par = run_sweep(o);
   EXPECT_EQ(seq.stable_text(), par.stable_text());
   EXPECT_EQ(seq.violations, 0u);

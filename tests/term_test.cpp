@@ -257,9 +257,7 @@ TEST(TermSweep, SmokeCountsAddUp) {
 
 TEST(TermSweep, DigestIsIndependentOfThreadsAndBatch) {
   const TermSummary seq = run_term_sweep(small_sweep(1));
-  TermSweepOptions par = small_sweep(4);
-  par.batch_size = 3;
-  const TermSummary con = run_term_sweep(par);
+  const TermSummary con = run_term_sweep(small_sweep(4));
   EXPECT_EQ(seq.stable_text(), con.stable_text());
   EXPECT_EQ(seq.digest, con.digest);
 }
@@ -277,9 +275,7 @@ TEST(TermSweep, DigestDependsOnTheAxes) {
 
 TEST(TermSweep, DecisionRoundHistogramsFoldStably) {
   const TermSummary seq = run_term_sweep(small_sweep(1));
-  TermSweepOptions par = small_sweep(4);
-  par.batch_size = 2;
-  const TermSummary con = run_term_sweep(par);
+  const TermSummary con = run_term_sweep(small_sweep(4));
   ASSERT_EQ(seq.hists.size(), 4u);  // every family present
   ASSERT_EQ(con.hists.size(), seq.hists.size());
   std::uint64_t terminated = 0;
@@ -354,10 +350,8 @@ TEST(TermStore, RecordsAreCanonicalJsonInEnumerationOrder) {
 TEST(TermStore, BytesAreIndependentOfThreadsAndBatch) {
   sweep::StringSink a;
   (void)run_term_sweep(small_sweep(1), 0, &a);
-  TermSweepOptions par = small_sweep(4);
-  par.batch_size = 2;
   sweep::StringSink b;
-  (void)run_term_sweep(par, 0, &b);
+  (void)run_term_sweep(small_sweep(4), 0, &b);
   EXPECT_EQ(a.text(), b.text());
   EXPECT_FALSE(a.text().empty());
 }
@@ -372,7 +366,6 @@ TEST(TermStore, SafetySweepStoreIsAlsoByteStable) {
   sweep::StringSink a;
   (void)sweep::run_sweep(o, 0, &a);
   o.threads = 4;
-  o.batch_size = 3;
   sweep::StringSink b;
   (void)sweep::run_sweep(o, 0, &b);
   EXPECT_EQ(a.text(), b.text());

@@ -3,7 +3,7 @@
 # push against (tools/sweep_diff.py blessed/store_v1.jsonl <fresh>).
 #
 # The blessed store concatenates four deterministic slices — every one
-# byte-identical across machines, thread counts, and batch sizes:
+# byte-identical across machines and thread counts:
 #
 #   1. safety   — the default cross-product with every fault axis on
 #                 (none, minority crashes, stalls, plus the unreliable-

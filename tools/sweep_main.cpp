@@ -152,7 +152,8 @@ using rlt::term::TermSweepOptions;
       "                      (abd targets of --objective violation only)\n"
       "  --replay PATH       replay every explore record in a JSONL store\n"
       "                      and verify each reproduces byte-identically\n"
-      "                      (standalone mode; exit 0 iff all match)\n"
+      "                      (standalone mode; exit 0 iff all match; a\n"
+      "                      malformed explore record is a failure)\n"
       "common:\n"
       "  --processes LIST    comma list of process counts (default: 3;\n"
       "                      4 with --term and --explore --objective\n"
@@ -160,9 +161,6 @@ using rlt::term::TermSweepOptions;
       "  --seeds A:B         seed range, A inclusive, B exclusive, A < B "
       "(default: 0:10)\n"
       "  --threads N         worker threads (default: 1)\n"
-      "  --batch N           scenarios a worker claims at once (default:\n"
-      "                      16, or 1 with --explore; the digest does not\n"
-      "                      depend on this)\n"
       "  --max-actions N     per-scenario action budget (default: 1000000,\n"
       "                      or 2000000 with --term and --explore)\n"
       "  --out PATH          write one canonical JSONL record per scenario\n"
@@ -182,20 +180,20 @@ using rlt::term::TermSweepOptions;
       "  --list              print the scenario keys and exit; takes the\n"
       "                      mode flags, the axes, --processes, --seeds\n"
       "                      and --shard, and exits 2 with --out,\n"
-      "                      --threads, --batch, --max-actions, --progress\n"
-      "                      or an observability flag\n"
+      "                      --threads, --max-actions, --progress or an\n"
+      "                      observability flag\n"
       "observability (never digest material — stores, digests, and\n"
       "summaries are byte-identical with or without these flags; valid in\n"
       "every sweep run, but not with --list, --merge or --replay):\n"
       "  --metrics PATH      write the unified metrics registry (counters,\n"
       "                      gauges, histograms from every layer) as JSONL\n"
       "                      after the run; the \"stable\":true section is\n"
-      "                      byte-identical across --threads/--batch\n"
+      "                      byte-identical across --threads\n"
       "                      (render/diff with tools/metrics_report.py)\n"
       "  --trace PATH        write one JSONL span per scenario in\n"
       "                      enumeration order: key, verdict fields, and\n"
       "                      per-scenario stable metric deltas;\n"
-      "                      byte-identical across --threads/--batch\n"
+      "                      byte-identical across --threads\n"
       "  --trace-times       add wall-clock fields (wall_ns, check_ns, a\n"
       "                      closing sweep span) to --trace spans — opts\n"
       "                      out of byte-identity; needs --trace\n"
@@ -216,8 +214,8 @@ using rlt::term::TermSweepOptions;
       "                      witness into explore-<gi>.json (--term and\n"
       "                      --objective rounds record no history, so\n"
       "                      they reject this flag).  Artifacts\n"
-      "                      are byte-identical across --threads/--batch\n"
-      "                      and across shards (gi filenames are disjoint,\n"
+      "                      are byte-identical across --threads and\n"
+      "                      across shards (gi filenames are disjoint,\n"
       "                      so all shards may share one DIR); convert\n"
       "                      with tools/trace_view.py for Perfetto\n"
       "merge mode:\n"
@@ -375,16 +373,25 @@ int run_replay(const std::string& path) {
     return 2;
   }
   std::string line;
+  std::uint64_t line_no = 0;
   std::uint64_t replayed = 0;
   std::uint64_t matched = 0;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
+    ++line_no;
+    // Other record kinds (safety, term, shard brackets) are fine.
+    if (rlt::sweep::field_str(line, "mode") != "explore") continue;
     // Errored instances persist no meaningful trace; nothing to verify.
     if (line.find("\"found\":\"error\"") != std::string::npos) continue;
+    ++replayed;
     std::string err;
     const auto pt = rlt::explore::parse_explore_record(line, &err);
-    if (!pt) continue;  // other record kinds (safety/term) are fine
-    ++replayed;
+    if (!pt) {
+      // An explore record that cannot be replayed fails the run.
+      std::cout << rlt::sweep::field_str(line, "key").value_or(
+                       "line " + std::to_string(line_no))
+                << ": MALFORMED: " << err << "\n";
+      continue;
+    }
     const rlt::explore::ReplayReport rep =
         rlt::explore::replay_trace(pt->instance, pt->trace,
                                    pt->fallback_seed);
@@ -631,11 +638,6 @@ constexpr Flag kFlags[] = {
        c.opts.threads = c.topts.threads = c.eopts.threads =
            static_cast<int>(parse_in("--threads", v, 1, 1024));
      }},
-    {"--batch", kSweeps, true,
-     [](Cli& c, V v) {
-       c.opts.batch_size = c.topts.batch_size = c.eopts.batch_size =
-           static_cast<int>(parse_in("--batch", v, 1, 1'000'000));
-     }},
     {"--max-actions", kSweeps, true,
      [](Cli& c, V v) {
        c.opts.max_actions_per_scenario = c.topts.max_actions_per_scenario =
@@ -662,10 +664,9 @@ constexpr Flag kFlags[] = {
      }},
     {"--forensics", kHistories, true,
      [](Cli& c, V v) {
-       // Capture in the runners, and in explore witness replays.
+       // The directory turns capture on, in runners and witness replays.
        if (v.empty()) bad_value("--forensics", v);
        c.hooks.forensics_dir = v;
-       c.opts.forensics = c.eopts.forensics = true;
      }},
 };
 
