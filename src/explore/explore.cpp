@@ -543,8 +543,7 @@ struct ExploreMode {
   /// deterministic, so the artifact is byte-identical across threads and
   /// shards.
   static void artifact(const ExploreInstance& e, ExploreOutcome& r,
-                       const std::string& key, std::uint64_t gi,
-                       const std::string& dir) {
+                       std::uint64_t gi, const std::string& dir) {
     if (e.objective != Objective::kViolation || r.error ||
         r.found_rank < kRankBlocked) {
       return;
@@ -556,7 +555,7 @@ struct ExploreMode {
     if (body.empty()) {
       sweep::Record stub;
       stub.u64("forensics", 1)
-          .str("key", key)
+          .str("key", e.key())
           .str("verdict", rep.verdict)
           .str("detail", "replay captured no forensics");
       body = stub.json() + "\n";

@@ -16,54 +16,42 @@ constexpr std::uint64_t kDefaultPeriodMs = 500;
 }  // namespace
 
 ProgressMeter::ProgressMeter(const ProgressOptions& o)
-    : opts_(o), start_(std::chrono::steady_clock::now()) {
-  if (opts_.fd >= 0 || opts_.heartbeat_ms > 0) {
-    monitor_ = std::thread([this] { monitor_loop(); });
+    : opts_(o),
+      start_(Clock::now()),
+      period_(std::chrono::milliseconds(
+          o.heartbeat_ms > 0 ? o.heartbeat_ms : kDefaultPeriodMs)),
+      due_(o.fd >= 0 || o.heartbeat_ms > 0 ? start_ + period_
+                                           : Clock::time_point::max()) {}
+
+void ProgressMeter::add(int cls) {
+  if (cls >= 0 && cls < 4) ++class_counts_[static_cast<std::size_t>(cls)];
+  ++done_;
+  if (opts_.every > 0 && done_ % opts_.every == 0) {
+    std::fprintf(stderr, "[%.*s] %" PRIu64 " scenarios done\n",
+                 static_cast<int>(opts_.mode.size()), opts_.mode.data(),
+                 done_);
   }
+  poll();
 }
 
-ProgressMeter::~ProgressMeter() { finish(); }
-
-void ProgressMeter::tick(int cls) noexcept {
-  if (cls >= 0 && cls < 4) {
-    class_counts_[static_cast<std::size_t>(cls)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  done_.fetch_add(1, std::memory_order_relaxed);
+void ProgressMeter::poll() {
+  if (due_ == Clock::time_point::max()) return;
+  const Clock::time_point now = Clock::now();
+  if (now < due_) return;
+  due_ = now + period_;
+  emit(/*final=*/false);
 }
 
 void ProgressMeter::finish() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (finished_) return;
-    finished_ = true;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (monitor_.joinable()) monitor_.join();
+  if (finished_) return;
+  finished_ = true;
   if (opts_.fd >= 0 || opts_.heartbeat_ms > 0) emit(/*final=*/true);
 }
 
-void ProgressMeter::monitor_loop() {
-  const std::uint64_t period_ms =
-      opts_.heartbeat_ms > 0 ? opts_.heartbeat_ms : kDefaultPeriodMs;
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stopping_) {
-    cv_.wait_for(lock, std::chrono::milliseconds(period_ms));
-    if (stopping_) break;  // the final emit happens in finish()
-    lock.unlock();
-    emit(/*final=*/false);
-    lock.lock();
-  }
-}
-
 void ProgressMeter::emit(bool final) {
-  const std::uint64_t done = done_.load(std::memory_order_relaxed);
-  std::array<std::uint64_t, 4> cls{};
-  for (std::size_t i = 0; i < 4; ++i) {
-    cls[i] = class_counts_[i].load(std::memory_order_relaxed);
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
+  const std::uint64_t done = done_;
+  const std::array<std::uint64_t, 4>& cls = class_counts_;
+  const auto elapsed = Clock::now() - start_;
   const auto elapsed_ms = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count());
   // Integer rate (scenarios/sec) and ETA — no floating point anywhere,

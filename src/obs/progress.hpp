@@ -1,13 +1,15 @@
-// Live sweep progress: a stderr heartbeat for humans and a
-// machine-readable JSONL stream on a caller-supplied fd for
-// coordinators (`tools/sweep_shard.py` consumes it to report per-shard
+// Live sweep progress: `--progress N` count lines and a stderr heartbeat
+// for humans, and a machine-readable JSONL stream on a caller-supplied fd
+// for coordinators (`tools/sweep_shard.py` consumes it to report per-shard
 // progress and flag stragglers).
 //
-// Workers call `tick(cls)` — one relaxed atomic increment — as each
-// scenario completes; a monitor thread wakes on a period and emits.
-// Progress is pure observability: it writes only to stderr / the given
-// fd, never to stdout or the store, so every digest and store byte is
-// untouched (asserted by tests).
+// The engine's in-order fold drives one meter on the calling thread: it
+// calls `add(cls)` as it folds each scenario, `poll()` when a timed wait
+// for the head runs out, and `finish()` once the sweep has completed.  So
+// every line counts folded scenarios — the ones the store already holds —
+// and lines come whole and in order.  Progress is pure observability: it
+// writes only to stderr / the given fd, never to stdout or the store, so
+// every digest and store byte is untouched (asserted by tests).
 //
 // The fd protocol is one JSON object per line, integers only:
 //
@@ -18,19 +20,16 @@
 // The four class keys are mode-specific labels supplied by the engine
 // (safety: ok/viol/blocked/err; term: term/capped/other/err; explore:
 // clean/found/other/err — not "done", which is the count's own key).
-// The final line carries "state":"done" and the exact final counts; a
-// consumer that only reads the last line gets the truth.
+// Only a completed sweep writes the final line, which carries
+// "state":"done" and the exact final counts (done == total); a consumer
+// that only reads the last line gets the truth, and a sweep that threw
+// never claims to be done.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <string>
 #include <string_view>
-#include <thread>
 
 namespace rlt::obs {
 
@@ -40,35 +39,42 @@ struct ProgressOptions {
   std::array<std::string_view, 4> classes{"ok", "viol", "blocked", "err"};
   int fd = -1;                        ///< JSONL stream fd; -1 = off
   std::uint64_t heartbeat_ms = 0;     ///< stderr heartbeat period; 0 = off
+  std::uint64_t every = 0;            ///< count-line period; 0 = off
 };
 
 class ProgressMeter {
  public:
+  using Clock = std::chrono::steady_clock;
+
   explicit ProgressMeter(const ProgressOptions& o);
-  ~ProgressMeter();  ///< calls finish()
 
   ProgressMeter(const ProgressMeter&) = delete;
   ProgressMeter& operator=(const ProgressMeter&) = delete;
 
-  /// One scenario finished with outcome class `cls` (0..3).  Lock-free.
-  void tick(int cls) noexcept;
+  /// One scenario folded with outcome class `cls` (0..3): prints the
+  /// `[mode] N scenarios done` line every `every` scenarios, then polls.
+  void add(int cls);
 
-  /// Emits the final "state":"done" line / heartbeat and joins the
-  /// monitor thread.  Idempotent.
+  /// Emits the periodic fd / heartbeat lines once their period has
+  /// passed since the last ones.
+  void poll();
+
+  /// When poll() emits next; Clock::time_point::max() while neither the
+  /// fd stream nor the heartbeat is on.
+  [[nodiscard]] Clock::time_point due() const noexcept { return due_; }
+
+  /// Emits the final "state":"done" line / heartbeat.  Idempotent.
   void finish();
 
  private:
   void emit(bool final);
-  void monitor_loop();
 
   ProgressOptions opts_;
-  std::atomic<std::uint64_t> done_{0};
-  std::array<std::atomic<std::uint64_t>, 4> class_counts_{};
-  std::chrono::steady_clock::time_point start_;
-  std::thread monitor_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
+  std::uint64_t done_ = 0;
+  std::array<std::uint64_t, 4> class_counts_{};
+  Clock::time_point start_;
+  Clock::duration period_;
+  Clock::time_point due_;
   bool finished_ = false;
 };
 

@@ -2,11 +2,13 @@
 //
 // A sweep is a stream.  A Cursor yields this shard's scenarios in global-
 // index (gi) order; `threads` workers claim runs of them from it, run
-// them, and render their keys, store records and trace spans; and the
-// calling thread folds the results back in enumeration order through a
-// bounded reorder window.  Nothing ever holds every scenario or every
-// result, so memory is O(window), not O(scenarios), and the ordered fold
-// and the sink appends overlap the workers.
+// them and write their forensics artifacts; and the calling thread — the
+// fold — takes the results back in enumeration order through a bounded
+// reorder window.  For each scenario the fold renders its key once, then
+// its store record and trace span, and drives the one progress meter
+// (obs/progress.hpp).  Nothing ever holds every scenario or every result,
+// so memory is O(window), not O(scenarios), and the ordered fold and the
+// sink appends overlap the workers.
 //
 // The determinism contract lives here, once: a scenario's outputs are a
 // pure function of the scenario, and every sink sees them in enumeration
@@ -24,14 +26,15 @@
 // template; any other run marks the config seeded, and its scenarios all
 // run.  Every later scenario of a templated config is stamped instead of
 // run: it takes the template's result (with its own wall time and no
-// checker time), renders its key and record from its own item, reuses
-// the template's rendered span fields after its own gi and key, and adds
-// the template's stable obs counters and histograms to its thread's
-// shard.  Its outputs are those of a run, so the contract above holds
-// whichever scenario of a config finished first; a scenario that starts
-// before its config's template exists simply runs.  Stamping is not
-// digest material: EngineStats::stamped and the runtime counter
-// `sweep.stamped` depend on threads and shards.
+// checker time) and adds the template's stable obs counters and
+// histograms to its thread's shard.  The fold renders it like any other
+// scenario — its key, record and span from its own item and the stamped
+// result, the span's counters from the template — so its outputs are
+// those of a run, and the contract above holds whichever scenario of a
+// config finished first; a scenario that starts before its config's
+// template exists simply runs.  Stamping is not digest material:
+// EngineStats::stamped and the runtime counter `sweep.stamped` depend on
+// threads and shards.
 //
 // A sweep mode plugs in through a small trait (SafetyMode in sweep.cpp is
 // the reference shape):
@@ -47,19 +50,20 @@
 //   cursor()                  the shard's scenarios in gi order
 //   run(item)                 runs one scenario; inside the per-scenario
 //                             counter bracket, so mode counters belong here
+//   artifact(item, r, gi, dir)  writes forensics (may do nothing; a stub
+//                             names the scenario by item.key())
 //   progress_class(item, r)   outcome class 0..3
 //   record(item, r, rec)      store-record fields after gi/key/mode
 //   span(item, r, times, sp)  trace-span fields after obs/gi/key/mode
-//   artifact(item, r, key, gi, dir)  writes forensics (may do nothing)
 //   fold(key, item, r)        the deterministic aggregate, gi order
 //   finish(sink)              the summary (its `engine` stats zero)
 //   stampable(r)              optional, static: true when a result of a
 //                             run that drew nothing may be stamped onto
 //                             the config's later seeds (Result then has
-//                             `check_ns`, and span must read only r)
+//                             `check_ns`)
 //
-// run/progress_class/record/span/artifact run on the workers
-// concurrently and must not touch mutable mode state; fold and finish run
+// run and artifact run on the workers concurrently and must not touch
+// mutable mode state; progress_class, record, span, fold and finish run
 // on the calling thread only.
 #pragma once
 
@@ -71,7 +75,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <iostream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -229,7 +232,6 @@ class Stamps {
   struct Template {
     Result result;
     obs::WorkDelta work;  ///< Its stable obs work.
-    Record span;  ///< Its span fields after obs/gi/key/mode, if rendered.
   };
 
   explicit Stamps(std::size_t configs)
@@ -305,17 +307,17 @@ struct Slot {
   typename Mode::Result result;
   /// The template it was stamped from; nullptr when it ran.
   const typename Stamps<Mode>::Template* stamp = nullptr;
-  std::string key;
-  Record record;  ///< Store record; empty without a sink.
-  Record span;    ///< Trace span; empty without a trace hook.
+  /// Its stable counter work, when tracing and it ran.
+  obs::CounterDelta delta;
 };
 
 }  // namespace detail
 
 /// Runs one sweep mode end to end (see the file comment) and returns its
-/// summary with the `engine` stats filled in.  Rethrows on the calling
-/// thread — after every worker has stopped — anything a worker or a sink
-/// threw.
+/// summary with the `engine` stats filled in.  `progress_every` > 0 has
+/// the meter print a line to stderr every that-many folded scenarios.
+/// Rethrows on the calling thread — after every worker has stopped —
+/// anything a worker or a sink threw.
 template <class Mode>
 auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
                 const obs::Hooks* hooks) {
@@ -334,40 +336,31 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   const bool times = tracing && hooks->trace_times;
   const bool forensics = hooks != nullptr && hooks->forensics_on();
   detail::Stamps<Mode> stamps(cursor.configs());
-  std::unique_ptr<obs::ProgressMeter> meter;
-  if (hooks != nullptr && hooks->progress_on()) {
-    obs::ProgressOptions po;
-    po.total = owned;
-    po.mode = Mode::kKind;
-    po.classes = Mode::kClasses;
+  obs::ProgressOptions po;
+  po.total = owned;
+  po.mode = Mode::kKind;
+  po.classes = Mode::kClasses;
+  po.every = progress_every;
+  if (hooks != nullptr) {
     po.fd = hooks->progress_fd;
     po.heartbeat_ms = hooks->heartbeat_ms;
-    meter = std::make_unique<obs::ProgressMeter>(po);
   }
+  obs::ProgressMeter meter(po);
   if (sink != nullptr && o.shard.active()) {
     sink->append(shard_header_record(std::string(Mode::kKind), o.shard,
                                      config_key(o), cursor.total(), owned));
   }
 
-  const auto span_head = [](Record& span, const Slot& s) {
-    span.str("obs", "span")
-        .u64("gi", s.gi)
-        .str("key", s.key)
-        .str("mode", Mode::kKind);
-  };
-
-  // Worker side: run one scenario, then render what the fold needs.
+  // Worker side: run (or stamp) one scenario and write its artifact.
   const auto run_one = [&](Indexed<Item>& in) {
     Slot s;
     s.gi = in.gi;
     s.item = std::move(in.item);
     // A scenario runs wholly on this thread, so thread-local counts
-    // before/after bracket exactly its work.
-    obs::CounterDelta delta;
+    // before/after bracket exactly its work.  A stamped one does not run:
+    // the fold takes its span counters from its template.
     s.stamp = stamps.stamp(s.gi, s.result);
-    if (s.stamp != nullptr) {
-      if (times) delta = s.stamp->work.counters;
-    } else if (stamps.undecided(s.gi)) {
+    if (s.stamp == nullptr && stamps.undecided(s.gi)) {
       // A run that may decide its config: its draws, and all of its
       // stable work, which the config's stamped scenarios add again.
       typename detail::Stamps<Mode>::Template run;
@@ -380,64 +373,53 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
         run.work = obs::thread_work();
         run.work -= before;
       }
-      delta = run.work.counters;
-      if (tracing && !times) {
-        mode.span(s.item, s.result, false, run.span);
-        obs::append_stable_deltas(delta, run.span);
-      }
+      if (tracing) s.delta = run.work.counters;
       run.result = s.result;
       stamps.decide(s.gi, drew, std::move(run));
-    } else {
+    } else if (s.stamp == nullptr) {
       const obs::CounterDelta before =
           tracing ? obs::thread_counters() : obs::CounterDelta{};
       s.result = mode.run(s.item);
-      if (tracing) delta = obs::thread_counters();
-      delta -= before;
-    }
-    if (meter) meter->tick(mode.progress_class(s.item, s.result));
-    // Rendering stays outside the bracket: span deltas are the
-    // scenario's own work only.
-    s.key = s.item.key();
-    if (sink != nullptr) {
-      s.record.u64("gi", s.gi).str("key", s.key).str("mode", Mode::kKind);
-      mode.record(s.item, s.result, s.record);
-    }
-    if (tracing && (s.stamp == nullptr || times)) {
-      // Wall-clock fields only under trace_times (they break
-      // byte-identity).
-      span_head(s.span, s);
-      mode.span(s.item, s.result, times, s.span);
-      obs::append_stable_deltas(delta, s.span);
+      if (tracing) s.delta = obs::thread_counters();
+      s.delta -= before;
     }
     // Artifacts are named by gi, so the directory is byte-identical
     // whichever worker writes which file, and the gi-disjoint shards of
     // one sweep tile the unsharded directory.
-    if (forensics) {
-      mode.artifact(s.item, s.result, s.key, s.gi, hooks->forensics_dir);
-    }
+    if (forensics) mode.artifact(s.item, s.result, s.gi, hooks->forensics_dir);
     return s;
   };
 
   // Calling-thread side: the deterministic fold, in enumeration order.
-  // `folded` counts the scenarios folded so far, this one included.
+  // It renders each scenario's key, record and span itself, so no
+  // rendered string crosses threads.
   EngineStats stats;
-  const auto consume = [&](Slot& s, std::uint64_t folded) {
+  const auto consume = [&](const Slot& s) {
     stats.wall_ns_total += s.result.wall_ns;
     stats.wall_ns_max = std::max(stats.wall_ns_max, s.result.wall_ns);
     stats.stamped += s.stamp != nullptr ? 1 : 0;
-    mode.fold(s.key, s.item, s.result);
-    if (sink != nullptr) sink->append(s.record);
-    if (tracing && s.stamp != nullptr && !times) {
-      // Its template's fields after its own head, rendered here: that
-      // costs less than freeing a span a worker allocated.
-      span_head(s.span, s);
-      s.span.append(s.stamp->span);
+    const std::string key = s.item.key();
+    mode.fold(key, s.item, s.result);
+    if (sink != nullptr) {
+      Record record;
+      record.u64("gi", s.gi).str("key", key).str("mode", Mode::kKind);
+      mode.record(s.item, s.result, record);
+      sink->append(record);
     }
-    if (tracing) hooks->trace->append(s.span);
-    if (progress_every > 0 && folded % progress_every == 0) {
-      std::cerr << "[" << Mode::kKind << "] " << folded
-                << " scenarios done\n";
+    if (tracing) {
+      // Wall-clock fields only under trace_times (they break
+      // byte-identity).
+      Record span;
+      span.str("obs", "span")
+          .u64("gi", s.gi)
+          .str("key", key)
+          .str("mode", Mode::kKind);
+      mode.span(s.item, s.result, times, span);
+      obs::append_stable_deltas(
+          s.stamp != nullptr ? s.stamp->work.counters : s.delta, span);
+      hooks->trace->append(span);
     }
+    meter.add(mode.progress_class(s.item, s.result));
   };
 
   // Shared with the workers, guarded by `mu`: finished scenarios wait in
@@ -542,11 +524,18 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   try {
     workers.reserve(static_cast<std::size_t>(threads));
     for (int i = 0; i < threads; ++i) workers.emplace_back(work);
+    const auto head_ready = [&] {
+      return failure || ring[head % window].has_value();
+    };
     while (head < owned) {
       std::unique_lock<std::mutex> lock(mu);
-      landed.wait(lock, [&] {
-        return failure || ring[head % window].has_value();
-      });
+      // Timed, so the meter's periodic lines keep coming while a slow
+      // scenario holds the head.
+      while (!landed.wait_until(lock, meter.due(), head_ready)) {
+        lock.unlock();
+        meter.poll();
+        lock.lock();
+      }
       if (failure) std::rethrow_exception(failure);
       Slot s = std::move(*ring[head % window]);
       ring[head % window].reset();
@@ -555,7 +544,7 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
       const bool wake = waiting > 0 && next < owned && fits();
       lock.unlock();
       if (wake) room.notify_one();
-      consume(s, head);
+      consume(s);
     }
   } catch (...) {
     join();
@@ -565,7 +554,6 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   obs::count(obs::Counter::kSweepStamped, stats.stamped);
   obs::gauge_max(obs::Gauge::kPoolThreads,
                  static_cast<std::uint64_t>(threads));
-  if (meter) meter->finish();
   if (times) {
     // Closing span: end-to-end engine wall clock.  "stable":false marks
     // it as wall-clock material that byte-stable tooling skips.
@@ -582,6 +570,8 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   if (sink != nullptr && o.shard.active()) {
     sink->append(shard_trailer_record(o.shard, owned, sum.digest));
   }
+  // Only a sweep that got this far is done.
+  meter.finish();
   stats.elapsed_ns = detail::ns_since(t0);
   sum.engine = stats;
   return sum;

@@ -177,12 +177,6 @@ Record& Record::boolean(std::string_view field, bool value) {
   return *this;
 }
 
-Record& Record::append(const Record& tail) {
-  if (!body_.empty() && !tail.body_.empty()) body_ += ',';
-  body_ += tail.body_;
-  return *this;
-}
-
 std::string Record::json() const {
   std::string out;
   out.reserve(body_.size() + 2);

@@ -34,8 +34,6 @@ class Record {
   Record& u64(std::string_view field, std::uint64_t value);
   Record& hex(std::string_view field, std::uint64_t value);  ///< "0x…" string
   Record& boolean(std::string_view field, bool value);
-  /// Appends every field of `tail`, in its order.
-  Record& append(const Record& tail);
 
   /// The closed single-line JSON object (no trailing newline).
   [[nodiscard]] std::string json() const;

@@ -140,15 +140,14 @@ struct SafetyMode {
   /// One canonical-JSON artifact per non-ok scenario.  Runners that could
   /// not capture forensics (kError unwound before the history existed)
   /// still get an honest stub.
-  static void artifact(const Scenario&, ScenarioResult& r,
-                       const std::string& key, std::uint64_t gi,
-                       const std::string& dir) {
+  static void artifact(const Scenario& s, ScenarioResult& r,
+                       std::uint64_t gi, const std::string& dir) {
     if (r.verdict == Verdict::kOk) return;
     std::string body = std::move(r.forensics);
     if (body.empty()) {
       Record stub;
       stub.u64("forensics", 1)
-          .str("key", key)
+          .str("key", s.key())
           .str("verdict", to_string(r.verdict))
           .str("detail", r.detail);
       body = stub.json() + "\n";

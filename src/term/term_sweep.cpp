@@ -1,6 +1,7 @@
 #include "term/term_sweep.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <iomanip>
 #include <sstream>
 
@@ -281,8 +282,8 @@ struct TermMode {
     if (times) span.u64("wall_ns", r.wall_ns);
   }
 
-  static void artifact(const TermScenario&, TermRecord&, const std::string&,
-                       std::uint64_t, const std::string&) {}
+  static void artifact(const TermScenario&, TermRecord&, std::uint64_t,
+                       const std::string&) {}
 
   void fold(const std::string& key, const TermScenario& s,
             const TermRecord& r) {
@@ -309,7 +310,8 @@ bool TermFold::add_record(const std::string& line) {
   const auto hash = sweep::field_hex(line, "outcome_hash");
   const auto detail = sweep::field_str(line, "detail");
   if (!key || !terminated || !capped || !safety_ok || !error || !rounds ||
-      !stalled || !coin_flips || !steps || !hash || !detail) {
+      *rounds > INT_MAX || !stalled || *stalled > INT_MAX || !coin_flips ||
+      !steps || !hash || !detail) {
     return false;
   }
   for (std::size_t fam = 0; fam < kFamilies; ++fam) {

@@ -1,15 +1,20 @@
 // Tests for the streaming engine loop shared by the three sweep modes
-// (src/sweep/engine.hpp).  Every test runs once per mode — through the
-// public run_sweep / run_term_sweep / run_explore entry points — and
-// checks one property of the loop itself: records reach the sink while
-// later scenarios have not run yet, claims shrink to single scenarios as
-// the sweep runs out, a throwing sink surfaces on the calling thread
-// with every worker stopped, and every mode fills the same engine stats.
-// One more test throws from the workers instead of the sink.
-#include <fcntl.h>
+// (src/sweep/engine.hpp).  The parameterized tests run once per mode —
+// through the public run_sweep / run_term_sweep / run_explore entry
+// points — and check one property of the loop itself: records reach the
+// sink while later scenarios have not run yet, claims shrink to single
+// scenarios as the sweep runs out, a throwing sink surfaces on the
+// calling thread with every worker stopped and no "done" progress line,
+// and every mode fills the same engine stats.  One more test throws from
+// the workers instead of the sink.  The rest drive run_engine with a
+// test-local mode whose runs the test controls and count: records reach
+// the sink while later scenarios have not run yet, and progress lines
+// keep coming while a slow scenario holds the fold.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -17,6 +22,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "explore/explore.hpp"
@@ -103,71 +109,42 @@ INSTANTIATE_TEST_SUITE_P(AllModes, Engine,
                                            Kind::kExplore),
                          kind_name);
 
-/// Holds the engine's fold at its first record until the progress stream
-/// (obs/progress.hpp, one line per 500 ms period) has reported, and keeps
-/// the "done" count of the last line read: how many scenarios had
-/// finished while the first record sat in the sink.
-class StallingSink final : public RecordSink {
+/// Holds the engine's fold at its first record long enough for the
+/// workers to run as far ahead as the window lets them, then throws,
+/// which stops the sweep there.
+class HaltingSink final : public RecordSink {
  public:
-  explicit StallingSink(int progress_fd) : fd_(progress_fd) {}
-
   void append(const Record&) override {
-    if (appends_++ > 0) return;
-    std::string text;
-    char buf[4096];
-    const auto start = std::chrono::steady_clock::now();
-    // At least one full meter period, then until a line has arrived.
-    while (std::chrono::steady_clock::now() - start <
-               std::chrono::milliseconds(700) ||
-           (text.find('\n') == std::string::npos &&
-            std::chrono::steady_clock::now() - start <
-                std::chrono::seconds(30))) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      ssize_t n;
-      while ((n = read(fd_, buf, sizeof buf)) > 0) {
-        text.append(buf, static_cast<std::size_t>(n));
-      }
-    }
-    const std::size_t end = text.rfind('\n');
-    ASSERT_NE(end, std::string::npos) << "no progress line arrived";
-    const std::size_t at = text.rfind("\"done\":", end);
-    ASSERT_NE(at, std::string::npos) << text;
-    done_at_first_append_ = std::stoull(text.substr(at + 7));
+    ++appends_;
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    throw std::runtime_error("halt at the first record");
   }
-
-  [[nodiscard]] std::uint64_t done_at_first_append() const {
-    return done_at_first_append_;
-  }
+  [[nodiscard]] std::uint64_t appends() const { return appends_; }
 
  private:
-  int fd_;
   std::uint64_t appends_ = 0;
-  std::uint64_t done_at_first_append_ = 0;
 };
 
 TEST_P(Engine, FirstRecordReachesTheSinkBeforeLaterScenariosRun) {
   // Much larger than the reorder window: while the fold is held at the
-  // first record, workers may finish at most one window of scenarios.
+  // first record, workers may run at most one window of scenarios.  With
+  // the registry on, pool.tasks counts the claims they ran, read once
+  // every worker has stopped; with far more than 8 × kMaxClaim scenarios
+  // left per worker, each claim took kMaxClaim of them.
   constexpr int kThreads = 2;
+  constexpr auto kTasks = static_cast<std::size_t>(obs::Counter::kPoolTasks);
   const std::uint64_t window = window_size(kThreads);
-  const std::uint64_t scenarios = 3 * window;
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  ASSERT_EQ(fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
-  StallingSink sink(fds[0]);
-  obs::Hooks hooks;
-  hooks.progress_fd = fds[1];
-  const Outcome run =
-      run_kind(GetParam(), scenarios, kThreads, &sink, &hooks);
-  close(fds[0]);
-  close(fds[1]);
-  const std::string count =
-      GetParam() == Kind::kExplore ? "instances " : "scenarios ";
-  EXPECT_NE(run.stable.find(count + std::to_string(scenarios) + "\n"),
-            std::string::npos)
-      << run.stable;
-  EXPECT_GT(sink.done_at_first_append(), 0u);
-  EXPECT_LE(sink.done_at_first_append(), window);
+  HaltingSink sink;
+  obs::reset();
+  obs::set_enabled(true);
+  EXPECT_THROW((void)run_kind(GetParam(), 3 * window, kThreads, &sink),
+               std::runtime_error);
+  obs::set_enabled(false);
+  const std::uint64_t claims = obs::snapshot_all().data.counters[kTasks];
+  obs::reset();
+  EXPECT_EQ(sink.appends(), 1u);
+  EXPECT_GT(claims, 0u);
+  EXPECT_LE(claims * kMaxClaim, window);
 }
 
 TEST_P(Engine, ClaimsShrinkToOneScenarioAsTheSweepRunsOut) {
@@ -220,6 +197,33 @@ TEST_P(Engine, ThrowingSinkRethrowsOnTheCallerWithWorkersStopped) {
   EXPECT_FALSE(again.stable.empty());
 }
 
+/// Everything written to the read end of `fds` once the write end is
+/// closed.
+std::string drain(int fds[2]) {
+  close(fds[1]);
+  std::string out;
+  char buf[4096];
+  ssize_t n;
+  while ((n = read(fds[0], buf, sizeof buf)) > 0) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  close(fds[0]);
+  return out;
+}
+
+TEST_P(Engine, ThrowingSinkEndsTheProgressStreamWithoutDone) {
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  obs::Hooks hooks;
+  hooks.progress_fd = fds[1];
+  ThrowingSink sink(100);
+  EXPECT_THROW((void)run_kind(GetParam(), 5'000, 4, &sink, &hooks),
+               std::runtime_error);
+  // The sweep did not complete, so no line may claim it did.
+  const std::string out = drain(fds);
+  EXPECT_EQ(out.find("\"state\":\"done\""), std::string::npos) << out;
+}
+
 TEST_P(Engine, EveryModeReportsTheSameEngineStats) {
   const Outcome run = run_kind(GetParam(), 64, 2, nullptr);
   EXPECT_GT(run.engine.wall_ns_max, 0u);
@@ -254,6 +258,132 @@ TEST(EngineWorkers, ThrowRethrowsOnTheCallerAndARerunCompletes) {
   EXPECT_EQ(again.blocked, 200u);
   EXPECT_FALSE(ok.text().empty());
   std::filesystem::remove(file);
+}
+
+// ---------------------------------------------------- a test-local mode ---
+
+/// One probe scenario per seed; seed 0 may sleep.
+struct Probe {
+  std::uint64_t seed = 0;
+  [[nodiscard]] std::string key() const {
+    return "probe/seed" + std::to_string(seed);
+  }
+};
+
+struct ProbeResult {
+  std::uint64_t wall_ns = 0;
+};
+
+struct ProbeOptions {
+  int threads = 2;
+  ShardSpec shard;
+  std::uint64_t scenarios = 0;
+};
+
+std::string config_key(const ProbeOptions& o) {
+  return "probes=" + std::to_string(o.scenarios);
+}
+
+struct ProbeSummary {
+  std::uint64_t scenarios = 0;
+  std::uint64_t digest = 0;
+  EngineStats engine;
+};
+
+/// The smallest engine mode (engine.hpp documents the trait): its runs
+/// do nothing but count themselves, after `first_sleep` for seed 0.
+struct ProbeMode {
+  using Item = Probe;
+  using Result = ProbeResult;
+  static constexpr std::string_view kKind = "probe";
+  static constexpr std::array<std::string_view, 4> kClasses{"a", "b", "c",
+                                                            "d"};
+
+  const ProbeOptions& o;
+  std::atomic<std::uint64_t>& runs;
+  std::chrono::milliseconds first_sleep{0};
+  std::uint64_t folded = 0;
+
+  [[nodiscard]] Cursor<Probe> cursor() const {
+    return Cursor<Probe>({Probe{}}, 0, o.scenarios, o.shard);
+  }
+  [[nodiscard]] ProbeResult run(const Probe& p) const {
+    if (p.seed == 0) std::this_thread::sleep_for(first_sleep);
+    runs.fetch_add(1);
+    return {1};
+  }
+  static void artifact(const Probe&, ProbeResult&, std::uint64_t,
+                       const std::string&) {}
+  static int progress_class(const Probe&, const ProbeResult&) { return 0; }
+  static void record(const Probe&, const ProbeResult&, Record&) {}
+  static void span(const Probe&, const ProbeResult&, bool, Record&) {}
+  void fold(const std::string&, const Probe&, const ProbeResult&) {
+    ++folded;
+  }
+  ProbeSummary finish(RecordSink*) { return {folded, 0, {}}; }
+};
+
+/// Holds the engine's fold at its first record long enough for the
+/// workers to run as far ahead as the window lets them, and keeps how
+/// many scenarios had run by then.
+class StallingSink final : public RecordSink {
+ public:
+  explicit StallingSink(const std::atomic<std::uint64_t>& runs)
+      : runs_(runs) {}
+
+  void append(const Record&) override {
+    if (appends_++ > 0) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    runs_at_first_append_ = runs_.load();
+  }
+
+  [[nodiscard]] std::uint64_t runs_at_first_append() const {
+    return runs_at_first_append_;
+  }
+
+ private:
+  const std::atomic<std::uint64_t>& runs_;
+  std::uint64_t appends_ = 0;
+  std::uint64_t runs_at_first_append_ = 0;
+};
+
+TEST(EngineProbe, FirstRecordReachesTheSinkBeforeLaterScenariosRun) {
+  // Much larger than the reorder window: while the fold is held at the
+  // first record, workers may finish at most one window of scenarios.
+  constexpr int kThreads = 2;
+  const std::uint64_t window = window_size(kThreads);
+  const ProbeOptions o{kThreads, {}, 3 * window};
+  std::atomic<std::uint64_t> runs{0};
+  ProbeMode mode{o, runs};
+  StallingSink sink(runs);
+  const ProbeSummary sum = run_engine(mode, 0, &sink, nullptr);
+  EXPECT_EQ(sum.scenarios, 3 * window);
+  EXPECT_EQ(runs.load(), 3 * window);
+  EXPECT_GT(sink.runs_at_first_append(), 0u);
+  EXPECT_LE(sink.runs_at_first_append(), window);
+}
+
+TEST(EngineProbe, ProgressLinesKeepComingWhileASlowScenarioHoldsTheHead) {
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  obs::Hooks hooks;
+  hooks.progress_fd = fds[1];
+  hooks.heartbeat_ms = 100;
+  const ProbeOptions o{2, {}, 8};
+  std::atomic<std::uint64_t> runs{0};
+  ProbeMode mode{o, runs, std::chrono::milliseconds(1500)};
+  const ProbeSummary sum = run_engine(mode, 0, nullptr, &hooks);
+  EXPECT_EQ(sum.scenarios, 8u);
+  const std::string out = drain(fds);
+  // While seed 0 slept at the head, nothing had been folded, yet the
+  // stream kept reporting; the last line is the completed count.
+  EXPECT_NE(out.find("\"state\":\"run\",\"done\":0,"), std::string::npos)
+      << out;
+  const std::size_t last = out.rfind("{\"obs\":\"progress\"");
+  ASSERT_NE(last, std::string::npos) << out;
+  EXPECT_NE(out.find("\"state\":\"done\",\"done\":8,\"total\":8,", last),
+            std::string::npos)
+      << out;
 }
 
 TEST(Cursor, YieldsTheShardsScenariosInGlobalIndexOrder) {

@@ -264,8 +264,8 @@ TEST_F(ObsTest, ProgressFdSpeaksTheDocumentedProtocol) {
     po.mode = "safety";
     po.fd = fds[1];
     ProgressMeter meter(po);
-    for (int i = 0; i < 4; ++i) meter.tick(0);
-    meter.tick(2);  // one blocked
+    for (int i = 0; i < 4; ++i) meter.add(0);
+    meter.add(2);  // one blocked
     meter.finish();
   }
   close(fds[1]);
@@ -291,9 +291,9 @@ TEST_F(ObsTest, ProgressMeterFinishIsIdempotent) {
   po.fd = -1;
   po.heartbeat_ms = 0;
   ProgressMeter meter(po);
-  meter.tick(0);
+  meter.add(0);
   meter.finish();
-  meter.finish();  // second finish must be a no-op (dtor adds a third)
+  meter.finish();  // second finish must be a no-op
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -376,6 +377,40 @@ TEST(ShardMergeRecords, TermRecordWithoutDigestFieldIsRejected) {
                                    RecordSink* sink) {
                                   return run_term_sweep(opts, 0, sink);
                                 });
+}
+
+TEST(ShardMergeRecords, TermRecordWithIntFieldPastIntMaxIsRejected) {
+  // 2^32 + v wraps to v as an int, so without the bound the edited store
+  // would still match its trailer digest and merge like the clean one.
+  term::TermSweepOptions o;
+  o.families = {term::Family::kSharedCoin};
+  o.adversaries = {term::TermAdversary::kRandom};
+  o.process_counts = {2};
+  o.round_budgets = {4};
+  o.seed_end = 20;
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\"rounds\":3,",
+                                            "\"rounds\":4294967299,"},
+        {"\"stalled\":0,", "\"stalled\":4294967296,"}}) {
+    std::vector<ShardStore> stores;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      o.shard = ShardSpec{i, 2};
+      StringSink s;
+      (void)run_term_sweep(o, 0, &s);
+      stores.push_back({"k" + std::to_string(i) + ".jsonl", s.text()});
+    }
+    std::string& text = stores[1].content;
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    try {
+      (void)merge_shard_stores(stores);
+      ADD_FAILURE() << "merge accepted " << to;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("k1.jsonl"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ShardMergeRecords, ExploreRecordWithoutDigestFieldIsRejected) {

@@ -198,9 +198,10 @@ using rlt::term::TermSweepOptions;
       "                      closing sweep span) to --trace spans — opts\n"
       "                      out of byte-identity; needs --trace\n"
       "  --progress-fd N     stream machine-readable progress lines (one\n"
-      "                      JSON object per line, final line has\n"
-      "                      \"state\":\"done\") to open file descriptor N;\n"
-      "                      tools/sweep_shard.py --progress consumes this\n"
+      "                      JSON object per line; a completed sweep's\n"
+      "                      last has \"state\":\"done\") to open file\n"
+      "                      descriptor N; tools/sweep_shard.py\n"
+      "                      --progress consumes this\n"
       "  --heartbeat MS      human progress heartbeat to stderr every MS\n"
       "                      milliseconds\n"
       "  --forensics DIR     write one canonical-JSON forensics artifact\n"
