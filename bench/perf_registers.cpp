@@ -70,14 +70,17 @@ void BM_LockedRegisterWrite(benchmark::State& state) {
 BENCHMARK(BM_LockedRegisterWrite);
 
 /// Contended mixed workload: each thread alternates write and read on its
-/// own slot; measures throughput under real concurrency.
+/// own slot; measures throughput under real concurrency.  Thread 0 creates
+/// the register before the loop and deletes it after, so `reg` is read only
+/// inside the loop, which every thread enters and leaves together (Google
+/// Benchmark's start and stop barriers).
 template <class Register>
-void contended_loop(benchmark::State& state, Register& reg) {
+void contended_loop(benchmark::State& state, Register* const& reg) {
   const int me = static_cast<int>(state.thread_index());
   std::int64_t v = 0;
   for (auto _ : state) {
-    reg.write(me, ++v);
-    benchmark::DoNotOptimize(reg.read(me));
+    reg->write(me, ++v);
+    benchmark::DoNotOptimize(reg->read(me));
   }
 }
 
@@ -87,7 +90,7 @@ void BM_Alg2Contended(benchmark::State& state) {
     reg = new ThreadAlg2Register(static_cast<int>(state.threads()), 0,
                                  /*record=*/false);
   }
-  contended_loop(state, *reg);
+  contended_loop(state, reg);
   if (state.thread_index() == 0) {
     delete reg;
     reg = nullptr;
@@ -101,7 +104,7 @@ void BM_Alg4Contended(benchmark::State& state) {
     reg = new ThreadAlg4Register(static_cast<int>(state.threads()), 0,
                                  /*record=*/false);
   }
-  contended_loop(state, *reg);
+  contended_loop(state, reg);
   if (state.thread_index() == 0) {
     delete reg;
     reg = nullptr;

@@ -5,8 +5,7 @@
 // state, solver invoked only at read responses), and the solver's
 // dominance pruning must keep adversarial many-writer windows — the
 // worst case for the backtracking search — tractable.  items_per_second
-// here IS the sustained ops-checked-per-second-per-core figure tracked
-// in BENCH_checker.json.
+// here IS the sustained ops-checked-per-second-per-core figure.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -1,9 +1,9 @@
-// Experiment P4 — end-to-end sweep throughput.
+// Experiment P4 — sweep scaling across worker threads and shard processes.
 //
-// The scenario sweep is the system's outer loop: this bench tracks
-// scenarios/second through the full pipeline (simulate, record, check,
-// fold) so checker and engine changes show up as one end-to-end number.
-// The digest is asserted stable across iterations — a throughput bench
+// perfbench's safety-wide workload times the sweep end to end at one
+// thread count; this bench asks how the same cross-product scales with
+// --threads and with forked shards plus the merge.  The digest and the
+// merged store are asserted stable across iterations — a throughput bench
 // that silently changed behaviour would be worse than useless.
 #include <sys/wait.h>
 #include <unistd.h>
@@ -51,16 +51,8 @@ void run_sweep_bench(benchmark::State& state, const sweep::SweepOptions& o) {
   state.counters["scenarios"] = static_cast<double>(scenarios);
 }
 
-/// Full cross-product (all algorithms × semantics × adversaries), seeds
-/// scaled by the range argument; single worker.
-void BM_SweepAllAxes(benchmark::State& state) {
-  run_sweep_bench(state,
-                  base_options(static_cast<std::uint64_t>(state.range(0)),
-                               /*threads=*/1));
-}
-BENCHMARK(BM_SweepAllAxes)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
-
-/// Thread scaling at a fixed cross-product.
+/// Thread scaling at a fixed cross-product (all algorithms × semantics ×
+/// adversaries).
 void BM_SweepThreads(benchmark::State& state) {
   run_sweep_bench(state, base_options(/*seeds=*/25,
                                       static_cast<int>(state.range(0))));

@@ -22,6 +22,7 @@
 #include "sim/schedule_policy.hpp"
 #include "sim/scheduler.hpp"
 #include "sweep/fnv.hpp"
+#include "sweep/store.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -914,24 +915,24 @@ std::optional<Verdict> verdict_from_string(std::string_view s) noexcept {
 }
 
 std::string Scenario::key() const {
-  std::ostringstream os;
-  os << to_string(algorithm);
+  std::string k = to_string(algorithm);
   if (algorithm == Algorithm::kModeled) {
-    os << '-' << sim::to_string(semantics);
+    k.append("-").append(sim::to_string(semantics));
   }
-  os << '/' << to_string(adversary) << "/p" << processes << "/w"
-     << writes_per_process;
+  k.append("/").append(to_string(adversary));
+  append_decimal(k.append("/p"), processes);
+  append_decimal(k.append("/w"), writes_per_process);
   // Defaulted knobs add nothing: crash-free keys are byte-identical to
   // their pre-fault-axis spelling (pinned digests depend on this).
-  if (!abd_read_write_back) os << "/nowb";
+  if (!abd_read_write_back) k.append("/nowb");
   if (faults.active()) {
-    os << "/f" << to_string(faults.kind);
-    if (faults.param != 0) os << "-d" << faults.param;
-    os << "-c" << faults.seed;
+    k.append("/f").append(to_string(faults.kind));
+    if (faults.param != 0) append_decimal(k.append("-d"), faults.param);
+    append_decimal(k.append("-c"), faults.seed);
   }
-  if (explore_faults) os << "/fmenu";
-  os << "/seed" << seed;
-  return os.str();
+  if (explore_faults) k.append("/fmenu");
+  append_decimal(k.append("/seed"), seed);
+  return k;
 }
 
 void classify_run(const History& h, bool expect_wsl, RunEnd end,

@@ -1,6 +1,5 @@
 #include "sweep/store.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -157,9 +156,7 @@ Record& Record::str(std::string_view field, std::string_view value) {
 
 Record& Record::u64(std::string_view field, std::uint64_t value) {
   begin_field(field);
-  char buf[20];
-  const std::to_chars_result end = std::to_chars(buf, buf + sizeof buf, value);
-  body_.append(buf, end.ptr);
+  append_decimal(body_, value);
   return *this;
 }
 

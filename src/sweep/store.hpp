@@ -16,6 +16,7 @@
 // uses as the join column.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <optional>
@@ -45,6 +46,13 @@ class Record {
 
 /// Escapes `s` as a JSON string literal (including the quotes).
 [[nodiscard]] std::string json_escape(std::string_view s);
+
+/// Appends integer `v` to `out` in decimal, as `std::ostream` spells it.
+template <class Int>
+void append_decimal(std::string& out, Int v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
 /// Spells one list axis of a config key: `items` joined by commas, each
 /// in decimal or through the to_string of its own namespace.

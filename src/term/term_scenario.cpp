@@ -4,7 +4,6 @@
 #include <chrono>
 #include <exception>
 #include <memory>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "game/game_runner.hpp"
 #include "sim/adversary.hpp"
 #include "sweep/fnv.hpp"
+#include "sweep/store.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::term {
@@ -326,10 +326,12 @@ bool combination_valid(Family f, TermAdversary a) noexcept {
 }
 
 std::string TermScenario::key() const {
-  std::ostringstream os;
-  os << "term/" << to_string(family) << '/' << to_string(adversary) << "/p"
-     << processes << "/r" << max_rounds << "/seed" << seed;
-  return os.str();
+  std::string k = "term/";
+  k.append(to_string(family)).append("/").append(to_string(adversary));
+  sweep::append_decimal(k.append("/p"), processes);
+  sweep::append_decimal(k.append("/r"), max_rounds);
+  sweep::append_decimal(k.append("/seed"), seed);
+  return k;
 }
 
 TermProbe run_term_probe(const TermProbeSpec& spec,

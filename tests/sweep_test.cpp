@@ -138,6 +138,31 @@ TEST(Scenario, CrashFreeKeysKeepTheirHistoricalSpelling) {
   EXPECT_EQ(st.key(), "alg2/rand/p5/w2/fstall-c3/seed42");
 }
 
+TEST(Scenario, ModeledKeysNameTheirSemanticsAndIntegersPrintInFull) {
+  // The modeled family spells its semantics into the key, and every
+  // integer prints in plain decimal at its widest: stores and digests
+  // fold these exact bytes.
+  Scenario s;
+  s.algorithm = Algorithm::kModeled;
+  s.semantics = sim::Semantics::kWriteStrong;
+  s.adversary = AdversaryKind::kRoundRobin;
+  s.processes = 5;
+  s.writes_per_process = 3;
+  s.seed = 9;
+  EXPECT_EQ(s.key(), "modeled-write-strongly-linearizable/rr/p5/w3/seed9");
+  s.semantics = sim::Semantics::kLinearizable;
+  s.faults = FaultPlan{FaultKind::kStall, UINT64_MAX};
+  s.seed = UINT64_MAX;
+  EXPECT_EQ(s.key(),
+            "modeled-linearizable/rr/p5/w3/fstall-c18446744073709551615/"
+            "seed18446744073709551615");
+  Scenario a = abd_scenario(UINT64_MAX);
+  a.faults = FaultPlan{FaultKind::kLossy, 0};
+  a.faults.param = UINT32_MAX;
+  EXPECT_EQ(a.key(),
+            "abd/rand/p3/w2/flossy-d4294967295-c0/seed18446744073709551615");
+}
+
 TEST(Scenario, CrashRunsAreDeterministic) {
   // Same scenario (schedule seed × crash seed) => identical fingerprint,
   // verdict, and detail — the property the fault-axis digest rests on.

@@ -41,6 +41,8 @@ TEST(TermScenario, KeySpellingIsStable) {
             "term/coin/rand/p4/r64/seed0");
   EXPECT_EQ(make(Family::kComposed, TermAdversary::kScripted, 1).key(),
             "term/composed/scripted/p4/r64/seed1");
+  EXPECT_EQ(make(Family::kGame, TermAdversary::kRandom, UINT64_MAX, 3, 2).key(),
+            "term/game/rand/p3/r2/seed18446744073709551615");
 }
 
 TEST(TermScenario, RerunIsBitIdentical) {

@@ -19,7 +19,7 @@ Diff mode prints old/new/delta/pct for every metric present in either
 dump.  With --threshold P, stable counters whose relative change
 exceeds P percent are listed as regressions; --strict turns any such
 regression into exit status 1 (the CI hook).  Unstable (runtime)
-metrics — pool.* — are reported but never gate.
+metrics — pool.* and sweep.stamped — are reported but never gate.
 
 Exit status: 0 ok, 1 --strict threshold breach, 2 usage/parse error.
 """
