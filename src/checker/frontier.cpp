@@ -1,5 +1,7 @@
 #include "checker/frontier.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -49,6 +51,9 @@ LinProblem Frontier::problem() const {
 void Frontier::collapse(std::vector<Value> values) {
   RLT_CHECK_MSG(open_ == 0, "collapsing a window with open ops");
   RLT_CHECK_MSG(!values.empty(), "collapsing to no pre-window value");
+  RLT_CHECK_MSG(std::ranges::adjacent_find(values, std::greater_equal<>{}) ==
+                    values.end(),
+                "pre-window values must be ascending and unique");
   window_.clear();  // keeps the window's capacity for the next one
   caller_ids_.clear();
   initial_values_ = std::move(values);

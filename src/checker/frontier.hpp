@@ -24,7 +24,9 @@
 // Which values to collapse to is the caller's decision.  Linearizable
 // registers and the streaming checker keep every possibility open with
 // `feasible_final_values(problem())`: the write order inside the window
-// may still be undecided.  A write strongly-linearizable register has
+// may still be undecided.  Linearizable registers skip that search for
+// a one-op window, which leaves its own value behind: the value written
+// or the value read.  A write strongly-linearizable register has
 // committed its whole write order by quiescence, so its last committed
 // value is the only one it may leave behind.
 #pragma once
@@ -72,7 +74,7 @@ class Frontier {
   [[nodiscard]] LinProblem problem() const;
 
   /// Retires the window (see the file comment); requires no open op.
-  /// `values` must not be empty.
+  /// `values` must be ascending, unique and not empty.
   void collapse(std::vector<Value> values);
 
  private:

@@ -10,7 +10,9 @@
 //  * the simulator's `LinearizableModel` and `WslModel`, which decide
 //    on-line which write commitments still admit a legal linearization
 //    (`feasible`) and which values a read may return
-//    (`feasible_read_values`, one search per menu).
+//    (`feasible_read_values`, one search per menu).  They call it only
+//    for windows of two or more ops: a one-op window's answer is forced
+//    (sim/regmodel.hpp).
 //
 // Search space: orders of the history's operations.  A completed read
 // must return the value of the last write placed before it (or an allowed

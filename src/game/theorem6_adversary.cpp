@@ -257,7 +257,6 @@ sim::Generator<Action> GameScriptAdversary::script(Scheduler& sched) {
         }
         RLT_CHECK_MSG(stepped, "drain deadlock");
       }
-      stats_.drained = true;
       co_return;
     }
 
@@ -285,7 +284,6 @@ sim::Generator<Action> GameScriptAdversary::script(Scheduler& sched) {
       RLT_CHECK_MSG(ch.has_value(), "host read of R2 cannot return " << n - 2);
       co_yield Action::respond(h, op.op_id, *ch);
     }
-    stats_.rounds_survived = j;
   }
 }
 

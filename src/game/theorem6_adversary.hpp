@@ -42,9 +42,7 @@ enum class CommitStrategy {
 class GameScriptAdversary final : public sim::Adversary {
  public:
   struct Stats {
-    int rounds_survived = 0;  ///< Rounds all processes completed.
-    int doomed_round = 0;     ///< Round in which the game died (0: never).
-    bool drained = false;     ///< Ran the post-doom cleanup to completion.
+    int doomed_round = 0;  ///< Round in which the game died (0: never).
   };
 
   /// `seed` feeds the kRandomOrder strategy only.

@@ -171,7 +171,6 @@ class AbdRegister {
   [[nodiscard]] int quorum() const noexcept { return n_ / 2 + 1; }
 
  private:
-  friend class AbdServer;
   class Server;
 
   struct ClientOp {

@@ -31,8 +31,19 @@ class LinearizableModel final : public WindowedModel {
       choices.push_back(ResponseChoice{op.value, {}});
       return choices;
     }
-    // Reads: any value with a feasible linearization, from one solver
-    // search with the read completed now and its value left open.
+    if (frontier_.window().size() == 1) {
+      // A read alone in its window may return exactly the pre-window
+      // values: it linearizes alone, after a past that may leave any of
+      // them behind (checker/frontier.hpp).  They are ascending and
+      // unique, the solver's order.
+      for (const Value v : frontier_.initial_values()) {
+        choices.push_back(ResponseChoice{v, {}});
+      }
+      return choices;
+    }
+    // Reads among overlapping ops: any value with a feasible
+    // linearization, from one solver search with the read completed now
+    // and its value left open.
     checker::LinProblem probe = frontier_.problem();
     probe.completion = checker::LinProblem::Completion{wid, op.value, now};
     for (const Value v : checker::feasible_read_values(probe)) {
@@ -63,6 +74,16 @@ class LinearizableModel final : public WindowedModel {
   }
 
   std::vector<Value> collapse_values() override {
+    const history::History& window = frontier_.window();
+    if (window.size() == 1) {
+      // One op leaves its own value behind: the value written, or the
+      // pre-window value the read returned.
+      const history::OpRecord& op = window.op(0);
+      const std::vector<Value>& pre = frontier_.initial_values();
+      RLT_CHECK_MSG(op.is_write() || std::ranges::binary_search(pre, op.value),
+                    "quiescent window has no feasible final value — bug");
+      return {op.value};
+    }
     const std::set<Value> finals =
         checker::feasible_final_values(frontier_.problem());
     RLT_CHECK_MSG(!finals.empty(),

@@ -33,7 +33,11 @@
 // When the register becomes quiescent (no pending ops) the window
 // collapses, which keeps solver calls small even in unbounded executions
 // (Theorem 6's infinite run).  checker/frontier.hpp states why the
-// collapse is sound.
+// collapse is sound.  A window of one op has forced answers: a read may
+// return exactly the pre-window values, a WSL write commits itself, and
+// the op's own value is what the window leaves behind.  So the models
+// call the solver only for windows of two or more ops, which always
+// overlap.
 #pragma once
 
 #include <memory>

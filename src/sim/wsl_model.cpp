@@ -33,6 +33,16 @@ class WslModel final : public WindowedModel {
     const int wid = frontier_.window_id_of(op_id);
     const history::OpRecord& op = frontier_.window().op(wid);
     std::vector<ResponseChoice> choices;
+    if (frontier_.window().size() == 1) {
+      // An op alone in its window has one forced response.  A write
+      // commits itself.  A read returns the pre-window value, the only
+      // one a WSL collapse leaves, and commits nothing.
+      choices.push_back(
+          op.is_write()
+              ? ResponseChoice{op.value, {op_id}}
+              : ResponseChoice{frontier_.initial_values().front(), {}});
+      return choices;
+    }
     // Every probe: `op` hypothetically completed now, and the exact write
     // order committed_ + s for a candidate commitment batch s.
     checker::LinProblem probe = frontier_.problem();

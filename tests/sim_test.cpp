@@ -2,6 +2,7 @@
 // semantic models, adversary choice mechanics, and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <set>
@@ -10,10 +11,12 @@
 #include <vector>
 
 #include "checker/lin_checker.hpp"
+#include "checker/lin_solver.hpp"
 #include "checker/wsl_checker.hpp"
 #include "sim/adversary.hpp"
 #include "sim/scheduler.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace rlt::sim {
 namespace {
@@ -157,6 +160,167 @@ TEST(LinearizableModel, OffLineFreedomSurvivesWriteCompletion) {
   std::set<Value> values;
   for (const auto& c : sched.choices_for(read_op)) values.insert(c.value);
   EXPECT_EQ(values, (std::set<Value>{0, 10, 20}));
+}
+
+// ---- Forced menus: one-op windows answer without the solver ----
+
+struct ScriptOp {
+  RegId reg = 0;
+  OpKind kind = OpKind::kRead;
+  Value value = 0;  ///< Writes only.
+};
+
+Task run_ops(Proc& self, std::vector<ScriptOp> ops) {
+  for (const ScriptOp& op : ops) {
+    if (op.kind == OpKind::kWrite) {
+      co_await self.write(op.reg, op.value);
+    } else {
+      (void)co_await self.read(op.reg);
+    }
+  }
+}
+
+std::vector<Value> menu_values(const std::vector<ResponseChoice>& menu) {
+  std::vector<Value> out;
+  for (const ResponseChoice& c : menu) {
+    EXPECT_TRUE(c.commit_extension.empty());
+    out.push_back(c.value);
+  }
+  return out;
+}
+
+/// The read menu the solver gives over register `reg`'s whole history so
+/// far, nothing collapsed, with pending read `op_id` completed at the
+/// next tick.  Sets `alone` when the read is the only op of its model's
+/// window: every earlier op of the register responded before it was
+/// invoked, and none was invoked since.
+std::vector<Value> whole_history_menu(const Scheduler& sched, RegId reg,
+                                      int op_id, bool* alone) {
+  std::vector<int> ids;
+  const history::History h =
+      sched.global_history().restrict_to_register(reg, &ids);
+  EXPECT_LE(h.size(), checker::kMaxSolverOps);
+  const int k = static_cast<int>(
+      std::find(ids.begin(), ids.end(), op_id) - ids.begin());
+  *alone = k + 1 == static_cast<int>(h.size());
+  for (int j = 0; j < k; ++j) {
+    if (!h.op(j).precedes(h.op(k))) *alone = false;
+  }
+  checker::LinProblem probe;
+  probe.history = &h;
+  probe.completion =
+      checker::LinProblem::Completion{k, Value{0}, sched.now() + 1};
+  const std::set<Value> values = checker::feasible_read_values(probe);
+  return {values.begin(), values.end()};
+}
+
+TEST(LinearizableModel, ReadMenusEqualTheSolverOverTheWholeHistory) {
+  // Random short schedules over two registers.  At every decision, each
+  // pending read's menu must be the solver's over its register's whole
+  // history, in the same ascending order: the collapse argument makes
+  // the windowed menu exact, and a read alone in its window answers from
+  // the pre-window values without the solver.
+  int alone = 0;
+  int alone_with_choice = 0;  // pre-window sets of 2+ values
+  int overlapping = 0;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    util::Rng rng(seed);
+    Scheduler sched(seed);
+    sched.add_register(0, Semantics::kLinearizable, 0);
+    sched.add_register(1, Semantics::kLinearizable, 5);
+    const int processes = 2 + static_cast<int>(rng.uniform(3));
+    for (int p = 0; p < processes; ++p) {
+      std::vector<ScriptOp> ops(1 + rng.uniform(6));
+      for (ScriptOp& op : ops) {
+        op.reg = static_cast<RegId>(rng.uniform(2));
+        op.kind = rng.flip() != 0 ? OpKind::kWrite : OpKind::kRead;
+        op.value = 1 + static_cast<Value>(rng.uniform(4));
+      }
+      sched.add_process("p", [ops](Proc& self) { return run_ops(self, ops); });
+    }
+    while (!sched.all_done()) {
+      for (const PendingOpInfo& info : sched.pending_ops()) {
+        if (info.kind != OpKind::kRead) continue;
+        bool lone = false;
+        const std::vector<Value> expected =
+            whole_history_menu(sched, info.reg, info.op_id, &lone);
+        ASSERT_EQ(menu_values(sched.choices_for(info.op_id)), expected)
+            << "seed " << seed << ", op " << info.op_id
+            << (lone ? " alone" : " among overlapping ops");
+        ++(lone ? alone : overlapping);
+        if (lone && expected.size() >= 2) ++alone_with_choice;
+      }
+      const std::vector<Action>& actions = sched.enabled_actions();
+      ASSERT_FALSE(actions.empty());
+      sched.apply(actions[rng.uniform(actions.size())]);
+    }
+  }
+  EXPECT_GT(alone, 0);
+  EXPECT_GT(alone_with_choice, 0);
+  EXPECT_GT(overlapping, 0);
+}
+
+TEST(LinearizableModel, LoneReadOffersEveryValueTheCollapseKept) {
+  // k concurrent writes respond, the register goes quiescent and its
+  // window collapses to the k values the writes may have left.  A read
+  // invoked alone then offers exactly those, as the solver does over the
+  // whole history.
+  for (const int k : {2, 3}) {
+    Scheduler sched(1);
+    sched.add_register(0, Semantics::kLinearizable, 0);
+    std::vector<Value> written;
+    for (int w = 0; w < k; ++w) {
+      written.push_back(10 * (w + 1));
+      const std::vector<ScriptOp> ops{{0, OpKind::kWrite, written.back()}};
+      sched.add_process("w", [ops](Proc& self) { return run_ops(self, ops); });
+      sched.apply(Action::step(w));
+    }
+    const std::vector<ScriptOp> read{{0, OpKind::kRead, 0}};
+    sched.add_process("r", [read](Proc& self) { return run_ops(self, read); });
+    while (!sched.pending_ops().empty()) {
+      const PendingOpInfo op = sched.pending_ops().back();
+      sched.apply(
+          Action::respond(op.process, op.op_id, sched.choices_for(op.op_id)[0]));
+    }
+    sched.apply(Action::step(k));
+    const int op_id = sched.pending_ops()[0].op_id;
+    bool lone = false;
+    EXPECT_EQ(whole_history_menu(sched, 0, op_id, &lone), written);
+    EXPECT_TRUE(lone);
+    EXPECT_EQ(menu_values(sched.choices_for(op_id)), written) << "k=" << k;
+  }
+}
+
+TEST(WslModel, OpsAloneInTheirWindowHaveOneForcedResponse) {
+  // A lone read returns the pre-window value and commits nothing; a lone
+  // write commits itself.
+  Scheduler sched(1);
+  sched.add_register(0, Semantics::kWriteStrong, 5);
+  Value v1 = -1;
+  Value v2 = -1;
+  sched.add_process("w", [](Proc& p) { return write_two(p, 0, 7, 8); });
+  sched.add_process("r", [&](Proc& p) { return read_two(p, 0, &v1, &v2); });
+  int op_id = -1;
+  const auto only_choice = [&sched, &op_id](ProcessId p) {
+    sched.apply(Action::step(p));
+    op_id = sched.pending_ops()[0].op_id;
+    const std::vector<ResponseChoice> menu = sched.choices_for(op_id);
+    EXPECT_EQ(menu.size(), 1u);
+    sched.apply(Action::respond(p, op_id, menu.at(0)));
+    return menu.at(0);
+  };
+  const ResponseChoice read_five = only_choice(1);
+  EXPECT_EQ(read_five.value, 5);
+  EXPECT_TRUE(read_five.commit_extension.empty());
+  const ResponseChoice write_seven = only_choice(0);
+  EXPECT_EQ(write_seven.value, 7);
+  EXPECT_EQ(write_seven.commit_extension, std::vector<int>{op_id});
+  const ResponseChoice read_seven = only_choice(1);
+  EXPECT_EQ(read_seven.value, 7);
+  EXPECT_TRUE(read_seven.commit_extension.empty());
+  const auto result =
+      checker::check_write_strong_linearizable(sched.global_history());
+  EXPECT_TRUE(result.ok) << result.explanation;
 }
 
 TEST(WslModel, WriteResponseFreezesOrder) {

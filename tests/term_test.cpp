@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/adversary.hpp"
 #include "sweep/store.hpp"
 #include "sweep/sweep.hpp"
@@ -149,6 +150,31 @@ TEST(TermGolden, ConsensusAndCoinTerminateUnderStalls) {
                               << "victim";
     }
   }
+}
+
+// ---------- solver work ----------
+
+TEST(TermSolverWork, ScriptedRunsSolveOnlyOverlappingWindows) {
+  // The register models answer a one-op window without the solver, so a
+  // scripted run calls it only where ops overlap.  A solver search per
+  // menu and per collapse would make 30, 1,920 and 182 calls.  Composed
+  // covers the WSL model: A''s scripted game registers are WSL.
+  constexpr auto kCalls =
+      static_cast<std::size_t>(obs::Counter::kCheckerSolverCalls);
+  const auto solver_calls = [](Family f, int rounds) {
+    obs::set_enabled(true);
+    const obs::CounterDelta before = obs::thread_counters();
+    const TermRecord r =
+        run_term_scenario(make(f, TermAdversary::kScripted, 0, 4, rounds));
+    obs::CounterDelta calls = obs::thread_counters();
+    obs::set_enabled(false);
+    calls -= before;
+    EXPECT_FALSE(r.error) << r.detail;
+    return calls.v[kCalls];
+  };
+  EXPECT_EQ(solver_calls(Family::kGame, 1), 3u);
+  EXPECT_EQ(solver_calls(Family::kGame, 64), 192u);
+  EXPECT_EQ(solver_calls(Family::kComposed, 64), 55u);
 }
 
 // ---------- exploration probes ----------
