@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -46,6 +47,43 @@ LinProblem Frontier::problem() const {
   p.history = &window_;
   p.initial_values = initial_values_;
   return p;
+}
+
+const OpRecord* Frontier::lone_op() const {
+  return window_.size() == 1 ? &window_.op(0) : nullptr;
+}
+
+std::span<const Value> Frontier::read_values(int window_id, Time now) {
+  // A lone read linearizes alone, after a past that may leave any
+  // pre-window value behind.
+  if (lone_op() != nullptr) return initial_values_;
+  // Among overlapping ops: one solver search with the read completed now
+  // and its value left open.
+  LinProblem probe = problem();
+  probe.completion =
+      LinProblem::Completion{.op_id = window_id, .response = now};
+  const std::set<Value> values = feasible_read_values(probe);
+  read_values_.assign(values.begin(), values.end());
+  return read_values_;
+}
+
+bool Frontier::feasible() const {
+  if (const OpRecord* op = lone_op()) {
+    return op->is_write() || op->pending() ||
+           std::ranges::binary_search(initial_values_, op->value);
+  }
+  return checker::feasible(problem());
+}
+
+std::vector<Value> Frontier::final_values() const {
+  RLT_CHECK_MSG(open_ == 0, "final values of a window with open ops");
+  if (const OpRecord* op = lone_op()) {
+    // The value written, or the pre-window value the read returned.
+    if (!feasible()) return {};
+    return {op->value};
+  }
+  const std::set<Value> finals = feasible_final_values(problem());
+  return {finals.begin(), finals.end()};
 }
 
 void Frontier::collapse(std::vector<Value> values) {

@@ -2,11 +2,12 @@
 // retired, plus the set of values the register may hold before it.
 //
 // Two clients keep one frontier per register.  The simulator's interval
-// register models (sim/regmodel.hpp) probe it to build response menus;
-// the streaming checker (stream_checker.hpp) probes it at read responses.
-// Every probe starts from `problem()`: a solver problem (lin_solver.hpp)
-// over the window, starting from the pre-window values.  Callers then set
-// the write-order mode, a completion overlay or pruning as they need.
+// register models (sim/regmodel.hpp) ask it for response menus; the
+// streaming checker (stream_checker.hpp) asks it at read responses.  The
+// free-order questions (plain linearizability) are methods here:
+// `read_values`, `feasible` and `final_values`.  A caller with other
+// constraints, such as the WSL model's committed write order, starts its
+// own solver probe from `problem()`.
 //
 // The collapse, and why it is sound.  When the register has no open
 // operation, every operation in the window real-time-precedes every
@@ -23,15 +24,21 @@
 //
 // Which values to collapse to is the caller's decision.  Linearizable
 // registers and the streaming checker keep every possibility open with
-// `feasible_final_values(problem())`: the write order inside the window
-// may still be undecided.  Linearizable registers skip that search for
-// a one-op window, which leaves its own value behind: the value written
-// or the value read.  A write strongly-linearizable register has
-// committed its whole write order by quiescence, so its last committed
-// value is the only one it may leave behind.
+// `final_values()`: the write order inside the window may still be
+// undecided.  A write strongly-linearizable register has committed its
+// whole write order by quiescence, so its last committed value is the
+// only one it may leave behind.
+//
+// Forced windows.  Every quiescent point collapses, so a window of one op
+// is the common case, and there each question has a forced answer: a lone
+// read may return exactly the pre-window values, a lone op is feasible
+// unless it is a read that returned some other value, and it leaves its
+// own value behind.  The frontier answers these by lookup, so only
+// windows of two or more ops, which always overlap, reach the solver.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "checker/lin_solver.hpp"
@@ -73,14 +80,30 @@ class Frontier {
   /// A free-order problem over the window from the pre-window values.
   [[nodiscard]] LinProblem problem() const;
 
+  /// The values pending read `window_id` may return if it responds at
+  /// `now`, ascending and unique.  The view is valid until the frontier
+  /// changes or is asked again.
+  [[nodiscard]] std::span<const Value> read_values(int window_id, Time now);
+
+  /// Whether the window has a linearization from the pre-window values.
+  [[nodiscard]] bool feasible() const;
+
+  /// The values the window may leave behind, ascending and unique (empty
+  /// if it is infeasible); requires no open op.
+  [[nodiscard]] std::vector<Value> final_values() const;
+
   /// Retires the window (see the file comment); requires no open op.
   /// `values` must be ascending, unique and not empty.
   void collapse(std::vector<Value> values);
 
  private:
+  /// The op of a one-op window, or nullptr.
+  [[nodiscard]] const OpRecord* lone_op() const;
+
   History window_;
   std::vector<int> caller_ids_;  ///< window id -> caller id
   std::vector<Value> initial_values_;
+  std::vector<Value> read_values_;  ///< `read_values`' solver answer
   int open_ = 0;
 };
 

@@ -5,14 +5,16 @@
 //  * the off-line linearizability checker (free write order) and the
 //    message-passing F* check,
 //  * the write strong-linearizability tree checker (exact write order),
-//  * the streaming checker, which probes its frontier at every read
-//    response and collapses it with `feasible_final_values`,
-//  * the simulator's `LinearizableModel` and `WslModel`, which decide
-//    on-line which write commitments still admit a legal linearization
-//    (`feasible`) and which values a read may return
-//    (`feasible_read_values`, one search per menu).  They call it only
-//    for windows of two or more ops: a one-op window's answer is forced
-//    (sim/regmodel.hpp).
+//  * `Frontier` (frontier.hpp), one register's live window, which
+//    answers the free-order questions of the streaming checker and the
+//    simulator's `LinearizableModel`: is the window feasible
+//    (`feasible`), which values may a pending read return
+//    (`feasible_read_values`, one search per menu) and which values may
+//    it leave behind (`feasible_final_values`).  It calls the solver only
+//    for windows of two or more ops: a one-op window's answer is forced,
+//  * the simulator's `WslModel`, which decides on-line which write
+//    commitments still admit a legal linearization and which values a
+//    read may return, in exact write order.
 //
 // Search space: orders of the history's operations.  A completed read
 // must return the value of the last write placed before it (or an allowed

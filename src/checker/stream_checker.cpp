@@ -1,6 +1,8 @@
 #include "checker/stream_checker.hpp"
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -76,25 +78,17 @@ void StreamingChecker::on_response(int id, Value result, Time now) {
   open_ops_.erase(ref_it);
   const int wid = f.window_id_of(id);
   f.respond(wid, result, now);
-  const auto probe = [&] {
-    LinProblem p = f.problem();
-    p.prune = options_.prune;
-    return p;
-  };
 
   // Only a read response can make a feasible window infeasible: the
   // response is the latest event in the window, so a newly completed
   // write appends to any existing witness unchanged.
-  if (f.window().op(wid).is_read()) {
-    ++solver_calls_;
-    if (!feasible(probe())) {
-      violation_event_ = static_cast<std::int64_t>(events_) - 1;
-      return;
-    }
+  if (f.window().op(wid).is_read() && !f.feasible()) {
+    violation_event_ = static_cast<std::int64_t>(events_) - 1;
+    return;
   }
   if (f.open() != 0) return;
   // Quiescent point: retire the window behind the frontier.
-  const std::set<Value> finals = feasible_final_values(probe());
+  std::vector<Value> finals = f.final_values();
   // The per-event invariant (reads checked at response, invocations and
   // write responses cannot flip feasibility) makes an empty set
   // impossible here; treat it as the violation it would denote anyway
@@ -106,11 +100,11 @@ void StreamingChecker::on_response(int id, Value result, Time now) {
   ++collapses_;
   retired_ops_ += f.window().size();
   live_ops_ -= f.window().size();
-  f.collapse({finals.begin(), finals.end()});
+  f.collapse(std::move(finals));
 }
 
-StreamingChecker check_stream(const History& h, StreamCheckerOptions options) {
-  StreamingChecker checker(options);
+StreamingChecker check_stream(const History& h) {
+  StreamingChecker checker;
   for (const RegisterId reg : h.registers()) {
     checker.set_initial(reg, h.initial(reg));
   }

@@ -9,22 +9,23 @@
 // operations not yet retired, plus the values the register may hold
 // before it.
 //
-// At each per-register quiescent point the window collapses to its
-// feasible final values (`feasible_final_values`); frontier.hpp states
-// why that is sound.  Live state stays bounded by the ops between two
+// At each per-register quiescent point the window collapses to the
+// values it may leave behind (`Frontier::final_values`); frontier.hpp
+// states why that is sound.  Live state stays bounded by the ops between two
 // quiescent points, independent of stream length.  The simulator's
 // interval register models keep the same frontier; here it runs over
 // arbitrary recorded streams and several registers, which is correct for
 // the whole history by the locality theorem (each register is checked
 // independently).
 //
-// The solver runs only at *read responses*.  Invocations add an op the
-// solver may ignore (pending reads are never placed; pending writes are
-// optional), and a write response is always the latest event in its
+// Feasibility is asked only at *read responses*.  Invocations add an op
+// the solver may ignore (pending reads are never placed; pending writes
+// are optional), and a write response is always the latest event in its
 // window, so the newly completed write can simply be appended to any
-// existing witness — neither can flip feasibility.  This, plus the
-// dominance pruning the solver applies by default, is what sustains
-// line-rate checking.
+// existing witness — neither can flip feasibility.  The frontier answers
+// a one-op window by lookup, so the solver runs only on windows of
+// overlapping ops.  This, plus the dominance pruning the solver applies,
+// is what sustains line-rate checking.
 //
 // Verdicts are *prefix-exact*: the checker rejects at precisely the
 // first event whose prefix is not linearizable (the batch checker's
@@ -47,17 +48,8 @@
 
 namespace rlt::checker {
 
-struct StreamCheckerOptions {
-  /// Dominance pruning in the underlying solver (see lin_solver.hpp).
-  /// Off only for A/B comparisons; verdict-preserving either way.
-  bool prune = true;
-};
-
 class StreamingChecker {
  public:
-  explicit StreamingChecker(StreamCheckerOptions options = {})
-      : options_(options) {}
-
   /// Register initial value (Definition 2, property 3); defaults to 0.
   /// At most once per register, before the register's first event.
   void set_initial(history::RegisterId reg, Value v);
@@ -98,16 +90,12 @@ class StreamingChecker {
   [[nodiscard]] std::uint64_t retired_ops() const noexcept {
     return retired_ops_;
   }
-  [[nodiscard]] std::uint64_t solver_calls() const noexcept {
-    return solver_calls_;
-  }
   [[nodiscard]] std::uint64_t collapses() const noexcept { return collapses_; }
 
  private:
   [[nodiscard]] bool frozen() const noexcept { return !ok(); }
   void fail_limit(const std::string& what);
 
-  StreamCheckerOptions options_;
   /// Per register; caller ids are stream ids.
   std::map<history::RegisterId, Frontier> frontiers_;
   std::map<int, history::RegisterId> open_ops_;  ///< Stream id -> register.
@@ -120,7 +108,6 @@ class StreamingChecker {
   std::size_t live_ops_ = 0;
   std::size_t peak_live_ops_ = 0;
   std::uint64_t retired_ops_ = 0;
-  std::uint64_t solver_calls_ = 0;
   std::uint64_t collapses_ = 0;
 };
 
@@ -129,7 +116,6 @@ class StreamingChecker {
 /// checker for inspection.  The differential bridge between the batch
 /// and streaming worlds: `check_stream(h).ok()` must agree with
 /// `check_linearizable(h).ok` whenever no limit error occurred.
-[[nodiscard]] StreamingChecker check_stream(const History& h,
-                                            StreamCheckerOptions options = {});
+[[nodiscard]] StreamingChecker check_stream(const History& h);
 
 }  // namespace rlt::checker

@@ -29,7 +29,6 @@ constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
     {"wsl.cache_misses", true},
     {"stream.events", true},
     {"stream.collapses", true},
-    {"stream.solver_calls", true},
     {"stream.retired_ops", true},
     {"net.msgs_sent", true},
     {"net.bytes_sent", true},

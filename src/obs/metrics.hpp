@@ -55,7 +55,6 @@ enum class Counter : int {
   // Streaming online checker (absorbed from StreamingChecker accessors).
   kStreamEvents,
   kStreamCollapses,
-  kStreamSolverCalls,
   kStreamRetiredOps,
   // Message-passing fabric (mp/network, mp/abd) + per-op accounting.
   kNetMsgsSent,

@@ -1,16 +1,8 @@
 #include "sim/regmodel.hpp"
 
-#include <sstream>
-
 #include "util/assert.hpp"
 
 namespace rlt::sim {
-
-void WindowedModel::set_initial(Value v) {
-  RLT_CHECK_MSG(frontier_.window().empty(),
-                "set_initial after operations began");
-  frontier_ = checker::Frontier(v);
-}
 
 std::optional<Value> WindowedModel::on_invoke(int op_id, ProcessId p,
                                               OpKind kind, Value value,
@@ -22,37 +14,39 @@ std::optional<Value> WindowedModel::on_invoke(int op_id, ProcessId p,
 Value WindowedModel::on_respond(int op_id, const ResponseChoice& choice,
                                 Time now) {
   const int wid = frontier_.window_id_of(op_id);
-  const history::OpRecord op = frontier_.window().op(wid);
+  const history::OpRecord& op = frontier_.window().op(wid);
+  const Value result = op.is_write() ? op.value : choice.value;
   apply_choice(wid, choice);
   frontier_.respond(wid, choice.value, now);
-  return op.is_write() ? op.value : choice.value;
+  if (frontier_.open() == 0) frontier_.collapse(collapse_values());
+  return result;
 }
 
-void WindowedModel::maybe_collapse() {
-  if (frontier_.open() != 0 || frontier_.window().empty()) return;
-  frontier_.collapse(collapse_values());
-}
+namespace {
 
-std::optional<Value> AtomicModel::on_invoke(int /*op_id*/, ProcessId /*p*/,
-                                            OpKind kind, Value value,
-                                            Time /*now*/) {
-  if (kind == OpKind::kWrite) {
-    value_ = value;
-    return value;
+/// Atomic registers: reads/writes are instantaneous (Section 2.1).
+class AtomicModel final : public RegisterModel {
+ public:
+  explicit AtomicModel(Value initial) : value_(initial) {}
+
+  std::optional<Value> on_invoke(int /*op_id*/, ProcessId /*p*/, OpKind kind,
+                                 Value value, Time /*now*/) override {
+    if (kind == OpKind::kWrite) value_ = value;
+    return value_;
   }
-  return value_;
-}
+  std::vector<ResponseChoice> response_choices(int, Time) override {
+    return {};
+  }
+  Value on_respond(int, const ResponseChoice&, Time) override {
+    RLT_CHECK_MSG(false, "atomic registers have no pending operations");
+    return 0;
+  }
 
-Value AtomicModel::on_respond(int, const ResponseChoice&, Time) {
-  RLT_CHECK_MSG(false, "atomic registers have no pending operations");
-  return 0;
-}
+ private:
+  Value value_;
+};
 
-std::string AtomicModel::describe() const {
-  std::ostringstream os;
-  os << "atomic{value=" << value_ << '}';
-  return os.str();
-}
+}  // namespace
 
 const char* to_string(Semantics s) noexcept {
   switch (s) {
@@ -66,16 +60,10 @@ const char* to_string(Semantics s) noexcept {
   return "?";
 }
 
-std::unique_ptr<RegisterModel> make_atomic_model(Value initial) {
-  auto model = std::make_unique<AtomicModel>();
-  model->set_initial(initial);
-  return model;
-}
-
 std::unique_ptr<RegisterModel> make_model(Semantics s, Value initial) {
   switch (s) {
     case Semantics::kAtomic:
-      return make_atomic_model(initial);
+      return std::make_unique<AtomicModel>(initial);
     case Semantics::kLinearizable:
       return make_linearizable_model(initial);
     case Semantics::kWriteStrong:

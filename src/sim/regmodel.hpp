@@ -33,16 +33,14 @@
 // When the register becomes quiescent (no pending ops) the window
 // collapses, which keeps solver calls small even in unbounded executions
 // (Theorem 6's infinite run).  checker/frontier.hpp states why the
-// collapse is sound.  A window of one op has forced answers: a read may
-// return exactly the pre-window values, a WSL write commits itself, and
-// the op's own value is what the window leaves behind.  So the models
-// call the solver only for windows of two or more ops, which always
-// overlap.
+// collapse is sound, and answers a linearizable register's questions,
+// by lookup where a one-op window forces them.  A WSL window of one op
+// is forced too: a write commits itself, and a read returns the one
+// pre-window value.
 #pragma once
 
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "checker/frontier.hpp"
@@ -50,13 +48,12 @@
 
 namespace rlt::sim {
 
-/// Interface of a register semantic model (one instance per register).
+/// Interface of a register semantic model (one instance per register),
+/// constructed with the register's initial value (Definition 2,
+/// property 3).
 class RegisterModel {
  public:
   virtual ~RegisterModel() = default;
-
-  /// The register's initial value (Definition 2, property 3).
-  virtual void set_initial(Value v) = 0;
 
   /// Notifies the model of an invocation.  Returns the result immediately
   /// if the model completes operations instantaneously (atomic model);
@@ -75,25 +72,19 @@ class RegisterModel {
   /// the operation's result value (reads) or the written value (writes).
   virtual Value on_respond(int op_id, const ResponseChoice& choice,
                            Time now) = 0;
-
-  /// Human-readable state dump for debugging and benchmarks.
-  [[nodiscard]] virtual std::string describe() const = 0;
-
-  /// Invoked by the scheduler after events; models may compact state.
-  virtual void maybe_collapse() {}
 };
 
 /// Common machinery for interval-based models (linearizable and WSL):
 /// the register's frontier, keyed by global op id.
 class WindowedModel : public RegisterModel {
  public:
-  void set_initial(Value v) override;
+  explicit WindowedModel(Value initial) : frontier_(initial) {}
 
   std::optional<Value> on_invoke(int op_id, ProcessId p, OpKind kind,
                                  Value value, Time now) override;
+  /// Collapses the window once the register is quiescent.
   Value on_respond(int op_id, const ResponseChoice& choice,
                    Time now) override;
-  void maybe_collapse() override;
 
  protected:
   /// Subclass hook: commitment bookkeeping etc. `window_id` is the op's
@@ -107,24 +98,6 @@ class WindowedModel : public RegisterModel {
   checker::Frontier frontier_;  ///< caller ids are global op ids
 };
 
-/// Atomic registers: reads/writes are instantaneous (Section 2.1).
-class AtomicModel final : public RegisterModel {
- public:
-  void set_initial(Value v) override { value_ = v; }
-  std::optional<Value> on_invoke(int op_id, ProcessId p, OpKind kind,
-                                 Value value, Time now) override;
-  std::vector<ResponseChoice> response_choices(int, Time) override {
-    return {};
-  }
-  Value on_respond(int, const ResponseChoice&, Time) override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  Value value_ = 0;
-};
-
-/// Factory helpers.
-std::unique_ptr<RegisterModel> make_atomic_model(Value initial);
 std::unique_ptr<RegisterModel> make_linearizable_model(Value initial);
 std::unique_ptr<RegisterModel> make_wsl_model(Value initial);
 

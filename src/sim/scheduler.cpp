@@ -182,8 +182,6 @@ void Scheduler::respond_op(int op_id, const ResponseChoice& choice) {
   RLT_CHECK_MSG(proc.blocked, "responding to op of non-blocked process");
   proc.result_ = result;
   proc.blocked = false;
-
-  model(reg).maybe_collapse();
 }
 
 void Scheduler::apply(const Action& action) {

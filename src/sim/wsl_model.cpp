@@ -15,7 +15,6 @@
 // order of the concurrent write [1,j] now; it cannot retroactively pick
 // the order after seeing the coin.
 #include <algorithm>
-#include <sstream>
 
 #include "checker/tree_common.hpp"
 #include "sim/regmodel.hpp"
@@ -29,6 +28,8 @@ using checker::detail::for_each_ordered_selection;
 
 class WslModel final : public WindowedModel {
  public:
+  using WindowedModel::WindowedModel;
+
   std::vector<ResponseChoice> response_choices(int op_id, Time now) override {
     const int wid = frontier_.window_id_of(op_id);
     const history::OpRecord& op = frontier_.window().op(wid);
@@ -96,21 +97,6 @@ class WslModel final : public WindowedModel {
     return choices;
   }
 
-  [[nodiscard]] std::string describe() const override {
-    std::ostringstream os;
-    os << "wsl{window=" << frontier_.window().size() << " ops, committed=[";
-    for (std::size_t i = 0; i < committed_.size(); ++i) {
-      os << (i == 0 ? "" : ",") << 'w' << frontier_.caller_id_of(committed_[i]);
-    }
-    os << "], pre-window in {";
-    const std::vector<Value>& pre = frontier_.initial_values();
-    for (std::size_t i = 0; i < pre.size(); ++i) {
-      os << (i == 0 ? "" : ",") << pre[i];
-    }
-    os << "}}";
-    return os.str();
-  }
-
  protected:
   void apply_choice(int /*window_id*/, const ResponseChoice& choice) override {
     for (const int global : choice.commit_extension) {
@@ -167,9 +153,7 @@ class WslModel final : public WindowedModel {
 }  // namespace
 
 std::unique_ptr<RegisterModel> make_wsl_model(Value initial) {
-  auto model = std::make_unique<WslModel>();
-  model->set_initial(initial);
-  return model;
+  return std::make_unique<WslModel>(initial);
 }
 
 }  // namespace rlt::sim

@@ -132,7 +132,6 @@ void check_history(const History& h, bool expect_wsl, bool online,
     if (obs::enabled()) {
       obs::count(obs::Counter::kStreamEvents, sc.events_processed());
       obs::count(obs::Counter::kStreamCollapses, sc.collapses());
-      obs::count(obs::Counter::kStreamSolverCalls, sc.solver_calls());
       obs::count(obs::Counter::kStreamRetiredOps, sc.retired_ops());
       obs::gauge_max(obs::Gauge::kStreamPeakLiveOps, sc.peak_live_ops());
       obs::hist(obs::Hist::kStreamPeakLive, sc.peak_live_ops());

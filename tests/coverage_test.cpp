@@ -84,19 +84,7 @@ TEST(GameEncoding, DistinctAcrossRoundsAndHosts) {
   }
 }
 
-// ---------- model introspection ----------
-
-TEST(Models, DescribeMentionsStateAndSemantics) {
-  const auto atomic = sim::make_model(sim::Semantics::kAtomic, 7);
-  EXPECT_NE(atomic->describe().find("atomic"), std::string::npos);
-  EXPECT_NE(atomic->describe().find('7'), std::string::npos);
-
-  const auto lin = sim::make_model(sim::Semantics::kLinearizable, 0);
-  EXPECT_NE(lin->describe().find("linearizable"), std::string::npos);
-
-  const auto wsl = sim::make_model(sim::Semantics::kWriteStrong, 0);
-  EXPECT_NE(wsl->describe().find("committed"), std::string::npos);
-}
+// ---------- models ----------
 
 TEST(Models, SemanticsNamesAreStable) {
   EXPECT_STREQ(to_string(sim::Semantics::kAtomic), "atomic");

@@ -525,7 +525,6 @@ class CountingModel final : public RegisterModel {
   explicit CountingModel(int* calls)
       : inner_(make_linearizable_model(0)), calls_(calls) {}
 
-  void set_initial(Value v) override { inner_->set_initial(v); }
   std::optional<Value> on_invoke(int op_id, ProcessId p, OpKind kind,
                                  Value value, Time now) override {
     return inner_->on_invoke(op_id, p, kind, value, now);
@@ -538,10 +537,6 @@ class CountingModel final : public RegisterModel {
                    Time now) override {
     return inner_->on_respond(op_id, choice, now);
   }
-  [[nodiscard]] std::string describe() const override {
-    return inner_->describe();
-  }
-  void maybe_collapse() override { inner_->maybe_collapse(); }
 
  private:
   std::unique_ptr<RegisterModel> inner_;

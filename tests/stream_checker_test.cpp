@@ -15,6 +15,7 @@
 #include "checker/stream_checker.hpp"
 #include "explore/explore.hpp"
 #include "history/history.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/scenario.hpp"
 #include "sweep/sweep.hpp"
 #include "util/rng.hpp"
@@ -196,8 +197,54 @@ TEST(StreamChecker, CollapseRetiresWindowsAtQuiescence) {
   EXPECT_EQ(c.live_ops(), 0u);
   EXPECT_EQ(c.retired_ops(), 10u);
   EXPECT_EQ(c.collapses(), 10u);
-  // Write responses never invoke the solver.
-  EXPECT_EQ(c.solver_calls(), 0u);
+}
+
+TEST(StreamChecker, OneOpWindowsReachNoSolver) {
+  // Every op here is alone in its window, so each read probe and each
+  // collapse has a forced answer (frontier.hpp).
+  constexpr auto kCalls =
+      static_cast<std::size_t>(obs::Counter::kCheckerSolverCalls);
+  ASSERT_EQ(obs::counter_name(obs::Counter::kCheckerSolverCalls),
+            "checker.solver_calls");
+  obs::set_enabled(true);
+  const obs::CounterDelta before = obs::thread_counters();
+  StreamingChecker c;
+  Time t = 0;
+  for (int i = 0; i < 10; ++i) {
+    const int w = c.on_invoke(0, 0, OpKind::kWrite, i, ++t);
+    c.on_response(w, static_cast<Value>(i), ++t);
+    const int r = c.on_invoke(1, 0, OpKind::kRead, 0, ++t);
+    c.on_response(r, static_cast<Value>(i), ++t);
+  }
+  obs::CounterDelta calls = obs::thread_counters();
+  obs::set_enabled(false);
+  calls -= before;
+  EXPECT_TRUE(c.ok());
+  EXPECT_EQ(c.collapses(), 20u);
+  EXPECT_EQ(calls.v[kCalls], 0u);
+}
+
+TEST(StreamChecker, LoneReadsSeeEveryValueACollapseKept) {
+  // Two overlapping writes leave 1 or 2 behind.  A lone read may return
+  // either, and its own collapse keeps only the value it returned; any
+  // other value is rejected at exactly the read's response.
+  const auto run = [](Value first, Value second) {
+    StreamingChecker c;
+    const int w1 = c.on_invoke(0, 0, OpKind::kWrite, 1, 1);
+    const int w2 = c.on_invoke(1, 0, OpKind::kWrite, 2, 2);
+    c.on_response(w1, 1, 3);
+    c.on_response(w2, 2, 4);
+    const int r1 = c.on_invoke(2, 0, OpKind::kRead, 0, 5);
+    c.on_response(r1, first, 6);
+    const int r2 = c.on_invoke(2, 0, OpKind::kRead, 0, 7);
+    c.on_response(r2, second, 8);
+    return c.first_violation_event();
+  };
+  for (const Value v : {1, 2}) {
+    EXPECT_EQ(run(v, v), -1) << v;
+    EXPECT_EQ(run(v, 3 - v), 7) << v;
+  }
+  for (const Value v : {0, 3}) EXPECT_EQ(run(v, 1), 5) << v;
 }
 
 // ---------- limits are errors, not verdicts ----------
@@ -274,20 +321,6 @@ TEST(StreamChecker, AgreesWithBatchOnRandomHistories) {
   }
   // The generator must actually exercise the rejecting path.
   EXPECT_GT(violations, 100);
-}
-
-TEST(StreamChecker, PruningDoesNotChangeStreamingVerdicts) {
-  util::Rng rng(0xFACADE);
-  for (int trial = 0; trial < 500; ++trial) {
-    const History h = random_history(rng, 10);
-    StreamCheckerOptions off;
-    off.prune = false;
-    const StreamingChecker a = check_stream(h);
-    const StreamingChecker b = check_stream(h, off);
-    EXPECT_EQ(a.ok(), b.ok()) << h.to_string();
-    EXPECT_EQ(a.first_violation_event(), b.first_violation_event())
-        << h.to_string();
-  }
 }
 
 TEST(StreamChecker, FirstRejectionMatchesBatchMinimalFailingPrefix) {

@@ -19,7 +19,9 @@ Diff mode prints old/new/delta/pct for every metric present in either
 dump.  With --threshold P, stable counters whose relative change
 exceeds P percent are listed as regressions; --strict turns any such
 regression into exit status 1 (the CI hook).  Unstable (runtime)
-metrics — pool.* and sweep.stamped — are reported but never gate.
+metrics — pool.* and sweep.stamped — are reported but never gate.  A
+metric only one dump has (a build that added or deleted it) prints
+`new` or `removed` and never gates either.
 
 Exit status: 0 ok, 1 --strict threshold breach, 2 usage/parse error.
 """
@@ -130,18 +132,27 @@ def diff(old_path, new_path, threshold, strict):
           f"{'delta':>14} {'pct':>8}")
     regressions = []
     for name in names:
-        o, n = old.get(name, 0), new.get(name, 0)
+        if name not in old or name not in new:
+            o, n = old.get(name, "-"), new.get(name, "-")
+            tag = "new" if name not in old else "removed"
+            print(f"  {name:<{width}} {o:>14} {n:>14} {'-':>14} {tag:>8}")
+            continue
+        o, n = old[name], new[name]
         d = n - o
-        pct = f"{100.0 * d / o:+.1f}%" if o else ("-" if d == 0 else "new")
+        pct = f"{100.0 * d / o:+.1f}%" if o else ("-" if d == 0 else "inf")
         mark = ""
-        stable = old_stable.get(name, new_stable.get(name, True))
+        stable = old_stable[name]
         if (threshold is not None and stable and o
                 and abs(100.0 * d / o) > threshold):
             mark = "  <-- exceeds threshold"
             regressions.append(name)
         print(f"  {name:<{width}} {o:>14} {n:>14} {d:>+14} {pct:>8}{mark}")
     for name in dict.fromkeys(list(old_h) + list(new_h)):
-        ob, nb = old_h.get(name, {}), new_h.get(name, {})
+        if name not in old_h or name not in new_h:
+            print(f"  hist {name}: "
+                  f"{'new' if name not in old_h else 'removed'}")
+            continue
+        ob, nb = old_h[name], new_h[name]
         if ob != nb:
             print(f"  hist {name}: buckets changed "
                   f"({sum(ob.values())} -> {sum(nb.values())} samples)")
