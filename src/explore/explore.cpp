@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <memory>
 #include <sstream>
 
@@ -573,43 +572,77 @@ struct ExploreMode {
   }
 };
 
+/// The one parse of an explore record, for the merge and --replay: the
+/// instance and outcome ExploreMode::record renders back to exactly the
+/// line's bytes.  False, with the reason in `*error`, otherwise.
+bool read_explore_line(const std::string& line, ExploreInstance& e,
+                       ExploreOutcome& r, std::string* error) {
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
+    return false;
+  };
+  sweep::RecordReader in(line);
+  const std::uint64_t gi = in.u64("gi");
+  (void)in.str("key");  // The render checks both: the key is e.key().
+  (void)in.str("mode");
+  e.objective = sweep::spelled(in.str("objective"),
+                               {Objective::kRounds, Objective::kViolation});
+  e.strategy = sweep::spelled(
+      in.str("strategy"),
+      {Strategy::kGreedy, Strategy::kHillClimb, Strategy::kRandom});
+  const std::string target = in.str("target");
+  if (e.objective == Objective::kRounds) {
+    e.family = sweep::spelled(
+        target, {term::Family::kConsensus, term::Family::kComposed,
+                 term::Family::kSharedCoin, term::Family::kGame});
+  } else {
+    e.algorithm = sweep::spelled(
+        target, {sweep::Algorithm::kModeled, sweep::Algorithm::kAlg2,
+                 sweep::Algorithm::kAlg4, sweep::Algorithm::kAbd});
+  }
+  // A value past an int's range wraps, and then does not render back.
+  e.processes = static_cast<int>(in.u64("processes"));
+  e.max_rounds = static_cast<int>(in.u64("rounds"));
+  e.writes_per_process = static_cast<int>(in.u64("writes"));
+  e.max_actions = in.u64("max_actions");
+  e.seed = in.u64("seed");
+  e.search_budget = static_cast<int>(in.u64("budget"));
+  e.abd_read_write_back = in.boolean("write_back");
+  e.fault_menu = in.boolean("fault_menu");
+  r.runs = static_cast<std::uint32_t>(in.u64("runs"));
+  r.total_steps = in.u64("steps");
+  r.best_score = in.u64("best_score");
+  const std::string found = in.str("found");
+  r.error = found == "error";
+  r.found_rank = found == "violation" ? kRankViolation
+                 : found == "blocked" ? kRankBlocked
+                                      : 0;
+  r.fingerprint = in.hex("fingerprint");
+  r.trace_fnv = in.hex("trace_fnv");
+  (void)in.u64("trace_len");  // The render checks it against the trace.
+  r.unshrunk_len = in.u64("unshrunk_len");
+  r.shrunk = in.boolean("shrunk");
+  r.locally_minimal = in.boolean("locally_minimal");
+  r.shrink_probes = in.u64("shrink_probes");
+  r.fallback_seed = in.u64("fallback_seed");
+  const std::optional<ScheduleTrace> trace = decode_trace(in.str("trace"));
+  r.detail = in.str("detail");
+  if (!in.ok()) return fail("cannot read field \"" + in.failed_field() + "\"");
+  if (!trace) return fail("malformed trace field");
+  r.best_trace = *trace;
+  if (sweep::scenario_record<ExploreMode>(gi, e.key(), e, r).json() != line) {
+    return fail("the record's fields do not render back to its bytes");
+  }
+  return true;
+}
+
 }  // namespace
 
 bool ExploreFold::add_record(const std::string& line) {
-  using sweep::field_bool;
-  using sweep::field_hex;
-  using sweep::field_u64;
-  const auto key = sweep::field_str(line, "key");
-  const auto runs = field_u64(line, "runs");
-  const auto steps = field_u64(line, "steps");
-  const auto best_score = field_u64(line, "best_score");
-  const auto found = sweep::field_str(line, "found");
-  const auto fingerprint = field_hex(line, "fingerprint");
-  const auto trace_fnv = field_hex(line, "trace_fnv");
-  const auto shrunk = field_bool(line, "shrunk");
-  const auto locally_minimal = field_bool(line, "locally_minimal");
-  const auto shrink_probes = field_u64(line, "shrink_probes");
-  const auto detail = sweep::field_str(line, "detail");
-  if (!key || !runs || *runs > UINT32_MAX || !steps || !best_score ||
-      !found || !fingerprint || !trace_fnv || !shrunk || !locally_minimal ||
-      !shrink_probes || !detail) {
-    return false;
-  }
+  ExploreInstance e;
   ExploreOutcome r;
-  r.runs = static_cast<std::uint32_t>(*runs);
-  r.total_steps = *steps;
-  r.best_score = *best_score;
-  r.found_rank = *found == "violation" ? kRankViolation
-                 : *found == "blocked" ? kRankBlocked
-                                       : 0;
-  r.error = *found == "error";
-  r.fingerprint = *fingerprint;
-  r.trace_fnv = *trace_fnv;
-  r.shrunk = *shrunk;
-  r.locally_minimal = *locally_minimal;
-  r.shrink_probes = *shrink_probes;
-  r.detail = *detail;
-  add(*key, r);
+  if (!read_explore_line(line, e, r, nullptr)) return false;
+  add(e.key(), r);
   return true;
 }
 
@@ -624,83 +657,14 @@ ExploreSummary run_explore(const ExploreOptions& o,
 
 std::optional<PersistedTrace> parse_explore_record(const std::string& line,
                                                    std::string* error) {
-  using sweep::field_bool;
-  using sweep::field_hex;
-  using sweep::field_str;
-  using sweep::field_u64;
-  const auto fail = [&](const std::string& why) -> std::optional<PersistedTrace> {
-    if (error != nullptr) *error = why;
-    return std::nullopt;
-  };
-  if (field_str(line, "mode").value_or("") != "explore") {
-    return fail("not an explore record (mode != \"explore\")");
-  }
   PersistedTrace out;
-  const auto objective = field_str(line, "objective");
-  const auto strategy = field_str(line, "strategy");
-  const auto target = field_str(line, "target");
-  const auto trace = field_str(line, "trace");
-  if (!objective || !strategy || !target || !trace) {
-    return fail("record is missing objective/strategy/target/trace");
-  }
-  ExploreInstance& e = out.instance;
-  if (*objective == "rounds") {
-    e.objective = Objective::kRounds;
-  } else if (*objective == "viol") {
-    e.objective = Objective::kViolation;
-  } else {
-    return fail("unknown objective '" + *objective + "'");
-  }
-  if (*strategy == "greedy") e.strategy = Strategy::kGreedy;
-  else if (*strategy == "hill") e.strategy = Strategy::kHillClimb;
-  else if (*strategy == "random") e.strategy = Strategy::kRandom;
-  else return fail("unknown strategy '" + *strategy + "'");
-  if (e.objective == Objective::kRounds) {
-    if (*target == "consensus") e.family = term::Family::kConsensus;
-    else if (*target == "composed") e.family = term::Family::kComposed;
-    else if (*target == "coin") e.family = term::Family::kSharedCoin;
-    else if (*target == "game") e.family = term::Family::kGame;
-    else return fail("unknown family '" + *target + "'");
-  } else {
-    if (*target == "modeled") e.algorithm = sweep::Algorithm::kModeled;
-    else if (*target == "alg2") e.algorithm = sweep::Algorithm::kAlg2;
-    else if (*target == "alg4") e.algorithm = sweep::Algorithm::kAlg4;
-    else if (*target == "abd") e.algorithm = sweep::Algorithm::kAbd;
-    else return fail("unknown algorithm '" + *target + "'");
-  }
-  const auto processes = field_u64(line, "processes");
-  const auto rounds = field_u64(line, "rounds");
-  const auto writes = field_u64(line, "writes");
-  const auto max_actions = field_u64(line, "max_actions");
-  const auto seed = field_u64(line, "seed");
-  const auto budget = field_u64(line, "budget");
-  const auto write_back = field_bool(line, "write_back");
-  const auto fallback_seed = field_u64(line, "fallback_seed");
-  const auto fingerprint = field_hex(line, "fingerprint");
-  const auto best_score = field_u64(line, "best_score");
-  if (!processes || !rounds || !writes || !max_actions || !seed || !budget ||
-      !write_back || !fallback_seed || !fingerprint || !best_score) {
-    return fail("record is missing config fields");
-  }
-  if (*processes > INT_MAX || *rounds > INT_MAX || *writes > INT_MAX ||
-      *budget > INT_MAX) {
-    return fail("processes/rounds/writes/budget exceeds INT_MAX");
-  }
-  e.processes = static_cast<int>(*processes);
-  e.max_rounds = static_cast<int>(*rounds);
-  e.writes_per_process = static_cast<int>(*writes);
-  e.max_actions = *max_actions;
-  e.seed = *seed;
-  e.search_budget = static_cast<int>(*budget);
-  e.abd_read_write_back = *write_back;
-  // Absent in pre-fault-fabric stores; those traces ran without the menu.
-  e.fault_menu = field_bool(line, "fault_menu").value_or(false);
-  const std::optional<ScheduleTrace> decoded = decode_trace(*trace);
-  if (!decoded) return fail("malformed trace field");
-  out.trace = *decoded;
-  out.fallback_seed = *fallback_seed;
-  out.fingerprint = *fingerprint;
-  out.best_score = *best_score;
+  ExploreOutcome r;
+  if (!read_explore_line(line, out.instance, r, error)) return std::nullopt;
+  out.trace = std::move(r.best_trace);
+  out.fallback_seed = r.fallback_seed;
+  out.fingerprint = r.fingerprint;
+  out.best_score = r.best_score;
+  out.error = r.error;
   return out;
 }
 

@@ -232,7 +232,7 @@ class ExploreFold {
   void add(const std::string& key, const ExploreOutcome& r);
 
   /// Reads back one instance record as run_explore wrote it and adds
-  /// it.  False, adding nothing, when a field the fold needs is missing.
+  /// it.  False, adding nothing, unless it renders back to its bytes.
   [[nodiscard]] bool add_record(const std::string& line);
 
   /// The folded summary (`engine` stats zero).  An explore store ends
@@ -256,14 +256,15 @@ class ExploreFold {
                                          const obs::Hooks* hooks = nullptr);
 
 /// Rebuilds an instance + trace from a store record line written by
-/// run_explore (the "--replay" path).  Returns nullopt (with an error in
-/// `*error`) if the line is not an explore record.
+/// run_explore (the "--replay" path), as ExploreFold::add_record reads
+/// it.  Returns nullopt (with an error in `*error`) otherwise.
 struct PersistedTrace {
   ExploreInstance instance;
   ScheduleTrace trace;
   std::uint64_t fallback_seed = 0;
   std::uint64_t fingerprint = 0;  ///< Expected replay fingerprint.
   std::uint64_t best_score = 0;   ///< Expected replay score.
+  bool error = false;  ///< The instance errored: its trace proves nothing.
 };
 [[nodiscard]] std::optional<PersistedTrace> parse_explore_record(
     const std::string& line, std::string* error);

@@ -53,7 +53,7 @@
 //   artifact(item, r, gi, dir)  writes forensics (may do nothing; a stub
 //                             names the scenario by item.key())
 //   progress_class(item, r)   outcome class 0..3
-//   record(item, r, rec)      store-record fields after gi/key/mode
+//   record(item, r, rec)      static: store fields after gi/key/mode
 //   span(item, r, times, sp)  trace-span fields after obs/gi/key/mode
 //   fold(key, item, r)        the deterministic aggregate, gi order
 //   finish(sink)              the summary (its `engine` stats zero)
@@ -87,6 +87,7 @@
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
+#include "sweep/fnv.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/store.hpp"
 #include "util/assert.hpp"
@@ -208,6 +209,18 @@ template <class Mode>
 concept Stampable = requires(const typename Mode::Result& r) {
   { Mode::stampable(r) } -> std::convertible_to<bool>;
 };
+
+/// A scenario's store record: gi, key, mode, then the mode's fields.  The
+/// fold writes it, and a line reads back only if it renders to the line.
+template <class Mode>
+[[nodiscard]] Record scenario_record(std::uint64_t gi, std::string_view key,
+                                     const typename Mode::Item& item,
+                                     const typename Mode::Result& r) {
+  Record rec;
+  rec.u64("gi", gi).str("key", key).str("mode", Mode::kKind);
+  Mode::record(item, r, rec);
+  return rec;
+}
 
 namespace detail {
 
@@ -394,6 +407,7 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   // It renders each scenario's key, record and span itself, so no
   // rendered string crosses threads.
   EngineStats stats;
+  std::uint64_t record_bytes = kFnvOffset;
   const auto consume = [&](const Slot& s) {
     stats.wall_ns_total += s.result.wall_ns;
     stats.wall_ns_max = std::max(stats.wall_ns_max, s.result.wall_ns);
@@ -401,9 +415,9 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
     const std::string key = s.item.key();
     mode.fold(key, s.item, s.result);
     if (sink != nullptr) {
-      Record record;
-      record.u64("gi", s.gi).str("key", key).str("mode", Mode::kKind);
-      mode.record(s.item, s.result, record);
+      const Record record =
+          scenario_record<Mode>(s.gi, key, s.item, s.result);
+      if (o.shard.active()) fnv_mix_line(record_bytes, record.json());
       sink->append(record);
     }
     if (tracing) {
@@ -568,7 +582,8 @@ auto run_engine(Mode& mode, std::uint64_t progress_every, RecordSink* sink,
   }
   auto sum = mode.finish(sink);
   if (sink != nullptr && o.shard.active()) {
-    sink->append(shard_trailer_record(o.shard, owned, sum.digest));
+    sink->append(
+        shard_trailer_record(o.shard, owned, sum.digest, record_bytes));
   }
   // Only a sweep that got this far is done.
   meter.finish();

@@ -36,4 +36,10 @@ inline void fnv_mix_str(std::uint64_t& h, const std::string& s) noexcept {
   fnv_mix_bytes(h, s.data(), s.size());
 }
 
+/// Mixes one store line and its newline (a shard trailer's "bytes").
+inline void fnv_mix_line(std::uint64_t& h, const std::string& line) noexcept {
+  fnv_mix_bytes(h, line.data(), line.size());
+  fnv_mix_bytes(h, "\n", 1);
+}
+
 }  // namespace rlt::sweep

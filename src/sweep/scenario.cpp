@@ -905,14 +905,6 @@ const char* to_string(Verdict v) noexcept {
   return "?";
 }
 
-std::optional<Verdict> verdict_from_string(std::string_view s) noexcept {
-  if (s == "ok") return Verdict::kOk;
-  if (s == "VIOLATION") return Verdict::kViolation;
-  if (s == "blocked") return Verdict::kBlocked;
-  if (s == "ERROR") return Verdict::kError;
-  return std::nullopt;
-}
-
 std::string Scenario::key() const {
   std::string k = to_string(algorithm);
   if (algorithm == Algorithm::kModeled) {

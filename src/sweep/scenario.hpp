@@ -67,9 +67,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "sim/regmodel.hpp"
 
@@ -206,12 +204,6 @@ enum class Verdict : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(Verdict v) noexcept;
-
-/// Inverse of to_string(Verdict), for reading verdicts back out of
-/// persisted store records ("ok" / "VIOLATION" / "blocked" / "ERROR";
-/// case-sensitive, exactly the store spelling).  nullopt otherwise.
-[[nodiscard]] std::optional<Verdict> verdict_from_string(
-    std::string_view s) noexcept;
 
 /// How a scenario's driver stopped producing events.  Inputs to the
 /// verdict classification below; public so tests can exercise the

@@ -23,24 +23,26 @@
 //  2. Each sweep's aggregate folds through a composable fold object
 //     (SweepFold / TermFold / ExploreFold, declared next to their
 //     summaries) that folds its mode's own results and reads back its
-//     mode's own records (add_record, beside the mode's record writer):
-//     exactly the fields the writer persists.  A shard store therefore
-//     *is* the serialized fold partial: the merge re-folds the records
-//     in global order and lands on the identical digest, counters,
-//     failure list, and "... and N more" truncation marker the
-//     unsharded fold computes.
+//     mode's own records (add_record): every field, accepting a line
+//     only if the mode's writer renders it back to exactly its bytes.
+//     A shard store therefore *is* the serialized fold partial: the
+//     merge re-folds the records in global order and lands on the
+//     identical digest, counters, failure list, and "... and N more"
+//     truncation marker the unsharded fold computes.
 //
 //  3. A sharded store brackets its records with a header and a trailer
 //     line (written only when N > 1, so unsharded stores keep their
-//     historical bytes): the header pins the shard's identity, the
-//     sweep kind, a canonical config key, and the cross-product size;
-//     the trailer repeats the record count and the shard's partial
-//     digest.  `merge_shard_stores` validates all of it — same config
+//     historical bytes), read back the same way: the header pins the
+//     shard's identity, the sweep kind, a canonical config key, and the
+//     cross-product size; the trailer repeats the record count, the
+//     shard's partial digest, and "bytes", the FNV-1a of its record
+//     lines, which alone sees a well-formed edit of a field no digest
+//     covers.  `merge_shard_stores` validates all of it — same config
 //     everywhere, every shard 0..N-1 present exactly once, no gaps or
-//     overlaps in the global-index coverage, every trailer digest
-//     reproduced from the records — and fails loudly (naming the
-//     missing or duplicated shard) on any hole, because a silently
-//     incomplete billion-scenario sweep is worse than none.
+//     overlaps in the global-index coverage, every trailer reproduced
+//     from the records — and fails loudly (naming the missing or
+//     duplicated shard) on any hole, because a silently incomplete
+//     billion-scenario sweep is worse than none.
 #pragma once
 
 #include <cstdint>
@@ -89,10 +91,12 @@ struct ShardSpec {
                                          std::uint64_t records);
 
 /// The shard-store trailer line: record count again (a truncated file
-/// cannot pass) plus the shard's partial digest over its own records.
+/// cannot pass), the shard's partial digest over its own records, and
+/// `bytes`, the FNV-1a of its scenario record lines, newlines included.
 [[nodiscard]] Record shard_trailer_record(const ShardSpec& shard,
                                           std::uint64_t records,
-                                          std::uint64_t partial_digest);
+                                          std::uint64_t partial_digest,
+                                          std::uint64_t bytes);
 
 /// One shard store to merge: `name` labels error messages (the file
 /// path at the CLI, a test label in unit tests), `content` is the full
@@ -119,10 +123,11 @@ struct MergeResult {
 
 /// Merges a complete set of shard stores back into the unsharded store
 /// + summary.  Throws std::runtime_error (with the offending shard
-/// named) on: a store without a shard header, mismatched kind/config/
-/// count/total, a duplicated or missing shard index, global-index gaps
-/// or overlaps, record counts disagreeing with header/trailer, or a
-/// trailer digest the records do not reproduce.
+/// named) on: a store without a shard header, a line that does not
+/// render back to its own bytes, mismatched kind/config/count/total, a
+/// duplicated or missing shard index, global-index gaps or overlaps,
+/// record counts disagreeing with header/trailer, or a trailer digest
+/// or "bytes" the records do not reproduce.
 [[nodiscard]] MergeResult merge_shard_stores(
     const std::vector<ShardStore>& stores);
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <system_error>
 
 namespace rlt::sweep {
 
@@ -43,103 +44,93 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-namespace {
-
-/// 0–15 for a hex digit (lowercase, or either case if `upper_ok`), else -1.
-int hex_digit(char c, bool upper_ok) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (upper_ok && c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
+std::size_t RecordReader::value_at(std::string_view field) const {
+  if (!ok() || pos_ >= line_.size()) return kFailed;
+  // `{"field":` leads a line, `,"field":` each later field.
+  const std::string_view next = line_.substr(pos_ + 1);
+  const bool found = line_[pos_] == (pos_ == 0 ? '{' : ',') &&
+                     next.starts_with('"') &&
+                     next.substr(1).starts_with(field) &&
+                     next.substr(1 + field.size()).starts_with("\":");
+  return found ? pos_ + field.size() + 4 : kFailed;
 }
 
-}  // namespace
+bool RecordReader::at(std::string_view field) const {
+  return value_at(field) != kFailed;
+}
 
-std::optional<std::string> field_str(const std::string& line,
-                                     const std::string& name) {
-  const std::string needle = "\"" + name + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
+void RecordReader::fail(std::string_view field) {
+  if (ok()) failed_ = field;
+  pos_ = kFailed;
+}
+
+std::string RecordReader::str(std::string_view field) {
+  const std::size_t at = value_at(field);
+  const bool quoted = at != kFailed && line_.substr(at).starts_with('"');
   std::string out;
-  std::size_t i = at + needle.size();
-  while (i < line.size()) {
-    const char c = line[i];
-    if (c == '"') return out;
-    if (c != '\\') {
-      out += c;
-      ++i;
-      continue;
+  // Escapes are read leniently: the render-back check rejects any that
+  // escape_into would not have written.
+  for (std::size_t i = at + 1; quoted && i < line_.size(); ++i) {
+    unsigned v = 0;
+    if (line_[i] == '"') {
+      pos_ = i + 1;
+      return out;
+    } else if (line_[i] != '\\') {
+      out += line_[i];
+    } else if (i + 1 == line_.size()) {
+      break;
+    } else if (const char e = line_[++i]; e != 'u') {
+      out += e == 'n' ? '\n' : e == 'r' ? '\r' : e == 't' ? '\t' : e;
+    } else if (const char* d = line_.data() + i + 1;
+               i + 4 < line_.size() &&
+               std::from_chars(d, d + 4, v, 16).ptr == d + 4) {
+      out += static_cast<char>(v);
+      i += 4;
+    } else {
+      break;
     }
-    if (i + 1 >= line.size()) return std::nullopt;
-    switch (line[i + 1]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 5 >= line.size()) return std::nullopt;
-        unsigned v = 0;
-        for (std::size_t k = i + 2; k < i + 6; ++k) {
-          const int d = hex_digit(line[k], /*upper_ok=*/true);
-          if (d < 0) return std::nullopt;
-          v = (v << 4) | static_cast<unsigned>(d);
-        }
-        // The writer only \u-escapes control characters; anything wider
-        // is not a record this repo produced.
-        if (v > 0xFF) return std::nullopt;
-        out += static_cast<char>(v);
-        i += 4;
-        break;
-      }
-      default: return std::nullopt;
-    }
-    i += 2;
   }
-  return std::nullopt;
+  fail(field);
+  return {};
 }
 
-std::optional<std::uint64_t> field_u64(const std::string& line,
-                                       const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t i = at + needle.size();
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') return std::nullopt;
+std::uint64_t RecordReader::u64(std::string_view field) {
+  const std::size_t i = value_at(field);
+  const char* end = line_.data() + line_.size();
   std::uint64_t v = 0;
-  for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
-    const auto d = static_cast<std::uint64_t>(line[i] - '0');
-    if (v > (UINT64_MAX - d) / 10) return std::nullopt;
-    v = v * 10 + d;
+  // Plain digits that fit: no sign, and 2^64 fails rather than wraps.
+  const auto [ptr, ec] =
+      std::from_chars(i == kFailed ? end : line_.data() + i, end, v);
+  if (ec != std::errc{}) {
+    fail(field);
+    return 0;
+  }
+  pos_ = static_cast<std::size_t>(ptr - line_.data());
+  return v;
+}
+
+std::uint64_t RecordReader::hex(std::string_view field) {
+  const std::string s = str(field);
+  const char* end = s.data() + s.size();
+  std::uint64_t v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(s.starts_with("0x") ? s.data() + 2 : end, end, v, 16);
+  if (ec != std::errc{} || ptr != end) {
+    fail(field);
+    return 0;
   }
   return v;
 }
 
-std::optional<bool> field_bool(const std::string& line,
-                               const std::string& name) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t i = at + needle.size();
-  if (line.compare(i, 4, "true") == 0) return true;
-  if (line.compare(i, 5, "false") == 0) return false;
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> field_hex(const std::string& line,
-                                       const std::string& name) {
-  const auto s = field_str(line, name);
-  if (!s || s->size() < 3 || s->compare(0, 2, "0x") != 0) return std::nullopt;
-  std::uint64_t v = 0;
-  for (std::size_t i = 2; i < s->size(); ++i) {
-    const int d = hex_digit((*s)[i], /*upper_ok=*/false);
-    if (d < 0 || (v >> 60) != 0) return std::nullopt;
-    v = (v << 4) | static_cast<std::uint64_t>(d);
+bool RecordReader::boolean(std::string_view field) {
+  const std::size_t i = value_at(field);
+  const std::string_view value = i == kFailed ? "" : line_.substr(i);
+  if (value.starts_with("true") || value.starts_with("false")) {
+    pos_ = i + (value[0] == 't' ? 4 : 5);
+    return value[0] == 't';
   }
-  return v;
+  fail(field);
+  return false;
 }
 
 void Record::begin_field(std::string_view field) {

@@ -14,12 +14,16 @@
 // escaped per RFC 8259 (control characters as \u00XX).  Every record
 // carries a unique "key" field — the scenario key — which diff tooling
 // uses as the join column.
+//
+// Stores are read back one way (--merge, --replay): a RecordReader reads
+// the fields in order, and a line is valid iff its writer renders the
+// values read back to exactly its bytes (sweep/engine.hpp, shard.hpp).
 #pragma once
 
 #include <charconv>
 #include <cstdint>
 #include <fstream>
-#include <optional>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -70,22 +74,49 @@ template <class T>
   return out;
 }
 
-// Readers for one record line as `Record::json` writes it (the --merge
-// and --replay inputs).  Each returns field `name`'s value, or nullopt
-// when the field is absent, has another type, is malformed, or (numbers)
-// does not fit in 64 bits: store files are outside input.  Fields are
-// found by their `"name":` needle, which is safe because every quote
-// inside a string value is escaped.  String values come back fully
-// unescaped, so a fold sees exactly the strings the writer saw.
-[[nodiscard]] std::optional<std::string> field_str(const std::string& line,
-                                                   const std::string& name);
-[[nodiscard]] std::optional<std::uint64_t> field_u64(const std::string& line,
-                                                     const std::string& name);
-[[nodiscard]] std::optional<bool> field_bool(const std::string& line,
-                                             const std::string& name);
-/// A `Record::hex` field ("0x" and at most 16 lowercase hex digits).
-[[nodiscard]] std::optional<std::uint64_t> field_hex(const std::string& line,
-                                                     const std::string& name);
+/// Reads a record line back field by field, in the order `Record` wrote
+/// them.  Each read expects `field` next; the first that is absent,
+/// malformed or (a number) wider than 64 bits fails the line: it and
+/// every later read return zero values, and ok() turns false.  Whether
+/// a line is valid is its writer's call (file comment), so the reader
+/// checks no ranges of its own.
+class RecordReader {
+ public:
+  /// Keeps a view of `line`, so a temporary cannot bind.
+  explicit RecordReader(const std::string& line) : line_(line) {}
+  explicit RecordReader(std::string&&) = delete;
+
+  /// True when `field` is next and no read has failed.
+  [[nodiscard]] bool at(std::string_view field) const;
+  [[nodiscard]] std::string str(std::string_view field);
+  [[nodiscard]] std::uint64_t u64(std::string_view field);
+  [[nodiscard]] std::uint64_t hex(std::string_view field);
+  [[nodiscard]] bool boolean(std::string_view field);
+
+  [[nodiscard]] bool ok() const noexcept { return pos_ != kFailed; }
+  /// The first field that failed ("" while ok()).
+  [[nodiscard]] const std::string& failed_field() const { return failed_; }
+
+ private:
+  static constexpr std::size_t kFailed = std::string_view::npos;
+  /// Where `field`'s value starts if it is next; else kFailed.
+  [[nodiscard]] std::size_t value_at(std::string_view field) const;
+  void fail(std::string_view field);
+
+  std::string_view line_;
+  std::size_t pos_ = 0;  ///< Past the last value read, or kFailed.
+  std::string failed_;
+};
+
+/// The enumerator among `all` that `to_string` spells `name`, else the
+/// first: a line naming none then fails its render-back check.
+template <class E>
+[[nodiscard]] E spelled(std::string_view name, std::initializer_list<E> all) {
+  for (const E e : all) {
+    if (name == to_string(e)) return e;
+  }
+  return *all.begin();
+}
 
 /// Where per-scenario records go.  `append` is called in enumeration
 /// order, exactly once per scenario, one call at a time — possibly while

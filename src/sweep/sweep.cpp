@@ -166,22 +166,28 @@ struct SafetyMode {
 }  // namespace
 
 bool SweepFold::add_record(const std::string& line) {
-  const auto key = field_str(line, "key");
-  const auto verdict = field_str(line, "verdict");
-  const auto steps = field_u64(line, "steps");
-  const auto ops = field_u64(line, "ops");
-  const auto hash = field_hex(line, "history_hash");
-  const auto detail = field_str(line, "detail");
-  if (!key || !verdict || !steps || !ops || !hash || !detail) return false;
+  RecordReader in(line);
+  const std::uint64_t gi = in.u64("gi");
+  const std::string key = in.str("key");
+  (void)in.str("mode");
   ScenarioResult r;
-  const std::optional<Verdict> v = verdict_from_string(*verdict);
-  if (!v) return false;
-  r.verdict = *v;
-  r.steps = *steps;
-  r.ops = *ops;
-  r.history_hash = *hash;
-  r.detail = *detail;
-  add(*key, r);
+  r.verdict = spelled(in.str("verdict"), {Verdict::kOk, Verdict::kViolation,
+                                          Verdict::kBlocked, Verdict::kError});
+  r.steps = in.u64("steps");
+  r.ops = in.u64("ops");
+  r.history_hash = in.hex("history_hash");
+  r.net_delivered = in.u64("delivered");
+  r.net_dropped = in.u64("dropped");
+  r.net_duplicated = in.u64("duplicated");
+  r.net_msgs = in.u64("msgs");
+  r.net_bytes = in.u64("bytes");
+  r.net_round_trips = in.u64("rts");
+  r.detail = in.str("detail");
+  if (!in.ok() ||
+      scenario_record<SafetyMode>(gi, key, Scenario{}, r).json() != line) {
+    return false;
+  }
+  add(key, r);
   return true;
 }
 

@@ -150,7 +150,7 @@ class SweepFold {
   void add(const std::string& key, const ScenarioResult& r);
 
   /// Reads back one scenario record as run_sweep wrote it and adds it.
-  /// False, adding nothing, when a field the fold needs is missing.
+  /// False, adding nothing, unless it renders back to its bytes.
   [[nodiscard]] bool add_record(const std::string& line);
 
   /// The folded summary; its `engine` stats are zero (the engine fills

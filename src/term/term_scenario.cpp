@@ -278,9 +278,8 @@ FamilyEnd run_family(Family f, const FamilySetup& u,
 void check_shape(Family f, int processes, int max_rounds) {
   RLT_CHECK_MSG(processes >= 1 && processes <= 64,
                 "processes out of range");
-  RLT_CHECK_MSG(
-      processes >= 3 || (f != Family::kGame && f != Family::kComposed),
-      "the game families need >= 3 processes");
+  RLT_CHECK_MSG(processes >= min_processes(f),
+                "the game families need >= 3 processes");
   RLT_CHECK_MSG(max_rounds >= 1, "round budget must be positive");
 }
 

@@ -67,6 +67,11 @@ enum class Family : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Family f) noexcept;
 
+/// The fewest processes `f` runs on: Algorithm 1's game needs 3.
+[[nodiscard]] constexpr int min_processes(Family f) noexcept {
+  return f == Family::kGame || f == Family::kComposed ? 3 : 1;
+}
+
 /// How the scenario's run is scheduled.
 enum class TermAdversary : std::uint8_t {
   kScripted,  ///< Theorem 6 script (kComposed / kGame only).
@@ -86,7 +91,7 @@ enum class TermAdversary : std::uint8_t {
 struct TermScenario {
   Family family = Family::kConsensus;
   TermAdversary adversary = TermAdversary::kRandom;
-  int processes = 4;       ///< Game families need >= 3.
+  int processes = 4;       ///< At least min_processes(family).
   std::uint64_t seed = 0;
   /// Round budget: the game's structural round cap and the consensus
   /// round cap.  A run that exhausts it reports capped, not terminated.

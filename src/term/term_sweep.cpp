@@ -1,7 +1,6 @@
 #include "term/term_sweep.hpp"
 
 #include <algorithm>
-#include <climits>
 #include <iomanip>
 #include <sstream>
 
@@ -296,42 +295,32 @@ struct TermMode {
 }  // namespace
 
 bool TermFold::add_record(const std::string& line) {
-  using sweep::field_bool;
-  using sweep::field_u64;
-  const auto key = sweep::field_str(line, "key");
-  const auto terminated = field_bool(line, "terminated");
-  const auto capped = field_bool(line, "capped");
-  const auto safety_ok = field_bool(line, "safety_ok");
-  const auto error = field_bool(line, "error");
-  const auto rounds = field_u64(line, "rounds");
-  const auto stalled = field_u64(line, "stalled");
-  const auto coin_flips = field_u64(line, "coin_flips");
-  const auto steps = field_u64(line, "steps");
-  const auto hash = sweep::field_hex(line, "outcome_hash");
-  const auto detail = sweep::field_str(line, "detail");
-  if (!key || !terminated || !capped || !safety_ok || !error || !rounds ||
-      *rounds > INT_MAX || !stalled || *stalled > INT_MAX || !coin_flips ||
-      !steps || !hash || !detail) {
+  sweep::RecordReader in(line);
+  const std::uint64_t gi = in.u64("gi");
+  const std::string key = in.str("key");
+  (void)in.str("mode");
+  TermRecord r;
+  r.terminated = in.boolean("terminated");
+  r.capped = in.boolean("capped");
+  r.safety_ok = in.boolean("safety_ok");
+  r.error = in.boolean("error");
+  r.rounds = static_cast<int>(in.u64("rounds"));
+  r.stalled = static_cast<int>(in.u64("stalled"));
+  r.coin_flips = in.u64("coin_flips");
+  r.steps = in.u64("steps");
+  r.outcome_hash = in.hex("outcome_hash");
+  r.detail = in.str("detail");
+  if (!in.ok() ||
+      sweep::scenario_record<TermMode>(gi, key, TermScenario{}, r).json() !=
+          line) {
     return false;
   }
   for (std::size_t fam = 0; fam < kFamilies; ++fam) {
     const Family family = static_cast<Family>(fam);
-    if (key->rfind(std::string("term/") + to_string(family) + '/', 0) != 0) {
-      continue;
+    if (key.starts_with(std::string("term/") + to_string(family) + '/')) {
+      add(key, family, r);
+      return true;
     }
-    TermRecord r;
-    r.terminated = *terminated;
-    r.capped = *capped;
-    r.safety_ok = *safety_ok;
-    r.error = *error;
-    r.rounds = static_cast<int>(*rounds);
-    r.stalled = static_cast<int>(*stalled);
-    r.coin_flips = *coin_flips;
-    r.steps = *steps;
-    r.outcome_hash = *hash;
-    r.detail = *detail;
-    add(*key, family, r);
-    return true;
   }
   return false;
 }

@@ -144,7 +144,7 @@ class TermFold {
 
   /// Reads back one scenario record as run_term_sweep wrote it (the
   /// family is the key's second segment) and adds it.  False, adding
-  /// nothing, when a field the fold needs is missing.
+  /// nothing, unless it renders back to its bytes.
   [[nodiscard]] bool add_record(const std::string& line);
 
   /// The folded summary (`engine` stats zero).  Materializes the

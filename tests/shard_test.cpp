@@ -9,9 +9,12 @@
 // a merge over an incomplete, duplicated, mismatched, or corrupted shard
 // set must throw with the offending shard named, never produce a
 // plausible-looking partial aggregate.  Last, the store-record field
-// reader that --merge and --replay parse records with.
+// reader that --merge and --replay parse records with, and the blessed
+// store read back through it.
 
 #include <cstdint>
+#include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -491,6 +494,20 @@ TEST_F(ShardMergeRejection, TamperedRecordFailsTheTrailerDigest) {
   EXPECT_NE(err.find("digest"), std::string::npos) << err;
 }
 
+TEST_F(ShardMergeRejection, WellFormedMessageFieldEditFailsTheTrailerBytes) {
+  // No digest covers message accounting, so only the trailer's "bytes"
+  // sees a well-formed edit of it.
+  auto stores = make_stores();
+  std::string& text = stores[1].content;
+  const auto pos = text.find("\"delivered\":");
+  ASSERT_NE(pos, std::string::npos);
+  text.insert(pos + 12, "1");
+  const std::string err = merge_error(stores);
+  EXPECT_NE(err.find("s1.jsonl: trailer bytes digest mismatch"),
+            std::string::npos)
+      << err;
+}
+
 TEST_F(ShardMergeRejection, UnshardedStoreIsNotAShardStore) {
   SweepOptions o;
   o.seed_begin = 0;
@@ -516,17 +533,62 @@ TEST(StoreFieldReader, RoundTripsRecordsAndRejectsOverflow) {
       .hex("digest", 0xfedcba9876543210ULL)
       .boolean("ok", true);
   const std::string line = r.json();
-  EXPECT_EQ(field_str(line, "detail"), detail);
-  EXPECT_EQ(field_u64(line, "gi"), UINT64_MAX);
-  EXPECT_EQ(field_hex(line, "digest"), 0xfedcba9876543210ULL);
-  EXPECT_EQ(field_bool(line, "ok"), true);
-  EXPECT_FALSE(field_u64(line, "missing").has_value());
+  RecordReader in(line);
+  EXPECT_EQ(in.str("detail"), detail);
+  EXPECT_EQ(in.u64("gi"), UINT64_MAX);
+  EXPECT_EQ(in.hex("digest"), 0xfedcba9876543210ULL);
+  EXPECT_EQ(in.boolean("ok"), true);
+  EXPECT_TRUE(in.ok()) << in.failed_field();
+  // Fields are read in the order they were written: one that is not
+  // next fails the line, and so does every read after it.
+  RecordReader missing(line);
+  EXPECT_FALSE(missing.at("missing"));
+  EXPECT_EQ(missing.u64("missing"), 0u);
+  EXPECT_EQ(missing.str("detail"), "");
+  EXPECT_FALSE(missing.ok());
+  EXPECT_EQ(missing.failed_field(), "missing");
   // Store files are outside input: a value that does not fit in 64 bits
   // is rejected, never wrapped (2^64 used to read as 0) or truncated (a
   // 17th hex digit used to drop the top one).
-  EXPECT_FALSE(field_u64(R"({"gi":18446744073709551616})", "gi").has_value());
-  EXPECT_FALSE(
-      field_hex(R"({"digest":"0x1fedcba9876543210"})", "digest").has_value());
+  const std::string wide_gi = R"({"gi":18446744073709551616})";
+  RecordReader gi(wide_gi);
+  (void)gi.u64("gi");
+  EXPECT_FALSE(gi.ok());
+  const std::string wide_digest = R"({"digest":"0x1fedcba9876543210"})";
+  RecordReader digest(wide_digest);
+  (void)digest.hex("digest");
+  EXPECT_FALSE(digest.ok());
+}
+
+// The blessed store (tools/bless_store.sh) holds every kind of record a
+// sweep writes; each scenario record reads back through its own fold.
+TEST(BlessedStore, EveryScenarioRecordReadsBack) {
+  std::ifstream in(RLT_BLESSED_STORE);
+  ASSERT_TRUE(in) << RLT_BLESSED_STORE;
+  SweepFold safety;
+  term::TermFold term;
+  explore::ExploreFold explore;
+  std::map<std::string, int> modes;
+  for (std::string line; std::getline(in, line);) {
+    RecordReader head(line);
+    if (head.at("gi")) (void)head.u64("gi");
+    (void)head.str("key");
+    const std::string mode = head.str("mode");
+    ASSERT_TRUE(head.ok()) << line;
+    ++modes[mode];
+    if (mode == "safety") {
+      EXPECT_TRUE(safety.add_record(line)) << line;
+    } else if (mode == "term") {
+      EXPECT_TRUE(term.add_record(line)) << line;
+    } else if (mode == "explore") {
+      EXPECT_TRUE(explore.add_record(line)) << line;
+      std::string error;
+      EXPECT_TRUE(explore::parse_explore_record(line, &error)) << error;
+    }
+  }
+  const std::map<std::string, int> want = {
+      {"safety", 560}, {"term", 100}, {"term-hist", 4}, {"explore", 10}};
+  EXPECT_EQ(modes, want);
 }
 
 }  // namespace

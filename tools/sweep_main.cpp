@@ -364,9 +364,16 @@ void parse_drop_prob(const std::string& v, SweepOptions& o) {
   o.drop_permille = permille;
 }
 
+/// The modes a store line may carry: the three sweeps' records, the
+/// term lab's per-family histograms and the shard brackets.
+constexpr std::string_view kStoreModes[] = {
+    "safety", "term", "explore", "term-hist", "shard", "shard-end"};
+
 /// Replays every explore record in a store written with --out; exit 0
 /// iff every persisted trace reproduces its recorded score and
-/// fingerprint byte-identically.
+/// fingerprint byte-identically.  Every line's key and mode are read
+/// too: a line that cannot be read, or that names no mode a store holds,
+/// fails the replay like a malformed explore record.
 int run_replay(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -379,20 +386,34 @@ int run_replay(const std::string& path) {
   std::uint64_t matched = 0;
   while (std::getline(in, line)) {
     ++line_no;
+    // A scenario record leads with its gi; every line has a key and mode.
+    rlt::sweep::RecordReader head(line);
+    if (head.at("gi")) (void)head.u64("gi");
+    const std::string key = head.str("key");
+    const std::string mode = head.str("mode");
+    if (!head.ok() || std::find(std::begin(kStoreModes), std::end(kStoreModes),
+                                mode) == std::end(kStoreModes)) {
+      ++replayed;
+      std::cout << "line " << line_no << ": MALFORMED: "
+                << (head.ok() ? "unknown mode \"" + mode + "\""
+                              : "cannot read field \"" +
+                                    head.failed_field() + "\"")
+                << "\n";
+      continue;
+    }
     // Other record kinds (safety, term, shard brackets) are fine.
-    if (rlt::sweep::field_str(line, "mode") != "explore") continue;
-    // Errored instances persist no meaningful trace; nothing to verify.
-    if (line.find("\"found\":\"error\"") != std::string::npos) continue;
-    ++replayed;
+    if (mode != "explore") continue;
     std::string err;
     const auto pt = rlt::explore::parse_explore_record(line, &err);
     if (!pt) {
       // An explore record that cannot be replayed fails the run.
-      std::cout << rlt::sweep::field_str(line, "key").value_or(
-                       "line " + std::to_string(line_no))
-                << ": MALFORMED: " << err << "\n";
+      ++replayed;
+      std::cout << key << ": MALFORMED: " << err << "\n";
       continue;
     }
+    // Errored instances persist no meaningful trace; nothing to verify.
+    if (pt->error) continue;
+    ++replayed;
     const rlt::explore::ReplayReport rep =
         rlt::explore::replay_trace(pt->instance, pt->trace,
                                    pt->fallback_seed);
@@ -877,6 +898,22 @@ int main(int argc, char** argv) {
     if (flag_used("--drop-prob") && !lossy) {
       std::cerr << "sweep_main: --drop-prob needs lossy in --faults\n";
       usage(2);
+    }
+  }
+  if (run == kTerm || run == kRounds) {
+    // Algorithm 1's game, alone or composed, needs 3 processes: a smaller
+    // count would error on every scenario of the family, so reject the
+    // pair, default families included.
+    const TermSweepOptions& t = c.topts;
+    const ExploreOptions& e = c.eopts;
+    for (const Family f : run == kTerm ? t.families : e.families) {
+      for (const int p : run == kTerm ? t.process_counts : e.process_counts) {
+        if (p >= rlt::term::min_processes(f)) continue;
+        std::cerr << "sweep_main: --families " << rlt::term::to_string(f)
+                  << " needs --processes >= " << rlt::term::min_processes(f)
+                  << " (got " << p << ")\n";
+        usage(2);
+      }
     }
   }
   // Violation hunts default to the safety sweep's 3 processes; the
