@@ -65,6 +65,56 @@ SequentialCheck is_legal_sequential(const History& h,
   return SequentialCheck{true, {}};
 }
 
+SequentialCheck check_tag_order(const History& h,
+                                const std::vector<std::uint64_t>& tags) {
+  const auto fail = [](const std::string& why) {
+    return SequentialCheck{false, why};
+  };
+  if (tags.size() != h.size()) return fail("one tag per op expected");
+  std::vector<std::pair<std::uint64_t, int>> writes;
+  std::vector<std::pair<std::uint64_t, int>> reads;
+  for (const OpRecord& op : h.ops()) {
+    const std::uint64_t tag = tags[static_cast<std::size_t>(op.id)];
+    if (op.is_write()) {
+      if (tag == kInitialTag || (tag == kNoTag && !op.pending())) {
+        return fail("write op" + std::to_string(op.id) + " has no tag");
+      }
+      if (tag != kNoTag) writes.emplace_back(tag, op.id);
+    } else if (!op.pending()) {
+      if (tag == kNoTag) {
+        return fail("read op" + std::to_string(op.id) + " has no tag");
+      }
+      reads.emplace_back(tag, op.id);
+    }
+  }
+  std::sort(writes.begin(), writes.end());
+  std::sort(reads.begin(), reads.end());
+  std::vector<int> order;
+  order.reserve(writes.size() + reads.size());
+  auto r = reads.begin();
+  for (; r != reads.end() && r->first == kInitialTag; ++r) {
+    order.push_back(r->second);
+  }
+  for (std::size_t w = 0; w < writes.size(); ++w) {
+    const auto [tag, id] = writes[w];
+    if (w > 0 && writes[w - 1].first == tag) {
+      return fail("writes op" + std::to_string(writes[w - 1].second) +
+                  " and op" + std::to_string(id) + " share a tag");
+    }
+    if (r != reads.end() && r->first < tag) break;  // a tag no write has
+    const auto first = r;
+    while (r != reads.end() && r->first == tag) ++r;
+    if (first == r && h.op(id).pending()) continue;
+    order.push_back(id);
+    for (auto it = first; it != r; ++it) order.push_back(it->second);
+  }
+  if (r != reads.end()) {
+    return fail("read op" + std::to_string(r->second) +
+                " returned a tag no write has");
+  }
+  return is_legal_sequential(h, order);
+}
+
 std::vector<int> writes_of(const History& h, const std::vector<int>& order) {
   std::vector<int> out;
   for (const int id : order) {

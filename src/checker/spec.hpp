@@ -13,6 +13,7 @@
 // candidate order; the solvers in lin_solver.hpp search for such orders.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,25 @@ struct SequentialCheck {
 /// read has no response value to validate).
 [[nodiscard]] SequentialCheck is_legal_sequential(const History& h,
                                                   const std::vector<int>& order);
+
+/// Tags for `check_tag_order`: reads of the initial value carry
+/// kInitialTag, and ops with no tag (a pending read, or a pending write
+/// that never published one) carry kNoTag.
+inline constexpr std::uint64_t kInitialTag = 0;
+inline constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
+
+/// The tag-order witness of a timestamped register (Algorithm 4's
+/// ⟨sq, pid⟩, Theorem 12; ABD's writer timestamp, Theorem 14).
+/// `tags[id]` is op `id`'s tag: a write's own, or for a completed read
+/// the tag of the write whose value it returned; tags order the writes
+/// as the register does.  The candidate order puts the reads of the
+/// initial value first, then each write in tag order followed by the
+/// reads that returned its tag, reads of one tag in invocation (op id)
+/// order.  A pending write joins only if a completed read returned its
+/// tag.  `is_legal_sequential` then decides.  Two writes sharing a tag,
+/// a read of a tag no write has, or a completed op without a tag fail.
+[[nodiscard]] SequentialCheck check_tag_order(
+    const History& h, const std::vector<std::uint64_t>& tags);
 
 /// The subsequence of `order` consisting of write operations.
 [[nodiscard]] std::vector<int> writes_of(const History& h,

@@ -4,6 +4,7 @@
 #include <bit>
 #include <unordered_set>
 
+#include "checker/spec.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::mp {
@@ -285,6 +286,19 @@ NodeId AbdRegister::op_node(int token) const {
   const auto it = ops_.find(token);
   RLT_CHECK(it != ops_.end());
   return it->second.home;
+}
+
+std::vector<std::uint64_t> AbdRegister::tags() const {
+  std::vector<std::uint64_t> out(recorder_.history().size(), checker::kNoTag);
+  for (const auto& [token, op] : ops_) {
+    const auto id = static_cast<std::size_t>(op.hl.op_id);
+    if (op.kind == ClientOp::Kind::kWrite) {
+      out[id] = static_cast<std::uint64_t>(op.write_ts);
+    } else if (op.completed) {
+      out[id] = static_cast<std::uint64_t>(op.best_ts);
+    }
+  }
+  return out;
 }
 
 bool AbdRegister::op_can_complete(int token) const {

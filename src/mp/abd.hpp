@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "history/recorder.hpp"
 #include "mp/network.hpp"
@@ -167,6 +168,13 @@ class AbdRegister {
   }
 
   [[nodiscard]] int n() const noexcept { return n_; }
+
+  /// Each op's timestamp by hl op id, as checker::check_tag_order reads
+  /// it (Theorem 14): a write's own, the one a completed read returned
+  /// (0, checker::kInitialTag, for the initial value), and
+  /// checker::kNoTag for a pending read.
+  [[nodiscard]] std::vector<std::uint64_t> tags() const;
+
   /// Majority threshold (quorum size).
   [[nodiscard]] int quorum() const noexcept { return n_ / 2 + 1; }
 

@@ -44,6 +44,7 @@ constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
     {"explore.shrink_probes", true},
     {"explore.steps", true},
     {"explore.shrink_repeats", true},
+    {"checker.witness_misses", true},
     {"pool.tasks", false},
     {"sweep.stamped", false},
 }};

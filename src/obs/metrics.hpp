@@ -72,6 +72,8 @@ enum class Counter : int {
   kExploreShrinkProbes,   // shrink candidates tested (replays + repeats)
   kExploreSteps,
   kExploreShrinkRepeats,  // shrink candidates answered without a replay
+  kCheckerWitnessMisses,  // runs whose family witness did not certify
+                          // them, so the searches ran (sweep/scenario.hpp)
   // Runtime (execution-dependent; excluded from stability assertions).
   kPoolTasks,     // claims the engine's workers ran
   kSweepStamped,  // scenarios stamped from their config's template

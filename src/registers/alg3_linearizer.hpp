@@ -17,6 +17,33 @@
 // prefix property (P) of Definition 4; `verify_alg3_wsl` re-runs the
 // construction on every trace prefix and checks this mechanically, plus
 // properties 1-3 of Definition 2 via the sequential-spec validator.
+//
+// `check_alg3_wsl` reaches the same verdict in one pass, which is what
+// lets the sweep certify every Algorithm 2 run without a search.  It
+// walks the line-8 writes once in time order.  At each ti whose wi is
+// not yet in WS it runs lines 7-10 from what is known at ti: the writes
+// active at ti, the new_ts entries assigned at or before ti, and the
+// trace's `infinite_init`.  It appends B_i and records, per write, the
+// time it joined WS.  Since WS only appends, the WS of the prefix at t
+// is the writes that joined by t: a prefix of WS, so (P) holds by
+// construction.  Then each completed read joins its write's group by
+// timestamp (Observation 24, checked on the timestamps themselves), and
+// one `is_legal_sequential` checks the whole sequence f(H).
+//
+// Why that covers every prefix G (the events up to some time t).  The
+// walk also checks two facts, for every t at once by comparing times:
+// every write that responded by t is in WS(t), and every read that
+// responded by t found its write in WS(t).  Take f(G) to be f(H)
+// restricted to WS(t) plus the reads completed by t; given the two
+// facts, that is what Algorithm 3 outputs on G.  Then f(G):
+//  * holds every op completed in G and no pending read;
+//  * respects G's real-time order, because an op that precedes another
+//    in G precedes it in H, where f(H) respects it;
+//  * is legal, because each read sits right after its own write (or
+//    before every write, for the initial value) with only reads of that
+//    write in between, in f(G) as in f(H).
+// So f(H) legal in H gives f(G) legal in G, and the one pass agrees with
+// `verify_alg3_wsl`, which stays as its test oracle.
 #pragma once
 
 #include <string>
@@ -55,5 +82,11 @@ struct Alg3Verification {
 ///      full trace (Lemma 49 / Claim 49.1).
 [[nodiscard]] Alg3Verification verify_alg3_wsl(const Alg2Trace& trace,
                                                const history::History& hl);
+
+/// The same verdict as `verify_alg3_wsl` in one pass (see the header
+/// comment for why the pass covers every prefix), copying no trace or
+/// history.  `error` names the first check that failed.
+[[nodiscard]] checker::SequentialCheck check_alg3_wsl(
+    const Alg2Trace& trace, const history::History& hl);
 
 }  // namespace rlt::registers

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "checker/spec.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::registers {
@@ -31,6 +32,7 @@ sim::ValueTask<void> SimAlg4Register::write(sim::Proc& self, int k,
   const history::Time start = sched_.advance_clock();
   const history::OpHandle h =
       recorder_.begin_op(self.id(), 0, history::OpKind::kWrite, v, start);
+  op_tuple_.push_back(-1);
 
   // Lines 1-3: read every Val[i].
   std::int64_t max_sq = 0;
@@ -43,6 +45,8 @@ sim::ValueTask<void> SimAlg4Register::write(sim::Proc& self, int k,
   const LamportTs new_ts{max_sq + 1, k};
   // Line 6: publish.
   tuples_.emplace_back(v, new_ts);
+  op_tuple_[static_cast<std::size_t>(h.op_id)] =
+      static_cast<int>(tuples_.size() - 1);
   co_await self.write(base(k),
                       static_cast<history::Value>(tuples_.size() - 1));
 
@@ -55,6 +59,7 @@ sim::ValueTask<history::Value> SimAlg4Register::read(sim::Proc& self) {
   const history::Time start = sched_.advance_clock();
   const history::OpHandle h =
       recorder_.begin_op(self.id(), 0, history::OpKind::kRead, 0, start);
+  op_tuple_.push_back(-1);
 
   // Lines 8-10: read every Val[i]; lines 11-12: return the
   // lexicographically greatest ⟨sq, pid⟩'s value.
@@ -68,7 +73,25 @@ sim::ValueTask<history::Value> SimAlg4Register::read(sim::Proc& self) {
   }
   const history::Value value = tuples_[static_cast<std::size_t>(best)].first;
   recorder_.end_op(h, value, sched_.advance_clock());
+  op_tuple_[static_cast<std::size_t>(h.op_id)] = best;
   co_return value;
+}
+
+std::vector<std::uint64_t> SimAlg4Register::tags() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(op_tuple_.size());
+  for (const int t : op_tuple_) {
+    if (t < 0) {
+      out.push_back(checker::kNoTag);
+      continue;
+    }
+    const LamportTs& ts = tuples_[static_cast<std::size_t>(t)].second;
+    out.push_back(ts.sq == 0 ? checker::kInitialTag
+                             : static_cast<std::uint64_t>(ts.sq) *
+                                       static_cast<std::uint64_t>(n_) +
+                                   static_cast<std::uint64_t>(ts.pid));
+  }
+  return out;
 }
 
 }  // namespace rlt::registers

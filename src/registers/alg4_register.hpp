@@ -42,6 +42,11 @@ class SimAlg4Register {
 
   [[nodiscard]] int n() const noexcept { return n_; }
 
+  /// Each op's ⟨sq, pid⟩ tag by hl op id, as checker::check_tag_order
+  /// reads it (Theorem 12): sq·n + pid, so the order is ⟨sq, pid⟩'s;
+  /// sq 0 (an initial tuple) reads as checker::kInitialTag.
+  [[nodiscard]] std::vector<std::uint64_t> tags() const;
+
  private:
   [[nodiscard]] sim::RegId base(int i) const noexcept {
     return first_base_ + i;
@@ -53,6 +58,9 @@ class SimAlg4Register {
   history::Recorder recorder_;
   /// Tuple table: base registers hold indices into this vector.
   std::vector<std::pair<history::Value, LamportTs>> tuples_;
+  /// By hl op id: the tuple a write published or a read returned (-1:
+  /// none yet).
+  std::vector<int> op_tuple_;
   std::vector<bool> writer_busy_;
 };
 

@@ -4,11 +4,13 @@
 #include <chrono>
 #include <deque>
 #include <exception>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <vector>
 
 #include "checker/lin_checker.hpp"
+#include "checker/spec.hpp"
 #include "checker/stream_checker.hpp"
 #include "checker/wsl_checker.hpp"
 #include "mp/abd.hpp"
@@ -17,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "registers/alg2_register.hpp"
+#include "registers/alg3_linearizer.hpp"
 #include "registers/alg4_register.hpp"
 #include "sim/adversary.hpp"
 #include "sim/schedule_policy.hpp"
@@ -114,15 +117,67 @@ SimDrive drive_sim(const Scenario& s, sim::Scheduler& sched,
   return d;
 }
 
+/// Adds the time from its construction to its destruction to the
+/// result's checker share (check_ns <= wall_ns; measured, never digest
+/// material).
+struct CheckTimer {
+  ScenarioResult& out;
+  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
+  ~CheckTimer() {
+    out.check_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  }
+};
+
+// ---- each family's own linearization witness (scenario.hpp) -----------
+
+/// An atomic op takes effect and responds within its invoking step, so
+/// invocation (op-id) order linearizes the run.
+checker::SequentialCheck op_id_order(const History& h) {
+  std::vector<int> order(h.size());
+  std::iota(order.begin(), order.end(), 0);
+  return checker::is_legal_sequential(h, order);
+}
+
+/// Theorem 10: Algorithm 3 is Algorithm 2's write strong-linearization
+/// function.
+checker::SequentialCheck own_witness(const registers::SimAlg2Register& r) {
+  return registers::check_alg3_wsl(r.trace(), r.hl_history());
+}
+
+/// Theorem 12: Algorithm 4's ⟨sq, pid⟩ tags order its writes.
+checker::SequentialCheck own_witness(const registers::SimAlg4Register& r) {
+  return checker::check_tag_order(r.hl_history(), r.tags());
+}
+
+/// Theorem 14: the single writer's timestamps order ABD's writes.
+checker::SequentialCheck own_witness(const mp::AbdRegister& r) {
+  return checker::check_tag_order(r.hl_history(), r.tags());
+}
+
+/// A witness's verdict, timed as checking.
+template <class Check>
+Witness run_witness(ScenarioResult& out, const Check& check) {
+  const CheckTimer timer{out};
+  return check().ok ? Witness::kAccepted : Witness::kMissed;
+}
+
 /// Applies the checks the scenario's semantics promise, on the
 /// single-register high-level history `h`.  Pending ops are fine: the
 /// solver includes pending writes as possibly-effective and never
 /// includes pending reads (lin_solver.hpp), so a history cut short by a
 /// crash or a budget is checked on its completed prefix with the
-/// stranded ops as overlays.
+/// stranded ops as overlays.  A witness that accepted certified all of
+/// it, so the searches are skipped; under `online` the streaming checker
+/// is held against the witness instead of the batch solver.
 void check_history(const History& h, bool expect_wsl, bool online,
-                   ScenarioResult& out) {
-  const checker::LinCheckResult lin = checker::check_linearizable(h);
+                   Witness witness, ScenarioResult& out) {
+  const bool witnessed = witness == Witness::kAccepted;
+  checker::LinCheckResult lin;
+  lin.ok = witnessed;
+  if (!witnessed) lin = checker::check_linearizable(h);
   if (online) {
     // Differential gate: replay the history through the streaming
     // checker and demand verdict agreement with the batch solver.  Any
@@ -159,7 +214,7 @@ void check_history(const History& h, bool expect_wsl, bool online,
     out.detail = "linearizability violated: " + lin.error;
     return;
   }
-  if (expect_wsl) {
+  if (expect_wsl && !witnessed) {
     const checker::WslCheckResult wsl =
         checker::check_write_strong_linearizable(h);
     if (obs::enabled()) {
@@ -178,7 +233,8 @@ void check_history(const History& h, bool expect_wsl, bool online,
 }
 
 void finish_sim(const Scenario& s, sim::Scheduler& sched, const SimDrive& d,
-                const History& h, bool expect_wsl, ScenarioResult& out) {
+                const History& h, bool expect_wsl, Witness witness,
+                ScenarioResult& out) {
   const bool online = s.online_check;
   out.steps = sched.actions_applied();
   out.ops = h.completed_count();
@@ -210,7 +266,7 @@ void finish_sim(const Scenario& s, sim::Scheduler& sched, const SimDrive& d,
       end_detail = std::string("run ended early: ") + sim::to_string(d.outcome);
     }
   }
-  classify_run(h, expect_wsl, end, end_detail, out, online);
+  classify_run(h, expect_wsl, end, end_detail, out, online, witness);
   if (s.forensics && out.verdict != Verdict::kOk) {
     // Sim families have no message substrate: the artifact carries the
     // op spans (stalled pending ops included) and, on violations, the
@@ -232,8 +288,13 @@ void run_modeled(const Scenario& s, sim::SchedulePolicy* policy,
     });
   }
   const SimDrive d = drive_sim(s, sched, policy);
-  finish_sim(s, sched, d, sched.global_history(),
-             s.semantics == sim::Semantics::kWriteStrong, out);
+  const History& h = sched.global_history();
+  const Witness witness =
+      s.semantics == sim::Semantics::kAtomic
+          ? run_witness(out, [&h] { return op_id_order(h); })
+          : Witness::kNone;
+  finish_sim(s, sched, d, h, s.semantics == sim::Semantics::kWriteStrong,
+             witness, out);
 }
 
 /// Drives Algorithm 2 (`expect_wsl=true`, per Theorem 10) or Algorithm 4
@@ -252,7 +313,8 @@ void run_implemented(const Scenario& s, bool expect_wsl,
                       });
   }
   const SimDrive d = drive_sim(s, sched, policy);
-  finish_sim(s, sched, d, reg.hl_history(), expect_wsl, out);
+  const Witness witness = run_witness(out, [&reg] { return own_witness(reg); });
+  finish_sim(s, sched, d, reg.hl_history(), expect_wsl, witness, out);
 }
 
 /// A node's crash moment, decided up front from the scenario's FaultPlan.
@@ -829,8 +891,14 @@ void run_abd(const Scenario& s, sim::SchedulePolicy* policy,
   // Theorem 14: linearizable SWMR implementations (ABD included) are
   // write strongly-linearizable, so both checks must pass — on every
   // exit path, so a violation in a blocked or budget-exhausted schedule
-  // is never masked by the early-exit classification.
-  classify_run(h, /*expect_wsl=*/true, end, end_detail, out, s.online_check);
+  // is never masked by the early-exit classification.  The no-write-back
+  // ablation has no witness.
+  const Witness witness =
+      s.abd_read_write_back
+          ? run_witness(out, [&reg] { return own_witness(reg); })
+          : Witness::kNone;
+  classify_run(h, /*expect_wsl=*/true, end, end_detail, out, s.online_check,
+               witness);
   if (s.forensics && out.verdict != Verdict::kOk) {
     obs::ForensicsCapture cap;
     cap.timeline = &timeline;
@@ -928,34 +996,29 @@ std::string Scenario::key() const {
 
 void classify_run(const History& h, bool expect_wsl, RunEnd end,
                   const std::string& end_detail, ScenarioResult& out,
-                  bool online) {
+                  bool online, Witness witness) {
   // Attributes the checker's share of the scenario wall time on every
-  // exit path (check_ns <= wall_ns; measured, never digest material).
-  struct CheckTimer {
-    ScenarioResult& out;
-    std::chrono::steady_clock::time_point t0 =
-        std::chrono::steady_clock::now();
-    ~CheckTimer() {
-      out.check_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-    }
-  };
+  // exit path.
   const CheckTimer timer{out};
+  if (witness == Witness::kMissed) {
+    obs::count(obs::Counter::kCheckerWitnessMisses);
+  }
   // The backtracking solver handles at most kMaxSolverOps ops per
-  // register; sweep workloads stay far below that, but a programmatic
-  // caller could exceed it.  Degrade to "unvalidated" rather than throw.
+  // register, and so do the streaming checker's windows.  A witness has
+  // no cap; a history that needs a search past it degrades to
+  // "unvalidated" rather than throw.
   bool checkable = true;
-  for (const history::RegisterId reg : h.registers()) {
-    std::size_t ops_on_reg = 0;
-    for (const history::OpRecord& op : h.ops()) {
-      if (op.reg == reg) ++ops_on_reg;
+  if (witness != Witness::kAccepted || online) {
+    for (const history::RegisterId reg : h.registers()) {
+      std::size_t ops_on_reg = 0;
+      for (const history::OpRecord& op : h.ops()) {
+        if (op.reg == reg) ++ops_on_reg;
+      }
+      if (ops_on_reg > checker::kMaxSolverOps) checkable = false;
     }
-    if (ops_on_reg > checker::kMaxSolverOps) checkable = false;
   }
   if (checkable) {
-    check_history(h, expect_wsl, online, out);
+    check_history(h, expect_wsl, online, witness, out);
     if (out.verdict == Verdict::kViolation) {
       // The violation wins; keep the early-exit context for diagnosis.
       if (!end_detail.empty()) out.detail += " [" + end_detail + "]";

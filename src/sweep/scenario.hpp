@@ -17,16 +17,30 @@
 //    (sim/regmodel.hpp); the `semantics` axis selects atomic /
 //    linearizable / write strongly-linearizable behaviour.  Checked with
 //    `check_linearizable`, plus the WSL tree checker when the model
-//    promises write strong-linearizability.
+//    promises write strong-linearizability.  An atomic op completes
+//    within its invoking step, so op-id order is the atomic model's
+//    witness.
 //  * kAlg2 — the paper's Algorithm 2 (vector-timestamp WSL MWMR register
 //    from atomic SWMR bases).  Checked linearizable AND write strongly
-//    linearizable (Theorem 10).
+//    linearizable (Theorem 10), with Algorithm 3 as the witness
+//    (registers::check_alg3_wsl).
 //  * kAlg4 — Algorithm 4 (Lamport-clock register): linearizable
-//    (Theorem 12) but not WSL, so only `check_linearizable` applies.
+//    (Theorem 12) but not WSL, so only linearizability is asserted; the
+//    ⟨sq, pid⟩ tag order is the witness (checker::check_tag_order).
 //  * kAbd — the ABD message-passing register driven by a seeded delivery
-//    schedule.  Checked linearizable (its histories are also WSL by
-//    Theorem 14, and we check that too: single-writer runs keep the tree
-//    search tiny).
+//    schedule.  Checked linearizable and, by Theorem 14, write strongly
+//    linearizable.  The writer's timestamps order the writes (tag order
+//    again), and the writer is sequential, so the witness's write
+//    subsequence on every prefix is a prefix of the whole run's: the
+//    restriction argument of registers/alg3_linearizer.hpp gives WSL.
+//    The no-write-back ablation has no witness: it exists to plant
+//    violations, which the searches explain.
+//
+// Witness first: each family above with a witness checks it first, and
+// the searches (`check_linearizable`, the WSL tree) run only when it
+// misses (classify_run).  A witness can only accept, by building an
+// order that `checker::is_legal_sequential` validates, so every verdict
+// and detail string is what the searches alone would give.
 //
 // The fault axis (`FaultPlan`).  kMinorityCrash applies to kAbd: the
 // paper's termination results live in the regime where a minority of
@@ -264,6 +278,14 @@ struct ScenarioResult {
 [[nodiscard]] ScenarioResult run_scenario_policy(const Scenario& s,
                                                  sim::SchedulePolicy& schedule);
 
+/// What a family's own linearization witness said about a run.
+enum class Witness : std::uint8_t {
+  kNone,      ///< The family has no witness; the searches decide.
+  kAccepted,  ///< Certified everything the run asserts (linearizability,
+              ///< and write strong-linearizability where expected).
+  kMissed,    ///< Did not certify the run; the searches decide.
+};
+
 /// Folds the checker verdicts on the recorded history together with how
 /// the run ended into `out.verdict`/`out.detail`.  The checkers run on
 /// EVERY exit path — a violation recorded before the run stalled or ran
@@ -273,10 +295,13 @@ struct ScenarioResult {
 /// the early exit (empty for kCompleted).  With `online`, the streaming
 /// checker replays the history event-by-event and any disagreement with
 /// the batch verdict classifies kError; on agreement the result is
-/// byte-identical to an offline classification.
+/// byte-identical to an offline classification.  `witness` is the
+/// runner's witness verdict: kAccepted stands in for the batch searches
+/// (and lifts their kMaxSolverOps cap, unless `online`), and kMissed
+/// counts one `checker.witness_misses` before the searches run.
 void classify_run(const history::History& h, bool expect_wsl, RunEnd end,
                   const std::string& end_detail, ScenarioResult& out,
-                  bool online = false);
+                  bool online = false, Witness witness = Witness::kNone);
 
 /// Deterministic 64-bit fingerprint of a history (op tuples in id order).
 /// Covers invocation-only (pending) ops too — their invocation time and

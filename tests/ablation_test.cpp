@@ -19,9 +19,11 @@
 #include "checker/lin_checker.hpp"
 #include "game/game.hpp"
 #include "mp/abd.hpp"
+#include "obs/metrics.hpp"
 #include "registers/alg2_register.hpp"
 #include "registers/alg3_linearizer.hpp"
 #include "sim/adversary.hpp"
+#include "sweep/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace rlt {
@@ -88,6 +90,43 @@ TEST(Alg2Ablation, ZeroInitBreaksAlgorithm3) {
       << "the 0-initialization ablation should break Algorithm 3";
   EXPECT_NE(ver.error.find("not a linearization"), std::string::npos)
       << ver.error;
+}
+
+TEST(Alg2Ablation, OnePassCheckAgreesWithTheVerifierOnTheFixture) {
+  ZeroInitFixture fx;
+  const history::History h = fx.run();
+  EXPECT_TRUE(registers::check_alg3_wsl(fx.reg.trace(), h).ok);
+  registers::Alg2Trace ablated = fx.reg.trace();
+  ablated.infinite_init = false;
+  const checker::SequentialCheck one = registers::check_alg3_wsl(ablated, h);
+  ASSERT_FALSE(one.ok);
+  EXPECT_NE(one.error.find("not a linearization"), std::string::npos)
+      << one.error;
+}
+
+TEST(Alg2Ablation, AblatedWitnessCountsOneMissAndTheSearchesClassifyOk) {
+  // The history is correct; only the ablated witness cannot certify it.
+  // A miss hands the run to the searches, which accept it.
+  ZeroInitFixture fx;
+  const history::History h = fx.run();
+  registers::Alg2Trace ablated = fx.reg.trace();
+  ablated.infinite_init = false;
+  ASSERT_FALSE(registers::check_alg3_wsl(ablated, h).ok);
+  constexpr auto kMisses =
+      static_cast<std::size_t>(obs::Counter::kCheckerWitnessMisses);
+  ASSERT_EQ(obs::counter_name(obs::Counter::kCheckerWitnessMisses),
+            "checker.witness_misses");
+  obs::set_enabled(true);
+  const obs::CounterDelta before = obs::thread_counters();
+  sweep::ScenarioResult out;
+  sweep::classify_run(h, /*expect_wsl=*/true, sweep::RunEnd::kCompleted, "",
+                      out, /*online=*/false, sweep::Witness::kMissed);
+  obs::CounterDelta misses = obs::thread_counters();
+  obs::set_enabled(false);
+  misses -= before;
+  EXPECT_EQ(misses.v[kMisses], 1u);
+  EXPECT_EQ(out.verdict, sweep::Verdict::kOk) << out.detail;
+  EXPECT_TRUE(out.detail.empty());
 }
 
 sim::Task alg2_two_reads(sim::Proc& p, registers::SimAlg2Register& r) {

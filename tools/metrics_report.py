@@ -100,14 +100,16 @@ def render(path):
         print(f"mode:   {meta.get('mode', '?')}")
         print(f"config: {meta.get('config', '?')}")
     width = max((len(n) for n in scalars), default=10)
-    group = None
-    for name, value in scalars.items():
-        prefix = name.split(".", 1)[0]
-        if prefix != group:
-            group = prefix
-            print(f"-- {group} --")
-        tag = "" if stable.get(name, True) else "   (runtime)"
-        print(f"  {name:<{width}} {value:>14}{tag}")
+    # One block per subsystem prefix, in the order prefixes first appear:
+    # a counter appended to the registry later still lists with its kin.
+    groups = {}
+    for name in scalars:
+        groups.setdefault(name.split(".", 1)[0], []).append(name)
+    for group, names in groups.items():
+        print(f"-- {group} --")
+        for name in names:
+            tag = "" if stable.get(name, True) else "   (runtime)"
+            print(f"  {name:<{width}} {scalars[name]:>14}{tag}")
     for name, buckets in hists.items():
         tag = "" if stable.get(name, True) else "   (runtime)"
         print(f"-- hist {name}{tag} --")

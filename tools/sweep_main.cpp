@@ -372,8 +372,9 @@ constexpr std::string_view kStoreModes[] = {
 /// Replays every explore record in a store written with --out; exit 0
 /// iff every persisted trace reproduces its recorded score and
 /// fingerprint byte-identically.  Every line's key and mode are read
-/// too: a line that cannot be read, or that names no mode a store holds,
-/// fails the replay like a malformed explore record.
+/// too, and safety and term records through their folds' readers: a
+/// line that cannot be read, that names no mode a store holds, or whose
+/// fold rejects it fails the replay like a malformed explore record.
 int run_replay(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -384,6 +385,8 @@ int run_replay(const std::string& path) {
   std::uint64_t line_no = 0;
   std::uint64_t replayed = 0;
   std::uint64_t matched = 0;
+  rlt::sweep::SweepFold safety;
+  rlt::term::TermFold term;
   while (std::getline(in, line)) {
     ++line_no;
     // A scenario record leads with its gi; every line has a key and mode.
@@ -401,7 +404,14 @@ int run_replay(const std::string& path) {
                 << "\n";
       continue;
     }
-    // Other record kinds (safety, term, shard brackets) are fine.
+    if ((mode == "safety" && !safety.add_record(line)) ||
+        (mode == "term" && !term.add_record(line))) {
+      ++replayed;
+      std::cout << key << ": MALFORMED: not a " << mode
+                << " record its sweep writes\n";
+      continue;
+    }
+    // The other kinds (term-hist, shard brackets) carry no scenario.
     if (mode != "explore") continue;
     std::string err;
     const auto pt = rlt::explore::parse_explore_record(line, &err);
