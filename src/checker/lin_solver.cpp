@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <span>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -46,26 +45,12 @@ struct SolveContext {
   /// Consulted by the doomed-state prune.
   std::array<std::pair<Value, std::uint64_t>, kMaxSolverOps> writes_by_value{};
   int nwrite_groups = 0;
-  /// Response time of every completed op (completion overlay applied);
-  /// the accept shortcut orders remaining free-mode writes by it.
-  std::array<Time, kMaxSolverOps> resp{};
   /// kExact only: exact_suffix[i] = ops of exact[i..] as a bitmask — the
   /// writes still placeable once `exact_next` reaches `i`.
   std::array<std::uint64_t, kMaxSolverOps + 1> exact_suffix{};
   bool prune = true;
-  /// Allowed pre-history values: caller-supplied list, or the register's
-  /// initial value.
-  const std::vector<Value>* initials = nullptr;
-  Value single_initial = 0;
+  Value initial = 0;  ///< the register's initial value
   int n = 0;
-  /// feasible_read_values only: the completed read whose value is open.
-  /// It is kept out of `reads_by_value`, so the DFS never places it as a
-  /// candidate; the read-value search inserts it.
-  int wildcard = -1;
-  /// feasible_read_values only: how many values the current DFS root
-  /// could still add — its pre-history value and the placeable writes'
-  /// values, less those already found.  The search stops at zero.
-  int values_missing = 0;
 
   /// Search statistics, tallied locally (plain increments on this
   /// context — no registry traffic inside the DFS) and flushed to the
@@ -76,7 +61,7 @@ struct SolveContext {
   std::uint64_t stat_prune_eager = 0;
   std::uint64_t stat_prune_accept = 0;
 
-  // State key for memoization (failed states / visited states).
+  // State key for memoization of failed states.
   struct Key {
     std::uint64_t mask;
     Value value;
@@ -213,7 +198,7 @@ struct SolveContext {
     return false;
   }
 
-  /// Accept shortcut (find-one searches, every completed read placed):
+  /// Accept shortcut (every completed read placed):
   /// tries to discharge the remaining write obligations directly.  Free
   /// mode always succeeds — the remaining must-place ops are completed
   /// writes, placeable in response-time order (any blocker responds
@@ -242,9 +227,8 @@ struct SolveContext {
       const int id = std::countr_zero(rem);
       rem &= rem - 1;
       int j = nrem++;
-      while (j > 0 && resp[static_cast<std::size_t>(
-                          by_resp[static_cast<std::size_t>(j - 1)])] >
-                          resp[static_cast<std::size_t>(id)]) {
+      while (j > 0 && view.response(by_resp[static_cast<std::size_t>(j - 1)]) >
+                          view.response(id)) {
         by_resp[static_cast<std::size_t>(j)] =
             by_resp[static_cast<std::size_t>(j - 1)];
         --j;
@@ -260,10 +244,7 @@ struct SolveContext {
   }
 };
 
-/// `wildcard_read`: the completion names a read whose value is left open
-/// (feasible_read_values).
-SolveContext make_context(const LinProblem& problem,
-                          bool wildcard_read = false) {
+SolveContext make_context(const LinProblem& problem) {
   RLT_CHECK(problem.history != nullptr);
   const History& h = *problem.history;
   const auto reg = single_register_of(h);
@@ -275,43 +256,14 @@ SolveContext make_context(const LinProblem& problem,
   ctx.mode = problem.mode;
   ctx.n = static_cast<int>(h.size());
   ctx.prune = problem.prune;
-  if (problem.initial_values.has_value()) {
-    RLT_CHECK_MSG(!problem.initial_values->empty(),
-                  "initial_values must not be empty when supplied");
-    ctx.initials = &*problem.initial_values;
-  } else {
-    ctx.single_initial = h.initial(reg);
-  }
-
-  // Completion overlay: one pending op is treated as completed.
-  const int cop = problem.completion ? problem.completion->op_id : -1;
-  if (problem.completion) {
-    RLT_CHECK_MSG(cop >= 0 && cop < ctx.n, "completion op id out of range");
-    RLT_CHECK_MSG(ctx.view.included(cop) && !ctx.view.completed(cop),
-                  "completion overlay must name an op pending in the view");
-    RLT_CHECK_MSG(problem.completion->response > ctx.view.invoke(cop),
-                  "completion response not after invocation");
-  }
-  if (wildcard_read) {
-    RLT_CHECK_MSG(cop >= 0, "a read-value search needs a completion");
-    RLT_CHECK_MSG(ctx.view.is_read(cop),
-                  "a read-value search completes a read, not op" << cop);
-    ctx.wildcard = cop;
-  }
-  const auto completed = [&ctx, cop](int id) {
-    return id == cop || ctx.view.completed(id);
-  };
-  const auto response_of = [&ctx, cop, &problem](int id) {
-    return id == cop ? problem.completion->response : ctx.view.response(id);
-  };
+  ctx.initial = h.initial(reg);
 
   for (int id = 0; id < ctx.n; ++id) {
     if (!ctx.view.included(id)) continue;
     const std::uint64_t bit = 1ULL << id;
     if (ctx.view.is_write(id)) ctx.all_writes_mask |= bit;
-    if (completed(id)) {
+    if (ctx.view.completed(id)) {
       ctx.completed_mask |= bit;
-      ctx.resp[static_cast<std::size_t>(id)] = response_of(id);
       if (ctx.view.is_read(id)) ctx.placeable_mask |= bit;
     }
   }
@@ -356,7 +308,7 @@ SolveContext make_context(const LinProblem& problem,
     while (comp != 0) {
       const int q = std::countr_zero(comp);
       comp &= comp - 1;
-      if (response_of(q) < ctx.view.invoke(o)) preds |= 1ULL << q;
+      if (ctx.view.response(q) < ctx.view.invoke(o)) preds |= 1ULL << q;
     }
     ctx.pred[static_cast<std::size_t>(o)] = preds;
   }
@@ -393,12 +345,11 @@ SolveContext make_context(const LinProblem& problem,
       };
   int ngroups = 0;
   std::uint64_t reads = ctx.placeable_mask & ~ctx.write_mask;
-  if (ctx.wildcard >= 0) reads &= ~(1ULL << ctx.wildcard);
   while (reads != 0) {
     const int id = std::countr_zero(reads);
     reads &= reads - 1;
-    const Value v = id == cop ? problem.completion->value : ctx.view.value(id);
-    ctx.reads_by_value[static_cast<std::size_t>(ngroups++)] = {v, 1ULL << id};
+    ctx.reads_by_value[static_cast<std::size_t>(ngroups++)] = {
+        ctx.view.value(id), 1ULL << id};
   }
   ctx.nread_groups = group_by_value(ctx.reads_by_value, ngroups);
   ngroups = 0;
@@ -420,41 +371,17 @@ bool exact_order_covers_completed(const SolveContext& ctx) {
   return (ctx.completed_mask & ctx.all_writes_mask & ~ctx.write_mask) == 0;
 }
 
-/// Shared DFS core over (placed-set, register-value) states.
-///
-/// kFindOne: stop at the first done-state; `order` (optional) accumulates
-/// the witness; failed states are memoized in ctx.seen.
-/// kEnumerateFinals: visit every reachable state (ctx.seen is a visited
-/// set), record the register value of every done-state in `out`, and keep
-/// exploring past done-states — pending writes may still be appended.
-/// kReadValues: visit every reachable state with ctx.wildcard unplaced
-/// (ctx.seen is a visited set) and, where the wildcard is available and
-/// the current value is not in `out` yet, run one kFindOne search with it
-/// placed; record the value on success.  Returns true once
-/// ctx.values_missing reaches zero, which stops the search.  The modes share
-/// ctx.seen without clashing: every kFindOne state has the wildcard bit
-/// set, and no kReadValues state has.
-enum class DfsMode { kFindOne, kEnumerateFinals, kReadValues };
-
-template <DfsMode M>
+/// DFS over (placed-set, register-value) states: stops at the first
+/// done-state; `order` (optional) accumulates the witness; failed states
+/// are memoized in ctx.seen.
 bool dfs(SolveContext& ctx, std::uint64_t mask, Value value, int exact_next,
-         std::vector<int>* order, std::set<Value>* out) {
+         std::vector<int>* order) {
   const SolveContext::Key key{mask, value};
   ++ctx.stat_nodes;
-  if constexpr (M == DfsMode::kFindOne) {
-    if (ctx.done(mask)) return true;
-    if (ctx.seen.contains(key)) {
-      ++ctx.stat_memo_hits;
-      return false;
-    }
-  } else {
-    if (!ctx.seen.insert(key)) {
-      ++ctx.stat_memo_hits;
-      return false;
-    }
-    if constexpr (M == DfsMode::kEnumerateFinals) {
-      if (ctx.done(mask)) out->insert(value);
-    }
+  if (ctx.done(mask)) return true;
+  if (ctx.seen.contains(key)) {
+    ++ctx.stat_memo_hits;
+    return false;
   }
 
   if (ctx.prune) {
@@ -464,30 +391,17 @@ bool dfs(SolveContext& ctx, std::uint64_t mask, Value value, int exact_next,
             : ctx.write_mask & ~mask;
     if (ctx.doomed(mask, value, future_writes)) {
       ++ctx.stat_prune_doomed;
-      if constexpr (M == DfsMode::kFindOne) ctx.seen.insert(key);
+      ctx.seen.insert(key);
       return false;
     }
-    if constexpr (M == DfsMode::kFindOne) {
-      // Every completed read placed: only write obligations remain.
-      if ((ctx.must_place_mask & ~ctx.write_mask & ~mask) == 0) {
-        ++ctx.stat_prune_accept;
-        const std::size_t mark = order != nullptr ? order->size() : 0;
-        if (ctx.try_accept_suffix(mask, exact_next, order)) return true;
-        if (order != nullptr) order->resize(mark);
-        ctx.seen.insert(key);
-        return false;
-      }
-    }
-  }
-
-  if constexpr (M == DfsMode::kReadValues) {
-    const std::uint64_t wbit = 1ULL << ctx.wildcard;
-    if ((ctx.pred[static_cast<std::size_t>(ctx.wildcard)] & ~mask) == 0 &&
-        !out->contains(value) &&
-        dfs<DfsMode::kFindOne>(ctx, mask | wbit, value, exact_next, nullptr,
-                               nullptr)) {
-      out->insert(value);
-      if (--ctx.values_missing == 0) return true;
+    // Every completed read placed: only write obligations remain.
+    if ((ctx.must_place_mask & ~ctx.write_mask & ~mask) == 0) {
+      ++ctx.stat_prune_accept;
+      const std::size_t mark = order != nullptr ? order->size() : 0;
+      if (ctx.try_accept_suffix(mask, exact_next, order)) return true;
+      if (order != nullptr) order->resize(mark);
+      ctx.seen.insert(key);
+      return false;
     }
   }
 
@@ -508,28 +422,15 @@ bool dfs(SolveContext& ctx, std::uint64_t mask, Value value, int exact_next,
     const Value next_value = is_write ? ctx.view.value(id) : value;
     const int next_exact =
         exact_next + (is_write && ctx.mode == WriteOrderMode::kExact ? 1 : 0);
-    if constexpr (M == DfsMode::kFindOne) {
-      if (order != nullptr) order->push_back(id);
-      if (dfs<M>(ctx, mask | (1ULL << id), next_value, next_exact, order,
-                 out)) {
-        return true;
-      }
-      if (order != nullptr) order->pop_back();
-    } else if (dfs<M>(ctx, mask | (1ULL << id), next_value, next_exact,
-                      order, out)) {
-      return true;  // kReadValues has every value; finals never stop
+    if (order != nullptr) order->push_back(id);
+    if (dfs(ctx, mask | (1ULL << id), next_value, next_exact, order)) {
+      return true;
     }
+    if (order != nullptr) order->pop_back();
   }
 
-  if constexpr (M == DfsMode::kFindOne) ctx.seen.insert(key);
+  ctx.seen.insert(key);
   return false;
-}
-
-/// Allowed pre-history values of a built context, as a span (no copy).
-std::span<const Value> initials_of(const SolveContext& ctx) {
-  if (ctx.initials != nullptr) return {ctx.initials->data(),
-                                       ctx.initials->size()};
-  return {&ctx.single_initial, 1};
 }
 
 /// Flushes one solver entry's tallies to the metrics registry on every
@@ -555,66 +456,18 @@ LinSolution solve(const LinProblem& problem) {
   const StatFlush flush{ctx};
   LinSolution out;
   if (!exact_order_covers_completed(ctx)) return out;
-
-  for (const Value init : initials_of(ctx)) {
-    std::vector<int> order;
-    if (dfs<DfsMode::kFindOne>(ctx, 0, init, 0, &order, nullptr)) {
-      out.ok = true;
-      out.order = std::move(order);
-      out.initial_used = init;
-      out.final_value = init;
-      for (const int id : out.order) {
-        if (ctx.view.is_write(id)) out.final_value = ctx.view.value(id);
-      }
-      return out;
-    }
-  }
+  std::vector<int> order;
+  if (!dfs(ctx, 0, ctx.initial, 0, &order)) return out;
+  out.ok = true;
+  out.order = std::move(order);
   return out;
 }
 
 bool feasible(const LinProblem& problem) {
   SolveContext ctx = make_context(problem);
   const StatFlush flush{ctx};
-  if (!exact_order_covers_completed(ctx)) return false;
-  for (const Value init : initials_of(ctx)) {
-    if (dfs<DfsMode::kFindOne>(ctx, 0, init, 0, nullptr, nullptr)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::set<Value> feasible_final_values(const LinProblem& problem) {
-  SolveContext ctx = make_context(problem);
-  const StatFlush flush{ctx};
-  std::set<Value> out;
-  if (!exact_order_covers_completed(ctx)) return out;
-  for (const Value init : initials_of(ctx)) {
-    (void)dfs<DfsMode::kEnumerateFinals>(ctx, 0, init, 0, nullptr, &out);
-  }
-  return out;
-}
-
-std::set<Value> feasible_read_values(const LinProblem& problem) {
-  SolveContext ctx = make_context(problem, /*wildcard_read=*/true);
-  const StatFlush flush{ctx};
-  std::set<Value> out;
-  if (!exact_order_covers_completed(ctx)) return out;
-  for (const Value init : initials_of(ctx)) {
-    // A root reaches no value but its own and the placeable writes'.
-    ctx.values_missing =
-        !out.contains(init) && ctx.writes_of(init) == 0 ? 1 : 0;
-    for (int g = 0; g < ctx.nwrite_groups; ++g) {
-      if (!out.contains(ctx.writes_by_value[static_cast<std::size_t>(g)]
-                            .first)) {
-        ++ctx.values_missing;
-      }
-    }
-    if (ctx.values_missing > 0) {
-      (void)dfs<DfsMode::kReadValues>(ctx, 0, init, 0, nullptr, &out);
-    }
-  }
-  return out;
+  return exact_order_covers_completed(ctx) &&
+         dfs(ctx, 0, ctx.initial, 0, nullptr);
 }
 
 }  // namespace rlt::checker

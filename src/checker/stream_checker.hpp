@@ -1,43 +1,23 @@
 // On-line (streaming) linearizability checking with bounded memory.
 //
-// The batch checker (`check_linearizable`) validates a complete recorded
-// history post-hoc; the paper's properties, though, are properties of
-// unbounded executions, and the ROADMAP's line-rate goal needs a checker
-// that keeps up with a *stream* of events.  `StreamingChecker` accepts
+// The paper's properties are properties of unbounded executions, so
+// besides the batch checker (`check_linearizable`) there is a checker that
+// keeps up with a *stream* of events.  `StreamingChecker` accepts
 // invocation/response events one at a time (strictly increasing times)
-// and keeps one `Frontier` (frontier.hpp) per register: a live window of
-// operations not yet retired, plus the values the register may hold
-// before it.
+// and keeps one `Frontier` (frontier.hpp) per register, as the
+// simulator's register models do; by the locality theorem, checking each
+// register independently checks the whole history.  No event calls the
+// solver, and state is bounded by the open ops, not the stream length.
 //
-// At each per-register quiescent point the window collapses to the
-// values it may leave behind (`Frontier::final_values`); frontier.hpp
-// states why that is sound.  Live state stays bounded by the ops between two
-// quiescent points, independent of stream length.  The simulator's
-// interval register models keep the same frontier; here it runs over
-// arbitrary recorded streams and several registers, which is correct for
-// the whole history by the locality theorem (each register is checked
-// independently).
-//
-// Feasibility is asked only at *read responses*.  Invocations add an op
-// the solver may ignore (pending reads are never placed; pending writes
-// are optional), and a write response is always the latest event in its
-// window, so the newly completed write can simply be appended to any
-// existing witness — neither can flip feasibility.  The frontier answers
-// a one-op window by lookup, so the solver runs only on windows of
-// overlapping ops.  This, plus the dominance pruning the solver applies,
-// is what sustains line-rate checking.
-//
-// Verdicts are *prefix-exact*: the checker rejects at precisely the
-// first event whose prefix is not linearizable (the batch checker's
-// minimal failing prefix), and `ok()` after the last event equals the
-// batch verdict on the whole stream — including streams that end with
-// pending (crashed / stalled) operations.  After a violation the checker
-// latches: counters keep counting, state stops evolving.
-//
-// Limits are reported through `error()`, separate from verdicts: a
-// window outgrows the solver's 64-op ceiling (`Frontier::kMaxOps`) only
-// when a register never quiesces, in which case the stream is
-// *unvalidated*, not wrong.
+// A response keeps the configurations that linearized its op, so the set
+// empties at the first event whose prefix is not linearizable: verdicts
+// are *prefix-exact* (the batch checker's minimal failing prefix), and
+// `ok()` after the last event equals the batch verdict on the whole
+// stream, pending (crashed / stalled) ops included.  After a violation the
+// checker latches: counters keep counting, state stops evolving.  A
+// register past `Frontier::kMaxOpen` open ops or its cap on
+// configurations (`Frontier::kMaxConfigs` unless given) latches `error()`
+// instead: *unvalidated*, not wrong.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +30,10 @@ namespace rlt::checker {
 
 class StreamingChecker {
  public:
+  /// Each register holds at most `max_configs` configurations.
+  explicit StreamingChecker(std::size_t max_configs = Frontier::kMaxConfigs)
+      : max_configs_(max_configs) {}
+
   /// Register initial value (Definition 2, property 3); defaults to 0.
   /// At most once per register, before the register's first event.
   void set_initial(history::RegisterId reg, Value v);
@@ -57,8 +41,7 @@ class StreamingChecker {
   /// Feeds an invocation event; returns the operation's stream id (pass
   /// it to `on_response`).  `value` is the written value for writes and
   /// ignored for reads.  Event times must be strictly increasing.
-  int on_invoke(history::ProcessId process, history::RegisterId reg,
-                OpKind kind, Value value, Time now);
+  int on_invoke(history::RegisterId reg, OpKind kind, Value value, Time now);
 
   /// Feeds the response of operation `id` (reads: returning `result`).
   void on_response(int id, Value result, Time now);
@@ -74,41 +57,42 @@ class StreamingChecker {
     return violation_event_;
   }
 
-  /// Non-verdict failure (window overflow, out-of-order events, bad op
-  /// id); empty when the stream is fully validated.
+  /// Non-verdict failure (too many open ops or configurations on a
+  /// register, out-of-order events, bad op id); empty when the stream is
+  /// fully validated.
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
-  // Frontier instrumentation: live state must stay bounded regardless of
-  // stream length — the bounded-memory regression test pins these.
-  [[nodiscard]] std::size_t live_ops() const noexcept { return live_ops_; }
+  /// Ops open now, and the most ever open at once, over all registers
+  /// (bounded whatever the stream's length).
+  [[nodiscard]] std::size_t live_ops() const noexcept {
+    return open_ops_.size();
+  }
   [[nodiscard]] std::size_t peak_live_ops() const noexcept {
     return peak_live_ops_;
   }
+  /// The most configurations one register has held after an event.
+  [[nodiscard]] std::size_t peak_configs() const;
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return events_;
   }
-  [[nodiscard]] std::uint64_t retired_ops() const noexcept {
-    return retired_ops_;
-  }
-  [[nodiscard]] std::uint64_t collapses() const noexcept { return collapses_; }
 
  private:
   [[nodiscard]] bool frozen() const noexcept { return !ok(); }
   void fail_limit(const std::string& what);
+  /// Whether `now` follows the last event (else the error latches).
+  bool in_order(Time now);
 
   /// Per register; caller ids are stream ids.
   std::map<history::RegisterId, Frontier> frontiers_;
   std::map<int, history::RegisterId> open_ops_;  ///< Stream id -> register.
+  std::size_t max_configs_;
   int next_id_ = 0;
   Time last_time_ = 0;
   bool saw_event_ = false;
   std::uint64_t events_ = 0;
   std::int64_t violation_event_ = -1;
   std::string error_;
-  std::size_t live_ops_ = 0;
   std::size_t peak_live_ops_ = 0;
-  std::uint64_t retired_ops_ = 0;
-  std::uint64_t collapses_ = 0;
 };
 
 /// Replays a recorded history through a StreamingChecker in event-time

@@ -3,7 +3,7 @@
 // is built from: stable operation identities across runs that share a
 // prefix, event signatures for prefix-tree construction, and the
 // ordered-selection enumerator.  The simulator's WSL register model
-// (sim/wsl_model.cpp) also uses the enumerator, for its commitment menus.
+// (sim/regmodel.cpp) also uses the enumerator, for its commitment menus.
 //
 // The two definitions differ only in which operations f must keep
 // extending from prefix to prefix: every operation (strong) or only

@@ -29,13 +29,6 @@ class History {
   /// Appends an operation record; assigns and returns its id.
   int add(OpRecord op);
 
-  /// Drops every operation and initial value but keeps the storage, so a
-  /// history refilled after it allocates nothing until it outgrows it.
-  void clear() noexcept {
-    ops_.clear();
-    initial_.clear();
-  }
-
   /// Marks a previously added pending operation as responded at `now`.
   /// For reads, `result` becomes the returned value. Throws if the op is
   /// already complete or `now` is not after its invocation.

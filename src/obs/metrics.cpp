@@ -28,8 +28,6 @@ constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
     {"wsl.cache_hits", true},
     {"wsl.cache_misses", true},
     {"stream.events", true},
-    {"stream.collapses", true},
-    {"stream.retired_ops", true},
     {"net.msgs_sent", true},
     {"net.bytes_sent", true},
     {"net.delivered", true},
@@ -51,6 +49,7 @@ constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
 
 constexpr std::array<MetricInfo, kNumGauges> kGaugeInfo{{
     {"stream.peak_live_ops", true},
+    {"stream.peak_configs", true},
     {"pool.threads", false},
 }};
 

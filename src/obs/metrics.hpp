@@ -42,9 +42,9 @@ namespace rlt::obs {
 
 enum class Counter : int {
   // Linearization solver (src/checker/lin_solver.cpp) internals.
-  kCheckerSolverCalls,    // solver entries (solve, feasible, feasible_*)
+  kCheckerSolverCalls,    // solver entries (solve, feasible)
   kCheckerDfsNodes,       // DFS states visited
-  kCheckerMemoHits,       // seen-set hits (failed/visited states)
+  kCheckerMemoHits,       // seen-set hits (failed states)
   kCheckerPruneDoomed,    // doomed-state prune fired
   kCheckerPruneEagerRead, // eager-read dominance restriction applied
   kCheckerPruneAccept,    // accept-shortcut discharged a subtree
@@ -54,8 +54,6 @@ enum class Counter : int {
   kWslCacheMisses,
   // Streaming online checker (absorbed from StreamingChecker accessors).
   kStreamEvents,
-  kStreamCollapses,
-  kStreamRetiredOps,
   // Message-passing fabric (mp/network, mp/abd) + per-op accounting.
   kNetMsgsSent,
   kNetBytesSent,
@@ -83,6 +81,7 @@ enum class Counter : int {
 enum class Gauge : int {
   // Max over all scenarios — commutative, hence thread-invariant.
   kStreamPeakLiveOps,
+  kStreamPeakConfigs,  // most configurations one register held (online runs)
   // Runtime.
   kPoolThreads,
   kCount_,

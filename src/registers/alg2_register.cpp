@@ -47,8 +47,9 @@ SimAlg2Register::SimAlg2Register(sim::Scheduler& sched, int n,
   trace_.initial = initial;
   recorder_.set_initial(0, initial);
   writer_busy_.assign(static_cast<std::size_t>(n), false);
-  // Tuple 0: the initial value with timestamp [0 … 0].
+  // Tuple 0: the initial value with timestamp [0 … 0], in every Val[i].
   tuples_.emplace_back(initial, VectorTs::zeros(n));
+  published_.assign(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
     sched_.add_register(base(i), sim::Semantics::kAtomic, 0);
   }
@@ -84,31 +85,33 @@ sim::ValueTask<void> SimAlg2Register::write(sim::Proc& self, int k, Value v) {
   // Lines 1-7: form new_ts one entry at a time by reading Val[0..n-1].
   VectorTs new_ts = VectorTs::infinite(n_);
   for (int i = 0; i < n_; ++i) {
-    const Value handle = co_await self.read(base(i));
+    // The read of Val[i] takes effect at the next tick and returns the
+    // tuple Val[i] holds now.  In the paper's step model, reading Val[i]
+    // and assigning new_ts[i] are ONE atomic step (a shared-memory step
+    // plus local computation), and the proofs of Lemmas 37/38 rely on
+    // this: the entry is set at the base read's linearization point, not
+    // when this coroutine happens to be rescheduled.
+    const int handle = published_[static_cast<std::size_t>(i)];
     const VectorTs& ts_i = tuples_[static_cast<std::size_t>(handle)].second;
     if (i != k) {
       new_ts.set(i, ts_i[i]);  // line 3
     } else {
       new_ts.set(i, ts_i[i] + 1);  // line 5
     }
-    // In the paper's step model, reading Val[i] and assigning new_ts[i]
-    // are ONE atomic step (a shared-memory step plus local computation).
-    // The proofs of Lemmas 37/38 rely on this: the entry is considered
-    // set at the base read's linearization point — its invocation time —
-    // not when this coroutine happens to be rescheduled.
     trace_.writes[trace_idx].entry_set_time[static_cast<std::size_t>(i)] =
-        self.last_op_invoke();
+        sched_.now() + 1;
     trace_.writes[trace_idx].entry_value[static_cast<std::size_t>(i)] =
         new_ts[i];
+    const Value read = co_await self.read(base(i));
+    RLT_CHECK_MSG(read == handle, "Val[" << i << "] changed within a step");
   }
 
-  // Line 8: publish (v, new_ts) in Val[k].  The write's effect time is
-  // its invocation (base registers are atomic); the co_await resumes at
-  // this process's next step, which can be much later.
+  // Line 8: publish (v, new_ts) in Val[k], effective at the next tick.
   trace_.writes[trace_idx].final_ts = new_ts;
   const int handle = add_tuple(v, new_ts);
+  trace_.writes[trace_idx].val_write_time = sched_.now() + 1;
+  published_[static_cast<std::size_t>(k)] = handle;
   co_await self.write(base(k), handle);
-  trace_.writes[trace_idx].val_write_time = self.last_op_invoke();
 
   // Line 9: new_ts is reset to [∞ … ∞] — our per-operation new_ts goes
   // out of scope, which is the same thing: between operations the

@@ -10,7 +10,11 @@
 //
 // In the simulator, base registers hold int64 handles into a tuple table
 // (the base objects are *atomic*, exactly as the paper assumes); every
-// base-register access is one adversary-schedulable step.  The wrapper
+// base-register access is one adversary-schedulable step.  A base access
+// takes effect at the scheduler's next tick in the step that requests it,
+// while the coroutine resumes only at the process's next step, so the
+// wrapper stamps the trace in the requesting step: a run cut before the
+// process resumes still records what it published.  The wrapper
 // records the implemented register's high-level history (checked by the
 // generic linearizability / WSL checkers) and an instrumentation trace
 // (operation intervals, the time each new_ts entry was assigned, the time
@@ -118,6 +122,8 @@ class SimAlg2Register {
   Alg2Trace trace_;
   /// Tuple table: base registers hold indices into this vector.
   std::vector<std::pair<Value, VectorTs>> tuples_;
+  /// The tuple each Val[i] holds; only this wrapper writes them.
+  std::vector<int> published_;
   std::vector<bool> writer_busy_;  ///< SWMR discipline check.
 };
 

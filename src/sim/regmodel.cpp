@@ -1,26 +1,9 @@
 #include "sim/regmodel.hpp"
 
+#include "checker/frontier.hpp"
 #include "util/assert.hpp"
 
 namespace rlt::sim {
-
-std::optional<Value> WindowedModel::on_invoke(int op_id, ProcessId p,
-                                              OpKind kind, Value value,
-                                              Time now) {
-  frontier_.invoke(op_id, p, kind, value, now);
-  return std::nullopt;
-}
-
-Value WindowedModel::on_respond(int op_id, const ResponseChoice& choice,
-                                Time now) {
-  const int wid = frontier_.window_id_of(op_id);
-  const history::OpRecord& op = frontier_.window().op(wid);
-  const Value result = op.is_write() ? op.value : choice.value;
-  apply_choice(wid, choice);
-  frontier_.respond(wid, choice.value, now);
-  if (frontier_.open() == 0) frontier_.collapse(collapse_values());
-  return result;
-}
 
 namespace {
 
@@ -29,21 +12,116 @@ class AtomicModel final : public RegisterModel {
  public:
   explicit AtomicModel(Value initial) : value_(initial) {}
 
-  std::optional<Value> on_invoke(int /*op_id*/, ProcessId /*p*/, OpKind kind,
-                                 Value value, Time /*now*/) override {
+  std::optional<Value> on_invoke(int /*op_id*/, OpKind kind,
+                                 Value value) override {
     if (kind == OpKind::kWrite) value_ = value;
     return value_;
   }
-  std::vector<ResponseChoice> response_choices(int, Time) override {
-    return {};
-  }
-  Value on_respond(int, const ResponseChoice&, Time) override {
+  std::vector<ResponseChoice> response_choices(int) override { return {}; }
+  Value on_respond(int, const ResponseChoice&) override {
     RLT_CHECK_MSG(false, "atomic registers have no pending operations");
     return 0;
   }
 
  private:
   Value value_;
+};
+
+/// The interval models' common half: the register's frontier `F`
+/// (caller ids are global op ids), and the checks every event passes.
+template <class F>
+class IntervalModel : public RegisterModel {
+ public:
+  explicit IntervalModel(Value initial) : frontier_(initial) {}
+
+  std::optional<Value> on_invoke(int op_id, OpKind kind,
+                                 Value value) override {
+    const bool opened = frontier_.invoke(op_id, kind, value);
+    RLT_CHECK_MSG(opened, "more than " << F::kMaxOpen
+                                       << " open ops on one register");
+    return std::nullopt;
+  }
+
+  Value on_respond(int op_id, const ResponseChoice& choice) override {
+    const Value result =
+        frontier_.is_write(op_id) ? frontier_.written(op_id) : choice.value;
+    respond(op_id, choice);
+    RLT_CHECK_MSG(!frontier_.overflowed(),
+                  "register needs more than " << F::kMaxConfigs
+                                              << " configurations");
+    RLT_CHECK_MSG(frontier_.feasible(),
+                  "response " << choice.value << " of op " << op_id
+                              << " leaves no linearization — bug");
+    return result;
+  }
+
+ protected:
+  /// Applies `choice` to the frontier.
+  virtual void respond(int op_id, const ResponseChoice& choice) = 0;
+
+  F frontier_;
+};
+
+/// "Only linearizable": a read may return ANY value for which a legal
+/// linearization of the register's history still exists, so the order of
+/// concurrent writes stays undecided until some read forces it: the
+/// "off-line" freedom Theorem 6's adversary exploits after the coin flip.
+class LinearizableModel final : public IntervalModel<checker::Frontier> {
+ public:
+  using IntervalModel::IntervalModel;
+
+  std::vector<ResponseChoice> response_choices(int op_id) override {
+    // Completing a write never constrains the past: one choice.  A read
+    // may return any value of its menu, in ascending order.
+    std::vector<ResponseChoice> choices;
+    if (frontier_.is_write(op_id)) {
+      choices.push_back(ResponseChoice{frontier_.written(op_id), {}});
+      return choices;
+    }
+    for (const Value v : frontier_.read_values(op_id)) {
+      choices.push_back(ResponseChoice{v, {}});
+    }
+    RLT_CHECK_MSG(!choices.empty(),
+                  "linearizable model: read has no feasible value — bug");
+    return choices;
+  }
+
+  void respond(int op_id, const ResponseChoice& choice) override {
+    frontier_.respond(op_id, choice.value);
+  }
+};
+
+/// Write strong-linearizability, Definition 4 made operational: an
+/// append-only committed write sequence.  A write's choices are the
+/// ordered batches of uncommitted writes, holding it, that a linearization
+/// with EXACTLY that write order allows; a read may return an uncommitted
+/// write's value, but then commits it.  The crux of Lemma 19 becomes
+/// mechanical: when p0's write of [0,j] responds BEFORE the coin flip, the
+/// adversary must order the concurrent write [1,j] now, not after seeing
+/// the coin.
+class WslModel final : public IntervalModel<checker::WslFrontier> {
+ public:
+  using IntervalModel::IntervalModel;
+
+  std::vector<ResponseChoice> response_choices(int op_id) override {
+    std::vector<ResponseChoice> choices;
+    for (const auto& c : frontier_.commitments(op_id)) {
+      const std::span<const int> batch = frontier_.batch(c);
+      choices.push_back(
+          ResponseChoice{c.value, std::vector<int>(batch.begin(), batch.end())});
+    }
+    RLT_CHECK_MSG(!frontier_.overflowed(),
+                  "WSL model: register needs more than "
+                      << checker::WslFrontier::kMaxConfigs
+                      << " configurations");
+    RLT_CHECK_MSG(!choices.empty(),
+                  "WSL model: op " << op_id << " has no feasible response — bug");
+    return choices;
+  }
+
+  void respond(int op_id, const ResponseChoice& choice) override {
+    frontier_.respond(op_id, choice.value, choice.commit_extension);
+  }
 };
 
 }  // namespace
@@ -58,6 +136,14 @@ const char* to_string(Semantics s) noexcept {
       return "write-strongly-linearizable";
   }
   return "?";
+}
+
+std::unique_ptr<RegisterModel> make_linearizable_model(Value initial) {
+  return std::make_unique<LinearizableModel>(initial);
+}
+
+std::unique_ptr<RegisterModel> make_wsl_model(Value initial) {
+  return std::make_unique<WslModel>(initial);
 }
 
 std::unique_ptr<RegisterModel> make_model(Semantics s, Value initial) {

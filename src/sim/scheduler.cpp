@@ -80,7 +80,7 @@ const std::vector<ResponseChoice>& Scheduler::choices_for(int op_id) {
   const std::size_t i = pending_index(op_id);
   Menu& menu = menus_[i];
   if (!menu.valid) {
-    menu.choices = model(pending_[i].reg).response_choices(op_id, clock_ + 1);
+    menu.choices = model(pending_[i].reg).response_choices(op_id);
     menu.valid = true;
   }
   return menu.choices;
@@ -140,11 +140,10 @@ void Scheduler::step_process(ProcessId p) {
       const RegId reg = proc.request_.reg;
       RegisterModel& m = model(reg);
       const Time t = tick();
-      proc.last_invoke_ = t;
       const history::OpHandle h = recorder_.begin_op(
           p, reg, proc.request_.op_kind, proc.request_.value, t);
-      const std::optional<Value> immediate = m.on_invoke(
-          h.op_id, p, proc.request_.op_kind, proc.request_.value, t);
+      const std::optional<Value> immediate =
+          m.on_invoke(h.op_id, proc.request_.op_kind, proc.request_.value);
       if (immediate.has_value()) {
         recorder_.end_op(h, *immediate, tick());
         proc.result_ = *immediate;
@@ -171,7 +170,7 @@ void Scheduler::respond_op(int op_id, const ResponseChoice& choice) {
   const ProcessId p = pending_[i].process;
 
   const Time t = tick();
-  const Value result = model(reg).on_respond(op_id, choice, t);
+  const Value result = model(reg).on_respond(op_id, choice);
   recorder_.end_op(history::OpHandle{op_id}, result, t);
   const auto at = static_cast<std::ptrdiff_t>(i);
   pending_.erase(pending_.begin() + at);

@@ -58,6 +58,10 @@ class Proc {
   [[nodiscard]] ProcessId id() const noexcept { return id_; }
   [[nodiscard]] Scheduler& scheduler() const noexcept { return *sched_; }
 
+  /// A register op is invoked in the step that requests it, at the
+  /// scheduler's next tick (`now() + 1`); the co_await resumes at the
+  /// process's next step, which can be much later.
+  ///
   /// Awaitable register write.  The value co_awaited is the written value.
   [[nodiscard]] auto write(RegId reg, Value v);
   /// Awaitable register read; co_await yields the value read.
@@ -67,15 +71,6 @@ class Proc {
   [[nodiscard]] auto flip_coin();
   /// Awaitable pure local step (scheduling point with no effect).
   [[nodiscard]] auto yield();
-
-  /// Invocation time of this process's most recent register operation.
-  /// With atomic registers this is the operation's linearization point —
-  /// the instant its effect became visible to other processes (the
-  /// co_await only resumes at the process's NEXT scheduled step, which
-  /// can be much later).  Algorithm 2's instrumentation needs it.
-  [[nodiscard]] history::Time last_op_invoke() const noexcept {
-    return last_invoke_;
-  }
 
  private:
   friend class Scheduler;
@@ -98,7 +93,6 @@ class Proc {
   std::coroutine_handle<> leaf_;  ///< Innermost suspended coroutine.
   Request request_;
   Value result_ = 0;
-  Time last_invoke_ = 0;
   bool blocked = false;
   bool done = false;
 };
@@ -179,12 +173,9 @@ class Scheduler {
   /// next `apply()`.
   ///
   /// Menus are cached between register-state changes: a model's choice
-  /// menu must be a function of its own state (window, commitments,
-  /// pre-window values) — the `now` passed to `response_choices` only
-  /// names the hypothetical response time, which is later than every
-  /// recorded event either way, so it cannot change the menu.  The cache
-  /// is invalidated whenever the register's model mutates (invoke,
-  /// respond, collapse).
+  /// menu is a function of the register's events so far (its
+  /// configurations and commitments).  The cache is invalidated whenever
+  /// the register's model sees an event (invoke, respond).
   [[nodiscard]] const std::vector<ResponseChoice>& choices_for(int op_id);
 
   /// All enabled actions (steps of runnable processes + every response

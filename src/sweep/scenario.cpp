@@ -186,9 +186,8 @@ void check_history(const History& h, bool expect_wsl, bool online,
     const checker::StreamingChecker sc = checker::check_stream(h);
     if (obs::enabled()) {
       obs::count(obs::Counter::kStreamEvents, sc.events_processed());
-      obs::count(obs::Counter::kStreamCollapses, sc.collapses());
-      obs::count(obs::Counter::kStreamRetiredOps, sc.retired_ops());
       obs::gauge_max(obs::Gauge::kStreamPeakLiveOps, sc.peak_live_ops());
+      obs::gauge_max(obs::Gauge::kStreamPeakConfigs, sc.peak_configs());
       obs::hist(obs::Hist::kStreamPeakLive, sc.peak_live_ops());
     }
     if (!sc.error().empty()) {
@@ -1004,11 +1003,11 @@ void classify_run(const History& h, bool expect_wsl, RunEnd end,
     obs::count(obs::Counter::kCheckerWitnessMisses);
   }
   // The backtracking solver handles at most kMaxSolverOps ops per
-  // register, and so do the streaming checker's windows.  A witness has
-  // no cap; a history that needs a search past it degrades to
+  // register.  A witness and the streaming checker have no such cap, so
+  // only a history that needs a batch search past it degrades to
   // "unvalidated" rather than throw.
   bool checkable = true;
-  if (witness != Witness::kAccepted || online) {
+  if (witness != Witness::kAccepted) {
     for (const history::RegisterId reg : h.registers()) {
       std::size_t ops_on_reg = 0;
       for (const history::OpRecord& op : h.ops()) {

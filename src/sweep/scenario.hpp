@@ -83,6 +83,7 @@
 #include <cstdint>
 #include <string>
 
+#include "history/history.hpp"
 #include "sim/regmodel.hpp"
 
 namespace rlt::sim {

@@ -95,7 +95,7 @@ TEST(Models, SemanticsNamesAreStable) {
 
 TEST(Models, AtomicModelRejectsRespondCalls) {
   const auto atomic = sim::make_model(sim::Semantics::kAtomic, 0);
-  EXPECT_THROW(atomic->on_respond(0, sim::ResponseChoice{}, 1),
+  EXPECT_THROW(atomic->on_respond(0, sim::ResponseChoice{}),
                util::InvariantViolation);
 }
 

@@ -1,8 +1,10 @@
 // Pins that the scheduler's queries do not allocate: once a register's
 // menus are cached, `pending_ops()`, `choices_for()` and
-// `enabled_actions()` hand out lists the scheduler owns.  This file is its
-// own test binary, so the counting global operator new below reaches no
-// other suite.
+// `enabled_actions()` hand out lists the scheduler owns.  Also pins that a
+// register's configuration set (checker/frontier.hpp) reuses its buffers:
+// lone ops cost no allocation once warmed up.  This file is its own test
+// binary, so the counting global operator new below reaches no other
+// suite.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "checker/frontier.hpp"
 #include "sim/scheduler.hpp"
 
 namespace {
@@ -57,6 +60,29 @@ TEST(SchedulerAlloc, QueriesDoNotAllocate) {
   const std::uint64_t allocations = g_allocations.load() - before;
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(seen, 100u * (4u + 5u));
+}
+
+TEST(FrontierAlloc, LoneOpsDoNotAllocate) {
+  // A write then a read, each alone: invoke, menu and respond.
+  checker::Frontier f(0);
+  int id = 0;
+  std::size_t seen = 0;
+  const auto cycle = [&f, &id, &seen](Value v) {
+    const int w = id++;
+    ASSERT_TRUE(f.invoke(w, OpKind::kWrite, v));
+    f.respond(w, v);
+    const int r = id++;
+    ASSERT_TRUE(f.invoke(r, OpKind::kRead, 0));
+    seen += f.read_values(r).size();
+    f.respond(r, v);
+    ASSERT_TRUE(f.feasible());
+  };
+  for (Value v = 0; v < 4; ++v) cycle(v);  // warm-up sizes every buffer
+  const std::uint64_t before = g_allocations.load();
+  for (Value v = 0; v < 100; ++v) cycle(v);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(seen, 104u);
+  EXPECT_EQ(f.peak_configs(), 1u);
 }
 
 }  // namespace

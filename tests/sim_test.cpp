@@ -190,10 +190,10 @@ std::vector<Value> menu_values(const std::vector<ResponseChoice>& menu) {
 }
 
 /// The read menu the solver gives over register `reg`'s whole history so
-/// far, nothing collapsed, with pending read `op_id` completed at the
-/// next tick.  Sets `alone` when the read is the only op of its model's
-/// window: every earlier op of the register responded before it was
-/// invoked, and none was invoked since.
+/// far, with pending read `op_id` completed at the next tick: one
+/// `feasible` per candidate value, on a copy with the read completed.
+/// Sets `alone` when every earlier op of the register responded before
+/// the read was invoked, and none was invoked since.
 std::vector<Value> whole_history_menu(const Scheduler& sched, RegId reg,
                                       int op_id, bool* alone) {
   std::vector<int> ids;
@@ -206,22 +206,28 @@ std::vector<Value> whole_history_menu(const Scheduler& sched, RegId reg,
   for (int j = 0; j < k; ++j) {
     if (!h.op(j).precedes(h.op(k))) *alone = false;
   }
-  checker::LinProblem probe;
-  probe.history = &h;
-  probe.completion =
-      checker::LinProblem::Completion{k, Value{0}, sched.now() + 1};
-  const std::set<Value> values = checker::feasible_read_values(probe);
-  return {values.begin(), values.end()};
+  std::set<Value> candidates{h.initial(reg)};
+  for (const history::OpRecord& op : h.ops()) {
+    if (op.is_write()) candidates.insert(op.value);
+  }
+  std::vector<Value> menu;
+  for (const Value v : candidates) {
+    history::History copy = h;
+    copy.complete_op(k, v, sched.now() + 1);
+    checker::LinProblem probe;
+    probe.history = &copy;
+    if (checker::feasible(probe)) menu.push_back(v);
+  }
+  return menu;
 }
 
 TEST(LinearizableModel, ReadMenusEqualTheSolverOverTheWholeHistory) {
   // Random short schedules over two registers.  At every decision, each
   // pending read's menu must be the solver's over its register's whole
-  // history, in the same ascending order: the collapse argument makes
-  // the windowed menu exact, and a read alone in its window answers from
-  // the pre-window values without the solver.
+  // history, in the same ascending order, whether the read overlaps other
+  // ops or runs alone after a past that left several values possible.
   int alone = 0;
-  int alone_with_choice = 0;  // pre-window sets of 2+ values
+  int alone_with_choice = 0;  // lone reads with 2+ values
   int overlapping = 0;
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     util::Rng rng(seed);
@@ -261,8 +267,8 @@ TEST(LinearizableModel, ReadMenusEqualTheSolverOverTheWholeHistory) {
 }
 
 TEST(LinearizableModel, LoneReadOffersEveryValueTheCollapseKept) {
-  // k concurrent writes respond, the register goes quiescent and its
-  // window collapses to the k values the writes may have left.  A read
+  // k concurrent writes respond and the register goes quiescent with k
+  // configurations, one per value the writes may have left.  A read
   // invoked alone then offers exactly those, as the solver does over the
   // whole history.
   for (const int k : {2, 3}) {
@@ -292,8 +298,8 @@ TEST(LinearizableModel, LoneReadOffersEveryValueTheCollapseKept) {
 }
 
 TEST(WslModel, OpsAloneInTheirWindowHaveOneForcedResponse) {
-  // A lone read returns the pre-window value and commits nothing; a lone
-  // write commits itself.
+  // A lone read returns the last committed value and commits nothing; a
+  // lone write commits itself.
   Scheduler sched(1);
   sched.add_register(0, Semantics::kWriteStrong, 5);
   Value v1 = -1;
@@ -372,8 +378,8 @@ TEST(WslModel, WriteResponseFreezesOrder) {
 }
 
 TEST(WslModel, CommittedOrderSurvivesCollapse) {
-  // Run a full write-write-read cycle to quiescence; the model collapses
-  // its window, and the next read must see the committed final value.
+  // Run a full write-write-read cycle to quiescence; the next read must
+  // see the committed final value.
   Scheduler sched(3);
   sched.add_register(0, Semantics::kWriteStrong, 0);
   Value v1 = -1;
@@ -525,17 +531,16 @@ class CountingModel final : public RegisterModel {
   explicit CountingModel(int* calls)
       : inner_(make_linearizable_model(0)), calls_(calls) {}
 
-  std::optional<Value> on_invoke(int op_id, ProcessId p, OpKind kind,
-                                 Value value, Time now) override {
-    return inner_->on_invoke(op_id, p, kind, value, now);
+  std::optional<Value> on_invoke(int op_id, OpKind kind,
+                                 Value value) override {
+    return inner_->on_invoke(op_id, kind, value);
   }
-  std::vector<ResponseChoice> response_choices(int op_id, Time now) override {
+  std::vector<ResponseChoice> response_choices(int op_id) override {
     ++*calls_;
-    return inner_->response_choices(op_id, now);
+    return inner_->response_choices(op_id);
   }
-  Value on_respond(int op_id, const ResponseChoice& choice,
-                   Time now) override {
-    return inner_->on_respond(op_id, choice, now);
+  Value on_respond(int op_id, const ResponseChoice& choice) override {
+    return inner_->on_respond(op_id, choice);
   }
 
  private:

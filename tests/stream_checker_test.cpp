@@ -97,21 +97,22 @@ TEST(StreamChecker, EmptyStreamIsOk) {
 
 TEST(StreamChecker, SequentialWriteReadIsOk) {
   StreamingChecker c;
-  const int w = c.on_invoke(0, 0, OpKind::kWrite, 7, 1);
+  const int w = c.on_invoke(0, OpKind::kWrite, 7, 1);
   c.on_response(w, 7, 2);
-  const int r = c.on_invoke(1, 0, OpKind::kRead, 0, 3);
+  const int r = c.on_invoke(0, OpKind::kRead, 0, 3);
   c.on_response(r, 7, 4);
   EXPECT_TRUE(c.ok());
   EXPECT_EQ(c.events_processed(), 4u);
-  EXPECT_EQ(c.live_ops(), 0u);       // both windows collapsed at quiescence
-  EXPECT_EQ(c.retired_ops(), 2u);
+  EXPECT_EQ(c.live_ops(), 0u);  // nothing open
+  EXPECT_EQ(c.peak_live_ops(), 1u);
+  EXPECT_EQ(c.peak_configs(), 1u);
 }
 
 TEST(StreamChecker, StaleReadRejectsAtTheExactEvent) {
   StreamingChecker c;
-  const int w = c.on_invoke(0, 0, OpKind::kWrite, 7, 1);
+  const int w = c.on_invoke(0, OpKind::kWrite, 7, 1);
   c.on_response(w, 7, 2);
-  const int r = c.on_invoke(1, 0, OpKind::kRead, 0, 3);
+  const int r = c.on_invoke(0, OpKind::kRead, 0, 3);
   c.on_response(r, 9, 4);  // 9 was never written and is not the initial
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(c.error().empty());        // a verdict, not a limit
@@ -120,12 +121,12 @@ TEST(StreamChecker, StaleReadRejectsAtTheExactEvent) {
 
 TEST(StreamChecker, LatchesAfterAViolation) {
   StreamingChecker c;
-  const int r = c.on_invoke(0, 0, OpKind::kRead, 0, 1);
+  const int r = c.on_invoke(0, OpKind::kRead, 0, 1);
   c.on_response(r, 5, 2);  // violation: reads initial 0
   ASSERT_FALSE(c.ok());
   EXPECT_EQ(c.first_violation_event(), 1);
   // Later (even clean) events keep counting but cannot move the verdict.
-  const int w = c.on_invoke(1, 0, OpKind::kWrite, 5, 3);
+  const int w = c.on_invoke(0, OpKind::kWrite, 5, 3);
   c.on_response(w, 5, 4);
   EXPECT_EQ(c.first_violation_event(), 1);
   EXPECT_EQ(c.events_processed(), 4u);
@@ -135,13 +136,13 @@ TEST(StreamChecker, LatchesAfterAViolation) {
 TEST(StreamChecker, InitialValuesAreRespected) {
   StreamingChecker good;
   good.set_initial(0, 9);
-  const int r1 = good.on_invoke(0, 0, OpKind::kRead, 0, 1);
+  const int r1 = good.on_invoke(0, OpKind::kRead, 0, 1);
   good.on_response(r1, 9, 2);
   EXPECT_TRUE(good.ok());
 
   StreamingChecker bad;
   bad.set_initial(0, 9);
-  const int r2 = bad.on_invoke(0, 0, OpKind::kRead, 0, 1);
+  const int r2 = bad.on_invoke(0, OpKind::kRead, 0, 1);
   bad.on_response(r2, 0, 2);  // initial is 9 here, not the default 0
   EXPECT_FALSE(bad.ok());
 }
@@ -150,8 +151,8 @@ TEST(StreamChecker, RegistersAreCheckedIndependently) {
   // Locality: a violation on register 1 must not depend on (or disturb)
   // the clean traffic interleaved on register 0.
   StreamingChecker c;
-  const int w0 = c.on_invoke(0, 0, OpKind::kWrite, 3, 1);
-  const int r1 = c.on_invoke(1, 1, OpKind::kRead, 0, 2);
+  const int w0 = c.on_invoke(0, OpKind::kWrite, 3, 1);
+  const int r1 = c.on_invoke(1, OpKind::kRead, 0, 2);
   c.on_response(w0, 3, 3);
   c.on_response(r1, 8, 4);  // register 1 never held 8
   EXPECT_FALSE(c.ok());
@@ -163,14 +164,14 @@ TEST(StreamChecker, PendingWriteIsPossiblyEffective) {
   // crash/stall truncation shape from PR 3): the pending write must
   // reach the solver as possibly-effective on the streaming path too.
   StreamingChecker c;
-  (void)c.on_invoke(0, 0, OpKind::kWrite, 5, 1);  // never responds
-  const int r = c.on_invoke(1, 0, OpKind::kRead, 0, 2);
+  (void)c.on_invoke(0, OpKind::kWrite, 5, 1);  // never responds
+  const int r = c.on_invoke(0, OpKind::kRead, 0, 2);
   c.on_response(r, 5, 3);
   EXPECT_TRUE(c.ok());
-  EXPECT_EQ(c.live_ops(), 2u);  // the pending write pins its window open
+  EXPECT_EQ(c.live_ops(), 1u);  // the pending write stays open
 
   StreamingChecker d;
-  const int r2 = d.on_invoke(1, 0, OpKind::kRead, 0, 2);
+  const int r2 = d.on_invoke(0, OpKind::kRead, 0, 2);
   d.on_response(r2, 5, 3);  // no such write, pending or otherwise
   EXPECT_FALSE(d.ok());
 }
@@ -179,29 +180,30 @@ TEST(StreamChecker, FirstEventAtTimeZeroIsAccepted) {
   // External streams may start their clock at 0; only *subsequent*
   // events must strictly increase.
   StreamingChecker c;
-  const int w = c.on_invoke(0, 0, OpKind::kWrite, 1, 0);
+  const int w = c.on_invoke(0, OpKind::kWrite, 1, 0);
   c.on_response(w, 1, 1);
   EXPECT_TRUE(c.ok());
   EXPECT_TRUE(c.error().empty());
 }
 
 TEST(StreamChecker, CollapseRetiresWindowsAtQuiescence) {
+  // Sequential ops never hold more than one op open or one configuration:
+  // what a quiescent point once retired is simply never kept.
   StreamingChecker c;
   for (int i = 0; i < 10; ++i) {
     const Time t = static_cast<Time>(2 * i);
-    const int w = c.on_invoke(0, 0, OpKind::kWrite, i, t);
+    const int w = c.on_invoke(0, OpKind::kWrite, i, t);
     c.on_response(w, static_cast<Value>(i), t + 1);
   }
   EXPECT_TRUE(c.ok());
   EXPECT_EQ(c.peak_live_ops(), 1u);
   EXPECT_EQ(c.live_ops(), 0u);
-  EXPECT_EQ(c.retired_ops(), 10u);
-  EXPECT_EQ(c.collapses(), 10u);
+  EXPECT_EQ(c.peak_configs(), 1u);
 }
 
 TEST(StreamChecker, OneOpWindowsReachNoSolver) {
-  // Every op here is alone in its window, so each read probe and each
-  // collapse has a forced answer (frontier.hpp).
+  // Every event updates the configuration set and none calls the solver,
+  // which is the batch checker's alone; overlapping ops included.
   constexpr auto kCalls =
       static_cast<std::size_t>(obs::Counter::kCheckerSolverCalls);
   ASSERT_EQ(obs::counter_name(obs::Counter::kCheckerSolverCalls),
@@ -211,32 +213,34 @@ TEST(StreamChecker, OneOpWindowsReachNoSolver) {
   StreamingChecker c;
   Time t = 0;
   for (int i = 0; i < 10; ++i) {
-    const int w = c.on_invoke(0, 0, OpKind::kWrite, i, ++t);
+    const int w = c.on_invoke(0, OpKind::kWrite, i, ++t);
+    const int r = c.on_invoke(0, OpKind::kRead, 0, ++t);
     c.on_response(w, static_cast<Value>(i), ++t);
-    const int r = c.on_invoke(1, 0, OpKind::kRead, 0, ++t);
     c.on_response(r, static_cast<Value>(i), ++t);
   }
   obs::CounterDelta calls = obs::thread_counters();
   obs::set_enabled(false);
   calls -= before;
   EXPECT_TRUE(c.ok());
-  EXPECT_EQ(c.collapses(), 20u);
+  EXPECT_EQ(c.peak_live_ops(), 2u);
+  EXPECT_EQ(c.live_ops(), 0u);
   EXPECT_EQ(calls.v[kCalls], 0u);
 }
 
 TEST(StreamChecker, LoneReadsSeeEveryValueACollapseKept) {
   // Two overlapping writes leave 1 or 2 behind.  A lone read may return
-  // either, and its own collapse keeps only the value it returned; any
-  // other value is rejected at exactly the read's response.
+  // either, and its response keeps only the configurations holding the
+  // value it returned; any other value is rejected at exactly the read's
+  // response.
   const auto run = [](Value first, Value second) {
     StreamingChecker c;
-    const int w1 = c.on_invoke(0, 0, OpKind::kWrite, 1, 1);
-    const int w2 = c.on_invoke(1, 0, OpKind::kWrite, 2, 2);
+    const int w1 = c.on_invoke(0, OpKind::kWrite, 1, 1);
+    const int w2 = c.on_invoke(0, OpKind::kWrite, 2, 2);
     c.on_response(w1, 1, 3);
     c.on_response(w2, 2, 4);
-    const int r1 = c.on_invoke(2, 0, OpKind::kRead, 0, 5);
+    const int r1 = c.on_invoke(0, OpKind::kRead, 0, 5);
     c.on_response(r1, first, 6);
-    const int r2 = c.on_invoke(2, 0, OpKind::kRead, 0, 7);
+    const int r2 = c.on_invoke(0, OpKind::kRead, 0, 7);
     c.on_response(r2, second, 8);
     return c.first_violation_event();
   };
@@ -251,7 +255,7 @@ TEST(StreamChecker, LoneReadsSeeEveryValueACollapseKept) {
 
 TEST(StreamChecker, OutOfOrderTimesLatchAnError) {
   StreamingChecker c;
-  const int w = c.on_invoke(0, 0, OpKind::kWrite, 1, 5);
+  const int w = c.on_invoke(0, OpKind::kWrite, 1, 5);
   c.on_response(w, 1, 5);  // not strictly after the invocation
   EXPECT_FALSE(c.ok());
   EXPECT_FALSE(c.error().empty());
@@ -267,43 +271,66 @@ TEST(StreamChecker, UnknownOpIdLatchesAnError) {
 }
 
 TEST(StreamChecker, WindowOverflowLatchesAnError) {
-  // The solver takes at most 64 ops per register, so a register that
-  // never quiesces can hold 64 concurrent ops and no more.
+  // A register holds at most 64 ops open at once (one bit each).  The
+  // 65th concurrent op leaves the stream unvalidated, not wrong.
   StreamingChecker c;
   for (int i = 0; i < 64; ++i) {
-    (void)c.on_invoke(i, 0, OpKind::kWrite, i, static_cast<Time>(i + 1));
+    (void)c.on_invoke(0, OpKind::kWrite, i, static_cast<Time>(i + 1));
   }
   EXPECT_TRUE(c.ok());
   EXPECT_EQ(c.live_ops(), 64u);
-  (void)c.on_invoke(64, 0, OpKind::kWrite, 64, 65);  // 65th concurrent op
+  (void)c.on_invoke(0, OpKind::kWrite, 64, 65);  // 65th concurrent op
   EXPECT_FALSE(c.ok());
-  EXPECT_NE(c.error().find("window"), std::string::npos);
+  EXPECT_NE(c.error().find("more than 64 open ops"), std::string::npos);
   EXPECT_EQ(c.first_violation_event(), -1);
+}
+
+TEST(StreamChecker, TooManyConfigurationsLatchAnError) {
+  // Overlapping writes respond one by one, each after a new read opens:
+  // every response may put its write just before the last one or after
+  // it, and the open reads tell the choices apart, so the set doubles
+  // with each response.  Past the cap (here 1,024 configurations) the
+  // stream is unvalidated, not wrong.
+  StreamingChecker c(1024);
+  Time t = 0;
+  std::vector<int> writes;
+  for (int i = 0; i < 24; ++i) {
+    writes.push_back(c.on_invoke(0, OpKind::kWrite, i + 1, ++t));
+  }
+  for (const int w : writes) {
+    (void)c.on_invoke(0, OpKind::kRead, 0, ++t);
+    c.on_response(w, 0, ++t);
+    if (!c.ok()) break;
+  }
+  EXPECT_FALSE(c.ok());
+  EXPECT_NE(c.error().find("more than 1024 configurations"), std::string::npos)
+      << c.error();
+  EXPECT_EQ(c.first_violation_event(), -1);
+  EXPECT_EQ(c.peak_configs(), 1024u);
 }
 
 // ---------- bounded memory ----------
 
 TEST(StreamChecker, MillionEventStreamRunsInBoundedMemory) {
-  // 10^6 events of genuinely overlapping traffic with periodic
-  // quiescence.  The frontier must retire everything it proves
-  // linearized: live state stays at the overlap degree (2 ops), never
-  // the stream length.
+  // 10^6 events of genuinely overlapping traffic.  Live state stays at
+  // the overlap degree (2 open ops) and one configuration (the write is
+  // linearized by its response, the read returns its value), never the
+  // stream length.
   StreamingChecker c;
   constexpr std::uint64_t kIterations = 250'000;  // 4 events each
   Time t = 0;
   for (std::uint64_t i = 0; i < kIterations; ++i) {
     const Value v = static_cast<Value>(i % 3);
-    const int w = c.on_invoke(0, 0, OpKind::kWrite, v, ++t);
-    const int r = c.on_invoke(1, 0, OpKind::kRead, 0, ++t);  // overlaps w
+    const int w = c.on_invoke(0, OpKind::kWrite, v, ++t);
+    const int r = c.on_invoke(0, OpKind::kRead, 0, ++t);  // overlaps w
     c.on_response(w, v, ++t);
     c.on_response(r, v, ++t);  // reads the overlapping write's value
     ASSERT_TRUE(c.ok()) << "iteration " << i;
   }
   EXPECT_EQ(c.events_processed(), 4 * kIterations);
-  EXPECT_EQ(c.retired_ops(), 2 * kIterations);
   EXPECT_EQ(c.live_ops(), 0u);
-  EXPECT_LE(c.peak_live_ops(), 2u);
-  EXPECT_EQ(c.collapses(), kIterations);
+  EXPECT_EQ(c.peak_live_ops(), 2u);
+  EXPECT_EQ(c.peak_configs(), 1u);
 }
 
 // ---------- differential: streaming vs batch ----------

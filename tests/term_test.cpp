@@ -155,10 +155,10 @@ TEST(TermGolden, ConsensusAndCoinTerminateUnderStalls) {
 // ---------- solver work ----------
 
 TEST(TermSolverWork, ScriptedRunsSolveOnlyOverlappingWindows) {
-  // The register models answer a one-op window without the solver, so a
-  // scripted run calls it only where ops overlap.  A solver search per
-  // menu and per collapse would make 30, 1,920 and 182 calls.  Composed
-  // covers the WSL model: A''s scripted game registers are WSL.
+  // The register models answer every menu from their configuration sets
+  // (checker/frontier.hpp), so a scripted run makes no solver call; a
+  // window per menu made 3, 192 and 55.  Composed covers the WSL model:
+  // A''s scripted game registers are WSL.
   constexpr auto kCalls =
       static_cast<std::size_t>(obs::Counter::kCheckerSolverCalls);
   const auto solver_calls = [](Family f, int rounds) {
@@ -172,9 +172,9 @@ TEST(TermSolverWork, ScriptedRunsSolveOnlyOverlappingWindows) {
     EXPECT_FALSE(r.error) << r.detail;
     return calls.v[kCalls];
   };
-  EXPECT_EQ(solver_calls(Family::kGame, 1), 3u);
-  EXPECT_EQ(solver_calls(Family::kGame, 64), 192u);
-  EXPECT_EQ(solver_calls(Family::kComposed, 64), 55u);
+  EXPECT_EQ(solver_calls(Family::kGame, 1), 0u);
+  EXPECT_EQ(solver_calls(Family::kGame, 64), 0u);
+  EXPECT_EQ(solver_calls(Family::kComposed, 64), 0u);
 }
 
 // ---------- exploration probes ----------

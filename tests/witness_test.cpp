@@ -366,17 +366,24 @@ TEST(Witness, AnAcceptedWitnessLiftsTheSolverCap) {
                       /*online=*/false, sweep::Witness::kAccepted);
   EXPECT_EQ(accepted.verdict, sweep::Verdict::kOk);
   EXPECT_TRUE(accepted.detail.empty()) << accepted.detail;
-  // The searches keep their cap: a miss, no witness, or the streaming
-  // cross-check all end unvalidated with today's text.
-  for (const auto& [witness, online] :
-       {std::pair{sweep::Witness::kMissed, false},
-        std::pair{sweep::Witness::kNone, false},
-        std::pair{sweep::Witness::kAccepted, true}}) {
-    sweep::ScenarioResult out;
-    sweep::classify_run(h, true, sweep::RunEnd::kCompleted, "", out, online,
-                        witness);
-    EXPECT_EQ(out.verdict, sweep::Verdict::kError);
-    EXPECT_EQ(out.detail, cap);
+  // The streaming cross-check has no cap either: its configuration sets
+  // hold the open ops only.
+  sweep::ScenarioResult streamed;
+  sweep::classify_run(h, true, sweep::RunEnd::kCompleted, "", streamed,
+                      /*online=*/true, sweep::Witness::kAccepted);
+  EXPECT_EQ(streamed.verdict, sweep::Verdict::kOk);
+  EXPECT_TRUE(streamed.detail.empty()) << streamed.detail;
+  // The searches keep their cap: a miss or no witness, with or without
+  // the cross-check, ends unvalidated with today's text.
+  for (const sweep::Witness witness :
+       {sweep::Witness::kMissed, sweep::Witness::kNone}) {
+    for (const bool online : {false, true}) {
+      sweep::ScenarioResult out;
+      sweep::classify_run(h, true, sweep::RunEnd::kCompleted, "", out,
+                          online, witness);
+      EXPECT_EQ(out.verdict, sweep::Verdict::kError);
+      EXPECT_EQ(out.detail, cap);
+    }
   }
 }
 
@@ -395,6 +402,33 @@ TEST(Witness, AMissLeavesTheVerdictToTheSearches) {
   EXPECT_EQ(none.verdict, sweep::Verdict::kViolation);
   EXPECT_EQ(missed.verdict, none.verdict);
   EXPECT_EQ(missed.detail, none.detail);
+}
+
+TEST(Witness, Alg2RunsCutByTheBudgetKeepTheirWitness) {
+  // alg2/rand/p3/w2/seed142 cut at 25 actions: op3 has published [2,1,1]
+  // and read op5 returned it, but op3's process never stepped again.  Its
+  // trace must still place the line-8 write, so Algorithm 3 certifies the
+  // prefix and no search runs.
+  constexpr auto kMisses =
+      static_cast<std::size_t>(obs::Counter::kCheckerWitnessMisses);
+  sweep::Scenario s;
+  s.algorithm = sweep::Algorithm::kAlg2;
+  s.adversary = sweep::AdversaryKind::kRandom;
+  s.processes = 3;
+  s.writes_per_process = 2;
+  s.seed = 142;
+  s.max_actions = 25;
+  ASSERT_EQ(s.key(), "alg2/rand/p3/w2/seed142");
+  obs::set_enabled(true);
+  const obs::CounterDelta before = obs::thread_counters();
+  const sweep::ScenarioResult r = sweep::run_scenario(s);
+  obs::CounterDelta misses = obs::thread_counters();
+  obs::set_enabled(false);
+  misses -= before;
+  EXPECT_EQ(r.verdict, sweep::Verdict::kError);
+  EXPECT_NE(r.detail.find("completed prefix checked clean"), std::string::npos)
+      << r.detail;
+  EXPECT_EQ(misses.v[kMisses], 0u);
 }
 
 TEST(Witness, SweepFamiliesNeverMissTheirWitness) {

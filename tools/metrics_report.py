@@ -84,8 +84,6 @@ def derived(scalars):
               g("wsl.cache_hits", 0) + g("wsl.cache_misses", 0))),
         ("net delivery rate",
          rate(g("net.delivered", 0), g("net.msgs_sent", 0))),
-        ("stream collapse rate",
-         rate(g("stream.collapses", 0), g("stream.events", 0))),
         # shrink_probes counts candidates tested; a repeat is not replayed.
         ("explore shrink probes",
          f"{g('explore.shrink_probes', 0)} = "
