@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -113,6 +114,88 @@ SequentialCheck check_tag_order(const History& h,
                 " returned a tag no write has");
   }
   return is_legal_sequential(h, order);
+}
+
+SequentialCheck check_commit_order(const History& h,
+                                   std::span<const Commit> log) {
+  const auto fail = [](const std::string& why) {
+    return SequentialCheck{false, why};
+  };
+  const auto name = [](const char* what, int id) {
+    return std::string(what) + " op" + std::to_string(id);
+  };
+  const int n = static_cast<int>(h.size());
+  std::vector<std::uint64_t> tags(h.size(), kNoTag);
+  std::vector<Time> commit_time(h.size(), history::kNoTime);
+  std::vector<std::pair<Value, int>> values;  // committed writes' values
+  values.reserve(log.size());
+  Time last = 0;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const Commit c = log[i];
+    if (c.write < 0 || c.write >= n || c.by < 0 || c.by >= n) {
+      return fail("commit log entry " + std::to_string(i) +
+                  " names an unknown op");
+    }
+    const OpRecord& w = h.op(c.write);
+    const OpRecord& by = h.op(c.by);
+    if (!w.is_write() || by.pending()) {
+      return fail("commit log entry " + std::to_string(i) +
+                  " is not a write committed at a response");
+    }
+    // (a)
+    if (by.response < last) {
+      return fail("commit log out of response order at " +
+                  name("write", w.id));
+    }
+    if (w.invoke > by.response) {
+      return fail(name("write", w.id) +
+                  " committed before its invocation");
+    }
+    // (b), for the committed writes
+    if (!w.pending() && by.response > w.response) {
+      return fail(name("write", w.id) +
+                  " committed after its own response");
+    }
+    last = by.response;
+    const auto wi = static_cast<std::size_t>(c.write);
+    tags[wi] = i + 1;
+    commit_time[wi] = by.response;
+    values.emplace_back(w.value, w.id);
+  }
+  // (d); a write committed twice repeats its own value
+  std::sort(values.begin(), values.end());
+  const Value initial = h.initial(single_register_of(h));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i].first == initial ||
+        (i > 0 && values[i - 1].first == values[i].first)) {
+      return fail("declined: committed value " +
+                  std::to_string(values[i].first) +
+                  (values[i].first == initial ? " is the initial value"
+                                              : " repeats"));
+    }
+  }
+  for (const OpRecord& op : h.ops()) {
+    // (b) for a completed write the log lacks: it has no tag, which (e)
+    // rejects.
+    if (op.pending() || op.is_write()) continue;
+    const auto id = static_cast<std::size_t>(op.id);
+    if (op.value == initial) {
+      tags[id] = kInitialTag;
+      continue;
+    }
+    const auto it = std::lower_bound(values.begin(), values.end(),
+                                     std::pair<Value, int>{op.value, -1});
+    if (it == values.end() || it->first != op.value) continue;  // (e) fails
+    const auto wi = static_cast<std::size_t>(it->second);
+    // (c)
+    if (op.response < commit_time[wi]) {
+      return fail(name("read", op.id) + " returned " +
+                  name("write", it->second) + "'s value before its commit");
+    }
+    tags[id] = tags[wi];
+  }
+  // (e)
+  return check_tag_order(h, tags);
 }
 
 std::vector<int> writes_of(const History& h, const std::vector<int>& order) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,40 @@ inline constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
 /// a read of a tag no write has, or a completed op without a tag fail.
 [[nodiscard]] SequentialCheck check_tag_order(
     const History& h, const std::vector<std::uint64_t>& tags);
+
+/// One entry of a commit log: write op `write` joined the register's
+/// committed write order at the response of op `by` (the write itself, a
+/// later write, or a read that returned its value).
+struct Commit {
+  int write = -1;
+  int by = -1;
+};
+
+/// The commit-log witness of a register that keeps an append-only
+/// committed write order (the WSL model, sim/regmodel.hpp).  It checks
+///  (a) the log is in the order of the committing responses, and each
+///      write was invoked before its commit;
+///  (b) every completed write was committed no later than its own
+///      response;
+///  (c) every completed read of a committed write's value responded no
+///      earlier than that commit;
+///  (d) committed values are distinct, and differ from the initial value
+///      (otherwise the witness declines: it fails, and the searches
+///      decide);
+///  (e) `check_tag_order` accepts, each write's tag being its position in
+///      the log and each read's the tag of the write whose value it
+///      returned.
+/// Then the history is write strongly-linearizable.  Let L be (e)'s
+/// order, and for an event-prefix G let f(G) be L restricted to the
+/// writes committed by G's end plus the reads completed in G.  f(G) holds
+/// every op completed in G, by (b) and (c), and only ops invoked in G, by
+/// (a).  L puts each read right after its own write or the reads of it,
+/// and by (c) that write is in f(G) whenever the read is, so f(G) is
+/// legal; it respects real time as L does.  By (a) the writes committed
+/// by G's end are a prefix of the log, so the writes of f(G) are a prefix
+/// of those of f(G') for every longer prefix G'.
+[[nodiscard]] SequentialCheck check_commit_order(const History& h,
+                                                 std::span<const Commit> log);
 
 /// The subsequence of `order` consisting of write operations.
 [[nodiscard]] std::vector<int> writes_of(const History& h,

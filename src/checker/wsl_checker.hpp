@@ -64,7 +64,18 @@ struct WslCheckResult {
 [[nodiscard]] WslCheckResult check_write_strong_linearizable(
     const std::vector<History>& runs, const WslCheckOptions& options = {});
 
-/// Convenience overload for a single run (checks all its prefixes).
+/// Convenience overload for a single run (checks all its prefixes).  On
+/// one run this accepts exactly when `check_linearizable` does: let L be
+/// a linearization of the run (pending writes allowed, pending reads
+/// never), and for each event-prefix G let f(G) be the shortest prefix of
+/// L holding every op completed in G, minus the reads still pending in G.
+/// Every op of f(G) was invoked in G (it sits at or before an op
+/// completed in G, and L respects real-time order), dropping reads keeps
+/// f(G) legal, and prefixes of L nest, so f is a write
+/// strong-linearization.  The sweep therefore checks each run
+/// linearizable (sweep/scenario.hpp); this overload serves tests, benches
+/// and examples, and `WslChecker.OneRunIsWslIffLinearizable` holds the
+/// two checks together.
 [[nodiscard]] WslCheckResult check_write_strong_linearizable(
     const History& run, const WslCheckOptions& options = {});
 

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "checker/lin_checker.hpp"
-#include "checker/wsl_checker.hpp"
 #include "sweep/store.hpp"
 #include "util/assert.hpp"
 
@@ -90,19 +89,13 @@ History sub_history(const History& h, const std::vector<char>& keep,
   return sub;
 }
 
-bool fails_checker(const History& h, bool wsl_only) {
-  if (wsl_only) return !checker::check_write_strong_linearizable(h).ok;
-  return !checker::check_linearizable(h).ok;
-}
-
 }  // namespace
 
-Certificate make_certificate(const History& h, bool wsl_only) {
+Certificate make_certificate(const History& h) {
   Certificate c;
-  c.checker = wsl_only ? "write-strong-linearizability" : "linearizability";
   std::vector<char> keep(h.size(), 1);
   ++c.probes;
-  if (!fails_checker(h, wsl_only)) {
+  if (checker::check_linearizable(h).ok) {
     // Defensive: the caller claimed a violation the checker cannot
     // reproduce; emit an honest, non-reverified certificate.
     c.constraint = "checker did not reproduce the reported failure";
@@ -118,7 +111,7 @@ Certificate make_certificate(const History& h, bool wsl_only) {
       keep[i] = 0;
       const History sub = sub_history(h, keep, nullptr);
       ++c.probes;
-      if (fails_checker(sub, wsl_only)) {
+      if (!checker::check_linearizable(sub).ok) {
         changed = true;
       } else {
         keep[i] = 1;
@@ -129,15 +122,9 @@ Certificate make_certificate(const History& h, bool wsl_only) {
   // Re-verification: replaying exactly the certificate's op set through
   // the checker must reproduce the failure.
   ++c.probes;
-  if (wsl_only) {
-    const auto r = checker::check_write_strong_linearizable(minimal);
-    c.reverified = !r.ok;
-    c.constraint = r.explanation;
-  } else {
-    const auto r = checker::check_linearizable(minimal);
-    c.reverified = !r.ok;
-    c.constraint = r.error;
-  }
+  const auto r = checker::check_linearizable(minimal);
+  c.reverified = !r.ok;
+  c.constraint = r.error;
   return c;
 }
 
@@ -175,12 +162,9 @@ std::string build_artifact(const std::string& key, const std::string& verdict,
   }
   j.end_arr();
 
-  // Failure certificate (violations only; derived from the detail
-  // string's checker prefix, which classify_run owns).
+  // Failure certificate (violations only).
   if (verdict == "VIOLATION") {
-    const bool wsl_only =
-        detail.rfind("write strong-linearizability violated", 0) == 0;
-    const Certificate c = make_certificate(h, wsl_only);
+    const Certificate c = make_certificate(h);
     j.key("certificate").begin_obj();
     j.key("checker").str(c.checker);
     j.key("ops").begin_arr();

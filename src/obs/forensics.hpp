@@ -8,8 +8,9 @@
 //    that still fails the checker (greedy 1-minimal op removal), the
 //    checker's own constraint text on that minimal set, and a
 //    re-verification bit proving the certificate independently
-//    reproduces the failure through check_linearizable /
-//    check_write_strong_linearizable;
+//    reproduces the failure through check_linearizable (one run is
+//    write strongly-linearizable iff it is linearizable,
+//    sweep/scenario.hpp, so no other checker can fail a run);
 //  * a **quorum ledger** for kBlocked ABD runs: per pending op, which
 //    servers acked its current phase, the quorum it needed, and the
 //    named fault event (crash / partition / abandonment) that cut it
@@ -33,8 +34,8 @@ namespace rlt::obs {
 
 /// A minimal failing sub-history plus the constraint it violates.
 struct Certificate {
-  /// "linearizability" or "write-strong-linearizability".
-  std::string checker;
+  /// The checker the certificate replays.
+  std::string checker = "linearizability";
   /// Op ids (in the ORIGINAL history) of the minimal conflicting set.
   std::vector<int> ops;
   /// The checker's explanation on the minimal set.  Op ids inside it
@@ -70,17 +71,14 @@ struct ForensicsCapture {
 };
 
 /// Greedy 1-minimal certificate extraction: repeatedly drop ops whose
-/// removal keeps the checker failing, then re-verify the survivor set.
-/// `wsl_only` selects the failing checker: false = check_linearizable,
-/// true = check_write_strong_linearizable (for histories that are
-/// linearizable but not write strongly-linearizable).
-[[nodiscard]] Certificate make_certificate(const history::History& h,
-                                           bool wsl_only);
+/// removal keeps check_linearizable failing, then re-verify the survivor
+/// set.
+[[nodiscard]] Certificate make_certificate(const history::History& h);
 
 /// Renders the canonical forensics artifact for one non-ok scenario.
 /// `verdict` uses the store spelling ("VIOLATION", "blocked", ...).
-/// A certificate is computed iff `verdict` is "VIOLATION"; `wsl_only`
-/// is derived from `detail`.  Pure function of its inputs.
+/// A certificate is computed iff `verdict` is "VIOLATION".  Pure function
+/// of its inputs.
 [[nodiscard]] std::string build_artifact(const std::string& key,
                                          const std::string& verdict,
                                          const std::string& detail,

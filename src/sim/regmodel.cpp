@@ -27,46 +27,12 @@ class AtomicModel final : public RegisterModel {
   Value value_;
 };
 
-/// The interval models' common half: the register's frontier `F`
-/// (caller ids are global op ids), and the checks every event passes.
-template <class F>
-class IntervalModel : public RegisterModel {
- public:
-  explicit IntervalModel(Value initial) : frontier_(initial) {}
-
-  std::optional<Value> on_invoke(int op_id, OpKind kind,
-                                 Value value) override {
-    const bool opened = frontier_.invoke(op_id, kind, value);
-    RLT_CHECK_MSG(opened, "more than " << F::kMaxOpen
-                                       << " open ops on one register");
-    return std::nullopt;
-  }
-
-  Value on_respond(int op_id, const ResponseChoice& choice) override {
-    const Value result =
-        frontier_.is_write(op_id) ? frontier_.written(op_id) : choice.value;
-    respond(op_id, choice);
-    RLT_CHECK_MSG(!frontier_.overflowed(),
-                  "register needs more than " << F::kMaxConfigs
-                                              << " configurations");
-    RLT_CHECK_MSG(frontier_.feasible(),
-                  "response " << choice.value << " of op " << op_id
-                              << " leaves no linearization — bug");
-    return result;
-  }
-
- protected:
-  /// Applies `choice` to the frontier.
-  virtual void respond(int op_id, const ResponseChoice& choice) = 0;
-
-  F frontier_;
-};
-
 /// "Only linearizable": a read may return ANY value for which a legal
 /// linearization of the register's history still exists, so the order of
 /// concurrent writes stays undecided until some read forces it: the
 /// "off-line" freedom Theorem 6's adversary exploits after the coin flip.
-class LinearizableModel final : public IntervalModel<checker::Frontier> {
+class LinearizableModel final
+    : public detail::IntervalModel<checker::Frontier> {
  public:
   using IntervalModel::IntervalModel;
 
@@ -91,40 +57,29 @@ class LinearizableModel final : public IntervalModel<checker::Frontier> {
   }
 };
 
-/// Write strong-linearizability, Definition 4 made operational: an
-/// append-only committed write sequence.  A write's choices are the
-/// ordered batches of uncommitted writes, holding it, that a linearization
-/// with EXACTLY that write order allows; a read may return an uncommitted
-/// write's value, but then commits it.  The crux of Lemma 19 becomes
-/// mechanical: when p0's write of [0,j] responds BEFORE the coin flip, the
-/// adversary must order the concurrent write [1,j] now, not after seeing
-/// the coin.
-class WslModel final : public IntervalModel<checker::WslFrontier> {
- public:
-  using IntervalModel::IntervalModel;
-
-  std::vector<ResponseChoice> response_choices(int op_id) override {
-    std::vector<ResponseChoice> choices;
-    for (const auto& c : frontier_.commitments(op_id)) {
-      const std::span<const int> batch = frontier_.batch(c);
-      choices.push_back(
-          ResponseChoice{c.value, std::vector<int>(batch.begin(), batch.end())});
-    }
-    RLT_CHECK_MSG(!frontier_.overflowed(),
-                  "WSL model: register needs more than "
-                      << checker::WslFrontier::kMaxConfigs
-                      << " configurations");
-    RLT_CHECK_MSG(!choices.empty(),
-                  "WSL model: op " << op_id << " has no feasible response — bug");
-    return choices;
-  }
-
-  void respond(int op_id, const ResponseChoice& choice) override {
-    frontier_.respond(op_id, choice.value, choice.commit_extension);
-  }
-};
-
 }  // namespace
+
+std::vector<ResponseChoice> WslModel::response_choices(int op_id) {
+  std::vector<ResponseChoice> choices;
+  for (const auto& c : frontier_.commitments(op_id)) {
+    const std::span<const int> batch = frontier_.batch(c);
+    choices.push_back(
+        ResponseChoice{c.value, std::vector<int>(batch.begin(), batch.end())});
+  }
+  RLT_CHECK_MSG(!frontier_.overflowed(),
+                "WSL model: register needs more than "
+                    << checker::WslFrontier::kMaxConfigs << " configurations");
+  RLT_CHECK_MSG(!choices.empty(),
+                "WSL model: op " << op_id << " has no feasible response — bug");
+  return choices;
+}
+
+void WslModel::respond(int op_id, const ResponseChoice& choice) {
+  frontier_.respond(op_id, choice.value, choice.commit_extension);
+  for (const int write : choice.commit_extension) {
+    commits_.push_back(checker::Commit{write, op_id});
+  }
+}
 
 const char* to_string(Semantics s) noexcept {
   switch (s) {

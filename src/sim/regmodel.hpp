@@ -30,9 +30,12 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "checker/frontier.hpp"
 #include "sim/types.hpp"
+#include "util/assert.hpp"
 
 namespace rlt::sim {
 
@@ -56,6 +59,72 @@ class RegisterModel {
   /// Applies one of the choices returned by `response_choices`; returns
   /// the operation's result value (reads) or the written value (writes).
   virtual Value on_respond(int op_id, const ResponseChoice& choice) = 0;
+};
+
+namespace detail {
+
+/// The interval models' common half: the register's frontier `F`
+/// (caller ids are global op ids), and the checks every event passes.
+template <class F>
+class IntervalModel : public RegisterModel {
+ public:
+  explicit IntervalModel(Value initial) : frontier_(initial) {}
+
+  std::optional<Value> on_invoke(int op_id, OpKind kind,
+                                 Value value) override {
+    const bool opened = frontier_.invoke(op_id, kind, value);
+    RLT_CHECK_MSG(opened, "more than " << F::kMaxOpen
+                                       << " open ops on one register");
+    return std::nullopt;
+  }
+
+  Value on_respond(int op_id, const ResponseChoice& choice) override {
+    const Value result =
+        frontier_.is_write(op_id) ? frontier_.written(op_id) : choice.value;
+    respond(op_id, choice);
+    RLT_CHECK_MSG(!frontier_.overflowed(),
+                  "register needs more than " << F::kMaxConfigs
+                                              << " configurations");
+    RLT_CHECK_MSG(frontier_.feasible(),
+                  "response " << choice.value << " of op " << op_id
+                              << " leaves no linearization — bug");
+    return result;
+  }
+
+ protected:
+  /// Applies `choice` to the frontier.
+  virtual void respond(int op_id, const ResponseChoice& choice) = 0;
+
+  F frontier_;
+};
+
+}  // namespace detail
+
+/// Write strong-linearizability, Definition 4 made operational: an
+/// append-only committed write sequence.  A write's choices are the
+/// ordered batches of uncommitted writes, holding it, that a linearization
+/// with EXACTLY that write order allows; a read may return an uncommitted
+/// write's value, but then commits it.  The crux of Lemma 19 becomes
+/// mechanical: when p0's write of [0,j] responds BEFORE the coin flip, the
+/// adversary must order the concurrent write [1,j] now, not after seeing
+/// the coin.
+class WslModel final : public detail::IntervalModel<checker::WslFrontier> {
+ public:
+  using IntervalModel::IntervalModel;
+
+  std::vector<ResponseChoice> response_choices(int op_id) override;
+
+  /// The commit log: every committed write in committed order (Definition
+  /// 4's write order), each with the op whose response committed it, for
+  /// `checker::check_commit_order`.  One entry per committed write.
+  [[nodiscard]] std::span<const checker::Commit> commits() const noexcept {
+    return commits_;
+  }
+
+ private:
+  void respond(int op_id, const ResponseChoice& choice) override;
+
+  std::vector<checker::Commit> commits_;
 };
 
 std::unique_ptr<RegisterModel> make_linearizable_model(Value initial);

@@ -12,7 +12,6 @@
 #include "checker/lin_checker.hpp"
 #include "checker/spec.hpp"
 #include "checker/stream_checker.hpp"
-#include "checker/wsl_checker.hpp"
 #include "mp/abd.hpp"
 #include "mp/network.hpp"
 #include "obs/forensics.hpp"
@@ -157,6 +156,12 @@ checker::SequentialCheck own_witness(const mp::AbdRegister& r) {
   return checker::check_tag_order(r.hl_history(), r.tags());
 }
 
+/// The WSL model's commit log is Definition 4's write order.
+checker::SequentialCheck own_witness(const sim::WslModel& m,
+                                     const History& h) {
+  return checker::check_commit_order(h, m.commits());
+}
+
 /// A witness's verdict, timed as checking.
 template <class Check>
 Witness run_witness(ScenarioResult& out, const Check& check) {
@@ -164,16 +169,17 @@ Witness run_witness(ScenarioResult& out, const Check& check) {
   return check().ok ? Witness::kAccepted : Witness::kMissed;
 }
 
-/// Applies the checks the scenario's semantics promise, on the
-/// single-register high-level history `h`.  Pending ops are fine: the
-/// solver includes pending writes as possibly-effective and never
-/// includes pending reads (lin_solver.hpp), so a history cut short by a
-/// crash or a budget is checked on its completed prefix with the
-/// stranded ops as overlays.  A witness that accepted certified all of
-/// it, so the searches are skipped; under `online` the streaming checker
-/// is held against the witness instead of the batch solver.
-void check_history(const History& h, bool expect_wsl, bool online,
-                   Witness witness, ScenarioResult& out) {
+/// Checks the single-register high-level history `h` linearizable, which
+/// for one run is everything the scenario's semantics promise (the
+/// one-run theorem, scenario.hpp).  Pending ops are fine: the solver
+/// includes pending writes as possibly-effective and never includes
+/// pending reads (lin_solver.hpp), so a history cut short by a crash or
+/// a budget is checked on its completed prefix with the stranded ops as
+/// overlays.  A witness that accepted certified it, so the search is
+/// skipped; under `online` the streaming checker is held against the
+/// witness instead of the batch solver.
+void check_history(const History& h, bool online, Witness witness,
+                   ScenarioResult& out) {
   const bool witnessed = witness == Witness::kAccepted;
   checker::LinCheckResult lin;
   lin.ok = witnessed;
@@ -213,27 +219,11 @@ void check_history(const History& h, bool expect_wsl, bool online,
     out.detail = "linearizability violated: " + lin.error;
     return;
   }
-  if (expect_wsl && !witnessed) {
-    const checker::WslCheckResult wsl =
-        checker::check_write_strong_linearizable(h);
-    if (obs::enabled()) {
-      obs::count(obs::Counter::kWslSolverCalls, wsl.solver_calls);
-      obs::count(obs::Counter::kWslCacheHits, wsl.cache_hits);
-      obs::count(obs::Counter::kWslCacheMisses, wsl.cache_misses);
-    }
-    if (!wsl.ok) {
-      out.verdict = Verdict::kViolation;
-      out.detail = "write strong-linearizability violated: " +
-                   wsl.explanation;
-      return;
-    }
-  }
   out.verdict = Verdict::kOk;
 }
 
 void finish_sim(const Scenario& s, sim::Scheduler& sched, const SimDrive& d,
-                const History& h, bool expect_wsl, Witness witness,
-                ScenarioResult& out) {
+                const History& h, Witness witness, ScenarioResult& out) {
   const bool online = s.online_check;
   out.steps = sched.actions_applied();
   out.ops = h.completed_count();
@@ -265,7 +255,7 @@ void finish_sim(const Scenario& s, sim::Scheduler& sched, const SimDrive& d,
       end_detail = std::string("run ended early: ") + sim::to_string(d.outcome);
     }
   }
-  classify_run(h, expect_wsl, end, end_detail, out, online, witness);
+  classify_run(h, end, end_detail, out, online, witness);
   if (s.forensics && out.verdict != Verdict::kOk) {
     // Sim families have no message substrate: the artifact carries the
     // op spans (stalled pending ops included) and, on violations, the
@@ -288,20 +278,24 @@ void run_modeled(const Scenario& s, sim::SchedulePolicy* policy,
   }
   const SimDrive d = drive_sim(s, sched, policy);
   const History& h = sched.global_history();
-  const Witness witness =
-      s.semantics == sim::Semantics::kAtomic
-          ? run_witness(out, [&h] { return op_id_order(h); })
-          : Witness::kNone;
-  finish_sim(s, sched, d, h, s.semantics == sim::Semantics::kWriteStrong,
-             witness, out);
+  Witness witness = Witness::kNone;
+  if (s.semantics == sim::Semantics::kAtomic) {
+    witness = run_witness(out, [&h] { return op_id_order(h); });
+  } else if (s.semantics == sim::Semantics::kWriteStrong) {
+    // add_register built a WslModel for these semantics.
+    const auto& m = static_cast<const sim::WslModel&>(sched.model(0));
+    witness = run_witness(out, [&m, &h] { return own_witness(m, h); });
+  }
+  finish_sim(s, sched, d, h, witness, out);
 }
 
-/// Drives Algorithm 2 (`expect_wsl=true`, per Theorem 10) or Algorithm 4
-/// (`expect_wsl=false`: Theorem 13 denies WSL as a set property, so only
-/// plain linearizability is asserted per run).
+/// Drives Algorithm 2 (write strongly-linearizable, Theorem 10) or
+/// Algorithm 4 (linearizable, Theorem 12; Theorem 13 denies it WSL as a
+/// set property).  Either way one run is checked linearizable, by the
+/// register's own witness first.
 template <class Reg>
-void run_implemented(const Scenario& s, bool expect_wsl,
-                     sim::SchedulePolicy* policy, ScenarioResult& out) {
+void run_implemented(const Scenario& s, sim::SchedulePolicy* policy,
+                     ScenarioResult& out) {
   sim::Scheduler sched(s.seed);
   Reg reg(sched, s.processes, /*first_base=*/100, /*initial=*/0);
   for (int p = 0; p < s.processes; ++p) {
@@ -313,7 +307,7 @@ void run_implemented(const Scenario& s, bool expect_wsl,
   }
   const SimDrive d = drive_sim(s, sched, policy);
   const Witness witness = run_witness(out, [&reg] { return own_witness(reg); });
-  finish_sim(s, sched, d, reg.hl_history(), expect_wsl, witness, out);
+  finish_sim(s, sched, d, reg.hl_history(), witness, out);
 }
 
 /// A node's crash moment, decided up front from the scenario's FaultPlan.
@@ -888,16 +882,16 @@ void run_abd(const Scenario& s, sim::SchedulePolicy* policy,
   out.ops = h.completed_count();
   out.history_hash = hash_history(h);
   // Theorem 14: linearizable SWMR implementations (ABD included) are
-  // write strongly-linearizable, so both checks must pass — on every
-  // exit path, so a violation in a blocked or budget-exhausted schedule
-  // is never masked by the early-exit classification.  The no-write-back
-  // ablation has no witness.
+  // write strongly-linearizable, and one run is that iff it is
+  // linearizable (scenario.hpp).  The check runs on every exit path, so
+  // a violation in a blocked or budget-exhausted schedule is never
+  // masked by the early-exit classification.  The no-write-back ablation
+  // has no witness.
   const Witness witness =
       s.abd_read_write_back
           ? run_witness(out, [&reg] { return own_witness(reg); })
           : Witness::kNone;
-  classify_run(h, /*expect_wsl=*/true, end, end_detail, out, s.online_check,
-               witness);
+  classify_run(h, end, end_detail, out, s.online_check, witness);
   if (s.forensics && out.verdict != Verdict::kOk) {
     obs::ForensicsCapture cap;
     cap.timeline = &timeline;
@@ -993,7 +987,7 @@ std::string Scenario::key() const {
   return k;
 }
 
-void classify_run(const History& h, bool expect_wsl, RunEnd end,
+void classify_run(const History& h, RunEnd end,
                   const std::string& end_detail, ScenarioResult& out,
                   bool online, Witness witness) {
   // Attributes the checker's share of the scenario wall time on every
@@ -1017,7 +1011,7 @@ void classify_run(const History& h, bool expect_wsl, RunEnd end,
     }
   }
   if (checkable) {
-    check_history(h, expect_wsl, online, witness, out);
+    check_history(h, online, witness, out);
     if (out.verdict == Verdict::kViolation) {
       // The violation wins; keep the early-exit context for diagnosis.
       if (!end_detail.empty()) out.detail += " [" + end_detail + "]";
@@ -1105,12 +1099,10 @@ ScenarioResult run_scenario_impl(const Scenario& s,
         run_modeled(s, policy, out);
         break;
       case Algorithm::kAlg2:
-        run_implemented<registers::SimAlg2Register>(s, /*expect_wsl=*/true,
-                                                    policy, out);
+        run_implemented<registers::SimAlg2Register>(s, policy, out);
         break;
       case Algorithm::kAlg4:
-        run_implemented<registers::SimAlg4Register>(s, /*expect_wsl=*/false,
-                                                    policy, out);
+        run_implemented<registers::SimAlg4Register>(s, policy, out);
         break;
       case Algorithm::kAbd:
         run_abd(s, policy, out);

@@ -15,32 +15,51 @@
 //
 //  * kModeled — processes operate directly on one *modeled* register
 //    (sim/regmodel.hpp); the `semantics` axis selects atomic /
-//    linearizable / write strongly-linearizable behaviour.  Checked with
-//    `check_linearizable`, plus the WSL tree checker when the model
-//    promises write strong-linearizability.  An atomic op completes
-//    within its invoking step, so op-id order is the atomic model's
-//    witness.
+//    linearizable / write strongly-linearizable behaviour.  An atomic op
+//    completes within its invoking step, so op-id order is the atomic
+//    model's witness; the WSL model's commit log, checked by
+//    `checker::check_commit_order`, is the WSL model's.  The
+//    linearizable model has none.
 //  * kAlg2 — the paper's Algorithm 2 (vector-timestamp WSL MWMR register
-//    from atomic SWMR bases).  Checked linearizable AND write strongly
-//    linearizable (Theorem 10), with Algorithm 3 as the witness
-//    (registers::check_alg3_wsl).
+//    from atomic SWMR bases): write strongly-linearizable (Theorem 10),
+//    with Algorithm 3 as the witness (registers::check_alg3_wsl).
 //  * kAlg4 — Algorithm 4 (Lamport-clock register): linearizable
-//    (Theorem 12) but not WSL, so only linearizability is asserted; the
+//    (Theorem 12) but not WSL as a set of runs (Theorem 13); the
 //    ⟨sq, pid⟩ tag order is the witness (checker::check_tag_order).
 //  * kAbd — the ABD message-passing register driven by a seeded delivery
-//    schedule.  Checked linearizable and, by Theorem 14, write strongly
-//    linearizable.  The writer's timestamps order the writes (tag order
-//    again), and the writer is sequential, so the witness's write
-//    subsequence on every prefix is a prefix of the whole run's: the
-//    restriction argument of registers/alg3_linearizer.hpp gives WSL.
-//    The no-write-back ablation has no witness: it exists to plant
-//    violations, which the searches explain.
+//    schedule: write strongly-linearizable by Theorem 14.  The writer's
+//    timestamps order the writes (tag order again), and the writer is
+//    sequential, so the witness's write subsequence on every prefix is a
+//    prefix of the whole run's: the restriction argument of
+//    registers/alg3_linearizer.hpp gives WSL.  The no-write-back
+//    ablation has no witness: it exists to plant violations, which the
+//    search explains.
+//
+// One run is write strongly-linearizable iff it is linearizable, so each
+// run is checked linearizable whatever its semantics promise; Definition
+// 4 bites only on sets of runs (Theorem 13, checker/wsl_checker.hpp).
+// Let L be a linearization of H; it may include pending writes and never
+// includes pending reads.  For each event-prefix G of H let f(G) be the
+// shortest prefix of L that holds every op completed in G, minus the
+// reads still pending in G.  Then f is a write strong-linearization of
+// H's prefixes:
+//  * every op of f(G) was invoked in G: it sits at or before some op
+//    completed in G, and L respects real-time order;
+//  * dropping reads keeps f(G) legal, and f(G) holds every op completed
+//    in G;
+//  * prefixes of L nest, so the writes of f(G) are a prefix of the
+//    writes of f(G') for every longer prefix G'.
+// What a family's witness adds is a per-run check of the register's own
+// linearization function, not the mere existence of one, so it can miss
+// where the search passes (`checker.witness_misses` counts that):
+// Algorithm 3 without its infinite initial entries misses on some alg2
+// runs the search accepts.
 //
 // Witness first: each family above with a witness checks it first, and
-// the searches (`check_linearizable`, the WSL tree) run only when it
-// misses (classify_run).  A witness can only accept, by building an
-// order that `checker::is_legal_sequential` validates, so every verdict
-// and detail string is what the searches alone would give.
+// `check_linearizable` runs only when it misses (classify_run).  A
+// witness can only accept, by building an order that
+// `checker::is_legal_sequential` validates, so every verdict and detail
+// string is what the search alone would give.
 //
 // The fault axis (`FaultPlan`).  kMinorityCrash applies to kAbd: the
 // paper's termination results live in the regime where a minority of
@@ -281,10 +300,10 @@ struct ScenarioResult {
 
 /// What a family's own linearization witness said about a run.
 enum class Witness : std::uint8_t {
-  kNone,      ///< The family has no witness; the searches decide.
-  kAccepted,  ///< Certified everything the run asserts (linearizability,
-              ///< and write strong-linearizability where expected).
-  kMissed,    ///< Did not certify the run; the searches decide.
+  kNone,      ///< The family has no witness; the search decides.
+  kAccepted,  ///< Certified the run linearizable (and, for the WSL
+              ///< families, by the register's own WSL function).
+  kMissed,    ///< Did not certify the run; the search decides.
 };
 
 /// Folds the checker verdicts on the recorded history together with how
@@ -297,10 +316,10 @@ enum class Witness : std::uint8_t {
 /// checker replays the history event-by-event and any disagreement with
 /// the batch verdict classifies kError; on agreement the result is
 /// byte-identical to an offline classification.  `witness` is the
-/// runner's witness verdict: kAccepted stands in for the batch searches
-/// (and lifts their kMaxSolverOps cap, unless `online`), and kMissed
-/// counts one `checker.witness_misses` before the searches run.
-void classify_run(const history::History& h, bool expect_wsl, RunEnd end,
+/// runner's witness verdict: kAccepted stands in for the batch search
+/// (and lifts its kMaxSolverOps cap), and kMissed counts one
+/// `checker.witness_misses` before the search runs.
+void classify_run(const history::History& h, RunEnd end,
                   const std::string& end_detail, ScenarioResult& out,
                   bool online = false, Witness witness = Witness::kNone);
 

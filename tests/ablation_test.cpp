@@ -119,8 +119,8 @@ TEST(Alg2Ablation, AblatedWitnessCountsOneMissAndTheSearchesClassifyOk) {
   obs::set_enabled(true);
   const obs::CounterDelta before = obs::thread_counters();
   sweep::ScenarioResult out;
-  sweep::classify_run(h, /*expect_wsl=*/true, sweep::RunEnd::kCompleted, "",
-                      out, /*online=*/false, sweep::Witness::kMissed);
+  sweep::classify_run(h, sweep::RunEnd::kCompleted, "", out,
+                      /*online=*/false, sweep::Witness::kMissed);
   obs::CounterDelta misses = obs::thread_counters();
   obs::set_enabled(false);
   misses -= before;

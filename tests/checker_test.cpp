@@ -4,11 +4,17 @@
 // the containment  strong  ⊊  write-strong  ⊊  linearizable.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "checker/lin_checker.hpp"
 #include "checker/strong_checker.hpp"
 #include "checker/tree_common.hpp"
 #include "checker/wsl_checker.hpp"
+#include "sim/adversary.hpp"
+#include "sim/scheduler.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace rlt::checker {
 namespace {
@@ -16,6 +22,12 @@ namespace {
 using history::History;
 using history::kNoTime;
 using history::OpRecord;
+
+sim::Task write_twice_then_read(sim::Proc& p, Value first) {
+  co_await p.write(0, first);
+  co_await p.write(0, first + 1);
+  (void)co_await p.read(0);
+}
 
 int add(History& h, int process, OpKind kind, Value v, Time invoke,
         Time response, int reg = 0) {
@@ -224,6 +236,129 @@ TEST(WslChecker, WslImpliesLinearizable) {
   add(h, 1, OpKind::kRead, 99, 3, 4);
   EXPECT_FALSE(check_linearizable(h).ok);
   EXPECT_FALSE(check_write_strong_linearizable(h).ok);
+}
+
+/// A random single-register history of at most `max_ops` ops over up to
+/// four sequential processes, with pending ops.  With `repeat`, values
+/// come from {0, 1, 2}, so writes repeat each other and the initial
+/// value; otherwise each write is distinct and a read returns the initial
+/// value, an invoked write's, or (rarely) one nobody wrote.
+History random_one_run(util::Rng& rng, int max_ops, bool repeat) {
+  History h;
+  h.set_initial(0, 0);
+  const int processes = 1 + static_cast<int>(rng.uniform(4));
+  const int target = 1 + static_cast<int>(
+                             rng.uniform(static_cast<std::uint64_t>(max_ops)));
+  std::vector<int> open(static_cast<std::size_t>(processes), -1);
+  std::vector<Value> invoked_writes;
+  int started = 0;
+  Time now = 0;
+  while (true) {
+    std::vector<int> can_invoke;
+    std::vector<int> can_respond;
+    for (int p = 0; p < processes; ++p) {
+      if (open[static_cast<std::size_t>(p)] >= 0) {
+        can_respond.push_back(p);
+      } else if (started < target) {
+        can_invoke.push_back(p);
+      }
+    }
+    if (can_invoke.empty() && can_respond.empty()) break;
+    if (can_invoke.empty() && rng.chance(1, 4)) break;  // pending tails
+    ++now;
+    if (!can_invoke.empty() && (can_respond.empty() || rng.chance(1, 2))) {
+      const int p = can_invoke[rng.uniform(can_invoke.size())];
+      OpRecord op;
+      op.process = p;
+      op.reg = 0;
+      op.kind = rng.chance(1, 2) ? OpKind::kWrite : OpKind::kRead;
+      op.value = repeat ? static_cast<Value>(rng.uniform(3)) : started + 1;
+      op.invoke = now;
+      op.response = kNoTime;
+      if (op.kind == OpKind::kWrite) invoked_writes.push_back(op.value);
+      open[static_cast<std::size_t>(p)] = h.add(op);
+      ++started;
+    } else {
+      const int p = can_respond[rng.uniform(can_respond.size())];
+      const int id = open[static_cast<std::size_t>(p)];
+      Value result = static_cast<Value>(rng.uniform(3));
+      if (!repeat) {
+        const std::uint64_t pick = rng.uniform(invoked_writes.size() + 2);
+        result = pick == 0   ? 0
+                 : pick == 1 ? 99
+                             : invoked_writes[pick - 2];
+      }
+      h.complete_op(id, result, now);
+      open[static_cast<std::size_t>(p)] = -1;
+    }
+  }
+  return h;
+}
+
+/// A modeled-lin run: each of `p` processes writes twice, then reads;
+/// `stall` freezes a strict minority after one step, and `max_actions`
+/// may cut the run short.
+History modeled_lin_run(int p, bool stall, std::uint64_t max_actions,
+                        std::uint64_t seed) {
+  sim::Scheduler sched(seed);
+  sched.add_register(0, sim::Semantics::kLinearizable, 0);
+  for (int i = 0; i < p; ++i) {
+    sched.add_process("p" + std::to_string(i), [i](sim::Proc& pr) {
+      return write_twice_then_read(pr, 100 * (i + 1));
+    });
+  }
+  const std::vector<sim::ProcessId> stalled =
+      stall ? sim::pick_strict_minority(p, seed * 31 + 7)
+            : std::vector<sim::ProcessId>{};
+  for (const sim::ProcessId v : stalled) sched.apply(sim::Action::step(v));
+  sim::RandomAdversary adv(seed * 7 + 1, stalled);
+  (void)sched.run(adv, max_actions);
+  return sched.global_history();
+}
+
+/// One run is write strongly-linearizable iff it is linearizable
+/// (sweep/scenario.hpp states the proof), so the tree search on a single
+/// history must agree with `check_linearizable`.  Definition 4 bites
+/// only on sets of runs: Theorem13BranchingTreeIsNotWsl is the set-level
+/// counterpart.
+TEST(WslChecker, OneRunIsWslIffLinearizable) {
+  util::Rng rng(20261020);
+  int linearizable = 0;
+  int pending = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const bool repeat = trial % 2 == 0;
+    const History h = random_one_run(rng, /*max_ops=*/8, repeat);
+    ASSERT_LE(h.size(), 8u);
+    const bool lin = check_linearizable(h).ok;
+    const WslCheckResult wsl = check_write_strong_linearizable(h);
+    ASSERT_EQ(wsl.ok, lin) << "trial " << trial << ":\n"
+                           << h.to_string() << wsl.explanation;
+    linearizable += lin ? 1 : 0;
+    pending += h.completed_count() < h.size() ? 1 : 0;
+  }
+  EXPECT_GT(linearizable, 4000);
+  EXPECT_LT(linearizable, 16000);
+  EXPECT_GT(pending, 4000);
+
+  // The merely-linearizable model, which Theorem 6 defeats as a set of
+  // runs, passes run by run: complete, stalled and budget-cut.
+  int runs = 0;
+  for (int p = 3; p <= 5; ++p) {
+    for (const bool stall : {false, true}) {
+      for (const std::uint64_t max_actions : {12u, 25u, 1000u}) {
+        for (std::uint64_t seed = 0; seed < 6; ++seed) {
+          const History h = modeled_lin_run(p, stall, max_actions, seed);
+          ASSERT_TRUE(check_linearizable(h).ok);
+          EXPECT_TRUE(check_write_strong_linearizable(h).ok)
+              << "p" << p << (stall ? " stall" : "") << " max_actions "
+              << max_actions << " seed " << seed << ":\n"
+              << h.to_string();
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 108);
 }
 
 // ---------- strong linearizability ----------

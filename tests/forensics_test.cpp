@@ -54,7 +54,7 @@ History inversion_history() {
 TEST(Certificate, MinimizesAndReverifies) {
   const History h = inversion_history();
   ASSERT_FALSE(checker::check_linearizable(h).ok);
-  const obs::Certificate c = obs::make_certificate(h, /*wsl_only=*/false);
+  const obs::Certificate c = obs::make_certificate(h);
   EXPECT_EQ(c.checker, "linearizability");
   EXPECT_TRUE(c.reverified);
   EXPECT_FALSE(c.constraint.empty());
@@ -82,7 +82,7 @@ TEST(Certificate, HonestWhenCheckerPasses) {
   h.add(op(0, 0, OpKind::kWrite, 1, 1, 2));
   h.add(op(1, 0, OpKind::kRead, 1, 3, 4));
   ASSERT_TRUE(checker::check_linearizable(h).ok);
-  const obs::Certificate c = obs::make_certificate(h, false);
+  const obs::Certificate c = obs::make_certificate(h);
   EXPECT_FALSE(c.reverified);
   EXPECT_EQ(c.constraint, "checker did not reproduce the reported failure");
   EXPECT_TRUE(c.ops.empty());

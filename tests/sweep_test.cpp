@@ -222,7 +222,7 @@ TEST(Scenario, HandBuiltBlockedByCrashScheduleIsBlocked) {
   EXPECT_EQ(reg.op_node(r), 1);
   EXPECT_FALSE(reg.op_can_complete(r));
   ScenarioResult out;
-  classify_run(reg.hl_history(), /*expect_wsl=*/true, RunEnd::kBlocked,
+  classify_run(reg.hl_history(), RunEnd::kBlocked,
                "blocked: hand-built crash schedule", out);
   EXPECT_EQ(out.verdict, Verdict::kBlocked);
   EXPECT_NE(out.detail.find("hand-built"), std::string::npos);

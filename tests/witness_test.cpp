@@ -1,8 +1,9 @@
-// Witness-first checking (sweep/scenario.hpp): each implemented family's
-// own linearization witness — Algorithm 3 for Algorithm 2, tag order for
-// Algorithm 4 and ABD, op-id order for the atomic model — held against
-// the searches it stands in for.  A witness may only accept where the
-// searches accept, and on the paper's constructions it must accept.
+// Witness-first checking (sweep/scenario.hpp): each family's own
+// linearization witness — Algorithm 3 for Algorithm 2, tag order for
+// Algorithm 4 and ABD, op-id order for the atomic model, the commit log
+// for the WSL model — held against the searches it stands in for.  A
+// witness may only accept where the searches accept, and on the paper's
+// constructions it must accept.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,8 @@
 #include "registers/alg3_linearizer.hpp"
 #include "registers/alg4_register.hpp"
 #include "sim/adversary.hpp"
+#include "sim/regmodel.hpp"
+#include "sim/scheduler.hpp"
 #include "sweep/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -339,6 +342,176 @@ TEST(TagOrder, RejectsAStaleRead) {
   EXPECT_NE(chk.error.find("real-time"), std::string::npos) << chk.error;
 }
 
+// ---------- check_commit_order: the WSL model's commit log ----------
+
+sim::Task modeled_writes_then_read(sim::Proc& p, int slot, int writes) {
+  for (int i = 0; i < writes; ++i) {
+    co_await p.write(0, 100 * (slot + 1) + i);
+  }
+  (void)co_await p.read(0);
+}
+
+/// One modeled-wsl run under the random (`rr` false) or round-robin
+/// adversary, with the model's commit log.
+struct WslRun {
+  History h;
+  std::vector<checker::Commit> log;
+};
+
+WslRun modeled_wsl_run(int p, int writes, bool rr, bool stall,
+                       std::uint64_t max_actions, std::uint64_t seed) {
+  sim::Scheduler sched(seed);
+  sched.add_register(0, sim::Semantics::kWriteStrong, 0);
+  for (int i = 0; i < p; ++i) {
+    sched.add_process("p" + std::to_string(i), [i, writes](sim::Proc& pr) {
+      return modeled_writes_then_read(pr, i, writes);
+    });
+  }
+  const std::vector<sim::ProcessId> stalled =
+      stall ? sim::pick_strict_minority(p, seed * 31 + 7)
+            : std::vector<sim::ProcessId>{};
+  for (const sim::ProcessId v : stalled) sched.apply(sim::Action::step(v));
+  if (rr) {
+    sim::RoundRobinAdversary adv(stalled);
+    (void)sched.run(adv, max_actions);
+  } else {
+    sim::RandomAdversary adv(seed * 7 + 1, stalled);
+    (void)sched.run(adv, max_actions);
+  }
+  const auto& model = static_cast<const sim::WslModel&>(sched.model(0));
+  return WslRun{sched.global_history(),
+                {model.commits().begin(), model.commits().end()}};
+}
+
+TEST(CommitOrder, AcceptsEveryModeledWslRunAndTheTreeAgrees) {
+  int runs = 0;
+  int cut = 0;
+  for (int p = 2; p <= 6; ++p) {
+    for (const int writes : {1, 2, 3, 64}) {
+      for (const bool rr : {false, true}) {
+        for (const bool stall : {false, true}) {
+          for (std::uint64_t seed = 0; seed < 3; ++seed) {
+            // Complete runs, and runs cut at 8..30 actions.
+            for (const std::uint64_t max_actions :
+                 {std::uint64_t{100000}, 8 + (seed * 11 + p) % 23}) {
+              const WslRun run =
+                  modeled_wsl_run(p, writes, rr, stall, max_actions, seed);
+              const std::string where =
+                  "p" + std::to_string(p) + " w" + std::to_string(writes) +
+                  (rr ? " rr" : " rand") + (stall ? " stall" : "") +
+                  " max_actions " + std::to_string(max_actions) + " seed " +
+                  std::to_string(seed);
+              const checker::SequentialCheck w =
+                  checker::check_commit_order(run.h, run.log);
+              EXPECT_TRUE(w.ok) << where << ": " << w.error;
+              if (run.h.size() <= checker::kMaxSolverOps) {
+                EXPECT_TRUE(checker::check_write_strong_linearizable(run.h).ok)
+                    << where;
+              }
+              cut += run.h.completed_count() < run.h.size() ? 1 : 0;
+              ++runs;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 480);
+  EXPECT_GT(cut, 100) << "budget cuts and stalls should leave ops pending";
+}
+
+TEST(CommitOrder, AcceptsAHandBuiltLog) {
+  // w1 and w2 overlap; w2 responds first and commits itself, then the
+  // read of w1's value commits w1 after it.
+  History h;
+  add(h, 0, OpKind::kWrite, 1, 1, 9);         // op0
+  add(h, 1, OpKind::kWrite, 2, 2, 4);         // op1
+  add(h, 2, OpKind::kRead, 1, 5, 6);          // op2 commits op0
+  add(h, 3, OpKind::kRead, 0, 3, kNoTime);    // pending read
+  const checker::SequentialCheck chk =
+      checker::check_commit_order(h, std::vector<checker::Commit>{{1, 1},
+                                                                  {0, 2}});
+  EXPECT_TRUE(chk.ok) << chk.error;
+}
+
+TEST(CommitOrder, RejectsAWriteCommittedAfterItsOwnResponse) {
+  History h;
+  add(h, 0, OpKind::kWrite, 1, 1, 2);
+  add(h, 1, OpKind::kRead, 1, 3, 5);
+  const checker::SequentialCheck chk = checker::check_commit_order(
+      h, std::vector<checker::Commit>{{0, 1}});
+  EXPECT_FALSE(chk.ok);
+  EXPECT_NE(chk.error.find("after its own response"), std::string::npos)
+      << chk.error;
+}
+
+TEST(CommitOrder, RejectsAReadThatRespondsBeforeItsWritesCommit) {
+  History h;
+  add(h, 0, OpKind::kWrite, 1, 1, 6);
+  add(h, 1, OpKind::kRead, 1, 2, 3);  // returned w's value, commit at 6
+  const checker::SequentialCheck chk = checker::check_commit_order(
+      h, std::vector<checker::Commit>{{0, 0}});
+  EXPECT_FALSE(chk.ok);
+  EXPECT_NE(chk.error.find("before its commit"), std::string::npos)
+      << chk.error;
+}
+
+TEST(CommitOrder, RejectsAnOutOfOrderLog) {
+  // w2 committed at its response (4), before w1 did at its own (5); a
+  // log listing w1 first orders the writes as no prefix did.
+  History h;
+  add(h, 0, OpKind::kWrite, 1, 1, 5);
+  add(h, 1, OpKind::kWrite, 2, 2, 4);
+  EXPECT_TRUE(checker::check_commit_order(
+                  h, std::vector<checker::Commit>{{1, 1}, {0, 0}})
+                  .ok);
+  const checker::SequentialCheck chk = checker::check_commit_order(
+      h, std::vector<checker::Commit>{{0, 0}, {1, 1}});
+  EXPECT_FALSE(chk.ok);
+  EXPECT_NE(chk.error.find("out of response order"), std::string::npos)
+      << chk.error;
+}
+
+TEST(CommitOrder, RejectsAWriteCommittedBeforeItsInvocation) {
+  History h;
+  add(h, 0, OpKind::kWrite, 1, 1, 2);
+  add(h, 1, OpKind::kWrite, 2, 3, 4);
+  const checker::SequentialCheck chk = checker::check_commit_order(
+      h, std::vector<checker::Commit>{{0, 0}, {1, 0}});
+  EXPECT_FALSE(chk.ok);
+  EXPECT_NE(chk.error.find("before its invocation"), std::string::npos)
+      << chk.error;
+}
+
+TEST(CommitOrder, RejectsALogThatContradictsARead) {
+  // Both writes responded before the read, which returned w1: w1's
+  // response must commit w2 first.
+  History h;
+  add(h, 0, OpKind::kWrite, 1, 1, 3);
+  add(h, 1, OpKind::kWrite, 2, 2, 4);
+  add(h, 2, OpKind::kRead, 1, 5, 6);
+  EXPECT_TRUE(checker::check_commit_order(
+                  h, std::vector<checker::Commit>{{1, 0}, {0, 0}})
+                  .ok);
+  const checker::SequentialCheck chk = checker::check_commit_order(
+      h, std::vector<checker::Commit>{{0, 0}, {1, 1}});
+  EXPECT_FALSE(chk.ok);
+  EXPECT_NE(chk.error.find("real-time"), std::string::npos) << chk.error;
+}
+
+TEST(CommitOrder, DeclinesRepeatedCommittedValues) {
+  History h;
+  add(h, 0, OpKind::kWrite, 7, 1, 2);
+  add(h, 1, OpKind::kWrite, 7, 3, 4);
+  add(h, 2, OpKind::kRead, 7, 5, 6);
+  const checker::SequentialCheck chk = checker::check_commit_order(
+      h, std::vector<checker::Commit>{{0, 0}, {1, 1}});
+  EXPECT_FALSE(chk.ok);
+  EXPECT_NE(chk.error.find("declined"), std::string::npos) << chk.error;
+  EXPECT_TRUE(checker::check_write_strong_linearizable(h).ok)
+      << "declining is not rejecting: the searches accept this run";
+}
+
 // ---------- the sweep's hook ----------
 
 /// A sequential single-writer history of `ops` alternating writes and
@@ -362,14 +535,14 @@ TEST(Witness, AnAcceptedWitnessLiftsTheSolverCap) {
                           std::to_string(checker::kMaxSolverOps) +
                           "-op/register limit";
   sweep::ScenarioResult accepted;
-  sweep::classify_run(h, true, sweep::RunEnd::kCompleted, "", accepted,
+  sweep::classify_run(h, sweep::RunEnd::kCompleted, "", accepted,
                       /*online=*/false, sweep::Witness::kAccepted);
   EXPECT_EQ(accepted.verdict, sweep::Verdict::kOk);
   EXPECT_TRUE(accepted.detail.empty()) << accepted.detail;
   // The streaming cross-check has no cap either: its configuration sets
   // hold the open ops only.
   sweep::ScenarioResult streamed;
-  sweep::classify_run(h, true, sweep::RunEnd::kCompleted, "", streamed,
+  sweep::classify_run(h, sweep::RunEnd::kCompleted, "", streamed,
                       /*online=*/true, sweep::Witness::kAccepted);
   EXPECT_EQ(streamed.verdict, sweep::Verdict::kOk);
   EXPECT_TRUE(streamed.detail.empty()) << streamed.detail;
@@ -379,7 +552,7 @@ TEST(Witness, AnAcceptedWitnessLiftsTheSolverCap) {
        {sweep::Witness::kMissed, sweep::Witness::kNone}) {
     for (const bool online : {false, true}) {
       sweep::ScenarioResult out;
-      sweep::classify_run(h, true, sweep::RunEnd::kCompleted, "", out,
+      sweep::classify_run(h, sweep::RunEnd::kCompleted, "", out,
                           online, witness);
       EXPECT_EQ(out.verdict, sweep::Verdict::kError);
       EXPECT_EQ(out.detail, cap);
@@ -395,9 +568,9 @@ TEST(Witness, AMissLeavesTheVerdictToTheSearches) {
   add(h, 0, OpKind::kWrite, 2, 3, 4);
   add(h, 1, OpKind::kRead, 1, 5, 6);
   sweep::ScenarioResult none;
-  sweep::classify_run(h, true, sweep::RunEnd::kCompleted, "", none);
+  sweep::classify_run(h, sweep::RunEnd::kCompleted, "", none);
   sweep::ScenarioResult missed;
-  sweep::classify_run(h, true, sweep::RunEnd::kCompleted, "", missed,
+  sweep::classify_run(h, sweep::RunEnd::kCompleted, "", missed,
                       /*online=*/false, sweep::Witness::kMissed);
   EXPECT_EQ(none.verdict, sweep::Verdict::kViolation);
   EXPECT_EQ(missed.verdict, none.verdict);
@@ -432,9 +605,10 @@ TEST(Witness, Alg2RunsCutByTheBudgetKeepTheirWitness) {
 }
 
 TEST(Witness, SweepFamiliesNeverMissTheirWitness) {
-  // Every family with a witness, at every fault kind it pairs with: the
-  // witness certifies each run (no miss), and long runs past the
-  // solver's cap classify like short ones.
+  // Every family with a witness (the modeled register under atomic and
+  // WSL semantics), at every fault kind it pairs with: the witness
+  // certifies each run (no miss), and long runs past the solver's cap
+  // classify like short ones.
   constexpr auto kMisses =
       static_cast<std::size_t>(obs::Counter::kCheckerWitnessMisses);
   obs::set_enabled(true);
@@ -450,21 +624,29 @@ TEST(Witness, SweepFamiliesNeverMissTheirWitness) {
           sweep::FaultKind::kMajorityCrash,
           sweep::FaultKind::kCrashRecovery}) {
       if (!sweep::fault_applies(fault, alg)) continue;
-      for (const int writes : {2, 64}) {
-        for (std::uint64_t seed = 0; seed < 4; ++seed) {
-          sweep::Scenario s;
-          s.algorithm = alg;
-          s.processes = writes > 2 ? 3 : 5;
-          s.writes_per_process = writes;
-          s.seed = seed;
-          s.faults.kind = fault;
-          s.faults.seed = seed;
-          s.faults.param = fault == sweep::FaultKind::kLossy ? 300 : 0;
-          const sweep::ScenarioResult r = sweep::run_scenario(s);
-          EXPECT_TRUE(r.verdict == sweep::Verdict::kOk ||
-                      r.verdict == sweep::Verdict::kBlocked)
-              << s.key() << ": " << r.detail;
-          ++runs;
+      for (const sim::Semantics semantics :
+           {sim::Semantics::kAtomic, sim::Semantics::kWriteStrong}) {
+        if (alg != sweep::Algorithm::kModeled &&
+            semantics != sim::Semantics::kAtomic) {
+          continue;
+        }
+        for (const int writes : {2, 64}) {
+          for (std::uint64_t seed = 0; seed < 4; ++seed) {
+            sweep::Scenario s;
+            s.algorithm = alg;
+            s.semantics = semantics;
+            s.processes = writes > 2 ? 3 : 5;
+            s.writes_per_process = writes;
+            s.seed = seed;
+            s.faults.kind = fault;
+            s.faults.seed = seed;
+            s.faults.param = fault == sweep::FaultKind::kLossy ? 300 : 0;
+            const sweep::ScenarioResult r = sweep::run_scenario(s);
+            EXPECT_TRUE(r.verdict == sweep::Verdict::kOk ||
+                        r.verdict == sweep::Verdict::kBlocked)
+                << s.key() << ": " << r.detail;
+            ++runs;
+          }
         }
       }
     }

@@ -45,6 +45,8 @@
 // exploration: no instance errored — FINDING a violation is the
 // objective, not a failure; replay: every persisted trace reproduced);
 // 1 on failures; 2 on bad usage.
+#include <fcntl.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -685,10 +687,18 @@ constexpr Flag kFlags[] = {
      [](Cli& c, V) { c.hooks.trace_times = true; }},
     {"--progress-fd", kSweeps, true,
      [](Cli& c, V v) {
-       // Must be an fd the parent opened for us; 0-2 are the standard
-       // streams and an obvious mistake.
-       c.hooks.progress_fd =
+       // Must be an fd the parent opened for us, for writing: the meter
+       // cannot report a failed write, so every line would be lost.  0-2
+       // are the standard streams and an obvious mistake.
+       const int fd =
            static_cast<int>(parse_in("--progress-fd", v, 3, 1'048'575));
+       const int flags = ::fcntl(fd, F_GETFL);
+       if (flags == -1 || (flags & O_ACCMODE) == O_RDONLY) {
+         std::cerr << "sweep_main: --progress-fd " << fd
+                   << " is not open for writing\n";
+         usage(2);
+       }
+       c.hooks.progress_fd = fd;
      }},
     {"--heartbeat", kSweeps, true,
      [](Cli& c, V v) {
